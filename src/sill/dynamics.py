@@ -2,8 +2,11 @@
 
 A running configuration is a multiset of ``proc`` and ``msg`` facts whose
 second argument encodes a process as a first-order term.  Rewrite rules are
-not fixed up front: each state generates one ground rule per enabled step,
-so the fair scheduler and the trace machinery apply unchanged.
+not fixed up front: each enabled step is a ground rule generated from the
+facts that enable it, so the fair scheduler and the trace machinery apply
+unchanged.  A full enumeration decodes every fact of a state; a fair run
+does that once, then decodes each fact as it appears and, after a step,
+re-derives only the steps that can consume a fact the step touched.
 
 Sending is asynchronous.  A sender turns into a message fact plus a
 continuation running on a fresh channel; a receiver consumes the matching
@@ -14,6 +17,7 @@ replayable and permutable.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -271,12 +275,6 @@ def initial_config(
 # -- step generation ---------------------------------------------------------------
 
 
-def _stem(name: str) -> str:
-    for mark in ("#", "'", "%", "~"):
-        name = name.split(mark)[0]
-    return name or "c"
-
-
 def _ground(name: str, consumed: list, produced: list,
             evars: tuple = (), hints: tuple = ()) -> Inst:
     rule = Rule(name, (), (), tuple(consumed), evars, (), tuple(produced),
@@ -288,10 +286,14 @@ class SillSystem:
     """Rule interface over process states.
 
     Quacks like a rule system for the scheduler and the trace machinery,
-    but generates its ground rules on demand by decoding the current
-    facts: one rule per enabled step, deduplicated and deterministically
-    ordered.  Functional side conditions are evaluated with a fixed fuel;
-    a divergent side condition makes the step silently unavailable.
+    but its rules are ground and generated on demand, one per enabled step,
+    deduplicated and deterministically ordered.  ``applicable`` decodes a
+    whole state; the enabled set of a fair run (``enabled``) keeps the
+    decoded facts indexed and after each step re-derives only the steps of
+    the proc facts the step touched and of the proc facts listening on the
+    carriers of touched messages.  Functional side conditions are
+    evaluated with a fixed fuel; a divergent side condition makes the step
+    silently unavailable.
     """
 
     rules: tuple = ()
@@ -315,30 +317,22 @@ class SillSystem:
             return v
 
     def applicable(self, state: Multiset) -> list[Inst]:
-        msgs: dict[str, list] = {}
-        procs: list[tuple[Fact, str, ast.Process]] = []
-        for f in state.eph_support():
-            pred, chan, p, info = classify_fact(f)
-            if pred == "msg":
-                if info is not None:
-                    msgs.setdefault(info.carrier, []).append((f, info, p))
-            else:
-                procs.append((f, chan, p))
-        # rules come from proc facts, so only these (and the rare ambiguous
-        # message bucket) need a state-independent order
-        procs.sort(key=lambda t: _fkey(t[0]))
-        for bucket in msgs.values():
-            if len(bucket) > 1:
-                bucket.sort(key=lambda t: _fkey(t[0]))
+        """Every enabled step of state, in enumeration order: proc facts by
+        fact key, then each fact's steps; equivalent steps after the first
+        are dropped."""
+        index = _StepIndex(self, state)
         out: list[Inst] = []
         seen = set()
-        for f, c, p in procs:
-            for inst in self._steps(f, c, p, msgs):
-                k = _equiv_key(inst)
-                if k not in seen:
-                    seen.add(k)
-                    out.append(inst)
+        for inst in index.steps(index.procs):
+            k = _equiv_key(inst)
+            if k not in seen:
+                seen.add(k)
+                out.append(inst)
         return out
+
+    def enabled(self, state: Multiset) -> "_StepIndex":
+        """The per-run enabled set the fair scheduler advances step by step."""
+        return _StepIndex(self, state)
 
     def _steps(self, fact: Fact, c: str, p: ast.Process, msgs: dict) -> list[Inst]:
         key = fact.args[0]
@@ -355,7 +349,7 @@ class SillSystem:
             ckey = Var(_EVAR) if provider else key
             cfact = Fact("proc", (ckey, enc_proc(cont, env)))
             rs.append(_ground(name, [fact], [mfact, cfact], evars=(_EVAR,),
-                              hints=((_EVAR, (_stem(p.chan), "prime")),)))
+                              hints=((_EVAR, (p.chan, "prime")),)))
 
         def recv(name_r: str, name_l: str, kind: str,
                  make_cont: Callable[[ast.MsgInfo], Optional[ast.Process]]) -> None:
@@ -397,7 +391,7 @@ class SillSystem:
                 "cut", [fact],
                 [Fact("proc", (Var(_EVAR), enc_proc(left, env))),
                  Fact("proc", (key, enc_proc(right, env)))],
-                evars=(_EVAR,), hints=((_EVAR, (_stem(p.chan), "prime")),)))
+                evars=(_EVAR,), hints=((_EVAR, (p.chan, "prime")),)))
         elif isinstance(p, ast.Unquote):
             v = self.eval(p.term)
             if isinstance(v, ast.Quote) and len(v.used) == len(p.used):
@@ -445,6 +439,92 @@ class SillSystem:
             recv("imp_r", "and_l", "val",
                  lambda info: ast.proc_subst_fvar(p.cont, p.var, info.payload))
         return rs
+
+
+def _listens_on(p: ast.Process) -> Optional[str]:
+    """The carrier whose messages the process's steps consume, if any."""
+    if isinstance(p, ast.FwdPos):
+        return p.src
+    if isinstance(p, ast.FwdNeg):
+        return p.dst
+    if isinstance(p, (ast.Wait, ast.Case, ast.RecvChan, ast.RecvShift,
+                      ast.RecvUnfold, ast.RecvVal)):
+        return p.chan
+    return None
+
+
+class _StepIndex:
+    """The facts of a state arranged for step generation.
+
+    Messages are bucketed by carrier and proc facts by the carrier they
+    listen on.  A proc fact's steps depend only on the fact and the bucket
+    of that carrier, so after a step only the touched proc facts and the
+    listeners on the carriers of touched messages need their steps
+    re-derived.
+    """
+
+    def __init__(self, system: SillSystem, state: Multiset):
+        self.system = system
+        # classification of every indexed fact, so removal needs no decoding
+        self.facts: dict[Fact, tuple] = {}
+        self.procs: dict[Fact, None] = {}
+        self.msgs: dict[str, list] = {}
+        self.listeners: dict[str, dict[Fact, None]] = {}
+        for f in state.eph_support():
+            self._add(f)
+
+    def _add(self, f: Fact) -> None:
+        pred, _, p, info = self.facts[f] = classify_fact(f)
+        if pred == "proc":
+            self.procs[f] = None
+            carrier = _listens_on(p)
+            if carrier is not None:
+                self.listeners.setdefault(carrier, {})[f] = None
+        elif info is not None:
+            # buckets keep the fact-key order the step enumeration relies on
+            insort(self.msgs.setdefault(info.carrier, []), (f, info, p),
+                   key=lambda t: _fkey(t[0]))
+
+    def _remove(self, f: Fact) -> None:
+        pred, _, p, info = self.facts.pop(f)
+        if pred == "proc":
+            del self.procs[f]
+            carrier = _listens_on(p)
+            if carrier is not None:
+                del self.listeners[carrier][f]
+        elif info is not None:
+            bucket = self.msgs[info.carrier]
+            bucket.pop(next(i for i, t in enumerate(bucket) if t[0] == f))
+            if not bucket:
+                del self.msgs[info.carrier]
+
+    def steps(self, procs: Iterable[Fact]) -> list[Inst]:
+        """The steps of the given proc facts, in enumeration order."""
+        out: list[Inst] = []
+        for f in sorted(procs, key=_fkey):
+            _, c, p, _ = self.facts[f]
+            out.extend(self.system._steps(f, c, p, self.msgs))
+        return out
+
+    def delta(self, state: Multiset, gone: Iterable[Fact],
+              touched: Iterable[Fact]) -> list[Inst]:
+        """Advance to state, whose predecessor lost the facts gone and had
+        the touched facts produced or used; return, in enumeration order,
+        every step that consumes a touched fact.  Other steps of the same
+        listeners come along; they were enabled before, so the scheduler
+        finds them queued."""
+        for f in gone:
+            self._remove(f)
+        procs: dict[Fact, None] = {}
+        for f in touched:
+            if f not in self.facts:
+                self._add(f)
+            pred, _, _, info = self.facts[f]
+            if pred == "proc":
+                procs[f] = None
+            elif info is not None:
+                procs.update(self.listeners.get(info.carrier, {}))
+        return self.steps(procs)
 
 
 # -- typed runs --------------------------------------------------------------------

@@ -337,34 +337,87 @@ def fair_execute(
     """Run the FIFO scheduler over distinct applicable instantiations.
 
     The queue always holds exactly the applicable instantiations, oldest
-    first, deduplicated by instantiation equivalence; after each step the
-    survivors keep their order and the newly applicable ones join at the
-    back (shuffled when a seed is given, otherwise in enumeration order).
-    Anything applicable is therefore applied within queue-length steps,
-    which makes every completed run über fair, and a run that empties its
-    queue is a maximal execution.
+    first, one per instantiation-equivalence class, each with its
+    equivalence key; after each step the survivors keep their order and the
+    newly applicable ones join at the back (shuffled when a seed is given,
+    otherwise in enumeration order).  Anything applicable is therefore
+    applied within queue-length steps, which makes every completed run über
+    fair, and a run that empties its queue is a maximal execution.
+
+    Only the start state is enumerated in full.  An instantiation that is
+    applicable after a step but not in the queue must have an antecedent
+    fact the step touched: a fact it produced, or one of the applied
+    instantiation's antecedent facts that is still present.  Otherwise it
+    was applicable before the step, so it or an equivalent one was queued
+    and still is.  The system's enabled set (``mrs.enabled(start)``)
+    proposes exactly the applicable instantiations with a touched
+    antecedent fact, in enumeration order.  Likewise only the queued
+    instantiations that consume a fact the step consumed are re-checked.
+    So a step costs what it touched, not the size of the state or of the
+    queue, and the run is the one a full re-enumeration after every step
+    would give.
+
+    meta["sched"] counts the full enumerations, the candidates the enabled
+    set proposed, and the fresh instantiations that joined the queue after
+    a step.
     """
     tr = Trace(mrs, start, sig)
     rng = random.Random(seed) if seed is not None else None
-    queue: list[Inst] = list(mrs.applicable(start))
+    queue: dict[tuple, Inst] = {}
+    # ephemeral fact -> keys of the queued instantiations that consume it;
+    # a step can disable only the entries that need a fact it consumed
+    needs: dict[Fact, dict[tuple, None]] = {}
+
+    def admit(entries: Iterable[tuple[tuple, Inst]]) -> None:
+        for k, i in entries:
+            queue[k] = i
+            for f in i.eph_ant_g().eph_support():
+                needs.setdefault(f, {})[k] = None
+
+    def drop(k: tuple) -> Inst:
+        i = queue.pop(k)
+        for f in i.eph_ant_g().eph_support():
+            del needs[f][k]
+            if not needs[f]:
+                del needs[f]
+        return i
+
+    initial = list(mrs.applicable(start))
     if rng is not None:
-        rng.shuffle(queue)
+        rng.shuffle(initial)
+    admit((_equiv_key(i), i) for i in initial)
+    enabled = mrs.enabled(start)
+    sched = {"full_enumerations": 1, "delta_candidates": 0, "fresh_admitted": 0}
     depths: list[int] = []
     while queue and len(tr.steps) < budget:
         if record_queue_depths:
             depths.append(len(queue))
-        inst = queue.pop(0)
-        tr.extend(inst)
+        inst = drop(next(iter(queue)))
+        step = tr.extend(inst)
         if observer is not None:
             observer(tr)
         state = tr.final()
-        survivors = [q for q in queue if q.applicable(state)]
-        known = {_equiv_key(q) for q in survivors}
-        fresh = [i for i in mrs.applicable(state) if _equiv_key(i) not in known]
+        ant = inst.active()
+        for f in ant.eph_support():
+            for k in [k for k in needs.get(f, ()) if not queue[k].applicable(state)]:
+                drop(k)
+        gone = [f for f in ant.eph_support() if not state.count(f)]
+        touched = list(dict.fromkeys(
+            [*step.produced, *(f for f in ant.support() if state.count(f))]))
+        candidates = enabled.delta(state, gone, touched)
+        fresh: dict[tuple, Inst] = {}
+        for c in candidates:
+            k = _equiv_key(c)
+            if k not in queue and k not in fresh:
+                fresh[k] = c
+        admitted = list(fresh.items())
         if rng is not None:
-            rng.shuffle(fresh)
-        queue = survivors + fresh
+            rng.shuffle(admitted)
+        admit(admitted)
+        sched["delta_candidates"] += len(candidates)
+        sched["fresh_admitted"] += len(admitted)
     tr.meta["maximal"] = not queue
+    tr.meta["sched"] = sched
     if record_queue_depths:
         tr.meta["queue_depths"] = depths
     return tr

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .multiset import Fact, Multiset, fact_key, fact_to_str, fact_vars
-from .terms import Const, Term, Var, match_term, subst_term, term_key, term_to_str
+from .terms import App, Const, Term, Var, match_term, subst_term, term_key, term_to_str
 
 
 class NotApplicable(Exception):
@@ -89,10 +89,13 @@ class Rule:
         uset, eset = set(self.uvars), set(self.evars)
         if uset & eset:
             raise ValueError(f"rule {self.name}: universal and existential variables overlap")
+        if any(not f.persistent for f in self.pers_ant):
+            raise ValueError(f"rule {self.name}: ephemeral fact in persistent antecedent")
+        # matching draws each pattern from the facts of its own persistence
+        if any(f.persistent for f in self.eph_ant):
+            raise ValueError(f"rule {self.name}: persistent fact in ephemeral antecedent")
         ant_vars: set[str] = set()
         for f in self.pers_ant + self.eph_ant:
-            if not f.persistent and f in self.pers_ant:
-                raise ValueError(f"rule {self.name}: ephemeral fact in persistent antecedent")
             ant_vars |= fact_vars(f)
         if not ant_vars <= uset:
             raise ValueError(f"rule {self.name}: unbound antecedent variables {ant_vars - uset}")
@@ -167,6 +170,10 @@ class Inst:
 
 
 def _ground_fact(f: Fact, th: Mapping[str, Term]) -> Fact:
+    # the ground rules of generated systems keep their own fact objects, so
+    # states and the caches keyed on facts see one object per fact
+    if not th:
+        return f
     return Fact(f.pred, tuple(subst_term(a, th) for a in f.args), f.persistent)
 
 
@@ -179,51 +186,9 @@ def match_rule(rule: Rule, state: Multiset) -> list[Inst]:
     Deduplicated up to instantiation equivalence (the representative with the
     least theta is kept) and sorted by theta for a stable enumeration order.
     """
-    pers_pool = sorted((f for f in state.pers), key=fact_key)
-    eph_pool = sorted(state.eph_support(), key=fact_key)
-    thetas: list[dict[str, Term]] = []
-
-    def go_pers(i: int, theta: dict[str, Term]):
-        if i == len(rule.pers_ant):
-            avail = {f: state.count(f) for f in eph_pool}
-            go_eph(0, theta, avail)
-            return
-        pat = rule.pers_ant[i]
-        for f in pers_pool:
-            if f.pred != pat.pred or len(f.args) != len(pat.args):
-                continue
-            th = dict(theta)
-            if _match_fact(pat, f, th) is not None:
-                go_pers(i + 1, th)
-
-    def go_eph(j: int, theta: dict[str, Term], avail: dict[Fact, int]):
-        if j == len(rule.eph_ant):
-            thetas.append(theta)
-            return
-        pat = rule.eph_ant[j]
-        for f in eph_pool:
-            if avail[f] == 0 or f.pred != pat.pred or len(f.args) != len(pat.args):
-                continue
-            th = dict(theta)
-            if _match_fact(pat, f, th) is not None:
-                avail[f] -= 1
-                go_eph(j + 1, th, avail)
-                avail[f] += 1
-
-    go_pers(0, {})
-
-    seen: set[tuple] = set()
-    insts: list[Inst] = []
-    for th in thetas:
-        inst = Inst.make(rule, th)
-        k = inst.theta_key()
-        if k not in seen:
-            seen.add(k)
-            insts.append(inst)
-    insts.sort(key=Inst.theta_key)
     out: list[Inst] = []
     keys: set = set()
-    for inst in insts:
+    for inst in FactIndex(state).insts(rule):
         k = _equiv_key(inst)
         if k not in keys:
             keys.add(k)
@@ -252,6 +217,115 @@ def match_all(rules: Sequence[Rule], state: Multiset) -> list[Inst]:
                 keys.add(k)
                 out.append(inst)
     return out
+
+
+class FactIndex:
+    """A state's facts by predicate and by first argument.
+
+    Matching binds the antecedent patterns one at a time, each against the
+    facts that can still match it: those with its first argument when that
+    is known, otherwise all facts of its predicate.  A run keeps one index
+    in step with its state and matches semi-naively (Rete, TREAT): after a
+    step only instantiations with an antecedent fact among the facts the
+    step touched are proposed.
+    """
+
+    def __init__(self, state: Multiset, rules: Sequence[Rule] = ()):
+        self.state = state
+        self.rules = tuple(rules)
+        self._by_pred: dict[tuple, dict[Fact, None]] = {}
+        self._by_first: dict[tuple, dict[Fact, None]] = {}
+        for f in itertools.chain(state.pers, state.eph_support()):
+            self._add(f)
+
+    def _add(self, f: Fact) -> None:
+        key = (f.pred, len(f.args), f.persistent)
+        self._by_pred.setdefault(key, {})[f] = None
+        if f.args:
+            self._by_first.setdefault(key + (f.args[0],), {})[f] = None
+
+    def _remove(self, f: Fact) -> None:
+        key = (f.pred, len(f.args), f.persistent)
+        del self._by_pred[key][f]
+        if f.args:
+            del self._by_first[key + (f.args[0],)][f]
+
+    def _pool(self, pat: Fact, theta: Mapping[str, Term]) -> Iterable[Fact]:
+        key = (pat.pred, len(pat.args), pat.persistent)
+        if pat.args:
+            first = pat.args[0]
+            if isinstance(first, Var):
+                first = theta.get(first.name)
+            elif isinstance(first, App):
+                first = None  # a pattern: ground only after matching
+            if first is not None:
+                return self._by_first.get(key + (first,), ())
+        return self._by_pred.get(key, ())
+
+    def _join(self, pats: Sequence[Fact], theta: dict[str, Term],
+              used: dict[Fact, int], out: list[dict[str, Term]]) -> None:
+        """Extend theta by matching pats against distinct fact occurrences;
+        used counts the ephemeral occurrences already taken."""
+        if not pats:
+            out.append(theta)
+            return
+        pat, rest = pats[0], pats[1:]
+        for f in self._pool(pat, theta):
+            n = used.get(f, 0)
+            if not f.persistent and n >= self.state.count(f):
+                continue
+            th = _match_fact(pat, f, dict(theta))
+            if th is None:
+                continue
+            if f.persistent:
+                self._join(rest, th, used, out)
+            else:
+                used[f] = n + 1
+                self._join(rest, th, used, out)
+                used[f] = n
+
+    def insts(self, rule: Rule, touched: Optional[Iterable[Fact]] = None) -> list[Inst]:
+        """Applicable instantiations of rule, distinct and sorted by theta.
+
+        With touched given, only those whose ground antecedent contains one
+        of the touched facts, which must be present in the state.
+        """
+        pats = rule.pers_ant + rule.eph_ant
+        thetas: list[dict[str, Term]] = []
+        if touched is None or not pats:
+            self._join(pats, {}, {}, thetas)
+        else:
+            for t in touched:
+                for j, pat in enumerate(pats):
+                    if pat.pred != t.pred or len(pat.args) != len(t.args):
+                        continue
+                    th = _match_fact(pat, t, {})
+                    if th is not None:
+                        used = {} if t.persistent else {t: 1}
+                        self._join(pats[:j] + pats[j + 1:], th, used, thetas)
+        by_key: dict[tuple, Inst] = {}
+        for th in thetas:
+            inst = Inst.make(rule, th)
+            by_key.setdefault(inst.theta_key(), inst)
+        return [by_key[k] for k in sorted(by_key)]
+
+    def delta(self, state: Multiset, gone: Iterable[Fact],
+              touched: Sequence[Fact]) -> list[Inst]:
+        """Advance to state, whose predecessor lost the facts gone and had
+        the touched facts produced or used; return the applicable
+        instantiations with a touched antecedent fact, in enumeration order
+        (rule order, then theta).  Rules without antecedent always qualify."""
+        self.state = state
+        for f in gone:
+            self._remove(f)
+        for f in touched:
+            key = (f.pred, len(f.args), f.persistent)
+            if f not in self._by_pred.get(key, ()):
+                self._add(f)
+        out: list[Inst] = []
+        for rule in self.rules:
+            out.extend(self.insts(rule, touched))
+        return out
 
 
 # -- instantiation equivalence ------------------------------------------------
@@ -298,11 +372,14 @@ def apply_inst(
     inst: Inst,
     sig: Signature,
     xi: Optional[Mapping[str, str]] = None,
+    produced: Optional[list[Fact]] = None,
 ) -> tuple[Multiset, Signature, dict[str, str]]:
     """Apply an instantiation, generating fresh constants unless xi is given.
 
     Returns the successor state, the advanced signature, and the fresh-name
-    assignment actually used.
+    assignment actually used.  A list passed as produced receives the
+    distinct produced facts, as the objects the successor state was built
+    from.
     """
     if not inst.applicable(state):
         raise NotApplicable(inst.to_str())
@@ -318,6 +395,9 @@ def apply_inst(
             sig = sig.absorb(xi[v])
     xi_terms = {v: Const(n) for v, n in names.items()}
     pers, eph = inst.consequent(xi_terms)
+    if produced is not None:
+        produced.extend(pers)
+        produced.extend(eph.eph_support())
     result = state.mdiff(inst.eph_ant_g()).msum(eph).with_pers(pers)
     return result, sig, names
 
@@ -398,6 +478,10 @@ class Mrs:
 
     def applicable(self, state: Multiset) -> list[Inst]:
         return match_all(self.rules, state)
+
+    def enabled(self, state: Multiset) -> FactIndex:
+        """The per-run enabled set the fair scheduler advances step by step."""
+        return FactIndex(state, self.rules)
 
     def pairwise_closure(self) -> "Mrs":
         """The rules plus all pairwise parallel combinations."""

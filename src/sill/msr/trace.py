@@ -8,7 +8,7 @@ reconstructs everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .canon import find_renaming
@@ -22,6 +22,10 @@ from .text import parse_fact, parse_system, parse_term
 class Step:
     inst: Inst
     xi: tuple[tuple[str, str], ...]
+    # the distinct facts the step produced, as the objects held by the
+    # successor state; a fresh copy would miss identity-based shortcuts in
+    # the caches keyed on facts and fall into deep equality
+    produced: tuple[Fact, ...] = field(default=(), compare=False, repr=False)
 
     def xi_map(self) -> dict[str, str]:
         return dict(self.xi)
@@ -64,8 +68,9 @@ class Trace:
         return self.states[-1]
 
     def extend(self, inst: Inst, xi: Optional[Mapping[str, str]] = None) -> Step:
-        nxt, self.sig, names = apply_inst(self.states[-1], inst, self.sig, xi)
-        step = Step(inst, tuple((v, names[v]) for v in inst.rule.evars))
+        produced: list[Fact] = []
+        nxt, self.sig, names = apply_inst(self.states[-1], inst, self.sig, xi, produced)
+        step = Step(inst, tuple((v, names[v]) for v in inst.rule.evars), tuple(produced))
         self.steps.append(step)
         self.states.append(nxt)
         return step

@@ -110,6 +110,14 @@ def test_persistent_facts_are_required_but_not_consumed():
     assert out.count(Fact("done", (Const("a"),))) == 1
 
 
+def test_antecedent_parts_keep_their_persistence():
+    lic, job = Fact("lic", (), persistent=True), Fact("job")
+    with pytest.raises(ValueError, match="persistent fact in ephemeral"):
+        Rule("r", (), (), (lic,), (), (), ())
+    with pytest.raises(ValueError, match="ephemeral fact in persistent"):
+        Rule("r", (), (job,), (), (), (), ())
+
+
 # -- instantiation equivalence -------------------------------------------------
 
 
