@@ -254,7 +254,7 @@ def config_state(facts: Iterable[Union[ast.ProcF, ast.MsgF]]) -> Multiset:
 def state_facts(st: Multiset) -> list[Union[ast.ProcF, ast.MsgF]]:
     """Decode a state back to configuration facts, sorted, with multiplicity."""
     out: list[Union[ast.ProcF, ast.MsgF]] = []
-    for f in sorted(st.eph_support(), key=fact_key):
+    for f in sorted(st.eph_support(), key=_fkey):
         chan, p = dec_fact(f)
         cf = ast.MsgF(chan, p) if f.pred == "msg" else ast.ProcF(chan, p)
         out.extend([cf] * st.count(f))

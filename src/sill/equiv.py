@@ -17,7 +17,7 @@ from .fairness import fair_execute
 from .lang import ast
 from .lang.check import check_config
 from .lang.errors import InterfaceMismatch, SillError
-from .msr.multiset import Multiset
+from .msr.multiset import Fact, Multiset
 from .msr.rules import Signature, apply_inst
 from .obs import (
     BOT,
@@ -69,6 +69,15 @@ def _fc_state(state: Multiset) -> set[str]:
 # -- barbs -------------------------------------------------------------------------
 
 
+def _carries(facts: Iterable[Fact], a: str) -> bool:
+    """Is one of facts a message whose carrier is a?"""
+    for f in facts:
+        pred, _, _, info = classify_fact(f)
+        if pred == "msg" and info is not None and info.carrier == a:
+            return True
+    return False
+
+
 def barb(state: Multiset, a: str, system: Optional[SillSystem] = None) -> bool:
     """Can an observable action on a occur after at most one step?
 
@@ -78,20 +87,12 @@ def barb(state: Multiset, a: str, system: Optional[SillSystem] = None) -> bool:
     if a not in _fc_state(state):
         raise UnknownChannel(a)
     sys = system or SillSystem()
-
-    def carried(st: Multiset) -> bool:
-        for f in st.eph_support():
-            pred, _, _, info = classify_fact(f)
-            if pred == "msg" and info is not None and info.carrier == a:
-                return True
-        return False
-
-    if carried(state):
+    if _carries(state.eph_support(), a):
         return True
     sig = Signature(frozenset(state.consts()) | sys.signature().declared, 0)
     for inst in sys.applicable(state):
         nxt, _, _ = apply_inst(state, inst, sig)
-        if carried(nxt):
+        if _carries(nxt.eph_support(), a):
             return True
     return False
 
@@ -108,11 +109,9 @@ def weak_barb(
         raise UnknownChannel(a)
     sys = system or SillSystem()
     tr = fair_execute(sys, state, budget=fuel, seed=seed)
-    for st in tr.states:
-        for f in st.eph_support():
-            pred, _, _, info = classify_fact(f)
-            if pred == "msg" and info is not None and info.carrier == a:
-                return True
+    # every message some state of the run held is among the run's facts
+    if _carries(tr.facts(), a):
+        return True
     return barb(tr.final(), a, sys)
 
 

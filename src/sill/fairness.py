@@ -74,13 +74,14 @@ class _Analysis:
         if tr.mrs is None:
             raise ValueError("trace carries no rewriting system")
         self.trace = tr
+        self.states = tr.states
         self.mrs = tr.mrs
         self.k = lt.loop_start
         self.L = len(tr.steps)
         declared = tr.sig0.declared
         self.rigid = lambda c: c in declared
         assert self.k is not None
-        rho = find_renaming(tr.states[self.k], tr.states[self.L], self.rigid)
+        rho = find_renaming(self.states[self.k], self.states[self.L], self.rigid)
         if rho is None:
             raise InvalidLasso(
                 "loop endpoint is not the loop start up to renaming generated constants"
@@ -148,7 +149,7 @@ class _Analysis:
 
     def applicable_at(self, j: int) -> list[Inst]:
         if j not in self._applicable:
-            self._applicable[j] = self.mrs.applicable(self.trace.states[j])
+            self._applicable[j] = self.mrs.applicable(self.states[j])
         return self._applicable[j]
 
     # -- predicates on the unrolled infinite trace ---------------------------
@@ -157,7 +158,7 @@ class _Analysis:
         if not self.is_recurrent(self.inst_consts(inst)):
             return False
         return any(
-            o.applicable(self.trace.states[j])
+            o.applicable(self.states[j])
             for j in self.loop_positions()
             for o in self.inst_orbit(inst)
         )
@@ -166,7 +167,7 @@ class _Analysis:
         if not self.is_recurrent(self.inst_consts(inst)):
             return False
         return all(
-            o.applicable(self.trace.states[j])
+            o.applicable(self.states[j])
             for j in self.loop_positions()
             for o in self.inst_orbit(inst)
         )
@@ -310,7 +311,7 @@ def _check_uber(an: _Analysis, variety: str) -> Verdict:
     up to instantiation equivalence, in the recorded part or in the loop's
     future rounds."""
     for i in range(an.L):
-        for inst in an.mrs.applicable(an.trace.states[i]):
+        for inst in an.mrs.applicable(an.states[i]):
             recorded = any(
                 inst_equiv(an.trace.steps[s].inst, inst) for s in range(i, an.L)
             )

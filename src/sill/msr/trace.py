@@ -1,15 +1,19 @@
 """Recorded executions: construction, replay, serialization, permutation.
 
 A trace records the initial state and every applied step (rule,
-instantiation, fresh-name assignment).  Intermediate states are kept so
-checks can inspect them; serialization can omit them since replay
-reconstructs everything.
+instantiation, fresh-name assignment, produced facts), plus the current
+state.  That is all it stores: a step's delta is its instantiation's
+ephemeral antecedent (consumed) and its produced facts, so a trace costs
+O(steps), not O(steps x state).  Readers that only need the facts a run
+ever held walk ``Trace.facts``; the intermediate states are rebuilt by
+replay the first time ``Trace.states`` is read.  Serialization can omit
+them for the same reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .canon import find_renaming
 from .multiset import Fact, Multiset, fact_key, fact_to_str
@@ -20,12 +24,19 @@ from .text import parse_fact, parse_system, parse_term
 
 @dataclass(frozen=True)
 class Step:
+    """One applied instantiation and its delta.
+
+    The step consumed ``inst.eph_ant_g()`` and produced ``produced``: the
+    distinct facts of the instantiated consequent, persistent ones first,
+    as the objects the successor state was built from.  A fresh copy would
+    miss the identity shortcut in the caches keyed on facts and fall into
+    deep equality.  ``xi`` records the fresh names, so the step replays
+    exactly.
+    """
+
     inst: Inst
     xi: tuple[tuple[str, str], ...]
-    # the distinct facts the step produced, as the objects held by the
-    # successor state; a fresh copy would miss identity-based shortcuts in
-    # the caches keyed on facts and fall into deep equality
-    produced: tuple[Fact, ...] = field(default=(), compare=False, repr=False)
+    produced: tuple[Fact, ...] = field(compare=False, repr=False)
 
     def xi_map(self) -> dict[str, str]:
         return dict(self.xi)
@@ -58,29 +69,61 @@ class Trace:
         self.sig0 = sig
         self.sig = sig
         self.steps: list[Step] = []
-        self.states: list[Multiset] = [initial]
         self.meta: dict = {}
+        self._final = initial
+        self._states: Optional[list[Multiset]] = None
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def final(self) -> Multiset:
-        return self.states[-1]
+        return self._final
 
     def extend(self, inst: Inst, xi: Optional[Mapping[str, str]] = None) -> Step:
         produced: list[Fact] = []
-        nxt, self.sig, names = apply_inst(self.states[-1], inst, self.sig, xi, produced)
+        nxt, self.sig, names = apply_inst(self._final, inst, self.sig, xi, produced)
         step = Step(inst, tuple((v, names[v]) for v in inst.rule.evars), tuple(produced))
         self.steps.append(step)
-        self.states.append(nxt)
+        self._final = nxt
+        if self._states is not None:
+            self._states.append(nxt)
         return step
+
+    @property
+    def states(self) -> list[Multiset]:
+        """The initial state and the state after each step, in order.
+
+        Nothing keeps these while the trace is recorded.  The first read
+        replays the recorded steps from the initial state with their
+        recorded fresh names, which costs one rule application and one
+        copy of the state per step, and keeps the list; later reads return
+        that list, and ``extend`` appends to it.  The last entry is
+        ``final()`` itself.  Treat the list as read-only.
+        """
+        if self._states is None:
+            states, sig = [self.initial], self.sig0
+            for step in self.steps[:-1]:
+                st, sig, _ = apply_inst(states[-1], step.inst, sig, step.xi_map())
+                states.append(st)
+            if self.steps:
+                states.append(self._final)
+            self._states = states
+        return self._states
+
+    def facts(self) -> Iterator[Fact]:
+        """Every ephemeral fact some state of the trace held, as the states'
+        own objects: the initial state's, then each step's produced ones,
+        in order.  A fact that was produced more than once comes more than
+        once."""
+        yield from self.initial.eph_support()
+        for step in self.steps:
+            for f in step.produced:
+                if not f.persistent:
+                    yield f
 
     def supp(self) -> Multiset:
         """Union of the supports of all states, as a set-like multiset."""
-        eph: set[Fact] = set()
-        for st in self.states:
-            eph |= set(st.eph_support())
-        return Multiset.of(eph, self.final().pers)
+        return Multiset.of(set(self.facts()), self._final.pers)
 
     # -- serialization -----------------------------------------------------
 

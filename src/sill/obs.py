@@ -189,13 +189,17 @@ def check_comm(t: CommTree, a: ast.SessionType) -> None:
 
 
 def _message_index(tr: Trace) -> dict:
-    """First message seen per carrier, walking the recorded states in order."""
+    """First message per carrier over the whole run.
+
+    A message some state held is in the initial state or was produced by a
+    step, so ``tr.facts()`` meets every message in the order the run did,
+    and no intermediate state is rebuilt.
+    """
     out: dict = {}
-    for st in tr.states:
-        for f in st.eph_support():
-            pred, _, _, info = classify_fact(f)
-            if pred == "msg" and info is not None and info.carrier not in out:
-                out[info.carrier] = info
+    for f in tr.facts():
+        pred, _, _, info = classify_fact(f)
+        if pred == "msg" and info is not None and info.carrier not in out:
+            out[info.carrier] = info
     return out
 
 

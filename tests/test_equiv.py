@@ -1,8 +1,18 @@
-"""Bounded observational equivalence of numeral providers."""
+"""Barbs and bounded observational equivalence of numeral providers."""
 
 import pytest
 
-from sill.equiv import config_subject, equiv_check, make_system
+from sill.dynamics import initial_config
+from sill.equiv import (
+    UnknownChannel,
+    barb,
+    barbed_sim,
+    config_subject,
+    divergent,
+    equiv_check,
+    make_system,
+    weak_barb,
+)
 from sill.lang import check_module, parse
 
 SRC = """
@@ -43,3 +53,36 @@ def test_different_numerals_differ_on_their_channel(subjects):
         "left": "(unfold (s (unfold (s bot))))",
         "right": "(unfold (s (unfold (z bot))))",
     }
+
+
+@pytest.fixture(scope="module")
+def silent(subjects):
+    """A provider of c at the numerals' type that steps forever, silently."""
+    conat = dict(subjects["one"][1].provided)["c"]
+    return initial_config(divergent("c", conat), {}, ("c", conat))
+
+
+def test_numeral_barbs_on_its_channel(subjects):
+    state = subjects["one"][0]
+    assert barb(state, "c")
+    assert weak_barb(state, "c")
+
+
+def test_divergent_has_no_barb_within_fuel(silent):
+    state = silent[0]
+    assert not barb(state, "c")
+    assert not weak_barb(state, "c", fuel=60)
+
+
+def test_barbed_simulation(subjects, silent):
+    one = subjects["one"]
+    assert barbed_sim(one, one)
+    assert not barbed_sim(one, silent)
+    assert barbed_sim(silent, one)
+
+
+def test_barb_on_unknown_channel_raises(subjects):
+    state = subjects["one"][0]
+    for check in (barb, weak_barb):
+        with pytest.raises(UnknownChannel):
+            check(state, "d")

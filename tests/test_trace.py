@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sill.msr import Invalid, Trace, parse_system, permute_trace, union_equivalent
+from sill.msr import Invalid, Multiset, Trace, parse_system, permute_trace, union_equivalent
 from sill.msr.rules import match_all
 
 ADD = """
@@ -30,7 +30,14 @@ def test_json_roundtrip_replays_identically():
     tr = run_to_end(mrs)
     assert [s.inst.rule.name for s in tr.steps] == ["a_s", "a_s", "a_z"]
 
-    blob = json.dumps(tr.to_json(include_states=True))
+    data = tr.to_json(include_states=True)
+    assert data["states"] == [
+        {"ephemeral": ["add(s(s(z)), s(s(s(z))), loc)"], "persistent": []},
+        {"ephemeral": ["add(s(z), s(s(s(s(z)))), loc)"], "persistent": []},
+        {"ephemeral": ["add(z, s(s(s(s(s(z))))), loc)"], "persistent": []},
+        {"ephemeral": ["val(loc, s(s(s(s(s(z))))))"], "persistent": []},
+    ]
+    blob = json.dumps(data)
     back, loop = Trace.from_json(json.loads(blob))
     assert loop is None
     assert back.final() == tr.final()
@@ -53,6 +60,34 @@ def test_replay_requires_system():
     with pytest.raises(ValueError):
         Trace.from_json(data)
     Trace.from_json(data, mrs)  # explicit system works
+
+
+SPAWN = """
+rule spawn: forall x. seed(x) -o exists n. link(x, n), !born(n), seed(n)
+init: seed(a)
+"""
+
+
+def test_states_replay_once_then_follow_extend():
+    mrs = parse_system(SPAWN)
+    tr = Trace(mrs, mrs.initial)
+    assert tr.states == [mrs.initial]
+    tr = Trace(mrs, mrs.initial)
+    eager = [tr.final()]
+    for n in range(5):
+        if n == 3:
+            states = tr.states
+            assert states == eager and states[-1] is tr.final()
+        tr.extend(match_all(mrs.rules, tr.final())[0])
+        eager.append(tr.final())
+    assert tr.states is states
+    assert states == eager and states[-1] is tr.final()
+    eph = {f for st in eager for f in st.eph_support()}
+    assert tr.supp() == Multiset.of(eph, tr.final().pers)
+    assert tr.to_json(include_states=True)["states"][2] == {
+        "ephemeral": ["link(a, spawn#0)", "link(spawn#0, spawn#1)", "seed(spawn#1)"],
+        "persistent": ["!born(spawn#0)", "!born(spawn#1)"],
+    }
 
 
 TWO_TOKENS = """
