@@ -9,7 +9,6 @@ The package is organised in layers:
 - ``sill.dynamics``: its operational semantics as multiset rewriting.
 - ``sill.obs``: observed communications and their simulation order.
 - ``sill.equiv``: barbs, generated experiment families, equivalence checking.
-- ``sill.cli``: the ``msr``, ``sill`` and ``demo`` command line tools.
 """
 
 __version__ = "0.1.0"

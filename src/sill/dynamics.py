@@ -13,6 +13,11 @@ continuation running on a fresh channel; a receiver consumes the matching
 message and renames itself onto the message's continuation channel.  The
 fresh channel is an existential of the generated rule, which keeps traces
 replayable and permutable.
+
+A checked run checks type preservation the same way: it types the initial
+state once, then after each step types only the facts the step produced
+and re-checks only the channels of the facts it consumed or produced.  A
+checked step costs what it touched, not the size of the state.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .fairness import fair_execute
 from .lang import ast
-from .lang.check import check_config
+from .lang.check import ConfigTyping, check_config
 from .lang.errors import SillError, SillTypeError
 from .msr.multiset import Fact, Multiset, fact_key
 from .msr.rules import Inst, Rule, Signature, _equiv_key
@@ -40,7 +45,12 @@ _EVAR = "nc"
 
 class PreservationViolation(SillError):
     """A run reached a state that no longer typechecks at the recorded
-    channel types."""
+    channel types.  ``step`` is the index of that state (0 for the initial
+    one) when the run knows it."""
+
+    def __init__(self, message: str, step: Optional[int] = None):
+        super().__init__(message)
+        self.step = step
 
 
 # -- functional evaluation ---------------------------------------------------------
@@ -251,13 +261,18 @@ def config_state(facts: Iterable[Union[ast.ProcF, ast.MsgF]]) -> Multiset:
     return Multiset.of(out)
 
 
+@lru_cache(maxsize=65536)
+def config_fact(f: Fact) -> Union[ast.ProcF, ast.MsgF]:
+    """Decode a proc or msg fact to a configuration fact."""
+    chan, p = dec_fact(f)
+    return ast.MsgF(chan, p) if f.pred == "msg" else ast.ProcF(chan, p)
+
+
 def state_facts(st: Multiset) -> list[Union[ast.ProcF, ast.MsgF]]:
     """Decode a state back to configuration facts, sorted, with multiplicity."""
     out: list[Union[ast.ProcF, ast.MsgF]] = []
     for f in sorted(st.eph_support(), key=_fkey):
-        chan, p = dec_fact(f)
-        cf = ast.MsgF(chan, p) if f.pred == "msg" else ast.ProcF(chan, p)
-        out.extend([cf] * st.count(f))
+        out.extend([config_fact(f)] * st.count(f))
     return out
 
 
@@ -562,23 +577,9 @@ def _birth_type(types: dict, step) -> ast.SessionType:
                                 f"unexpected fresh channel")
 
 
-def _check_state(st: Multiset, types: dict, gamma: set, delta: set, idx: int) -> None:
-    facts = state_facts(st)
-    provided = []
-    internal = []
-    for cf in facts:
-        if cf.chan not in types:
-            raise PreservationViolation(
-                f"step {idx}: channel {cf.chan} has no recorded type")
-        entry = (cf.chan, types[cf.chan])
-        (provided if cf.chan in delta else internal).append(entry)
-    used = tuple((n, types[n]) for n in sorted(gamma))
-    claim = ast.Interface(used=used, internal=tuple(internal),
-                          provided=tuple(provided))
-    try:
-        check_config(facts, claim)
-    except SillError as ex:
-        raise PreservationViolation(f"step {idx}: {ex}") from ex
+def _violation(idx: int, ex: SillError) -> PreservationViolation:
+    """A typing failure reported as a preservation violation at step idx."""
+    return PreservationViolation(f"step {idx}: {ex}", idx)
 
 
 def run(
@@ -593,26 +594,50 @@ def run(
     """Fair execution of a process state.
 
     interface claims the types of the initial channels.  Channels created
-    along the way are typed as they are born; the complete map ends up in
-    meta["channel_types"].  With check=True, the initial state and every
-    intermediate state are re-checked against those types, raising
-    PreservationViolation on the first failure.
+    along the way are typed as they are born, once each, with a part of a
+    recorded type or a cut's annotation; the complete map ends up in
+    meta["channel_types"].  With check=True the run checks type
+    preservation: the initial state must type against the interface, and
+    after each step the consumed facts leave a ``ConfigTyping`` of the
+    state and the produced ones join it, so a checked step re-types only
+    the facts and channels it touched.  The first failure raises
+    PreservationViolation with its step index (0 for the initial state).
     """
-    types = dict(interface.all_types())
-    gamma = {n for n, _ in interface.used}
-    delta = {n for n, _ in interface.provided}
+    typing: Optional[ConfigTyping] = None
+    if check:
+        try:
+            typing = ConfigTyping(interface)
+            for f, n in state.eph_items():
+                typing.add(f, config_fact(f), n)
+            typing.check()
+        except SillError as ex:
+            raise _violation(0, ex) from ex
+        types = typing.types
+    else:
+        types = dict(interface.all_types())
 
     def watch(tr: Trace) -> None:
         step = tr.steps[-1]
-        if step.xi:
-            types[step.xi_map()[_EVAR]] = _birth_type(types, step)
-        if check:
-            _check_state(tr.final(), types, gamma, delta, len(tr.steps))
+        try:
+            if step.xi:
+                name = step.xi_map()[_EVAR]
+                if name in types:
+                    raise PreservationViolation(f"fresh channel {name} is already typed")
+                types[name] = _birth_type(types, step)
+            if typing is not None:
+                for f, n in step.inst.eph_ant_g().eph_items():
+                    typing.remove(f, n)
+                now = tr.final()
+                for f in step.produced:
+                    n = now.count(f) - typing.count(f)
+                    if n > 0:
+                        typing.add(f, config_fact(f), n)
+                typing.check()
+        except SillError as ex:
+            raise _violation(len(tr.steps), ex) from ex
         if observer is not None:
             observer(tr)
 
-    if check:
-        _check_state(state, types, gamma, delta, 0)
     tr = fair_execute(system, state, budget=fuel, seed=seed, observer=watch)
     tr.meta["channel_types"] = types
     tr.meta["interface"] = interface

@@ -26,7 +26,7 @@ from .errors import (
 )
 
 __all__ = [
-    "CyclicSharing", "IllFormed", "IllTyped", "InterfaceMismatch",
+    "ConfigTyping", "CyclicSharing", "IllFormed", "IllTyped", "InterfaceMismatch",
     "LinearityError", "NotAMessage", "SillError", "SillTypeError",
     "UnboundTypeVariable", "carrier_continuation", "check_config",
     "check_functype", "check_proc", "check_term", "check_type", "oc_ic",
@@ -469,86 +469,159 @@ def _proc(p, cname, ctype, delta, env):
 # -- configurations ------------------------------------------------------------
 
 
+def _type_fact(f: ast.ConfigFact, types: Mapping[str, ast.SessionType]) -> None:
+    """Type one fact at the given channel types: each of its channels has
+    a type, a msg fact holds a message, and its process provides its own
+    channel using exactly the others."""
+    uses = ast.fc(f.proc) - {f.chan}
+    missing = sorted(c for c in uses | {f.chan} if c not in types)
+    if missing:
+        raise InterfaceMismatch(f"channels {missing} are not in the interface")
+    if isinstance(f, ast.MsgF) and ast.message_parts(f.chan, f.proc) is None:
+        raise IllTyped(f"msg fact on {f.chan} does not hold a message")
+    try:
+        check_proc(f.proc, (f.chan, types[f.chan]), {c: types[c] for c in uses})
+    except (SillTypeError, IllFormed) as e:
+        raise IllTyped(f"fact providing {f.chan}: {e}") from e
+
+
+class ConfigTyping:
+    """The typing of a configuration, kept current as facts come and go.
+
+    The interface fixes the used and the provided channels and the first
+    entries of ``types``; the owner adds the channels born later.  A
+    channel is typed once and never re-typed, so a fact that typed when it
+    was added stays typed.  Every other typed channel is internal.  Per
+    channel, a used one is consumed and not provided, a provided one is
+    not consumed, and an internal one is provided exactly when it is
+    consumed; a provided or internal channel that has left the
+    configuration passes.  Facts form a forest: each channel has at most
+    one provider and one consumer, and following consumers never loops.
+
+    ``add`` and ``remove`` change the facts, under a caller's key that
+    tells occurrences of the same fact apart from different facts;
+    ``check`` then types the added facts, applies the channel rule to the
+    channels of the facts added or removed since the last check, and walks
+    up the consumer chain from each added fact, since only an added fact
+    can close a cycle.  So a check costs what changed, not the size of the
+    configuration.
+    """
+
+    def __init__(self, interface: ast.Interface):
+        self.types: dict[str, ast.SessionType] = {}
+        for group in (interface.used, interface.internal, interface.provided):
+            for c, t in group:
+                if c in self.types:
+                    raise InterfaceMismatch(f"channel {c} listed twice in the interface")
+                check_type(t)
+                self.types[c] = t
+        self.used = frozenset(c for c, _ in interface.used)
+        self.provided = frozenset(c for c, _ in interface.provided)
+        # channel -> keys of its providers and consumers, one per occurrence
+        self.providers: dict[str, list] = {}
+        self.consumers: dict[str, list] = {}
+        # key -> [fact, the channels it consumes, multiplicity]
+        self._facts: dict = {}
+        self._added: list = []
+        self._touched: set[str] = set(self.used)
+
+    def count(self, key) -> int:
+        entry = self._facts.get(key)
+        return entry[2] if entry else 0
+
+    def add(self, key, f: ast.ConfigFact, n: int = 1) -> None:
+        entry = self._facts.get(key)
+        if entry is None:
+            entry = self._facts[key] = [f, sorted(ast.fc(f.proc) - {f.chan}), 0]
+            self._added.append(key)
+        entry[2] += n
+        for index, c in self._slots(entry):
+            index.setdefault(c, []).extend([key] * n)
+
+    def remove(self, key, n: int = 1) -> None:
+        entry = self._facts[key]
+        entry[2] -= n
+        if not entry[2]:
+            del self._facts[key]
+        for index, c in self._slots(entry):
+            keys = index[c]
+            for _ in range(n):
+                keys.remove(key)
+            if not keys:
+                del index[c]
+
+    def _slots(self, entry: list) -> list:
+        """Where a fact sits in the indexes; marks those channels touched."""
+        f, uses, _ = entry
+        slots = [(self.providers, f.chan)] + [(self.consumers, c) for c in uses]
+        self._touched.update(c for _, c in slots)
+        return slots
+
+    def check(self) -> None:
+        """Check what changed since the last check; raise the first fault."""
+        added, touched = self._added, sorted(self._touched)
+        self._added, self._touched = [], set()
+        for c in touched:
+            if len(self.providers.get(c, ())) > 1:
+                raise CyclicSharing(f"two facts provide channel {c}")
+            if len(self.consumers.get(c, ())) > 1:
+                raise CyclicSharing(f"channel {c} is consumed by two facts")
+        added = [k for k in added if k in self._facts]
+        for k in added:
+            _type_fact(self._facts[k][0], self.types)
+        for c in touched:
+            provided, consumed = c in self.providers, c in self.consumers
+            if c in self.used:
+                role, ok = "used", consumed and not provided
+            elif c in self.provided:
+                role, ok = "provided", not consumed
+            else:
+                role, ok = "internal", provided == consumed
+            if not ok:
+                raise InterfaceMismatch(
+                    f"{role} channel {c} is {'' if provided else 'not '}provided "
+                    f"and {'' if consumed else 'not '}consumed")
+        # follow each added fact to the fact consuming its channel; channels
+        # already followed in this check lead to a root
+        done: set[str] = set()
+        for k in added:
+            path: dict[str, None] = {}
+            c: Optional[str] = self._facts[k][0].chan
+            while c is not None and c not in done:
+                if c in path:
+                    raise CyclicSharing(f"facts around channel {c} form a cycle")
+                path[c] = None
+                nxt = self.consumers.get(c)
+                c = self._facts[nxt[0]][0].chan if nxt else None
+            done.update(path)
+
+
 def check_config(facts, claimed: ast.Interface):
     """Typecheck a configuration against its claimed interface.
 
-    Facts must form a forest: every channel has at most one providing fact
-    and at most one consuming fact, and following consumers never loops.
-    Returns the tree decomposition as a mapping from each provided channel
-    to its tree's facts in root-first order.
+    Facts must form a forest (see ``ConfigTyping``) whose used, internal
+    and provided channels are exactly the claimed ones.  Returns the tree
+    decomposition as a mapping from each provided channel to its tree's
+    facts in root-first order.
     """
     facts = tuple(facts)
-    types: dict[str, ast.SessionType] = {}
-    for group in (claimed.used, claimed.internal, claimed.provided):
-        for c, t in group:
-            if c in types:
-                raise InterfaceMismatch(f"channel {c} listed twice in the interface")
-            check_type(t)
-            types[c] = t
+    typing = ConfigTyping(claimed)
+    for i, f in enumerate(facts):
+        typing.add(i, f)
+    typing.check()
+    absent = sorted(c for c, _ in claimed.internal + claimed.provided
+                    if c not in typing.providers)
+    if absent:
+        raise InterfaceMismatch(f"claimed channels {absent} have no provider")
 
-    providers: dict[str, ast.ConfigFact] = {}
-    for f in facts:
-        if f.chan in providers:
-            raise CyclicSharing(f"two facts provide channel {f.chan}")
-        providers[f.chan] = f
-
-    consumers: dict[str, ast.ConfigFact] = {}
-    for f in facts:
-        if f.chan not in types:
-            raise InterfaceMismatch(f"fact channel {f.chan} is not in the interface")
-        for c in sorted(ast.fc(f.proc) - {f.chan}):
-            if c not in types:
-                raise InterfaceMismatch(f"channel {c} is not in the interface")
-            if c in consumers:
-                raise CyclicSharing(f"channel {c} is consumed by two facts")
-            consumers[c] = f
-
-    for f in facts:
-        if isinstance(f, ast.MsgF) and ast.message_parts(f.chan, f.proc) is None:
-            raise IllTyped(f"msg fact on {f.chan} does not hold a message")
-        uses = ast.fc(f.proc) - {f.chan}
-        try:
-            check_proc(f.proc, (f.chan, types[f.chan]),
-                       {c: types[c] for c in uses})
-        except (SillTypeError, IllFormed) as e:
-            raise IllTyped(f"fact providing {f.chan}: {e}") from e
-
-    actual_used = {c for c in consumers if c not in providers}
-    actual_provided = {c for c in providers if c not in consumers}
-    actual_internal = set(providers) & set(consumers)
-    for label, actual, claim in (
-            ("used", actual_used, {c for c, _ in claimed.used}),
-            ("internal", actual_internal, {c for c, _ in claimed.internal}),
-            ("provided", actual_provided, {c for c, _ in claimed.provided})):
-        if actual != claim:
-            raise InterfaceMismatch(
-                f"{label} channels are {sorted(actual)}, "
-                f"the interface claims {sorted(claim)}")
-
-    # cycle check: follow each fact to the fact consuming its channel
-    state: dict[str, str] = {}
-    for start in providers:
-        if state.get(start) == "done":
-            continue
-        path = []
-        c: Optional[str] = start
-        while c is not None and state.get(c) != "done":
-            if state.get(c) == "active":
-                raise CyclicSharing(f"facts around channel {c} form a cycle")
-            state[c] = "active"
-            path.append(c)
-            nxt = consumers.get(c)
-            c = nxt.chan if nxt is not None else None
-        for d in path:
-            state[d] = "done"
-
+    providers = {c: facts[keys[0]] for c, keys in typing.providers.items()}
     children = {
         c: sorted(ch for ch in ast.fc(providers[c].proc) - {c}
                   if ch in providers)
         for c in providers
     }
     trees: dict[str, tuple[ast.ConfigFact, ...]] = {}
-    for root in sorted(actual_provided):
+    for root in sorted(typing.provided):
         order = []
         stack = [root]
         while stack:
@@ -587,21 +660,7 @@ def check_module(m: ast.Module) -> None:
                 for t in types.values():
                     check_type(t)
                 for f in d.facts:
-                    if (isinstance(f, ast.MsgF)
-                            and ast.message_parts(f.chan, f.proc) is None):
-                        raise IllTyped(
-                            f"msg fact on {f.chan} does not hold a message")
-                    uses = ast.fc(f.proc) - {f.chan}
-                    missing = sorted(c for c in uses | {f.chan}
-                                     if c not in types)
-                    if missing:
-                        raise InterfaceMismatch(
-                            f"channels {missing} are not in the interface")
-                    try:
-                        check_proc(f.proc, (f.chan, types[f.chan]),
-                                   {c: types[c] for c in uses})
-                    except (SillTypeError, IllFormed) as e:
-                        raise IllTyped(f"fact providing {f.chan}: {e}") from e
+                    _type_fact(f, types)
         else:
             raise SillError(f"unknown declaration {d!r}")
 

@@ -14,7 +14,6 @@ parsing it again yields the same trees; source positions are not compared.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +21,7 @@ from . import ast
 from .errors import ParseError
 
 __all__ = ["ParseError", "parse", "parse_type", "parse_term", "parse_proc",
-           "module_to_str", "decl_to_str", "node_to_json"]
+           "module_to_str", "decl_to_str"]
 
 KEYWORDS = {
     "case", "close", "config", "down", "fix", "hole", "internal", "msg",
@@ -653,19 +652,3 @@ def decl_to_str(d: ast.Decl) -> str:
 
 def module_to_str(m: ast.Module) -> str:
     return "\n\n".join(decl_to_str(d) for d in m.decls) + "\n"
-
-
-def node_to_json(x):
-    """Generic syntax-tree serializer for --emit-ast."""
-    if x is None or isinstance(x, (str, int, bool)):
-        return x
-    if isinstance(x, tuple):
-        return [node_to_json(v) for v in x]
-    if dataclasses.is_dataclass(x):
-        out = {"node": type(x).__name__}
-        for f in dataclasses.fields(x):
-            if f.name == "span":
-                continue
-            out[f.name] = node_to_json(getattr(x, f.name))
-        return out
-    raise TypeError(f"cannot serialize {x!r}")

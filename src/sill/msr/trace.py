@@ -65,7 +65,8 @@ class Trace:
             declared = initial.consts()
             if mrs is not None:
                 declared |= set(mrs.declared)
-            sig = Signature(frozenset(declared), 0)
+            # fresh names must also avoid the generated ones already present
+            sig = Signature(frozenset(declared), 0).absorb_all(declared)
         self.sig0 = sig
         self.sig = sig
         self.steps: list[Step] = []

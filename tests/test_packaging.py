@@ -1,0 +1,20 @@
+"""The package metadata names only code that exists."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def test_console_scripts_resolve():
+    meta = tomllib.loads(PYPROJECT.read_text())
+    for name, target in meta["project"].get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name

@@ -167,7 +167,8 @@ def assert_same_run(system, start, enumerate_, budget, seed, label):
 
 
 def replicated_corpus(copies):
-    """Every corpus configuration, copied with its channels renamed apart."""
+    """Every corpus configuration, copied with its channels renamed apart:
+    the facts and their interface."""
     facts, internal, provided = [], [], []
     for k in range(copies):
         for j, (_, fs, iface) in enumerate(corpus()):
@@ -178,7 +179,7 @@ def replicated_corpus(copies):
             provided += [(rho[n], t) for n, t in iface.provided]
     iface = Interface((), tuple(internal), tuple(provided))
     check_config(facts, iface)
-    return config_state(facts)
+    return facts, iface
 
 
 def test_corpus_matches_rescan():
@@ -191,7 +192,7 @@ def test_corpus_matches_rescan():
 
 
 def test_replicated_corpus_matches_rescan():
-    start = replicated_corpus(2)
+    start = config_state(replicated_corpus(2)[0])
     for seed in (None, 3):
         system = SillSystem()
         tr = assert_same_run(system, start, sill_rescan(system), 400, seed, seed)
