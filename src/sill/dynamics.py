@@ -6,7 +6,12 @@ not fixed up front: each enabled step is a ground rule generated from the
 facts that enable it, so the fair scheduler and the trace machinery apply
 unchanged.  A full enumeration decodes every fact of a state; a fair run
 does that once, then decodes each fact as it appears and, after a step,
-re-derives only the steps that can consume a fact the step touched.
+asks only for the steps that can consume a fact the step touched.  Most
+processes (senders, cuts, closes, unquotes) have steps that depend on their
+own fact alone; a run derives and keys those once per fact and reuses them
+while the fact stays, so a process that steps to a copy of itself costs one
+derivation for the whole run.  Only the steps of processes that wait for a
+message are derived again, since the messages they can take change.
 
 Sending is asynchronous.  A sender turns into a message fact plus a
 continuation running on a fresh channel; a receiver consumes the matching
@@ -292,6 +297,11 @@ def initial_config(
 
 def _ground(name: str, consumed: list, produced: list,
             evars: tuple = (), hints: tuple = ()) -> Inst:
+    # a step that produces a copy of the fact it consumes (a process that
+    # steps to itself) produces the consumed object, so the state and the
+    # caches keyed on facts keep seeing one object for it
+    fact = consumed[0]
+    produced = [fact if hash(g) == hash(fact) and g == fact else g for g in produced]
     rule = Rule(name, (), (), tuple(consumed), evars, (), tuple(produced),
                 fresh_hints=hints)
     return Inst.make(rule, {})
@@ -303,12 +313,15 @@ class SillSystem:
     Quacks like a rule system for the scheduler and the trace machinery,
     but its rules are ground and generated on demand, one per enabled step,
     deduplicated and deterministically ordered.  ``applicable`` decodes a
-    whole state; the enabled set of a fair run (``enabled``) keeps the
-    decoded facts indexed and after each step re-derives only the steps of
-    the proc facts the step touched and of the proc facts listening on the
-    carriers of touched messages.  Functional side conditions are
-    evaluated with a fixed fuel; a divergent side condition makes the step
-    silently unavailable.
+    whole state; the enabled set of a fair run (``enabled``, a
+    ``_StepIndex``) keeps the decoded facts indexed and after each step
+    hands out, with their equivalence keys, the steps of the proc facts the
+    step touched and of the proc facts listening on the carriers of touched
+    messages.  It derives a listener's steps afresh each time and every
+    other proc fact's steps once while the fact stays in the state.
+    Functional side conditions are evaluated with a fixed fuel and memoised
+    per system; a divergent side condition makes the step silently
+    unavailable.
     """
 
     rules: tuple = ()
@@ -338,8 +351,7 @@ class SillSystem:
         index = _StepIndex(self, state)
         out: list[Inst] = []
         seen = set()
-        for inst in index.steps(index.procs):
-            k = _equiv_key(inst)
+        for k, inst in index.steps(index.procs):
             if k not in seen:
                 seen.add(k)
                 out.append(inst)
@@ -469,13 +481,23 @@ def _listens_on(p: ast.Process) -> Optional[str]:
 
 
 class _StepIndex:
-    """The facts of a state arranged for step generation.
+    """The facts of a state arranged for step generation, and the steps
+    already derived from them.
 
     Messages are bucketed by carrier and proc facts by the carrier they
     listen on.  A proc fact's steps depend only on the fact and the bucket
     of that carrier, so after a step only the touched proc facts and the
-    listeners on the carriers of touched messages need their steps
-    re-derived.
+    listeners on the carriers of touched messages need their steps.
+
+    The steps of a proc fact that listens on no carrier (a send, cut,
+    close or unquote) depend on the fact alone.  They are derived and keyed
+    once, when the fact is first asked for, and kept with their
+    equivalence keys until the fact leaves the state (a per-fact memory in
+    the manner of Rete), so the cache never holds more than the state.  A
+    process that steps to a copy of itself (``equiv.divergent``) then
+    derives and keys nothing after its first step.  Listeners' steps are
+    derived afresh each time.  ``derived`` and ``reused`` count the steps
+    handed out each way.
     """
 
     def __init__(self, system: SillSystem, state: Multiset):
@@ -485,6 +507,10 @@ class _StepIndex:
         self.procs: dict[Fact, None] = {}
         self.msgs: dict[str, list] = {}
         self.listeners: dict[str, dict[Fact, None]] = {}
+        # non-listening proc fact -> its steps, each with its key
+        self.cache: dict[Fact, list[tuple[tuple, Inst]]] = {}
+        self.derived = 0
+        self.reused = 0
         for f in state.eph_support():
             self._add(f)
 
@@ -505,7 +531,9 @@ class _StepIndex:
         if pred == "proc":
             del self.procs[f]
             carrier = _listens_on(p)
-            if carrier is not None:
+            if carrier is None:
+                self.cache.pop(f, None)
+            else:
                 del self.listeners[carrier][f]
         elif info is not None:
             bucket = self.msgs[info.carrier]
@@ -513,21 +541,30 @@ class _StepIndex:
             if not bucket:
                 del self.msgs[info.carrier]
 
-    def steps(self, procs: Iterable[Fact]) -> list[Inst]:
-        """The steps of the given proc facts, in enumeration order."""
-        out: list[Inst] = []
+    def steps(self, procs: Iterable[Fact]) -> list[tuple[tuple, Inst]]:
+        """The steps of the given proc facts with their equivalence keys,
+        in enumeration order."""
+        out: list[tuple[tuple, Inst]] = []
         for f in sorted(procs, key=_fkey):
-            _, c, p, _ = self.facts[f]
-            out.extend(self.system._steps(f, c, p, self.msgs))
+            keyed = self.cache.get(f)
+            if keyed is None:
+                _, c, p, _ = self.facts[f]
+                keyed = [(_equiv_key(i), i) for i in self.system._steps(f, c, p, self.msgs)]
+                self.derived += len(keyed)
+                if _listens_on(p) is None:
+                    self.cache[f] = keyed
+            else:
+                self.reused += len(keyed)
+            out.extend(keyed)
         return out
 
     def delta(self, state: Multiset, gone: Iterable[Fact],
-              touched: Iterable[Fact]) -> list[Inst]:
+              touched: Iterable[Fact]) -> list[tuple[tuple, Inst]]:
         """Advance to state, whose predecessor lost the facts gone and had
-        the touched facts produced or used; return, in enumeration order,
-        every step that consumes a touched fact.  Other steps of the same
-        listeners come along; they were enabled before, so the scheduler
-        finds them queued."""
+        the touched facts produced or used; return, in enumeration order
+        and with their keys, every step that consumes a touched fact.
+        Other steps of the same listeners come along; they were enabled
+        before, so the scheduler finds them queued."""
         for f in gone:
             self._remove(f)
         procs: dict[Fact, None] = {}

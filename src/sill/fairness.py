@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 from .msr.canon import find_renaming
 from .msr.multiset import Fact, Multiset, fact_consts, fact_key, fact_to_str
-from .msr.rules import Inst, Mrs, Signature, _equiv_key, inst_equiv
+from .msr.rules import Inst, Mrs, Signature, _equiv_key
 from .msr.terms import rename_consts, term_consts, term_to_str
 from .msr.trace import Trace
 
@@ -97,6 +97,8 @@ class _Analysis:
             if cur == c:
                 self.cyc[c] = n
         self._applicable: dict[int, list[Inst]] = {}
+        self._enabled_facts: dict[int, set[Fact]] = {}
+        self._applied_keys: Optional[set] = None
 
     # -- orbit machinery ----------------------------------------------------
 
@@ -157,20 +159,14 @@ class _Analysis:
     def inst_applicable_io(self, inst: Inst) -> bool:
         if not self.is_recurrent(self.inst_consts(inst)):
             return False
-        return any(
-            o.applicable(self.states[j])
-            for j in self.loop_positions()
-            for o in self.inst_orbit(inst)
-        )
+        orbit = self.inst_orbit(inst)
+        return any(o.applicable(self.states[j]) for j in self.loop_positions() for o in orbit)
 
     def inst_applicable_aa(self, inst: Inst) -> bool:
         if not self.is_recurrent(self.inst_consts(inst)):
             return False
-        return all(
-            o.applicable(self.states[j])
-            for j in self.loop_positions()
-            for o in self.inst_orbit(inst)
-        )
+        orbit = self.inst_orbit(inst)
+        return all(o.applicable(self.states[j]) for j in self.loop_positions() for o in orbit)
 
     def _loop_steps_cyclic(self) -> list[Inst]:
         out = []
@@ -181,11 +177,11 @@ class _Analysis:
         return out
 
     def inst_applied_io_equiv(self, inst: Inst) -> bool:
-        for step in self._loop_steps_cyclic():
-            for o in self.inst_orbit(step):
-                if inst_equiv(o, inst):
-                    return True
-        return False
+        if self._applied_keys is None:
+            self._applied_keys = {
+                _equiv_key(o) for step in self._loop_steps_cyclic() for o in self.inst_orbit(step)
+            }
+        return _equiv_key(inst) in self._applied_keys
 
     def inst_applied_io_equal(self, inst: Inst) -> bool:
         for step in self._loop_steps_cyclic():
@@ -196,25 +192,23 @@ class _Analysis:
         return False
 
     def fact_enabled_at(self, f: Fact, j: int) -> bool:
-        return any(i.active().count(f) > 0 for i in self.applicable_at(j))
+        if j not in self._enabled_facts:
+            self._enabled_facts[j] = {
+                g for i in self.applicable_at(j) for g in i.active().support()
+            }
+        return f in self._enabled_facts[j]
 
     def fact_enabled_io(self, f: Fact) -> bool:
         if not self.is_recurrent(fact_consts(f)):
             return False
-        return any(
-            self.fact_enabled_at(o, j)
-            for j in self.loop_positions()
-            for o in self.fact_orbit(f)
-        )
+        orbit = self.fact_orbit(f)
+        return any(self.fact_enabled_at(o, j) for j in self.loop_positions() for o in orbit)
 
     def fact_enabled_aa(self, f: Fact) -> bool:
         if not self.is_recurrent(fact_consts(f)):
             return False
-        return all(
-            self.fact_enabled_at(o, j)
-            for j in self.loop_positions()
-            for o in self.fact_orbit(f)
-        )
+        orbit = self.fact_orbit(f)
+        return all(self.fact_enabled_at(o, j) for j in self.loop_positions() for o in orbit)
 
     def fact_active_io(self, f: Fact) -> bool:
         if not self.is_recurrent(fact_consts(f)):
@@ -310,11 +304,11 @@ def _check_uber(an: _Analysis, variety: str) -> Verdict:
     """Everything applicable at any reached state must eventually be applied
     up to instantiation equivalence, in the recorded part or in the loop's
     future rounds."""
+    # equivalence key -> the last position of a recorded step with that key
+    last = {_equiv_key(step.inst): s for s, step in enumerate(an.trace.steps)}
     for i in range(an.L):
-        for inst in an.mrs.applicable(an.states[i]):
-            recorded = any(
-                inst_equiv(an.trace.steps[s].inst, inst) for s in range(i, an.L)
-            )
+        for inst in an.applicable_at(i):
+            recorded = last.get(_equiv_key(inst), -1) >= i
             if recorded or an.inst_applied_io_equiv(inst):
                 continue
             w = _inst_witness(inst)
@@ -352,36 +346,44 @@ def fair_execute(
     was applicable before the step, so it or an equivalent one was queued
     and still is.  The system's enabled set (``mrs.enabled(start)``)
     proposes exactly the applicable instantiations with a touched
-    antecedent fact, in enumeration order.  Likewise only the queued
+    antecedent fact, in enumeration order, each with its equivalence key
+    (``delta`` returns (key, instantiation) pairs), so the scheduler
+    computes no key itself after the start.  The SILL enabled set keeps the
+    keyed steps of each fact whose steps depend on it alone; the MRS one
+    keys every candidate it matches.  Likewise only the queued
     instantiations that consume a fact the step consumed are re-checked.
     So a step costs what it touched, not the size of the state or of the
     queue, and the run is the one a full re-enumeration after every step
     would give.
 
     meta["sched"] counts the full enumerations, the candidates the enabled
-    set proposed, and the fresh instantiations that joined the queue after
-    a step.
+    set proposed, the fresh instantiations that joined the queue after a
+    step, and of the candidates, the steps the enabled set derived and
+    keyed (``steps_derived``) and those it handed out again from its cache
+    (``steps_reused``).
     """
     tr = Trace(mrs, start, sig)
     rng = random.Random(seed) if seed is not None else None
-    queue: dict[tuple, Inst] = {}
+    # key -> (queued instantiation, the distinct ephemeral facts it consumes)
+    queue: dict[tuple, tuple[Inst, tuple[Fact, ...]]] = {}
     # ephemeral fact -> keys of the queued instantiations that consume it;
     # a step can disable only the entries that need a fact it consumed
     needs: dict[Fact, dict[tuple, None]] = {}
 
     def admit(entries: Iterable[tuple[tuple, Inst]]) -> None:
         for k, i in entries:
-            queue[k] = i
-            for f in i.eph_ant_g().eph_support():
+            eph = tuple(i.eph_ant_g().eph_support())
+            queue[k] = (i, eph)
+            for f in eph:
                 needs.setdefault(f, {})[k] = None
 
-    def drop(k: tuple) -> Inst:
-        i = queue.pop(k)
-        for f in i.eph_ant_g().eph_support():
+    def drop(k: tuple) -> tuple[Inst, tuple[Fact, ...]]:
+        i, eph = queue.pop(k)
+        for f in eph:
             del needs[f][k]
             if not needs[f]:
                 del needs[f]
-        return i
+        return i, eph
 
     initial = list(mrs.applicable(start))
     if rng is not None:
@@ -393,22 +395,20 @@ def fair_execute(
     while queue and len(tr.steps) < budget:
         if record_queue_depths:
             depths.append(len(queue))
-        inst = drop(next(iter(queue)))
+        inst, eph = drop(next(iter(queue)))
         step = tr.extend(inst)
         if observer is not None:
             observer(tr)
         state = tr.final()
-        ant = inst.active()
-        for f in ant.eph_support():
-            for k in [k for k in needs.get(f, ()) if not queue[k].applicable(state)]:
+        for f in eph:
+            for k in [k for k in needs.get(f, ()) if not queue[k][0].applicable(state)]:
                 drop(k)
-        gone = [f for f in ant.eph_support() if not state.count(f)]
+        gone = [f for f in eph if not state.count(f)]
         touched = list(dict.fromkeys(
-            [*step.produced, *(f for f in ant.support() if state.count(f))]))
+            [*step.produced, *(f for f in eph if state.count(f)), *inst.pers_ant_g()]))
         candidates = enabled.delta(state, gone, touched)
         fresh: dict[tuple, Inst] = {}
-        for c in candidates:
-            k = _equiv_key(c)
+        for k, c in candidates:
             if k not in queue and k not in fresh:
                 fresh[k] = c
         admitted = list(fresh.items())
@@ -417,6 +417,8 @@ def fair_execute(
         admit(admitted)
         sched["delta_candidates"] += len(candidates)
         sched["fresh_admitted"] += len(admitted)
+    sched["steps_derived"] = enabled.derived
+    sched["steps_reused"] = enabled.reused
     tr.meta["maximal"] = not queue
     tr.meta["sched"] = sched
     if record_queue_depths:

@@ -185,6 +185,21 @@ class Multiset:
                 out[f] = cur - n
         return Multiset._make(out, self._pers)
 
+    def rewrite(self, consumed: "Multiset", produced: "Multiset") -> "Multiset":
+        """``self.mdiff(consumed).msum(produced)`` with one copy of the
+        ephemeral part: a rewriting step costs what it touched plus that
+        copy, and the facts left in place keep their identity."""
+        out = dict(self._eph)
+        for f, n in consumed._eph.items():
+            cur = out.get(f, 0)
+            if cur <= n:
+                out.pop(f, None)
+            else:
+                out[f] = cur - n
+        for f, n in produced._eph.items():
+            out[f] = out.get(f, 0) + n
+        return Multiset._make(out, self._pers | produced._pers)
+
     def leq(self, other: "Multiset") -> bool:
         """Pointwise inclusion of the ephemeral parts and set inclusion of
         the persistent parts."""
@@ -193,11 +208,11 @@ class Multiset:
         return all(n <= other._eph.get(f, 0) for f, n in self._eph.items())
 
     def with_pers(self, extra: Iterable[Fact]) -> "Multiset":
-        pers = self._pers | frozenset(extra)
-        for f in pers:
+        extra = frozenset(extra)
+        for f in extra:
             if not f.persistent:
                 raise ValueError("ephemeral fact in persistent part")
-        return Multiset._make(self._eph, pers)
+        return Multiset._make(self._eph, self._pers | extra)
 
     def rename(self, rho: Mapping[str, str]) -> "Multiset":
         eph: dict[Fact, int] = {}

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .multiset import Fact, Multiset, fact_key, fact_to_str, fact_vars
+from .multiset import Fact, Multiset, fact_to_str, fact_vars
 from .terms import App, Const, Term, Var, match_term, subst_term, term_key, term_to_str
 
 
@@ -103,10 +103,15 @@ class Rule:
             raise ValueError(
                 f"rule {self.name}: universal variables {uset - ant_vars} missing from antecedent"
             )
+        con_vars: set[str] = set()
         for f in self.pers_con + self.eph_con:
-            extra = fact_vars(f) - uset - eset
-            if extra:
-                raise ValueError(f"rule {self.name}: unbound consequent variables {extra}")
+            con_vars |= fact_vars(f)
+        extra = con_vars - uset - eset
+        if extra:
+            raise ValueError(f"rule {self.name}: unbound consequent variables {extra}")
+        # the existential variables that occur in the consequent, in order;
+        # the equivalence key permutes only these
+        object.__setattr__(self, "_con_evars", tuple(v for v in self.evars if v in con_vars))
         for v, _ in self.fresh_hints:
             if v not in eset:
                 raise ValueError(f"rule {self.name}: fresh hint for unknown variable {v}")
@@ -148,7 +153,8 @@ class Inst:
 
     def eph_ant_g(self) -> Multiset:
         th = self.theta_map()
-        return Multiset.of(_ground_fact(f, th) for f in self.rule.eph_ant)
+        # Rule keeps persistent facts out of the ephemeral antecedent
+        return Multiset._make(_tally(_ground_fact(f, th) for f in self.rule.eph_ant), frozenset())
 
     def active(self) -> Multiset:
         """The instantiated antecedent, persistent and ephemeral together."""
@@ -230,9 +236,13 @@ class FactIndex:
     step touched are proposed.
     """
 
+    # candidates matched and keyed by delta; none is ever reused
+    reused = 0
+
     def __init__(self, state: Multiset, rules: Sequence[Rule] = ()):
         self.state = state
         self.rules = tuple(rules)
+        self.derived = 0
         self._by_pred: dict[tuple, dict[Fact, None]] = {}
         self._by_first: dict[tuple, dict[Fact, None]] = {}
         for f in itertools.chain(state.pers, state.eph_support()):
@@ -310,11 +320,12 @@ class FactIndex:
         return [by_key[k] for k in sorted(by_key)]
 
     def delta(self, state: Multiset, gone: Iterable[Fact],
-              touched: Sequence[Fact]) -> list[Inst]:
+              touched: Sequence[Fact]) -> list[tuple[tuple, Inst]]:
         """Advance to state, whose predecessor lost the facts gone and had
         the touched facts produced or used; return the applicable
-        instantiations with a touched antecedent fact, in enumeration order
-        (rule order, then theta).  Rules without antecedent always qualify."""
+        instantiations with a touched antecedent fact, each with its
+        equivalence key, in enumeration order (rule order, then theta).
+        Rules without antecedent always qualify."""
         self.state = state
         for f in gone:
             self._remove(f)
@@ -322,15 +333,22 @@ class FactIndex:
             key = (f.pred, len(f.args), f.persistent)
             if f not in self._by_pred.get(key, ()):
                 self._add(f)
-        out: list[Inst] = []
-        for rule in self.rules:
-            out.extend(self.insts(rule, touched))
+        out = [(_equiv_key(i), i) for rule in self.rules for i in self.insts(rule, touched)]
+        self.derived += len(out)
         return out
 
 
 # -- instantiation equivalence ------------------------------------------------
 
 _PLACEHOLDER = "\x00"
+
+
+def _tally(facts: Iterable[Fact]) -> dict[Fact, int]:
+    """Each fact's multiplicity."""
+    out: dict[Fact, int] = {}
+    for f in facts:
+        out[f] = out.get(f, 0) + 1
+    return out
 
 
 def _equiv_key(inst: Inst) -> tuple:
@@ -341,22 +359,31 @@ def _equiv_key(inst: Inst) -> tuple:
     fresh constants; the persistent consequent is compared together with the
     persistent antecedent, since re-asserting an already-required persistent
     fact is unobservable.
+
+    The key is built from facts, whose hashes are cached at construction,
+    so neither building nor comparing it walks a term: the ground
+    antecedent (a set and a multiset), and the consequent with placeholder
+    constants for the existential variables that occur in it, as the set
+    of its variants under every assignment of those variables to the
+    placeholders.  Such sets of variants are equal or disjoint, and equal
+    exactly when a renaming of the fresh constants maps one consequent to
+    the other.  An existential variable that occurs nowhere tells no two
+    instantiations apart.
     """
-    ant_p = tuple(sorted(fact_key(f) for f in inst.pers_ant_g()))
-    ant_e = tuple(sorted((fact_key(f), n) for f, n in inst.eph_ant_g().eph_items()))
     rule = inst.rule
-    best = None
-    for perm in itertools.permutations(range(len(rule.evars))):
-        xi = {v: Const(f"{_PLACEHOLDER}{i}") for v, i in zip(rule.evars, perm)}
-        pers, eph = inst.consequent(xi)
-        pers_all = pers | inst.pers_ant_g()
-        key = (
-            tuple(sorted(fact_key(f) for f in pers_all)),
-            tuple(sorted((fact_key(f), n) for f, n in eph.eph_items())),
-        )
-        if best is None or key < best:
-            best = key
-    return (ant_p, ant_e, best)
+    th = inst.theta_map()
+    ant_p = frozenset(_ground_fact(f, th) for f in rule.pers_ant)
+    ant_e = frozenset(_tally(_ground_fact(f, th) for f in rule.eph_ant).items())
+    evars = rule._con_evars
+    marks = [Const(f"{_PLACEHOLDER}{i}") for i in range(len(evars))]
+    variants = []
+    for perm in itertools.permutations(marks):
+        thx = dict(th)
+        thx.update(zip(evars, perm))
+        pers = frozenset(_ground_fact(f, thx) for f in rule.pers_con) | ant_p
+        eph = frozenset(_tally(_ground_fact(f, thx) for f in rule.eph_con).items())
+        variants.append((pers, eph))
+    return (ant_p, ant_e, frozenset(variants))
 
 
 def inst_equiv(i1: Inst, i2: Inst) -> bool:
@@ -381,7 +408,8 @@ def apply_inst(
     distinct produced facts, as the objects the successor state was built
     from.
     """
-    if not inst.applicable(state):
+    consumed = inst.eph_ant_g()
+    if not (inst.pers_ant_g() <= state.pers and consumed.leq(state)):
         raise NotApplicable(inst.to_str())
     names: dict[str, str] = {}
     if xi is None:
@@ -398,8 +426,7 @@ def apply_inst(
     if produced is not None:
         produced.extend(pers)
         produced.extend(eph.eph_support())
-    result = state.mdiff(inst.eph_ant_g()).msum(eph).with_pers(pers)
-    return result, sig, names
+    return state.rewrite(consumed, eph).with_pers(pers), sig, names
 
 
 # -- parallel combination ------------------------------------------------------

@@ -1,14 +1,38 @@
-"""Shared test utilities: a small random system generator.
+"""Shared test utilities: a small random system generator, and the
+instantiation-equivalence key as it was first written, as an oracle.
 
 Systems are tiny on purpose: up to 3 rules over a handful of predicates,
 up to 4 initial facts, so bounded reachability stays enumerable.
 """
 
+import itertools
 import random
 
 from sill.msr import Fact, Multiset, Rule
+from sill.msr.multiset import fact_key
 from sill.msr.rules import Mrs
 from sill.msr.terms import Const, Var
+
+
+def old_equiv_key(inst) -> tuple:
+    """The equivalence key built from sorted deep fact keys: the least
+    placeholder consequent over every permutation of all the rule's
+    existential variables.  Compares Wrap payloads by their printed text."""
+    ant_p = tuple(sorted(fact_key(f) for f in inst.pers_ant_g()))
+    ant_e = tuple(sorted((fact_key(f), n) for f, n in inst.eph_ant_g().eph_items()))
+    rule = inst.rule
+    best = None
+    for perm in itertools.permutations(range(len(rule.evars))):
+        xi = {v: Const(f"\x00{i}") for v, i in zip(rule.evars, perm)}
+        pers, eph = inst.consequent(xi)
+        pers_all = pers | inst.pers_ant_g()
+        key = (
+            tuple(sorted(fact_key(f) for f in pers_all)),
+            tuple(sorted((fact_key(f), n) for f, n in eph.eph_items())),
+        )
+        if best is None or key < best:
+            best = key
+    return (ant_p, ant_e, best)
 
 PREDS = [("p", 1), ("q", 1), ("r", 2), ("s", 0)]
 CONSTS = ["a", "b"]

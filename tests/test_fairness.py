@@ -144,6 +144,24 @@ def test_loop_start_bounds_checked():
 # -- scheduler -------------------------------------------------------------------
 
 
+PREFIX_SYS = """
+rule start: go -o tok(n0)
+rule pass: forall x, y. tok(x), next(x, y) -o tok(y), next(x, y)
+init: go, next(n0, n1), next(n1, n0)
+"""
+
+
+def test_uber_counts_the_step_at_its_own_position():
+    # start is applicable only at state 0 and applied there, before the
+    # loop: the obligation it raises is met by that very step
+    mrs = parse_system(PREFIX_SYS)
+    tr = build_trace(mrs, [("start", {}), ("pass", {"x": "n0", "y": "n1"}),
+                           ("pass", {"x": "n1", "y": "n0"})])
+    lt = LassoTrace(tr, 1)
+    for variety in ("rule", "fact", "inst"):
+        assert check_fairness(lt, variety, "uber").fair, variety
+
+
 QUEUE_SYS = """
 rule e1: forall x, y. enq(x, y), queue(x, end) -o exists z. queue(x, cell(y, z)), queue(z, end)
 rule e2: forall x, y, z, w. enq(x, y), queue(x, cell(z, w)) -o queue(x, cell(z, w)), enq(w, y)

@@ -92,3 +92,11 @@ def test_diff_then_sum_bounds(d1, d2):
 def test_leq_is_inter_absorption(d1, d2):
     m1, m2 = from_counts(d1), from_counts(d2)
     assert m1.leq(m2) == (m1.minter(m2) == m1)
+
+
+@given(counts, counts, counts)
+def test_rewrite_is_diff_then_sum(d1, d2, d3):
+    m1, m2, m3 = from_counts(d1), from_counts(d2), from_counts(d3)
+    before = dict(m1.eph_items())
+    assert m1.rewrite(m2, m3) == m1.mdiff(m2).msum(m3)
+    assert dict(m1.eph_items()) == before

@@ -3,16 +3,19 @@
 The oracle below is the scheduler as it was before enabled sets: after
 every step it re-enumerates the whole state (SILL step generation, or MRS
 matching by sorted pools and backtracking) and recomputes every
-equivalence key.  The scheduler must take byte-identical steps, since the
-FIFO order is part of the fairness argument.
+equivalence key with the old key built from sorted deep fact keys
+(``helpers.old_equiv_key``).  The scheduler must take byte-identical steps,
+since the FIFO order is part of the fairness argument.
 """
 
 import random
 
-from helpers import random_mrs
+from helpers import old_equiv_key, random_mrs
 from test_dynamics import corpus
 
-from sill.dynamics import SillSystem, _fkey, classify_fact, config_state, initial_config, proc_fact, run
+from sill.dynamics import (SillSystem, _fkey, _listens_on, classify_fact, config_state,
+                           initial_config, proc_fact, run)
+from sill.equiv import divergent
 from sill.fairness import fair_execute
 from sill.lang.ast import (
     Close,
@@ -60,8 +63,8 @@ def rescan_execute(system, start, enumerate_, budget, seed=None):
         state = tr.final()
         states.append(state)
         survivors = [q for q in queue if q.applicable(state)]
-        known = {_equiv_key(q) for q in survivors}
-        fresh = [i for i in enumerate_(state) if _equiv_key(i) not in known]
+        known = {old_equiv_key(q) for q in survivors}
+        fresh = [i for i in enumerate_(state) if old_equiv_key(i) not in known]
         if rng is not None:
             rng.shuffle(fresh)
         queue = survivors + fresh
@@ -85,7 +88,7 @@ def sill_rescan(system):
         out, seen = [], set()
         for f, c, p in procs:
             for inst in system._steps(f, c, p, msgs):
-                k = _equiv_key(inst)
+                k = old_equiv_key(inst)
                 if k not in seen:
                     seen.add(k)
                     out.append(inst)
@@ -137,7 +140,7 @@ def mrs_rescan(mrs):
         out, keys = [], set()
         for rule in mrs.rules:
             for inst in _rescan_match_rule(rule, state):
-                k = _equiv_key(inst)
+                k = old_equiv_key(inst)
                 if k not in keys:
                     keys.add(k)
                     out.append(inst)
@@ -264,4 +267,62 @@ def test_omega_enumerates_once():
     state, iface = initial_config(Unquote("o", w), {}, ("o", conat))
     tr = run(SillSystem(), state, iface, fuel=300)
     assert tr.meta["sched"] == {"full_enumerations": 1, "delta_candidates": 300,
-                                "fresh_admitted": 300}
+                                "fresh_admitted": 300, "steps_derived": 300,
+                                "steps_reused": 0}
+
+
+# -- the step cache ----------------------------------------------------------------
+
+
+class Keeping(SillSystem):
+    """Keeps the enabled set of its last run, and checks every candidate
+    the enabled set hands out against a key computed afresh."""
+
+    def enabled(self, state):
+        self.index = index = super().enabled(state)
+        delta = index.delta
+
+        def checked(*args):
+            out = delta(*args)
+            for k, inst in out:
+                assert k == _equiv_key(inst), inst.to_str()
+            return out
+
+        index.delta = checked
+        return index
+
+
+def assert_cache_current(index, state):
+    """The cache holds only non-listening proc facts the state holds."""
+    for f in index.cache:
+        assert state.count(f), f
+        pred, _, p, _ = classify_fact(f)
+        assert pred == "proc" and _listens_on(p) is None, f
+
+
+def test_divergent_spin_derives_once():
+    state, iface = initial_config(divergent("r", One()), {}, ("r", One()))
+    tr = run(Keeping(), state, iface, fuel=200)
+    assert len(tr.steps) == 200
+    assert {s.inst.rule.name for s in tr.steps} == {"unquote"}
+    assert tr.meta["sched"]["steps_derived"] == 1
+    assert tr.meta["sched"]["steps_reused"] == 199
+
+
+def test_cache_holds_only_present_facts():
+    conat = Rec("a", Plus((("z", One()), ("s", TVar("a")))))
+    w = Fix("w", Quote(("c", conat),
+                       SendUnfold("c", SendLabel("c", "s", Unquote("c", FVar("w"))))))
+    state, iface = initial_config(Unquote("o", w), {}, ("o", conat))
+    system = Keeping()
+    tr = run(system, state, iface, fuel=300)
+    assert system.index.cache
+    assert_cache_current(system.index, tr.final())
+    for _, facts, corpus_iface in corpus():
+        for seed in SEEDS:
+            system = Keeping()
+            tr = run(system, config_state(facts), corpus_iface, fuel=200, seed=seed)
+            assert_cache_current(system.index, tr.final())
+            sched = tr.meta["sched"]
+            assert sched["steps_derived"] + sched["steps_reused"] == sched["delta_candidates"]
+
