@@ -14,14 +14,28 @@ comes in a weak (almost-always applicable/enabled implies applied) and a
 strong (infinitely-often implies applied) form.  The über form demands
 that anything ever applicable is eventually applied up to instantiation
 equivalence.
+
+A lasso has one analysis (``_Analysis``), built by its first verdict and
+kept with the ``LassoTrace``.  It describes the trace at the step count it
+was built for: every later verdict on the same lasso reads it, and a
+verdict on a trace extended in the meantime builds a fresh one.  The
+analysis enumerates the applicable instantiations of the first state in
+full and replays every other position's by delta, advancing the system's
+enabled set through the recorded steps the way ``fair_execute`` advances
+its queue.  Each position's instantiations are kept with their
+equivalence keys, which also carry their antecedent facts; what is
+applicable or enabled at some loop state, and at every one, is collected
+once, so each verdict's predicate is a set lookup per candidate and orbit
+member.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional
 
 from .msr.canon import find_renaming
 from .msr.multiset import Fact, Multiset, fact_consts, fact_key, fact_to_str
@@ -40,8 +54,14 @@ class InvalidLasso(Exception):
 
 @dataclass(frozen=True)
 class LassoTrace:
+    """A trace whose steps from loop_start on repeat forever, or a finite
+    run when loop_start is None."""
+
     trace: Trace
     loop_start: Optional[int] = None
+    # the lasso's analysis, built by the first verdict (see _analysis_of)
+    _analysis: Optional["_Analysis"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.loop_start is not None and not (
@@ -66,8 +86,40 @@ class Verdict:
         return out
 
 
+def _ant_facts(key: tuple) -> Iterator[Fact]:
+    """The antecedent facts of an instantiation, read off its equivalence
+    key: ``rules._equiv_key`` puts the ground persistent antecedent first
+    and the ground ephemeral one, as (fact, multiplicity) pairs, second."""
+    ant_p, ant_e, _ = key
+    yield from ant_p
+    for f, _ in ant_e:
+        yield f
+
+
 class _Analysis:
-    """Recurrence structure of a validated lasso."""
+    """Recurrence structure of a validated lasso, and the applicable
+    instantiations at each of its positions.
+
+    It describes the trace as it was when built, ``L`` steps long, and is
+    shared by every verdict on the lasso, so everything in it is computed
+    at most once: the states, the recurrence renaming and the recorded
+    steps' equivalence keys when it is built, the rest on first use.
+
+    The applicable sets (``keyed``) come from one full enumeration of the
+    first state; every later position is reached by replaying the recorded
+    step through the system's enabled set (``mrs.enabled``), as
+    ``fair_execute`` advances its queue: the instantiations that need a
+    fact the step consumed are re-checked, and the enabled set proposes
+    those with an antecedent fact the step produced.  Equivalent
+    instantiations consume the same facts, so an equivalence class is
+    applicable at a state as a whole, and its key tells whether an
+    instantiation, or any fact it consumes or requires, is applicable or
+    enabled there.  Each position keeps one representative per applicable
+    class under its key, the least in rule order, then theta, listed in
+    that order: the list ``mrs.applicable`` gives for an ``Mrs``.  (The
+    generated rules of a ``SillSystem`` have no such order; its classes
+    keep the order of the first enumeration, then of their arrival.)
+    """
 
     def __init__(self, lt: LassoTrace):
         tr = lt.trace
@@ -96,9 +148,7 @@ class _Analysis:
                 n += 1
             if cur == c:
                 self.cyc[c] = n
-        self._applicable: dict[int, list[Inst]] = {}
-        self._enabled_facts: dict[int, set[Fact]] = {}
-        self._applied_keys: Optional[set] = None
+        self.step_keys = [_equiv_key(s.inst) for s in tr.steps]
 
     # -- orbit machinery ----------------------------------------------------
 
@@ -149,84 +199,163 @@ class _Analysis:
         assert self.k is not None
         return range(self.k, self.L)
 
+    # -- applicable sets, replayed by delta ----------------------------------
+
+    @cached_property
+    def keyed(self) -> list[dict[tuple, Inst]]:
+        """For each state j < L, its applicable instantiations, one per
+        equivalence class, under their keys, in enumeration order."""
+        rank: dict = {}
+        for i, r in enumerate(self.mrs.rules):
+            rank.setdefault(r, i)
+        # key -> (enumeration order, representative)
+        live: dict[tuple, tuple[tuple, Inst]] = {}
+        # ephemeral fact -> keys of the live instantiations that consume it;
+        # a key's second part holds the consumed facts with multiplicities
+        needs: dict[Fact, set] = {}
+
+        def admit(key: tuple, inst: Inst) -> None:
+            live[key] = ((rank.get(inst.rule, len(rank)), inst.theta_key()), inst)
+            for f, _ in key[1]:
+                needs.setdefault(f, set()).add(key)
+
+        def drop(key: tuple) -> None:
+            del live[key]
+            for f, _ in key[1]:
+                needs[f].discard(key)
+
+        for inst in self.mrs.applicable(self.states[0]):
+            admit(_equiv_key(inst), inst)
+        enabled = self.mrs.enabled(self.states[0])
+        out = []
+        for j, step in enumerate(self.trace.steps):
+            out.append({key: inst for key, (_, inst)
+                        in sorted(live.items(), key=lambda e: e[1][0])})
+            if j + 1 == self.L:
+                break
+            state = self.states[j + 1]
+            eph = [f for f, _ in self.step_keys[j][1]]
+            for f in eph:
+                for key in [key for key in needs.get(f, ())
+                            if any(state.count(g) < m for g, m in key[1])]:
+                    drop(key)
+            # a class not live before the step needs a fact the step produced
+            gone = [f for f in eph if not state.count(f)]
+            for key, inst in enabled.delta(state, gone, step.produced):
+                if key not in live:
+                    admit(key, inst)
+        return out
+
     def applicable_at(self, j: int) -> list[Inst]:
-        if j not in self._applicable:
-            self._applicable[j] = self.mrs.applicable(self.states[j])
-        return self._applicable[j]
+        """The applicable instantiations at state j < L, as a list."""
+        return list(self.keyed[j].values())
+
+    def _over_loop(self, per_position: Callable[[dict[tuple, Inst]], set]) -> tuple[set, set]:
+        """What holds at some loop position, and what holds at every one."""
+        sets = [per_position(self.keyed[j]) for j in self.loop_positions()]
+        return set().union(*sets), sets[0].intersection(*sets[1:])
+
+    @cached_property
+    def loop_keys(self) -> tuple[set, set]:
+        """Keys of the instantiations applicable at some loop state, and at
+        every loop state."""
+        return self._over_loop(set)
+
+    @cached_property
+    def loop_enabled(self) -> tuple[set, set]:
+        """Facts enabled at some loop state, and at every loop state."""
+        return self._over_loop(lambda keyed: {f for key in keyed for f in _ant_facts(key)})
+
+    @cached_property
+    def loop_rules(self) -> tuple[set, set]:
+        """Names of the rules applicable at some loop state, and at every
+        loop state."""
+        return self._over_loop(lambda keyed: {i.rule.name for i in keyed.values()})
+
+    @cached_property
+    def loop_steps_cyclic(self) -> list[Inst]:
+        """The loop steps whose constants all recur."""
+        return [self.trace.steps[j].inst for j in self.loop_positions()
+                if self.is_recurrent(self.inst_consts(self.trace.steps[j].inst))]
+
+    @cached_property
+    def applied_keys(self) -> set[tuple]:
+        """Equivalence keys of the instantiations the loop applies
+        infinitely often: the orbits of its recurring steps."""
+        return {_equiv_key(o) for step in self.loop_steps_cyclic for o in self.inst_orbit(step)}
+
+    @cached_property
+    def applied_insts(self) -> set[Inst]:
+        """The instantiations the loop applies infinitely often."""
+        return {o for step in self.loop_steps_cyclic for o in self.inst_orbit(step)}
+
+    @cached_property
+    def loop_active(self) -> set[Fact]:
+        """Facts some loop step consumes or requires."""
+        return {f for j in self.loop_positions() for f in _ant_facts(self.step_keys[j])}
 
     # -- predicates on the unrolled infinite trace ---------------------------
 
-    def inst_applicable_io(self, inst: Inst) -> bool:
+    def _orbit_keys(self, inst: Inst) -> Optional[list[tuple]]:
+        """The equivalence keys of inst's orbit; None when inst is transient."""
         if not self.is_recurrent(self.inst_consts(inst)):
-            return False
-        orbit = self.inst_orbit(inst)
-        return any(o.applicable(self.states[j]) for j in self.loop_positions() for o in orbit)
+            return None
+        return [_equiv_key(o) for o in self.inst_orbit(inst)]
+
+    def inst_applicable_io(self, inst: Inst) -> bool:
+        keys = self._orbit_keys(inst)
+        return keys is not None and any(key in self.loop_keys[0] for key in keys)
 
     def inst_applicable_aa(self, inst: Inst) -> bool:
-        if not self.is_recurrent(self.inst_consts(inst)):
-            return False
-        orbit = self.inst_orbit(inst)
-        return all(o.applicable(self.states[j]) for j in self.loop_positions() for o in orbit)
-
-    def _loop_steps_cyclic(self) -> list[Inst]:
-        out = []
-        for j in self.loop_positions():
-            step = self.trace.steps[j].inst
-            if self.is_recurrent(self.inst_consts(step)):
-                out.append(step)
-        return out
-
-    def inst_applied_io_equiv(self, inst: Inst) -> bool:
-        if self._applied_keys is None:
-            self._applied_keys = {
-                _equiv_key(o) for step in self._loop_steps_cyclic() for o in self.inst_orbit(step)
-            }
-        return _equiv_key(inst) in self._applied_keys
+        keys = self._orbit_keys(inst)
+        return keys is not None and all(key in self.loop_keys[1] for key in keys)
 
     def inst_applied_io_equal(self, inst: Inst) -> bool:
-        for step in self._loop_steps_cyclic():
-            if step.rule.name != inst.rule.name:
-                continue
-            if any(o.theta == inst.theta for o in self.inst_orbit(step)):
-                return True
-        return False
-
-    def fact_enabled_at(self, f: Fact, j: int) -> bool:
-        if j not in self._enabled_facts:
-            self._enabled_facts[j] = {
-                g for i in self.applicable_at(j) for g in i.active().support()
-            }
-        return f in self._enabled_facts[j]
+        return inst in self.applied_insts
 
     def fact_enabled_io(self, f: Fact) -> bool:
         if not self.is_recurrent(fact_consts(f)):
             return False
-        orbit = self.fact_orbit(f)
-        return any(self.fact_enabled_at(o, j) for j in self.loop_positions() for o in orbit)
+        return any(o in self.loop_enabled[0] for o in self.fact_orbit(f))
 
     def fact_enabled_aa(self, f: Fact) -> bool:
         if not self.is_recurrent(fact_consts(f)):
             return False
-        orbit = self.fact_orbit(f)
-        return all(self.fact_enabled_at(o, j) for j in self.loop_positions() for o in orbit)
+        return all(o in self.loop_enabled[1] for o in self.fact_orbit(f))
 
     def fact_active_io(self, f: Fact) -> bool:
         if not self.is_recurrent(fact_consts(f)):
             return False
-        orbit = self.fact_orbit(f)
-        for j in self.loop_positions():
-            act = self.trace.steps[j].inst.active()
-            if any(act.count(o) > 0 for o in orbit):
-                return True
-        return False
-
-    def rule_applicable_at(self, name: str, j: int) -> bool:
-        return any(i.rule.name == name for i in self.applicable_at(j))
+        return any(o in self.loop_active for o in self.fact_orbit(f))
 
     def rule_applied_in_loop(self, name: str) -> bool:
         return any(
             self.trace.steps[j].inst.rule.name == name for j in self.loop_positions()
         )
+
+    @cached_property
+    def uber_obligation(self) -> Optional[tuple[int, Inst]]:
+        """The first instantiation applicable at a reached state that is
+        never applied later up to equivalence, in the recorded part or in
+        the loop's future rounds, with that state's index; None if there
+        is none."""
+        # equivalence key -> the last position of a recorded step with that key
+        last = {key: s for s, key in enumerate(self.step_keys)}
+        for i in range(self.L):
+            for key, inst in self.keyed[i].items():
+                if last.get(key, -1) < i and key not in self.applied_keys:
+                    return i, inst
+        return None
+
+
+def _analysis_of(lt: LassoTrace) -> _Analysis:
+    """The lasso's analysis, built on first use and again once the trace
+    has grown past the step count it describes."""
+    an = lt._analysis
+    if an is None or an.L != len(lt.trace.steps):
+        an = _Analysis(lt)
+        object.__setattr__(lt, "_analysis", an)
+    return an
 
 
 def _inst_witness(inst: Inst) -> dict:
@@ -241,11 +370,18 @@ def _candidate_insts(an: _Analysis) -> list[Inst]:
     """Applicable instantiations at loop states, one representative per
     orbit, sorted theta-first so witnesses come out in a stable order."""
     seen: set = set()
+    done: set = set()
     out: list[Inst] = []
     for j in an.loop_positions():
-        for inst in an.applicable_at(j):
+        for k, inst in an.keyed[j].items():
+            # a class has the same representative at every position
+            if k in done:
+                continue
+            done.add(k)
             orbit = an.inst_orbit(inst) if an.is_recurrent(an.inst_consts(inst)) else [inst]
-            key = min((i.rule.name, i.theta_key()) for i in orbit)
+            # the orbit itself: distinct steps of a SillSystem share their
+            # rule's name and an empty theta
+            key = frozenset(orbit)
             if key in seen:
                 continue
             seen.add(key)
@@ -257,8 +393,13 @@ def _candidate_insts(an: _Analysis) -> list[Inst]:
 def check_fairness(lt: LassoTrace, variety: str, strength: str) -> Verdict:
     """Decide a fairness property of the infinite unrolling of a lasso.
 
-    A finite trace (no loop) is fair by definition.  The verdict carries
-    the least offending candidate as a witness when unfair.
+    A finite trace (no loop) is fair by definition, and no analysis is
+    built for it.  Otherwise the verdict evaluates its own predicate on the
+    lasso's one analysis, which the first verdict builds (raising
+    ``InvalidLasso`` when the loop does not close) and later verdicts
+    share, as long as the trace keeps the step count the analysis
+    describes.  The verdict carries the least offending candidate as a
+    witness when unfair.
     """
     if variety not in VARIETIES:
         raise ValueError(f"unknown variety {variety!r}")
@@ -266,18 +407,21 @@ def check_fairness(lt: LassoTrace, variety: str, strength: str) -> Verdict:
         raise ValueError(f"unknown strength {strength!r}")
     if lt.loop_start is None:
         return Verdict(variety, strength, True)
-    an = _Analysis(lt)
+    an = _analysis_of(lt)
 
     if strength == "uber":
-        return _check_uber(an, variety)
+        if an.uber_obligation is None:
+            return Verdict(variety, "uber", True)
+        i, inst = an.uber_obligation
+        w = _inst_witness(inst)
+        w.update({"kind": "obligation", "state_index": i})
+        return Verdict(variety, "uber", False, w)
 
     witnesses: list[tuple[tuple, dict]] = []
     if variety == "rule":
+        some, every = an.loop_rules
         for r in an.mrs.rules:
-            if strength == "weak":
-                premise = all(an.rule_applicable_at(r.name, j) for j in an.loop_positions())
-            else:
-                premise = any(an.rule_applicable_at(r.name, j) for j in an.loop_positions())
+            premise = r.name in (every if strength == "weak" else some)
             if premise and not an.rule_applied_in_loop(r.name):
                 witnesses.append(((r.name,), {"kind": "rule", "rule": r.name}))
     elif variety == "fact":
@@ -288,7 +432,7 @@ def check_fairness(lt: LassoTrace, variety: str, strength: str) -> Verdict:
     else:
         for inst in _candidate_insts(an):
             if strength == "weak":
-                if an.inst_applicable_aa(inst) and not an.inst_applied_io_equiv(inst):
+                if an.inst_applicable_aa(inst) and _equiv_key(inst) not in an.applied_keys:
                     witnesses.append(((inst.theta_key(), inst.rule.name), _inst_witness(inst)))
             else:
                 if an.inst_applicable_io(inst) and not an.inst_applied_io_equal(inst):
@@ -300,21 +444,10 @@ def check_fairness(lt: LassoTrace, variety: str, strength: str) -> Verdict:
     return Verdict(variety, strength, True)
 
 
-def _check_uber(an: _Analysis, variety: str) -> Verdict:
-    """Everything applicable at any reached state must eventually be applied
-    up to instantiation equivalence, in the recorded part or in the loop's
-    future rounds."""
-    # equivalence key -> the last position of a recorded step with that key
-    last = {_equiv_key(step.inst): s for s, step in enumerate(an.trace.steps)}
-    for i in range(an.L):
-        for inst in an.applicable_at(i):
-            recorded = last.get(_equiv_key(inst), -1) >= i
-            if recorded or an.inst_applied_io_equiv(inst):
-                continue
-            w = _inst_witness(inst)
-            w.update({"kind": "obligation", "state_index": i})
-            return Verdict(variety, "uber", False, w)
-    return Verdict(variety, "uber", True)
+def fairness_report(lt: LassoTrace) -> dict[tuple[str, str], Verdict]:
+    """All nine verdicts on a lasso, keyed by (variety, strength): the
+    ``check_fairness`` results, which share the lasso's one analysis."""
+    return {(v, s): check_fairness(lt, v, s) for v in VARIETIES for s in STRENGTHS}
 
 
 # -- the fair scheduler --------------------------------------------------------

@@ -28,8 +28,8 @@ from .errors import (
 __all__ = [
     "ConfigTyping", "CyclicSharing", "IllFormed", "IllTyped", "InterfaceMismatch",
     "LinearityError", "NotAMessage", "SillError", "SillTypeError",
-    "UnboundTypeVariable", "carrier_continuation", "check_config",
-    "check_functype", "check_proc", "check_term", "check_type", "oc_ic",
+    "UnboundTypeVariable", "check_config", "check_functype", "check_proc",
+    "check_term", "check_type",
 ]
 
 
@@ -663,31 +663,3 @@ def check_module(m: ast.Module) -> None:
                     _type_fact(f, types)
         else:
             raise SillError(f"unknown declaration {d!r}")
-
-
-def oc_ic(fact: ast.ConfigFact,
-          types: Mapping[str, ast.SessionType]) -> tuple[set, set]:
-    """Split a fact's channels into output and input channels.
-
-    A provided channel is an output exactly when its type is positive; a
-    used channel is an output exactly when its type is negative.
-    """
-    oc: set = set()
-    ic: set = set()
-    for c in ast.fc(fact.proc) | {fact.chan}:
-        provided = c == fact.chan
-        positive = ast.polarity(types[c]) == POSITIVE
-        (oc if provided == positive else ic).add(c)
-    return oc, ic
-
-
-def carrier_continuation(fact: ast.ConfigFact) -> tuple[str, Optional[str]]:
-    """Carrier and continuation channel of a message fact.
-
-    The carrier is where the communication happens; the continuation is the
-    channel the rest of the session moves to, absent for close.
-    """
-    info = ast.message_parts(fact.chan, fact.proc)
-    if info is None:
-        raise NotAMessage(str(fact))
-    return info.carrier, info.cont

@@ -192,14 +192,7 @@ def match_rule(rule: Rule, state: Multiset) -> list[Inst]:
     Deduplicated up to instantiation equivalence (the representative with the
     least theta is kept) and sorted by theta for a stable enumeration order.
     """
-    out: list[Inst] = []
-    keys: set = set()
-    for inst in FactIndex(state).insts(rule):
-        k = _equiv_key(inst)
-        if k not in keys:
-            keys.add(k)
-            out.append(inst)
-    return out
+    return match_all((rule,), state)
 
 
 def _match_fact(pat: Fact, f: Fact, theta: dict[str, Term]) -> Optional[dict[str, Term]]:
@@ -213,11 +206,14 @@ def _match_fact(pat: Fact, f: Fact, theta: dict[str, Term]) -> Optional[dict[str
 
 def match_all(rules: Sequence[Rule], state: Multiset) -> list[Inst]:
     """Distinct applicable instantiations across rules, deduplicated by
-    instantiation equivalence globally, in (rule order, theta) order."""
+    instantiation equivalence globally, in (rule order, theta) order: of
+    equivalent instantiations the first in that order is kept.  One pass
+    over one index of the state keys each candidate once."""
+    index = FactIndex(state)
     out: list[Inst] = []
     keys: set = set()
     for r in rules:
-        for inst in match_rule(r, state):
+        for inst in index.insts(r):
             k = _equiv_key(inst)
             if k not in keys:
                 keys.add(k)

@@ -1,0 +1,333 @@
+"""Two references for the lasso fairness checker.
+
+``reference_check_fairness`` is the checker as it was before the lasso
+analysis was shared between verdicts: every verdict builds its own
+analysis and enumerates each loop state in full with ``Mrs.applicable``.
+Its verdicts and witnesses are the ones ``check_fairness`` must give.
+
+``definitional_fair`` applies the definitions literally to a finite
+unrolling of the lasso.  It knows nothing of orbits: it replays the loop
+round after round with its constants renamed as the loop's recurrence
+renaming dictates and fresh names generated anew, enumerates every state
+with ``Mrs.applicable``, tests instantiations with ``Inst.applicable``,
+and reads "infinitely often" as "in each of the last windows" and
+"almost always" as "at every position of the last windows", a window
+being one period (the lcm of the renaming's cycle lengths) of rounds.
+"""
+
+import math
+from typing import Iterable, Optional
+
+from sill.fairness import InvalidLasso, LassoTrace, Verdict
+from sill.msr import Trace
+from sill.msr.canon import find_renaming
+from sill.msr.multiset import Fact, fact_consts, fact_key, fact_to_str
+from sill.msr.rules import Inst, _equiv_key
+from sill.msr.terms import rename_consts, term_consts, term_to_str
+
+
+# -- the checker with one analysis per verdict ----------------------------------------
+
+
+class _ReferenceAnalysis:
+    def __init__(self, lt: LassoTrace):
+        tr = lt.trace
+        self.trace = tr
+        self.states = tr.states
+        self.mrs = tr.mrs
+        self.k = lt.loop_start
+        self.L = len(tr.steps)
+        declared = tr.sig0.declared
+        self.rigid = lambda c: c in declared
+        rho = find_renaming(self.states[self.k], self.states[self.L], self.rigid)
+        if rho is None:
+            raise InvalidLasso("loop endpoint is not the loop start up to renaming")
+        self.rho = rho
+        self.cyc: dict[str, int] = {}
+        for c in rho:
+            cur, n = rho[c], 1
+            while cur != c and cur in rho:
+                cur = rho[cur]
+                n += 1
+            if cur == c:
+                self.cyc[c] = n
+        self._applicable: dict[int, list[Inst]] = {}
+        self._enabled_facts: dict[int, set[Fact]] = {}
+        self._applied_keys: Optional[set] = None
+
+    def is_recurrent(self, consts: Iterable[str]) -> bool:
+        return all(self.rigid(c) or c in self.cyc for c in consts)
+
+    def period(self, consts: Iterable[str]) -> int:
+        p = 1
+        for c in consts:
+            if not self.rigid(c):
+                p = math.lcm(p, self.cyc[c])
+        return p
+
+    def shift_inst(self, inst: Inst, m: int) -> Inst:
+        rho_m = {}
+        for _, t in inst.theta:
+            for c in term_consts(t):
+                if not self.rigid(c):
+                    cur = c
+                    for _ in range(m):
+                        cur = self.rho[cur]
+                    rho_m[c] = cur
+        if not rho_m:
+            return inst
+        return Inst(inst.rule, tuple((v, rename_consts(t, rho_m)) for v, t in inst.theta))
+
+    def inst_consts(self, inst: Inst) -> set[str]:
+        out: set[str] = set()
+        for _, t in inst.theta:
+            out |= term_consts(t)
+        return out
+
+    def inst_orbit(self, inst: Inst) -> list[Inst]:
+        return [self.shift_inst(inst, m) for m in range(self.period(self.inst_consts(inst)))]
+
+    def fact_orbit(self, f: Fact) -> list[Fact]:
+        out, cur = [], f
+        for _ in range(self.period(fact_consts(f))):
+            out.append(cur)
+            cur = cur.rename(self.rho)
+        return out
+
+    def loop_positions(self) -> range:
+        return range(self.k, self.L)
+
+    def applicable_at(self, j: int) -> list[Inst]:
+        if j not in self._applicable:
+            self._applicable[j] = self.mrs.applicable(self.states[j])
+        return self._applicable[j]
+
+    def inst_applicable_io(self, inst: Inst) -> bool:
+        if not self.is_recurrent(self.inst_consts(inst)):
+            return False
+        orbit = self.inst_orbit(inst)
+        return any(o.applicable(self.states[j]) for j in self.loop_positions() for o in orbit)
+
+    def inst_applicable_aa(self, inst: Inst) -> bool:
+        if not self.is_recurrent(self.inst_consts(inst)):
+            return False
+        orbit = self.inst_orbit(inst)
+        return all(o.applicable(self.states[j]) for j in self.loop_positions() for o in orbit)
+
+    def _loop_steps_cyclic(self) -> list[Inst]:
+        return [self.trace.steps[j].inst for j in self.loop_positions()
+                if self.is_recurrent(self.inst_consts(self.trace.steps[j].inst))]
+
+    def inst_applied_io_equiv(self, inst: Inst) -> bool:
+        if self._applied_keys is None:
+            self._applied_keys = {
+                _equiv_key(o) for step in self._loop_steps_cyclic() for o in self.inst_orbit(step)
+            }
+        return _equiv_key(inst) in self._applied_keys
+
+    def inst_applied_io_equal(self, inst: Inst) -> bool:
+        for step in self._loop_steps_cyclic():
+            if step.rule.name != inst.rule.name:
+                continue
+            if any(o.theta == inst.theta for o in self.inst_orbit(step)):
+                return True
+        return False
+
+    def fact_enabled_at(self, f: Fact, j: int) -> bool:
+        if j not in self._enabled_facts:
+            self._enabled_facts[j] = {
+                g for i in self.applicable_at(j) for g in i.active().support()
+            }
+        return f in self._enabled_facts[j]
+
+    def fact_enabled_io(self, f: Fact) -> bool:
+        if not self.is_recurrent(fact_consts(f)):
+            return False
+        orbit = self.fact_orbit(f)
+        return any(self.fact_enabled_at(o, j) for j in self.loop_positions() for o in orbit)
+
+    def fact_enabled_aa(self, f: Fact) -> bool:
+        if not self.is_recurrent(fact_consts(f)):
+            return False
+        orbit = self.fact_orbit(f)
+        return all(self.fact_enabled_at(o, j) for j in self.loop_positions() for o in orbit)
+
+    def fact_active_io(self, f: Fact) -> bool:
+        if not self.is_recurrent(fact_consts(f)):
+            return False
+        orbit = self.fact_orbit(f)
+        for j in self.loop_positions():
+            act = self.trace.steps[j].inst.active()
+            if any(act.count(o) > 0 for o in orbit):
+                return True
+        return False
+
+    def rule_applicable_at(self, name: str, j: int) -> bool:
+        return any(i.rule.name == name for i in self.applicable_at(j))
+
+    def rule_applied_in_loop(self, name: str) -> bool:
+        return any(self.trace.steps[j].inst.rule.name == name for j in self.loop_positions())
+
+
+def _inst_witness(inst: Inst) -> dict:
+    return {"kind": "instantiation", "rule": inst.rule.name,
+            "theta": {v: term_to_str(t) for v, t in inst.theta}}
+
+
+def _candidate_insts(an: _ReferenceAnalysis) -> list[Inst]:
+    seen: set = set()
+    out: list[Inst] = []
+    for j in an.loop_positions():
+        for inst in an.applicable_at(j):
+            orbit = an.inst_orbit(inst) if an.is_recurrent(an.inst_consts(inst)) else [inst]
+            key = min((i.rule.name, i.theta_key()) for i in orbit)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(min(orbit, key=lambda i: (i.theta_key(), i.rule.name)))
+    out.sort(key=lambda i: (i.theta_key(), i.rule.name))
+    return out
+
+
+def reference_check_fairness(lt: LassoTrace, variety: str, strength: str) -> Verdict:
+    if lt.loop_start is None:
+        return Verdict(variety, strength, True)
+    an = _ReferenceAnalysis(lt)
+    if strength == "uber":
+        last = {_equiv_key(step.inst): s for s, step in enumerate(an.trace.steps)}
+        for i in range(an.L):
+            for inst in an.applicable_at(i):
+                if last.get(_equiv_key(inst), -1) >= i or an.inst_applied_io_equiv(inst):
+                    continue
+                w = _inst_witness(inst)
+                w.update({"kind": "obligation", "state_index": i})
+                return Verdict(variety, "uber", False, w)
+        return Verdict(variety, "uber", True)
+    witnesses: list[tuple[tuple, dict]] = []
+    if variety == "rule":
+        for r in an.mrs.rules:
+            if strength == "weak":
+                premise = all(an.rule_applicable_at(r.name, j) for j in an.loop_positions())
+            else:
+                premise = any(an.rule_applicable_at(r.name, j) for j in an.loop_positions())
+            if premise and not an.rule_applied_in_loop(r.name):
+                witnesses.append(((r.name,), {"kind": "rule", "rule": r.name}))
+    elif variety == "fact":
+        for f in sorted(an.trace.supp().support(), key=fact_key):
+            premise = an.fact_enabled_aa(f) if strength == "weak" else an.fact_enabled_io(f)
+            if premise and not an.fact_active_io(f):
+                witnesses.append(((fact_key(f),), {"kind": "fact", "fact": fact_to_str(f)}))
+    else:
+        for inst in _candidate_insts(an):
+            if strength == "weak":
+                if an.inst_applicable_aa(inst) and not an.inst_applied_io_equiv(inst):
+                    witnesses.append(((inst.theta_key(), inst.rule.name), _inst_witness(inst)))
+            elif an.inst_applicable_io(inst) and not an.inst_applied_io_equal(inst):
+                witnesses.append(((inst.theta_key(), inst.rule.name), _inst_witness(inst)))
+    if witnesses:
+        witnesses.sort(key=lambda w: w[0])
+        return Verdict(variety, strength, False, witnesses[0][1])
+    return Verdict(variety, strength, True)
+
+
+# -- the definitions, literally, on an unrolled lasso ---------------------------------
+
+
+class Unrolled:
+    """The lasso replayed for ``rounds`` rounds of its loop.
+
+    Round 0 is the recorded loop.  Round r + 1 applies the recorded loop
+    steps with their constants renamed by ``cur``: the loop start's
+    constants go where the previous round took their images under the
+    recurrence renaming, and names born inside the loop go to the names
+    born in their place this round.
+    """
+
+    def __init__(self, lt: LassoTrace, rounds: int):
+        src = lt.trace
+        self.k, self.n = lt.loop_start, len(src.steps) - lt.loop_start
+        declared = src.sig0.declared
+        rho = find_renaming(src.states[self.k], src.states[-1], lambda c: c in declared)
+        assert rho is not None
+        self.tr = Trace(src.mrs, src.initial, src.sig0)
+        for s in src.steps:
+            self.tr.extend(s.inst, s.xi_map())
+        # round-0 name -> its name in the round being built
+        m = dict(rho)
+        for _ in range(1, rounds):
+            cur = dict(m)
+            for s in src.steps[self.k:]:
+                theta = {v: rename_consts(t, cur) for v, t in s.inst.theta}
+                step = self.tr.extend(Inst.make(s.inst.rule, theta))
+                for v, name in s.xi:
+                    cur[name] = step.xi_map()[v]
+            m = {c: cur[rho[c]] for c in rho}
+        self.cycle_lcm = 1
+        for c in rho:
+            d, n = rho[c], 1
+            while d != c and d in rho:
+                d, n = rho[d], n + 1
+            if d == c:
+                self.cycle_lcm = math.lcm(self.cycle_lcm, n)
+        # a transient name lives fewer rounds than the loop start has names
+        self.transient_rounds = len(rho) + 2
+
+
+def _windows(un: Unrolled, count: int, size: int) -> list[range]:
+    """The last count windows of size rounds each, as step positions."""
+    end = len(un.tr.steps)
+    w = size * un.n
+    return [range(end - (count - i) * w, end - (count - i - 1) * w) for i in range(count)]
+
+
+def unroll_for_check(lt: LassoTrace) -> tuple[Unrolled, list[range], int]:
+    """Unroll far enough that every transient object has died out within
+    the inspected windows and the über obligations of a full period after
+    that are checked with room to be met."""
+    probe = Unrolled(lt, 1)
+    p, b = probe.cycle_lcm, probe.transient_rounds
+    windows = b + 2
+    rounds = max(windows * p, 2 * (b + p + 1))
+    un = Unrolled(lt, rounds)
+    return un, _windows(un, windows, p), (b + p + 1) * un.n
+
+
+def definitional_report(lt: LassoTrace) -> dict[tuple[str, str], bool]:
+    """Whether the lasso is fair in each (variety, strength) sense."""
+    un, windows, lookahead = unroll_for_check(lt)
+    tr, mrs = un.tr, lt.trace.mrs
+    states = tr.states
+    positions = [j for w in windows for j in w]
+    app = {j: mrs.applicable(states[j]) for j in range(len(tr.steps))}
+    step_keys = [_equiv_key(s.inst) for s in tr.steps]
+    enabled = {j: {g for i in app[j] for g in i.active().support()} for j in positions}
+
+    uber = all(_equiv_key(inst) in step_keys[i:]
+               for i in range(len(tr.steps) - lookahead) for inst in app[i])
+    out = {(v, "uber"): uber for v in ("rule", "fact", "inst")}
+    for strength in ("weak", "strong"):
+
+        def premise(holds_at) -> bool:
+            if strength == "weak":
+                return all(holds_at(j) for j in positions)
+            return all(any(holds_at(j) for j in w) for w in windows)
+
+        def applied_io(used_at) -> bool:
+            return all(any(used_at(j) for j in w) for w in windows)
+
+        out["rule", strength] = not any(
+            premise(lambda j: any(i.rule.name == r.name for i in app[j]))
+            and not applied_io(lambda j: tr.steps[j].inst.rule.name == r.name)
+            for r in mrs.rules)
+        out["fact", strength] = not any(
+            premise(lambda j: f in enabled[j])
+            and not applied_io(lambda j: tr.steps[j].inst.active().count(f) > 0)
+            for f in set().union(*enabled.values()))
+        if strength == "weak":
+            used = lambda inst: lambda j: step_keys[j] == _equiv_key(inst)
+        else:
+            used = lambda inst: lambda j: tr.steps[j].inst == inst
+        out["inst", strength] = not any(
+            premise(lambda j: inst.applicable(states[j])) and not applied_io(used(inst))
+            for inst in {i for j in positions for i in app[j]})
+    return out

@@ -9,7 +9,13 @@ import random
 
 import pytest
 
-from sill.fairness import InvalidLasso, LassoTrace, check_fairness, fair_execute
+from fairness_oracles import definitional_report, reference_check_fairness
+
+from sill.dynamics import SillSystem, proc_fact
+from sill.equiv import divergent
+from sill.fairness import (STRENGTHS, VARIETIES, InvalidLasso, LassoTrace, _analysis_of,
+                           check_fairness, fair_execute, fairness_report)
+from sill.lang.ast import One
 from sill.msr import Const, Fact, Inst, Multiset, Rule, Trace, Var, inst_equiv, parse_system
 from sill.msr.rules import Mrs, match_all
 
@@ -300,3 +306,225 @@ def test_fairness_implication_chain_on_random_lassos():
             if strong:
                 assert weak, f"strong but not weak {variety}: {mrs}"
     assert found >= 10
+
+
+# -- one analysis per lasso, against both references -------------------------------
+
+
+def _random_permuting_system(rng):
+    """Generated names shuffled round by the loop, so the recurrence
+    renaming has cycles of length two or three and facts have orbits of
+    several elements; rules may require persistent facts, so persistent
+    facts are enabled too."""
+    names = ["u", "v", "w"][: rng.randint(2, 3)]
+    uvars = ["x", "y", "z"][: len(names)]
+    tok = "tok({})".format
+    made = [tok(", ".join(names))]
+    made += [f"p({rng.choice(names)})" for _ in range(rng.choice([0, 0, 1, 2, 3]))]
+    made += [f"!s({n})" for n in names if rng.random() < 0.2]
+    rules = [f"rule mk: go -o exists {', '.join(names)}. {', '.join(made)}"]
+    for i in range(rng.randint(1, 3)):
+        perm = rng.sample(uvars, len(uvars))
+        ant, con = [tok(", ".join(uvars))], [tok(", ".join(perm))]
+        if rng.random() < 0.5:
+            v = rng.choice(uvars)
+            copies = rng.randint(1, 2)
+            ant += [f"p({v})"] * copies
+            con += [f"p({rng.choice([v, perm[uvars.index(v)]])})"] * copies
+        pers = [f"!s({rng.choice(uvars + ['a'])})"] if rng.random() < 0.5 else []
+        rules.append(f"rule l{i}: forall {', '.join(uvars)}. "
+                     f"{', '.join(pers + ant)} -o {', '.join(pers + con)}")
+    init = ["go"] + (["!s(a)"] if rng.random() < 0.5 else [])
+    return parse_system("\n".join(rules) + f"\ninit: {', '.join(init)}\n")
+
+
+def _random_walk(mrs, budget, rng):
+    """A run that applies a random applicable instantiation at each step,
+    fair or not."""
+    tr = Trace(mrs, mrs.initial)
+    for _ in range(budget):
+        insts = match_all(mrs.rules, tr.final())
+        if not insts:
+            break
+        tr.extend(rng.choice(insts))
+    return tr
+
+
+def _random_lassos(seed, count):
+    """Lassos of both random families (tagged state-preserving rules over
+    declared constants, and generated names permuted by the loop), each cut
+    from a fair run or from a random walk."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(count):
+        mrs = (_random_looping_system if n % 2 else _random_permuting_system)(rng)
+        budget = rng.randint(3, 8)
+        if n % 4 < 2:
+            tr = fair_execute(mrs, mrs.initial, budget=budget, seed=rng.randint(0, 10**6))
+        else:
+            tr = _random_walk(mrs, budget, rng)
+        # every loop start that closes the whole run, or failing that the
+        # longest lasso of a prefix
+        found = []
+        for k in range(len(tr.steps)):
+            lt = LassoTrace(tr, k)
+            try:
+                _analysis_of(lt)
+            except InvalidLasso:
+                continue
+            found.append(lt)
+        lt = _find_lasso(tr) if tr.steps and not found else None
+        out += found if lt is None else [LassoTrace(lt.trace, lt.loop_start)]
+    return out
+
+
+def _ring_lasso(nodes):
+    """One token passed once round a ring of the given nodes while `stay`
+    stays applicable and never fires."""
+    src = ("rule pass: forall x, y. tok(x), next(x, y) -o tok(y), next(x, y)\n"
+           "rule stay: forall x. tok(x) -o tok(x)\ninit: "
+           + ", ".join(f"next({a}, {b})" for a, b in zip(nodes, nodes[1:] + nodes[:1]))
+           + f", tok({nodes[0]})\n")
+    mrs = parse_system(src)
+    steps = [("pass", {"x": a, "y": b}) for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+    return LassoTrace(build_trace(mrs, steps), 0)
+
+
+# pair[a] needs both copies of p(a); moving the token takes one away
+PAIR_SYS = """
+rule move: forall x, y. tok(x), p(x), next(x, y) -o tok(y), p(y), next(x, y)
+rule pair: forall x. p(x), p(x) -o p(x), p(x)
+init: tok(a), p(a), p(a), next(a, b), next(b, a)
+"""
+
+
+# the loop swaps u and v; p(u) is enabled at the loop's one state, p(v) is
+# not, so in the unrolled trace p(u) is enabled every other state only
+SWAP_SYS = """
+rule mk: go -o exists u, v. tok(u, v), p(u), p(v)
+rule swap: forall x, y. tok(x, y) -o tok(y, x)
+rule look: forall x, y. tok(x, y), p(x) -o tok(x, y), p(x)
+init: go
+"""
+
+
+def _fixed_lassos(lasso1, lasso2, lasso3):
+    prefix = parse_system(PREFIX_SYS)
+    tr = build_trace(prefix, [("start", {}), ("pass", {"x": "n0", "y": "n1"}),
+                              ("pass", {"x": "n1", "y": "n0"})])
+    pair = build_trace(parse_system(PAIR_SYS), [("move", {"x": "a", "y": "b"}),
+                                                ("move", {"x": "b", "y": "a"})])
+    swap_sys = parse_system(SWAP_SYS)
+    swap = Trace(swap_sys, swap_sys.initial)
+    xi = swap.extend(Inst.make(swap_sys.rule("mk"), {})).xi_map()
+    swap.extend(Inst.make(swap_sys.rule("swap"), {"x": Const(xi["u"]), "y": Const(xi["v"])}))
+    # four tokens passed round twelve nodes by the fair scheduler, which
+    # brings them back after twelve steps
+    nodes = [f"n{(5 * i) % 12}" for i in range(12)]
+    ring = parse_system(
+        "rule pass: forall x, y. tok(x), next(x, y) -o tok(y), next(x, y)\ninit: "
+        + ", ".join(f"next({a}, {b})" for a, b in zip(nodes, nodes[1:] + nodes[:1]))
+        + ", " + ", ".join(f"tok({n})" for n in nodes[::3]) + "\n")
+    run = fair_execute(ring, ring.initial, budget=12, seed=3)
+    assert run.final() == ring.initial
+    return [lasso1, lasso2, lasso3, LassoTrace(tr, 1), LassoTrace(pair, 0), LassoTrace(swap, 1),
+            _ring_lasso([f"n{i}" for i in range(6)]), LassoTrace(run, 0)]
+
+
+def _assert_matches_reference(lt):
+    report = fairness_report(lt)
+    fresh = LassoTrace(lt.trace, lt.loop_start)
+    for (variety, strength), v in report.items():
+        assert v == reference_check_fairness(fresh, variety, strength), (variety, strength)
+    an = lt._analysis
+    for j in range(len(lt.trace.steps)):
+        assert an.applicable_at(j) == lt.trace.mrs.applicable(lt.trace.states[j]), j
+
+
+def test_shared_analysis_matches_reference_checker(lasso1, lasso2, lasso3):
+    lassos = _random_lassos(7, 250) + _fixed_lassos(lasso1, lasso2, lasso3)
+    periods = [max(_analysis_of(lt).cyc.values(), default=1) for lt in lassos]
+    assert len(lassos) >= 100 and sum(p > 1 for p in periods) >= 10
+    for lt in lassos:
+        _assert_matches_reference(lt)
+
+
+def test_verdicts_match_the_definitions_on_unrolled_lassos(lasso1, lasso2, lasso3):
+    lassos = _random_lassos(11, 150) + _fixed_lassos(lasso1, lasso2, lasso3)
+    unfair = 0
+    for lt in lassos:
+        fair = {key: v.fair for key, v in fairness_report(lt).items()}
+        assert fair == definitional_report(lt), (
+            lt.trace.mrs.source, [s.to_str() for s in lt.trace.steps], lt.loop_start)
+        unfair += sum(not v for v in fair.values())
+    assert unfair >= 50
+
+
+def test_ring_with_stay_pins_all_nine_verdicts():
+    lt = _ring_lasso([f"n{(7 * i) % 20}" for i in range(20)])
+    fair = {key: v.fair for key, v in fairness_report(lt).items()}
+    assert fair == {
+        ("rule", "weak"): False, ("rule", "strong"): False, ("rule", "uber"): False,
+        ("fact", "weak"): True, ("fact", "strong"): True, ("fact", "uber"): False,
+        ("inst", "weak"): True, ("inst", "strong"): False, ("inst", "uber"): False,
+    }
+    assert fairness_report(lt)[("rule", "weak")].witness == {"kind": "rule", "rule": "stay"}
+
+
+# -- the analysis kept with its lasso ---------------------------------------------
+
+
+def test_extended_trace_gets_a_fresh_analysis():
+    lt = _ring_lasso(["n0", "n1", "n2"])
+    before = fairness_report(lt)
+    first = lt._analysis
+    assert before == fairness_report(lt) and lt._analysis is first
+    # a second round of the same loop: the lasso grows and stays valid
+    for s in list(lt.trace.steps):
+        lt.trace.extend(s.inst, s.xi_map())
+    after = fairness_report(lt)
+    assert lt._analysis is not first and lt._analysis.L == 6
+    assert after == fairness_report(LassoTrace(lt.trace, 0))
+
+
+def test_report_is_the_nine_verdicts(lasso1, lasso2):
+    for lt in (lasso1, lasso2):
+        report = fairness_report(lt)
+        assert list(report) == [(v, s) for v in VARIETIES for s in STRENGTHS]
+        assert report == {(v, s): check_fairness(LassoTrace(lt.trace, lt.loop_start), v, s)
+                          for v, s in report}
+
+
+def test_lasso_without_loop_builds_no_analysis():
+    lt = LassoTrace(build_trace(parse_system(SEP1), [("a", {"x": "c"})]))
+    assert all(v.fair for v in fairness_report(lt).values())
+    assert lt._analysis is None
+
+
+def test_invalid_lasso_raises_on_every_verdict():
+    mrs = parse_system(SEP2)
+    tr = Trace(mrs, mrs.initial)
+    tr.extend(Inst.make(mrs.rule("r"), {"x": Const("a"), "y": Const("b0")}))
+    lt = LassoTrace(tr, 0)
+    for variety, strength in [("rule", "weak"), ("inst", "uber")]:
+        with pytest.raises(InvalidLasso):
+            check_fairness(lt, variety, strength)
+    assert lt._analysis is None
+
+
+def test_sill_steps_of_one_rule_stay_distinct_candidates():
+    # two divergent spins: every step is a ground rule named unquote with
+    # an empty theta, so candidates must not be told apart by name and theta
+    state = Multiset.of([proc_fact("r", divergent("r", One())),
+                         proc_fact("q", divergent("q", One()))])
+    system = SillSystem()
+    for picks in ([0], [1], [0, 1]):
+        tr = Trace(system, state)
+        for p in picks:
+            tr.extend(system.applicable(state)[p])
+        lt = LassoTrace(tr, 0)
+        fair = {key: v.fair for key, v in fairness_report(lt).items()}
+        assert fair == definitional_report(lt)
+        both = len(picks) == 2
+        assert fair[("inst", "weak")] == fair[("inst", "strong")] == both
+        assert fair[("fact", "weak")] == both and fair[("rule", "weak")]

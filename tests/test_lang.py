@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from sill.lang import (
     AndVal, Arrow, Case, Close, CyclicSharing, Cut, Down, FApp, Fix, FVar,
     FwdNeg, FwdPos, IllFormed, IllTyped, ImpVal, Interface, InterfaceMismatch,
-    Lam, LinearityError, Lolli, MsgF, NotAMessage, One, ParseError, Plus,
+    Lam, LinearityError, Lolli, MsgF, One, ParseError, Plus,
     ProcF, ProcType, Quote, Rec, RecvChan, RecvShift, RecvVal, SendChan,
     SendLabel, SendShift, SendUnfold, SendVal, SillTypeError, Tensor, TVar,
-    UnboundTypeVariable, Unquote, Up, Wait, With, carrier_continuation,
+    UnboundTypeVariable, Unquote, Up, Wait, With,
     check_config, check_proc, check_term, check_type, fc, message_parts,
-    module_to_str, oc_ic, parse, parse_proc, parse_term, parse_type,
+    module_to_str, parse, parse_proc, parse_term, parse_type,
     polarity, proc_to_str, type_eq, type_to_str, unfold_rec,
 )
 from sill.lang.ast import functype_eq, make_message
@@ -283,30 +283,6 @@ def test_message_parts_all_shapes():
         assert info.cont == cont
         expected_key = "a" if pol == "positive" or kind == "close" else "d"
         assert key == expected_key
-
-
-def test_carrier_continuation_and_oc_ic():
-    key, proc = make_message("shift", "positive", "a", "d")
-    fact = MsgF(key, proc)
-    assert carrier_continuation(fact) == ("a", "d")
-    # a positive shift leaves both its channels as outputs
-    types = {"a": Down(Up(One())), "d": Up(One())}
-    assert oc_ic(fact, types) == ({"a", "d"}, set())
-
-    key2, proc2 = make_message("shift", "negative", "a", "d")
-    fact2 = MsgF(key2, proc2)
-    assert key2 == "d"
-    assert carrier_continuation(fact2) == ("a", "d")
-    types2 = {"a": Up(One()), "d": One()}
-    assert oc_ic(fact2, types2) == ({"a", "d"}, set())
-
-    key3, proc3 = make_message("label", "positive", "a", "d", "z")
-    fact3 = MsgF(key3, proc3)
-    t3 = {"a": Plus((("z", One()),)), "d": One()}
-    assert oc_ic(fact3, t3) == ({"a"}, {"d"})
-
-    with pytest.raises(NotAMessage):
-        carrier_continuation(ProcF("c", Wait("a", Close("c"))))
 
 
 def test_messages_typecheck_as_processes():

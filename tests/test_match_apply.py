@@ -4,8 +4,12 @@ The queue system is the running example: e1 appends at the back sentinel,
 e2 walks an enqueue request down the chain.
 """
 
-import pytest
+import random
 
+import pytest
+from helpers import random_mrs
+
+from sill.msr import rules as rules_mod
 from sill.msr import (
     Const,
     Fact,
@@ -19,7 +23,7 @@ from sill.msr import (
     parse_system,
     parallel_combine,
 )
-from sill.msr.rules import IDENTITY, match_all, match_rule
+from sill.msr.rules import IDENTITY, FactIndex, _equiv_key, match_all, match_rule
 
 QUEUE_SRC = """
 rule e1: forall x, y. enq(x, y), queue(x, end) -o exists z. queue(x, cell(y, z)), queue(z, end)
@@ -184,3 +188,52 @@ def test_identity_is_a_unit(queue):
     e1 = queue.rule("e1")
     assert parallel_combine(IDENTITY, e1) == e1
     assert parallel_combine(e1, IDENTITY) == e1
+
+
+def _two_pass_match_all(rules, state):
+    """Each rule's instantiations deduplicated by key, then all of them
+    deduplicated across rules again: the enumeration before it was one
+    pass."""
+    out, keys = [], set()
+    for r in rules:
+        own, own_keys = [], set()
+        for inst in FactIndex(state).insts(r):
+            if _equiv_key(inst) not in own_keys:
+                own_keys.add(_equiv_key(inst))
+                own.append(inst)
+        for inst in own:
+            if _equiv_key(inst) not in keys:
+                keys.add(_equiv_key(inst))
+                out.append(inst)
+    return out
+
+
+def test_applicable_keys_each_candidate_once(monkeypatch):
+    # r2 duplicates r1, and r3's (c, d) and (d, c) consume and produce alike
+    mrs = parse_system("""
+rule r1: forall x. a(x) -o b(x)
+rule r2: forall y. a(y) -o b(y)
+rule r3: forall x, y. a(x), a(y) -o a(x), a(y)
+init: a(c), a(d), a(d)
+""")
+    keyed = []
+    monkeypatch.setattr(rules_mod, "_equiv_key", lambda i: keyed.append(i) or _equiv_key(i))
+    insts = mrs.applicable(mrs.initial)
+    index = FactIndex(mrs.initial)
+    candidates = [i for r in mrs.rules for i in index.insts(r)]
+    assert keyed == candidates
+    assert [i.to_str() for i in insts] == ["r1[x := c]", "r1[x := d]", "r3[x := c, y := d]",
+                                           "r3[x := d, y := d]"]
+
+
+def test_one_pass_enumeration_keeps_list_and_order():
+    rng = random.Random(4)
+    for _ in range(300):
+        mrs = random_mrs(rng)
+        tr = Trace(mrs, mrs.initial)
+        for _ in range(4):
+            insts = match_all(mrs.rules, tr.final())
+            assert insts == _two_pass_match_all(mrs.rules, tr.final())
+            if not insts:
+                break
+            tr.extend(rng.choice(insts))
