@@ -593,25 +593,17 @@ def _birth_type(types: dict, step) -> ast.SessionType:
     t = types.get(p.chan)
     if t is None:
         raise PreservationViolation(f"no recorded type for {p.chan}")
+    sent = ast.send_kind(p)
     try:
-        if isinstance(p, ast.SendLabel):
-            cont = t.branch(p.label)
-            if cont is None:
-                raise PreservationViolation(
-                    f"channel {p.chan}: label {p.label} not in its type")
-            return cont
-        if isinstance(p, ast.SendChan):
-            return t.right
-        if isinstance(p, ast.SendShift):
-            return t.body
-        if isinstance(p, ast.SendUnfold):
-            return ast.unfold_rec(t)
-        if isinstance(p, ast.SendVal):
-            return t.body
-    except (AttributeError, KeyError) as ex:
+        conts = ast.message_cont(sent[0], t, sent[1]) if sent else ()
+    except SillTypeError as ex:
         raise PreservationViolation(f"channel {p.chan}: {ex}") from ex
-    raise PreservationViolation(f"rule {step.inst.rule.name} created an "
-                                f"unexpected fresh channel")
+    if not conts:
+        raise PreservationViolation(f"rule {step.inst.rule.name} created an "
+                                    f"unexpected fresh channel")
+    # the carrier's continuation is the last entry, after a paired
+    # channel's type
+    return conts[-1]
 
 
 def _violation(idx: int, ex: SillError) -> PreservationViolation:

@@ -21,14 +21,8 @@ from .msr.multiset import Fact, Multiset
 from .msr.rules import Signature, apply_inst
 from .obs import (
     BOT,
-    Bot,
-    CloseMsg,
     CommTree,
     Label,
-    Pair,
-    Shift,
-    Unfold,
-    Val,
     ValueRelation,
     check_comm,
     comm_eq,
@@ -187,84 +181,64 @@ def _gen(n: int, i: str, a: ast.SessionType, v: CommTree, r: str,
     def no(held):
         return spin(ytype, held)
 
-    if isinstance(v, Bot):
+    if v.kind == "bot":
         return [yes(hold)]
     if ast.polarity(a) != speaks_when:
         # the examined side only receives here, so nothing is ever seen
         return [no(hold)]
 
-    if isinstance(v, CloseMsg):
+    conts = ast.message_cont(v.kind, a, v.payload)
+    if v.kind == "close":
         return [ast.Wait(i, yes(extra))]
 
-    if isinstance(v, Label):
-        def branches(k_body):
-            out = []
-            for l, t in a.branches:
-                if l == v.label:
-                    out.append((l, k_body))
-                else:
-                    out.append((l, no(extra + ((i, t),))))
-            return tuple(out)
-
-        cont_t = a.branch(v.label)
-        if n == 0:
-            return [ast.Case(i, branches(yes(extra + ((i, cont_t),))))]
-        return [ast.Case(i, branches(e))
-                for e in _gen(n - 1, i, cont_t, v.rest, r, ytype, speaks_when,
-                              provides, extra, fresh, oracle)]
-
-    if isinstance(v, Unfold):
-        t = ast.unfold_rec(a)
-        if n == 0:
-            return [ast.RecvUnfold(i, yes(extra + ((i, t),)))]
-        return [ast.RecvUnfold(i, e)
-                for e in _gen(n - 1, i, t, v.rest, r, ytype, speaks_when,
-                              provides, extra, fresh, oracle)]
-
-    if isinstance(v, Shift):
-        if n == 0:
-            return [ast.RecvShift(i, yes(extra + ((i, a.body),)))]
-        return [ast.RecvShift(i, e)
-                for e in _gen(n - 1, i, a.body, v.rest, r, ytype, speaks_when,
-                              provides, extra, fresh, oracle)]
-
-    if isinstance(v, Pair):
+    if v.kind == "chan":
         x = fresh()
+        left, right = conts
         if n == 0:
-            return [ast.RecvChan(x, i,
-                                 yes(extra + ((x, a.left), (i, a.right))))]
+            return [ast.RecvChan(x, i, yes(extra + ((x, left), (i, right))))]
         drop = [ast.RecvChan(x, i, e)
-                for e in _gen(n - 1, i, a.right, v.rest, r, ytype, speaks_when,
-                              provides, extra + ((x, a.left),), fresh, oracle)]
+                for e in _gen(n - 1, i, right, v.children[1], r, ytype,
+                              speaks_when, provides, extra + ((x, left),),
+                              fresh, oracle)]
         # the received channel is on the experiment's used side either way,
         # so its provider speaks at positive types
         take = [ast.RecvChan(x, i, e)
-                for e in _gen(n - 1, x, a.left, v.payload, r, ytype,
-                              ast.POSITIVE, provides,
-                              extra + ((i, a.right),), fresh, oracle)]
+                for e in _gen(n - 1, x, left, v.children[0], r, ytype,
+                              ast.POSITIVE, provides, extra + ((i, right),),
+                              fresh, oracle)]
         return drop + take
 
-    if isinstance(v, Val):
+    # label, unfold, shift and val: a receive prefix, then one continuation
+    (cont_t,) = conts
+    if v.kind == "label":
+        def prefix(body):
+            return ast.Case(i, tuple(
+                (l, body if l == v.payload else no(extra + ((i, t),)))
+                for l, t in a.branches))
+    elif v.kind == "val":
         c = fresh()
         otype = oracle_type(a.vtype)
 
-        def wrap(tail):
+        def prefix(body):
             inner = ast.Case(c, (
-                ("tt", ast.Wait(c, tail)),
-                ("ff", no(extra + ((c, ast.One()), (i, a.body)))),
+                ("tt", ast.Wait(c, body)),
+                ("ff", no(extra + ((c, ast.One()), (i, cont_t)))),
             ))
             client = ast.RecvVal("x", i,
                                  ast.SendVal(c, ast.FVar("x"),
                                              ast.SendShift(c, inner)))
             return ast.Cut(c, otype, oracle(c, a.vtype), client)
+    else:
+        recv = ast.RecvUnfold if v.kind == "unfold" else ast.RecvShift
 
-        if n == 0:
-            return [wrap(yes(extra + ((i, a.body),)))]
-        return [wrap(e)
-                for e in _gen(n - 1, i, a.body, v.rest, r, ytype, speaks_when,
-                              provides, extra, fresh, oracle)]
+        def prefix(body):
+            return recv(i, body)
 
-    raise TypeError(f"not a communication tree: {v!r}")
+    if n == 0:
+        return [prefix(yes(extra + ((i, cont_t),)))]
+    return [prefix(e)
+            for e in _gen(n - 1, i, cont_t, v.children[0], r, ytype,
+                          speaks_when, provides, extra, fresh, oracle)]
 
 
 def _fresh_namer(avoid: set[str]) -> Callable[[], str]:

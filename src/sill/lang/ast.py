@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from .errors import UnboundTypeVariable
+from .errors import SillTypeError, UnboundTypeVariable
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -45,8 +45,7 @@ def _sorted_branches(branches) -> tuple:
 
 @dataclass(frozen=True)
 class One:
-    def __str__(self) -> str:
-        return type_to_str(self)
+    pass
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,6 @@ class Plus:
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.branches)
 
-    def __str__(self) -> str:
-        return type_to_str(self)
-
 
 @dataclass(frozen=True)
 class With:
@@ -85,17 +81,11 @@ class With:
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.branches)
 
-    def __str__(self) -> str:
-        return type_to_str(self)
-
 
 @dataclass(frozen=True)
 class Tensor:
     left: SessionType
     right: SessionType
-
-    def __str__(self) -> str:
-        return type_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -103,24 +93,15 @@ class Lolli:
     left: SessionType
     right: SessionType
 
-    def __str__(self) -> str:
-        return type_to_str(self)
-
 
 @dataclass(frozen=True)
 class Down:
     body: SessionType
 
-    def __str__(self) -> str:
-        return type_to_str(self)
-
 
 @dataclass(frozen=True)
 class Up:
     body: SessionType
-
-    def __str__(self) -> str:
-        return type_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -128,16 +109,10 @@ class Rec:
     var: str
     body: SessionType
 
-    def __str__(self) -> str:
-        return type_to_str(self)
-
 
 @dataclass(frozen=True)
 class TVar:
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -145,17 +120,11 @@ class AndVal:
     vtype: FuncType
     body: SessionType
 
-    def __str__(self) -> str:
-        return type_to_str(self)
-
 
 @dataclass(frozen=True)
 class ImpVal:
     vtype: FuncType
     body: SessionType
-
-    def __str__(self) -> str:
-        return type_to_str(self)
 
 
 def polarity(a: SessionType, xi: Optional[Mapping[str, str]] = None) -> str:
@@ -175,27 +144,6 @@ def polarity(a: SessionType, xi: Optional[Mapping[str, str]] = None) -> str:
         inner[a.var] = POSITIVE
         return polarity(a.body, inner)
     raise TypeError(f"not a session type: {a!r}")
-
-
-def free_tvars(a: SessionType) -> set[str]:
-    if isinstance(a, TVar):
-        return {a.name}
-    if isinstance(a, (Plus, With)):
-        out: set[str] = set()
-        for _, t in a.branches:
-            out |= free_tvars(t)
-        return out
-    if isinstance(a, (Tensor, Lolli)):
-        return free_tvars(a.left) | free_tvars(a.right)
-    if isinstance(a, (Down, Up, AndVal, ImpVal)):
-        return free_tvars(a.body)
-    if isinstance(a, Rec):
-        return free_tvars(a.body) - {a.var}
-    return set()
-
-
-def closed_type(a: SessionType) -> bool:
-    return not free_tvars(a)
 
 
 def subst_tvar(a: SessionType, name: str, repl: SessionType) -> SessionType:
@@ -278,17 +226,11 @@ class Arrow:
     arg: FuncType
     res: FuncType
 
-    def __str__(self) -> str:
-        return functype_to_str(self)
-
 
 @dataclass(frozen=True)
 class ProcType:
     offered: tuple[str, SessionType]
     used: tuple[tuple[str, SessionType], ...] = ()
-
-    def __str__(self) -> str:
-        return functype_to_str(self)
 
 
 def canon_functype(t: FuncType) -> FuncType:
@@ -315,9 +257,6 @@ def functype_eq(a: FuncType, b: FuncType) -> bool:
 class FVar:
     name: str
 
-    def __str__(self) -> str:
-        return term_to_str(self)
-
 
 @dataclass(frozen=True)
 class Lam:
@@ -325,17 +264,11 @@ class Lam:
     ann: FuncType
     body: FuncTerm
 
-    def __str__(self) -> str:
-        return term_to_str(self)
-
 
 @dataclass(frozen=True)
 class FApp:
     fn: FuncTerm
     arg: FuncTerm
-
-    def __str__(self) -> str:
-        return term_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -343,18 +276,12 @@ class Fix:
     var: str
     body: FuncTerm
 
-    def __str__(self) -> str:
-        return term_to_str(self)
-
 
 @dataclass(frozen=True)
 class Quote:
     offered: tuple[str, SessionType]
     body: "Process"
     used: tuple[tuple[str, SessionType], ...] = ()
-
-    def __str__(self) -> str:
-        return term_to_str(self)
 
 
 def is_value(m: FuncTerm) -> bool:
@@ -405,17 +332,11 @@ class FwdPos:
     src: str
     dst: str
 
-    def __str__(self) -> str:
-        return proc_to_str(self)
-
 
 @dataclass(frozen=True)
 class FwdNeg:
     src: str
     dst: str
-
-    def __str__(self) -> str:
-        return proc_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -431,16 +352,10 @@ class Cut:
     left: "Process"
     right: "Process"
 
-    def __str__(self) -> str:
-        return proc_to_str(self)
-
 
 @dataclass(frozen=True)
 class Close:
     chan: str
-
-    def __str__(self) -> str:
-        return proc_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -448,18 +363,12 @@ class Wait:
     chan: str
     cont: "Process"
 
-    def __str__(self) -> str:
-        return proc_to_str(self)
-
 
 @dataclass(frozen=True)
 class SendLabel:
     chan: str
     label: str
     cont: "Process"
-
-    def __str__(self) -> str:
-        return proc_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -476,18 +385,12 @@ class Case:
                 return p
         return None
 
-    def __str__(self) -> str:
-        return proc_to_str(self)
-
 
 @dataclass(frozen=True)
 class SendChan:
     chan: str
     payload: str
     cont: "Process"
-
-    def __str__(self) -> str:
-        return proc_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -496,17 +399,11 @@ class RecvChan:
     chan: str
     cont: "Process"
 
-    def __str__(self) -> str:
-        return proc_to_str(self)
-
 
 @dataclass(frozen=True)
 class SendShift:
     chan: str
     cont: "Process"
-
-    def __str__(self) -> str:
-        return proc_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -514,26 +411,17 @@ class RecvShift:
     chan: str
     cont: "Process"
 
-    def __str__(self) -> str:
-        return proc_to_str(self)
-
 
 @dataclass(frozen=True)
 class SendUnfold:
     chan: str
     cont: "Process"
 
-    def __str__(self) -> str:
-        return proc_to_str(self)
-
 
 @dataclass(frozen=True)
 class RecvUnfold:
     chan: str
     cont: "Process"
-
-    def __str__(self) -> str:
-        return proc_to_str(self)
 
 
 @dataclass(frozen=True)
@@ -542,9 +430,6 @@ class SendVal:
     term: FuncTerm
     cont: "Process"
 
-    def __str__(self) -> str:
-        return proc_to_str(self)
-
 
 @dataclass(frozen=True)
 class RecvVal:
@@ -552,18 +437,12 @@ class RecvVal:
     chan: str
     cont: "Process"
 
-    def __str__(self) -> str:
-        return proc_to_str(self)
-
 
 @dataclass(frozen=True)
 class Unquote:
     chan: str
     term: FuncTerm
     used: tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        return proc_to_str(self)
 
 
 def fc(p: Process) -> set[str]:
@@ -753,15 +632,6 @@ class Interface:
     internal: tuple[tuple[str, SessionType], ...] = ()
     provided: tuple[tuple[str, SessionType], ...] = ()
 
-    def used_map(self) -> dict[str, SessionType]:
-        return dict(self.used)
-
-    def internal_map(self) -> dict[str, SessionType]:
-        return dict(self.internal)
-
-    def provided_map(self) -> dict[str, SessionType]:
-        return dict(self.provided)
-
     def all_types(self) -> dict[str, SessionType]:
         out = dict(self.used)
         out.update(self.internal)
@@ -843,14 +713,81 @@ class Module:
 
 # -- message shapes --------------------------------------------------------------
 
+# The kinds of message, and the only copy of what each kind is: the send
+# construct that emits it, with the field holding its payload, and the
+# connectives it is sent at.  Message classification, observation, the
+# checking of observed trees, experiment generation and the typing of
+# channels at birth all read these two tables, through send_kind,
+# message_parts, make_message and message_cont.
+MSG_SEND: dict[str, tuple[type, Optional[str]]] = {
+    "close": (Close, None),
+    "label": (SendLabel, "label"),
+    "chan": (SendChan, "payload"),
+    "shift": (SendShift, None),
+    "unfold": (SendUnfold, None),
+    "val": (SendVal, "term"),
+}
+MSG_TYPES: dict[str, tuple[type, ...]] = {
+    "close": (One,),
+    "label": (Plus, With),
+    "chan": (Tensor, Lolli),
+    "shift": (Down, Up),
+    "unfold": (Rec,),
+    "val": (AndVal, ImpVal),
+}
+_SEND_KIND = {cls: (kind, fld) for kind, (cls, fld) in MSG_SEND.items()}
+
 
 @dataclass(frozen=True)
 class MsgInfo:
     polarity: str
-    kind: str  # close | label | chan | val | shift | unfold
+    kind: str  # a key of MSG_SEND
     carrier: str
     cont: Optional[str]
     payload: object = None
+
+
+def send_kind(p: Process) -> Optional[tuple[str, object]]:
+    """(kind, payload) of a send construct; None for any other process."""
+    entry = _SEND_KIND.get(type(p))
+    if entry is None:
+        return None
+    kind, fld = entry
+    return kind, (getattr(p, fld) if fld else None)
+
+
+def message_cont(kind: str, a: SessionType,
+                 payload: object = None) -> tuple[SessionType, ...]:
+    """Continuation types of a kind message sent at type a.
+
+    () for close; (left, right) for chan, the payload's type and then the
+    carrier's; otherwise the one type the carrier continues at.  Raises
+    SillTypeError when a is not a connective the kind is sent at, or does
+    not offer the label.
+    """
+    if not isinstance(a, MSG_TYPES[kind]):
+        raise SillTypeError(f"{kind} message at type {type_to_str(a)}")
+    if kind == "close":
+        return ()
+    if kind == "chan":
+        return a.left, a.right
+    if kind == "label":
+        cont = a.branch(payload)
+        if cont is None:
+            raise SillTypeError(f"label {payload} not offered by {type_to_str(a)}")
+        return (cont,)
+    if kind == "unfold":
+        return (unfold_rec(a),)
+    return (a.body,)
+
+
+def _forwards(kind: str) -> tuple[type, type]:
+    """The forward ending a positive and a negative kind message.
+
+    The continuation of a positive shift is negative, so a shift's forwards
+    are flipped relative to every other kind's.
+    """
+    return (FwdNeg, FwdPos) if kind == "shift" else (FwdPos, FwdNeg)
 
 
 def message_parts(chan: str, p: Process) -> Optional[MsgInfo]:
@@ -861,73 +798,36 @@ def message_parts(chan: str, p: Process) -> Optional[MsgInfo]:
     negative message is keyed by its continuation d and ends in the dual
     forward.  Returns None when the shape (or the fact channel) is wrong.
     """
-    if isinstance(p, Close):
-        return MsgInfo(POSITIVE, "close", p.chan, None) if p.chan == chan else None
-    if isinstance(p, SendLabel):
-        a, k, c = p.chan, p.label, p.cont
-        if isinstance(c, FwdPos) and c.dst == a and chan == a:
-            return MsgInfo(POSITIVE, "label", a, c.src, k)
-        if isinstance(c, FwdNeg) and c.src == a and chan == c.dst:
-            return MsgInfo(NEGATIVE, "label", a, c.dst, k)
+    sent = send_kind(p)
+    if sent is None:
         return None
-    if isinstance(p, SendChan):
-        a, b, c = p.chan, p.payload, p.cont
-        if isinstance(c, FwdPos) and c.dst == a and chan == a:
-            return MsgInfo(POSITIVE, "chan", a, c.src, b)
-        if isinstance(c, FwdNeg) and c.src == a and chan == c.dst:
-            return MsgInfo(NEGATIVE, "chan", a, c.dst, b)
+    kind, payload = sent
+    a = p.chan
+    if kind == "close":
+        return MsgInfo(POSITIVE, kind, a, None) if a == chan else None
+    if kind == "val" and not is_value(payload):
         return None
-    if isinstance(p, SendVal):
-        a, m, c = p.chan, p.term, p.cont
-        if not is_value(m):
-            return None
-        if isinstance(c, FwdPos) and c.dst == a and chan == a:
-            return MsgInfo(POSITIVE, "val", a, c.src, m)
-        if isinstance(c, FwdNeg) and c.src == a and chan == c.dst:
-            return MsgInfo(NEGATIVE, "val", a, c.dst, m)
-        return None
-    if isinstance(p, SendShift):
-        a, c = p.chan, p.cont
-        # the continuation of a positive shift is negative, hence the
-        # polarity of the trailing forward flips relative to the other kinds
-        if isinstance(c, FwdNeg) and c.dst == a and chan == a:
-            return MsgInfo(POSITIVE, "shift", a, c.src)
-        if isinstance(c, FwdPos) and c.src == a and chan == c.dst:
-            return MsgInfo(NEGATIVE, "shift", a, c.dst)
-        return None
-    if isinstance(p, SendUnfold):
-        a, c = p.chan, p.cont
-        if isinstance(c, FwdPos) and c.dst == a and chan == a:
-            return MsgInfo(POSITIVE, "unfold", a, c.src)
-        if isinstance(c, FwdNeg) and c.src == a and chan == c.dst:
-            return MsgInfo(NEGATIVE, "unfold", a, c.dst)
-        return None
+    pos, neg = _forwards(kind)
+    c = p.cont
+    if isinstance(c, pos) and c.dst == a and chan == a:
+        return MsgInfo(POSITIVE, kind, a, c.src, payload)
+    if isinstance(c, neg) and c.src == a and chan == c.dst:
+        return MsgInfo(NEGATIVE, kind, a, c.dst, payload)
     return None
 
 
 def make_message(kind: str, pol: str, carrier: str, cont: Optional[str],
                  payload: object = None) -> tuple[str, Process]:
     """Build (fact channel, message process) for the given message shape."""
+    if kind not in MSG_SEND:
+        raise ValueError(f"unknown message kind {kind!r}")
     a, d = carrier, cont
     if kind == "close":
         return a, Close(a)
-    if pol == POSITIVE:
-        tail = FwdNeg(d, a) if kind == "shift" else FwdPos(d, a)
-        key = a
-    else:
-        tail = FwdPos(a, d) if kind == "shift" else FwdNeg(a, d)
-        key = d
-    if kind == "label":
-        return key, SendLabel(a, payload, tail)
-    if kind == "chan":
-        return key, SendChan(a, payload, tail)
-    if kind == "val":
-        return key, SendVal(a, payload, tail)
-    if kind == "shift":
-        return key, SendShift(a, tail)
-    if kind == "unfold":
-        return key, SendUnfold(a, tail)
-    raise ValueError(f"unknown message kind {kind!r}")
+    cls, fld = MSG_SEND[kind]
+    pos, neg = _forwards(kind)
+    tail, key = (pos(d, a), a) if pol == POSITIVE else (neg(a, d), d)
+    return key, (cls(a, payload, tail) if fld else cls(a, tail))
 
 
 # -- printing --------------------------------------------------------------------

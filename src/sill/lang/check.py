@@ -19,7 +19,6 @@ from .errors import (
     IllTyped,
     InterfaceMismatch,
     LinearityError,
-    NotAMessage,
     SillError,
     SillTypeError,
     UnboundTypeVariable,
@@ -27,7 +26,7 @@ from .errors import (
 
 __all__ = [
     "ConfigTyping", "CyclicSharing", "IllFormed", "IllTyped", "InterfaceMismatch",
-    "LinearityError", "NotAMessage", "SillError", "SillTypeError",
+    "LinearityError", "SillError", "SillTypeError",
     "UnboundTypeVariable", "check_config", "check_functype", "check_proc",
     "check_term", "check_type",
 ]

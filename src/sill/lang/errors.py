@@ -34,10 +34,6 @@ class LinearityError(SillTypeError):
     """A channel is used twice or left unconsumed."""
 
 
-class NotAMessage(SillError):
-    """Asked for message structure of a fact that is not a message."""
-
-
 class IllTyped(SillError):
     """A configuration fact fails to typecheck."""
 

@@ -1,9 +1,13 @@
 """Observed communications.
 
 What the environment can see of a run is, per channel, the tree of message
-particles sent across it: labels, paired channels (each observed in turn),
-shifts, unfoldings, functional values, and termination.  Unobserved or
-not-yet-determined communication is the bottom tree.
+particles sent across it.  Every tree is one node form, ``CommTree(kind,
+payload, children)``: kind is a message kind of ``ast.MsgInfo``, or "bot"
+for unobserved or not-yet-determined communication; payload is a label, a
+functional value, or None; children are the trees observed at the
+continuation types ``ast.message_cont`` gives the kind, in its order (a
+paired channel's tree, then its carrier's).  Each operation on trees is one
+fold over this form.
 
 Trees are cut off at a finite depth, so every observation here is a finite
 prefix of the (possibly infinite) full communication.
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from .dynamics import SillSystem, classify_fact, run
 from .lang import ast
@@ -22,77 +26,52 @@ from .lang.errors import SillError, SillTypeError
 from .msr.multiset import Multiset
 from .msr.trace import Trace
 
-CommTree = Union["Bot", "CloseMsg", "Label", "Pair", "Shift", "Unfold", "Val"]
-
 
 @dataclass(frozen=True)
-class Bot:
-    """Nothing observed (yet)."""
+class CommTree:
+    kind: str
+    payload: object = None
+    children: tuple["CommTree", ...] = ()
 
 
-@dataclass(frozen=True)
-class CloseMsg:
-    pass
+BOT = CommTree("bot")
 
 
-@dataclass(frozen=True)
-class Label:
-    label: str
-    rest: CommTree
+def CloseMsg() -> CommTree:
+    return CommTree("close")
 
 
-@dataclass(frozen=True)
-class Pair:
-    payload: CommTree
-    rest: CommTree
+def Label(label: str, rest: CommTree) -> CommTree:
+    return CommTree("label", label, (rest,))
 
 
-@dataclass(frozen=True)
-class Shift:
-    rest: CommTree
+def Pair(payload: CommTree, rest: CommTree) -> CommTree:
+    return CommTree("chan", None, (payload, rest))
 
 
-@dataclass(frozen=True)
-class Unfold:
-    rest: CommTree
+def Shift(rest: CommTree) -> CommTree:
+    return CommTree("shift", None, (rest,))
 
 
-@dataclass(frozen=True)
-class Val:
-    value: ast.FuncTerm
-    rest: CommTree
+def Unfold(rest: CommTree) -> CommTree:
+    return CommTree("unfold", None, (rest,))
 
 
-BOT = Bot()
+def Val(value: ast.FuncTerm, rest: CommTree) -> CommTree:
+    return CommTree("val", value, (rest,))
 
 
 def tree_height(t: CommTree) -> int:
-    if isinstance(t, Bot):
+    if t.kind == "bot":
         return 0
-    if isinstance(t, CloseMsg):
-        return 1
-    if isinstance(t, Pair):
-        return 1 + max(tree_height(t.payload), tree_height(t.rest))
-    return 1 + tree_height(t.rest)
+    return 1 + max(map(tree_height, t.children), default=0)
 
 
 def truncate(t: CommTree, n: int) -> CommTree:
-    """Cut a tree off at height n.  Every constructor consumes one unit."""
-    if n <= 0 or isinstance(t, Bot):
+    """Cut a tree off at height n.  Every node but bottom consumes one unit."""
+    if n <= 0:
         return BOT
-    if isinstance(t, CloseMsg):
-        return t
-    if isinstance(t, Label):
-        return Label(t.label, truncate(t.rest, n - 1))
-    if isinstance(t, Pair):
-        return Pair(truncate(t.payload, n - 1), truncate(t.rest, n - 1))
-    if isinstance(t, Shift):
-        return Shift(truncate(t.rest, n - 1))
-    if isinstance(t, Unfold):
-        return Unfold(truncate(t.rest, n - 1))
-    if isinstance(t, Val):
-        return Val(t.value, truncate(t.rest, n - 1))
-    raise TypeError(f"not a communication tree: {t!r}")
+    return CommTree(t.kind, t.payload, tuple(truncate(c, n - 1) for c in t.children))
 
 
 # -- value relations ---------------------------------------------------------------
@@ -109,31 +88,15 @@ def syntactic(v1: ast.FuncTerm, v2: ast.FuncTerm) -> bool:
     return v1 == v2
 
 
-VALUE_RELATIONS: dict[str, ValueRelation] = {
-    "universal": universal,
-    "syntactic": syntactic,
-}
-
-
 def comm_sim(s: CommTree, t: CommTree, vrel: ValueRelation = syntactic) -> bool:
-    """Does t extend s?  Bottom is below everything; elsewhere the shapes
-    must agree, with value payloads compared by vrel."""
-    if isinstance(s, Bot):
+    """Does t extend s?  Bottom is below everything; elsewhere the kinds
+    and labels must agree, with value payloads compared by vrel."""
+    if s.kind == "bot":
         return True
-    if type(s) is not type(t):
+    if s.kind != t.kind:
         return False
-    if isinstance(s, CloseMsg):
-        return True
-    if isinstance(s, Label):
-        return s.label == t.label and comm_sim(s.rest, t.rest, vrel)
-    if isinstance(s, Pair):
-        return (comm_sim(s.payload, t.payload, vrel)
-                and comm_sim(s.rest, t.rest, vrel))
-    if isinstance(s, (Shift, Unfold)):
-        return comm_sim(s.rest, t.rest, vrel)
-    if isinstance(s, Val):
-        return vrel(s.value, t.value) and comm_sim(s.rest, t.rest, vrel)
-    raise TypeError(f"not a communication tree: {s!r}")
+    same = vrel(s.payload, t.payload) if s.kind == "val" else s.payload == t.payload
+    return same and all(comm_sim(a, b, vrel) for a, b in zip(s.children, t.children))
 
 
 def comm_eq(s: CommTree, t: CommTree, vrel: ValueRelation = syntactic) -> bool:
@@ -145,44 +108,13 @@ def comm_eq(s: CommTree, t: CommTree, vrel: ValueRelation = syntactic) -> bool:
 
 def check_comm(t: CommTree, a: ast.SessionType) -> None:
     """Raise unless t is a possible communication at type a."""
-    if isinstance(t, Bot):
+    if t.kind == "bot":
         return
-    if isinstance(t, CloseMsg):
-        if not isinstance(a, ast.One):
-            raise SillTypeError(f"close observed at type {ast.type_to_str(a)}")
-        return
-    if isinstance(t, Label):
-        if not isinstance(a, (ast.Plus, ast.With)):
-            raise SillTypeError(f"label observed at type {ast.type_to_str(a)}")
-        cont = a.branch(t.label)
-        if cont is None:
-            raise SillTypeError(
-                f"label {t.label} not offered by {ast.type_to_str(a)}")
-        check_comm(t.rest, cont)
-        return
-    if isinstance(t, Pair):
-        if not isinstance(a, (ast.Tensor, ast.Lolli)):
-            raise SillTypeError(f"pair observed at type {ast.type_to_str(a)}")
-        check_comm(t.payload, a.left)
-        check_comm(t.rest, a.right)
-        return
-    if isinstance(t, Shift):
-        if not isinstance(a, (ast.Down, ast.Up)):
-            raise SillTypeError(f"shift observed at type {ast.type_to_str(a)}")
-        check_comm(t.rest, a.body)
-        return
-    if isinstance(t, Unfold):
-        if not isinstance(a, ast.Rec):
-            raise SillTypeError(f"unfold observed at type {ast.type_to_str(a)}")
-        check_comm(t.rest, ast.unfold_rec(a))
-        return
-    if isinstance(t, Val):
-        if not isinstance(a, (ast.AndVal, ast.ImpVal)):
-            raise SillTypeError(f"value observed at type {ast.type_to_str(a)}")
-        check_term(t.value, expected=a.vtype)
-        check_comm(t.rest, a.body)
-        return
-    raise TypeError(f"not a communication tree: {t!r}")
+    conts = ast.message_cont(t.kind, a, t.payload)
+    if t.kind == "val":
+        check_term(t.payload, expected=a.vtype)
+    for c, b in zip(t.children, conts):
+        check_comm(c, b)
 
 
 # -- observation -------------------------------------------------------------------
@@ -225,37 +157,17 @@ def observe(tr: Trace, chan: str, depth: int) -> tuple[CommTree, ast.SessionType
         info = msgs.get(c)
         if info is None:
             return BOT
-        k = info.kind
-        if k == "close":
-            if not isinstance(a, ast.One):
-                raise SillError(f"channel {c}: close at {ast.type_to_str(a)}")
-            return CloseMsg()
-        if k == "label":
-            if not isinstance(a, (ast.Plus, ast.With)):
-                raise SillError(f"channel {c}: label at {ast.type_to_str(a)}")
-            cont = a.branch(info.payload)
-            if cont is None:
-                raise SillError(f"channel {c}: label {info.payload} "
-                                f"not in {ast.type_to_str(a)}")
-            return Label(info.payload, walk(info.cont, cont, n - 1))
-        if k == "chan":
-            if not isinstance(a, (ast.Tensor, ast.Lolli)):
-                raise SillError(f"channel {c}: pair at {ast.type_to_str(a)}")
-            return Pair(walk(info.payload, a.left, n - 1),
-                        walk(info.cont, a.right, n - 1))
-        if k == "shift":
-            if not isinstance(a, (ast.Down, ast.Up)):
-                raise SillError(f"channel {c}: shift at {ast.type_to_str(a)}")
-            return Shift(walk(info.cont, a.body, n - 1))
-        if k == "unfold":
-            if not isinstance(a, ast.Rec):
-                raise SillError(f"channel {c}: unfold at {ast.type_to_str(a)}")
-            return Unfold(walk(info.cont, ast.unfold_rec(a), n - 1))
-        if k == "val":
-            if not isinstance(a, (ast.AndVal, ast.ImpVal)):
-                raise SillError(f"channel {c}: value at {ast.type_to_str(a)}")
-            return Val(info.payload, walk(info.cont, a.body, n - 1))
-        raise SillError(f"channel {c}: unrecognized message kind {k!r}")
+        try:
+            conts = ast.message_cont(info.kind, a, info.payload)
+        except SillTypeError as ex:
+            raise SillError(f"channel {c}: {ex}") from None
+        if info.kind == "chan":
+            # the payload is a channel, observed in turn
+            return CommTree("chan", None, (walk(info.payload, conts[0], n - 1),
+                                           walk(info.cont, conts[1], n - 1)))
+        if not conts:
+            return CommTree(info.kind)
+        return CommTree(info.kind, info.payload, (walk(info.cont, conts[0], n - 1),))
 
     a0 = types[chan]
     return walk(chan, a0, depth), a0
@@ -313,38 +225,31 @@ def observe_config(
 # -- serialization -----------------------------------------------------------------
 
 
+# how each kind prints: the head of its string form, where {} stands for
+# the payload, and the tag of its JSON form (None: the tree is JSON null)
+_FORMS = {
+    "bot": ("bot", None),
+    "close": ("close", "close"),
+    "label": ("{}", "label"),
+    "chan": ("pair", "pair"),
+    "shift": ("shift", "shift"),
+    "unfold": ("unfold", "unfold"),
+    "val": ("val [{}]", "val"),
+}
+
+
 def tree_to_json(t: CommTree):
-    """Nested-list encoding; bottom is null."""
-    if isinstance(t, Bot):
+    """Nested-list encoding: the tag, the payload as text if there is one,
+    then the children; bottom is null."""
+    tag = _FORMS[t.kind][1]
+    if tag is None:
         return None
-    if isinstance(t, CloseMsg):
-        return ["close"]
-    if isinstance(t, Label):
-        return ["label", t.label, tree_to_json(t.rest)]
-    if isinstance(t, Pair):
-        return ["pair", tree_to_json(t.payload), tree_to_json(t.rest)]
-    if isinstance(t, Shift):
-        return ["shift", tree_to_json(t.rest)]
-    if isinstance(t, Unfold):
-        return ["unfold", tree_to_json(t.rest)]
-    if isinstance(t, Val):
-        return ["val", ast.term_to_str(t.value), tree_to_json(t.rest)]
-    raise TypeError(f"not a communication tree: {t!r}")
+    payload = () if t.payload is None else (str(t.payload),)
+    return [tag, *payload, *map(tree_to_json, t.children)]
 
 
 def tree_to_str(t: CommTree) -> str:
-    if isinstance(t, Bot):
-        return "bot"
-    if isinstance(t, CloseMsg):
-        return "close"
-    if isinstance(t, Label):
-        return f"({t.label} {tree_to_str(t.rest)})"
-    if isinstance(t, Pair):
-        return f"(pair {tree_to_str(t.payload)} {tree_to_str(t.rest)})"
-    if isinstance(t, Shift):
-        return f"(shift {tree_to_str(t.rest)})"
-    if isinstance(t, Unfold):
-        return f"(unfold {tree_to_str(t.rest)})"
-    if isinstance(t, Val):
-        return f"(val [{ast.term_to_str(t.value)}] {tree_to_str(t.rest)})"
-    raise TypeError(f"not a communication tree: {t!r}")
+    head = _FORMS[t.kind][0].format(t.payload)
+    if not t.children:
+        return head
+    return f"({head} {' '.join(map(tree_to_str, t.children))})"

@@ -9,6 +9,8 @@ from sill.equiv import (
     barbed_sim,
     config_subject,
     divergent,
+    _check_family,
+    _observe_alone,
     equiv_check,
     make_system,
     weak_barb,
@@ -86,3 +88,79 @@ def test_barb_on_unknown_channel_raises(subjects):
     for check in (barb, weak_barb):
         with pytest.raises(UnknownChannel):
             check(state, "d")
+
+
+# -- one subject per connective -------------------------------------------------------
+
+# Providers at conat, a tensor, a down shift and a value; clients of a
+# with, a lolli and a value implication.  The *_changed subjects send one
+# label differently.
+SUBJECTS = """
+type conat = rec a. +{z: 1, s: a}
+type lr = &{l: up 1, r: up 1}
+config conat_p : |- c : conat =
+  proc c { send c unfold; c.s; send c unfold; c.z; close c }
+config tensor_p : |- c : 1 * +{l: 1, r: 1} =
+  proc c { a : 1 <- { close a }; send c <a>; c.l; close c }
+config down_p : |- c : down lr =
+  proc c { send c shift;
+           case c { l => shift <- recv c; close c | r => shift <- recv c; close c } }
+config val_p : |- c : [{z:1 <-}] ^ 1 =
+  proc c { send c [proc(z:1) {close z}]; close c }
+config with_c : d : lr |- e : 1 =
+  proc e { d.l; send d shift; wait d; close e }
+config lolli_c : d : 1 -o up 1 |- e : 1 =
+  proc e { a : 1 <- { close a }; send d <a>; send d shift; wait d; close e }
+config imp_c : d : [{z:1 <-}] => up 1 |- e : 1 =
+  proc e { send d [proc(z:1) {close z}]; send d shift; wait d; close e }
+config conat_p_changed : |- c : conat =
+  proc c { send c unfold; c.z; close c }
+config tensor_p_changed : |- c : 1 * +{l: 1, r: 1} =
+  proc c { a : 1 <- { close a }; send c <a>; c.r; close c }
+config with_c_changed : d : lr |- e : 1 =
+  proc e { d.r; send d shift; wait d; close e }
+"""
+FUEL = 100
+MODES = ("external", "internal", "total")
+CHANGED = ("conat_p", "tensor_p", "with_c")
+
+
+@pytest.fixture(scope="module")
+def by_connective():
+    mod = parse(SUBJECTS)
+    check_module(mod)
+    return {name: config_subject(decl) for name, decl in mod.configs.items()}
+
+
+def test_experiments_from_own_observation_answer_yes(by_connective):
+    # a client subject's used channel takes the L family, every provided
+    # channel the R family
+    for name, subject in by_connective.items():
+        for seed in (None, 0, 1):
+            ref = _observe_alone(subject, FUEL, 6, seed, None)
+            for n in range(6):
+                assert _check_family(ref, subject, n, FUEL, seed, None) is None, \
+                    (name, seed, n)
+
+
+def test_changed_label_yields_a_generated_counterexample(by_connective):
+    for name in CHANGED:
+        subject, changed = by_connective[name], by_connective[f"{name}_changed"]
+        ref = _observe_alone(subject, FUEL, 6, None, None)
+        found = [_check_family(ref, changed, n, FUEL, None, None) for n in range(6)]
+        bad = [f for f in found if f is not None]
+        assert bad and all(f["kind"] == "generated" for f in bad), name
+        for mode in MODES:
+            v = equiv_check(subject, changed, make_system(mode), fuel=FUEL, depth=6)
+            assert v["equivalent"] is False, (name, mode)
+            assert v["counterexample"]["channel"] == bad[0]["channel"]
+
+
+def test_every_subject_is_equivalent_to_itself(by_connective):
+    for name, subject in by_connective.items():
+        if name.endswith("_changed"):
+            continue
+        for mode in MODES:
+            v = equiv_check(subject, subject, make_system(mode), fuel=FUEL, depth=6)
+            assert v == {"mode": mode, "bounded": True, "equivalent": True}, \
+                (name, mode)

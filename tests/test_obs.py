@@ -30,7 +30,6 @@ from sill.lang.ast import (
 from sill.lang.errors import SillError, SillTypeError
 from sill.obs import (
     BOT,
-    Bot,
     CloseMsg,
     Label,
     Observation,
