@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .fairness import fair_execute
 from .lang import ast
+from .lang.ast import BRANCHES, CHAN, CHAN_BINDER, CHANS, CHILD, OPAQUE, TERM
 from .lang.check import ConfigTyping, check_config
 from .lang.errors import SillError, SillTypeError
 from .msr.multiset import Fact, Multiset, fact_key
@@ -42,8 +43,8 @@ from .msr.trace import Trace
 
 DEFAULT_EVAL_FUEL = 10_000
 
-# placeholder channel for rule existentials; '%' keeps it disjoint from
-# source identifiers and from generated runtime names
+# the fresh continuation channel of a message built by make_message; '%'
+# keeps it apart from source identifiers and generated runtime names
 _FRESH = "%fresh"
 _EVAR = "nc"
 
@@ -114,6 +115,20 @@ def _eval(m: ast.FuncTerm, left: list) -> ast.FuncTerm:
 
 # -- process encoding --------------------------------------------------------------
 
+# The tag of each construct's encoding.  Its arguments are the construct's
+# fields in the order of ast.PROC_ROLES, with the branches of a case and the
+# channels an unquote passes spread at the end.
+_TAGS = {
+    ast.FwdPos: "fwd+", ast.FwdNeg: "fwd-", ast.Cut: "cut", ast.Close: "close",
+    ast.Wait: "wait", ast.SendLabel: "send_label", ast.Case: "case",
+    ast.SendChan: "send_chan", ast.RecvChan: "recv_chan",
+    ast.SendShift: "send_shift", ast.RecvShift: "recv_shift",
+    ast.SendUnfold: "send_unfold", ast.RecvUnfold: "recv_unfold",
+    ast.SendVal: "send_val", ast.RecvVal: "recv_val", ast.Unquote: "unquote",
+}
+_DECODE = {tag: (cls, tuple(ast.PROC_ROLES[cls].values()))
+           for cls, tag in _TAGS.items()}
+
 
 def enc_proc(p: ast.Process, env: Optional[Mapping[str, Term]] = None) -> Term:
     """Encode a process as a term.
@@ -127,48 +142,25 @@ def enc_proc(p: ast.Process, env: Optional[Mapping[str, Term]] = None) -> Term:
 
 
 def _enc(p: ast.Process, e: dict) -> Term:
-    def ch(n: str) -> Term:
-        return e.get(n, Const(n))
-
-    def under(n: str) -> dict:
-        return {k: v for k, v in e.items() if k != n} if n in e else e
-
-    if isinstance(p, ast.FwdPos):
-        return App("fwd+", (ch(p.src), ch(p.dst)))
-    if isinstance(p, ast.FwdNeg):
-        return App("fwd-", (ch(p.src), ch(p.dst)))
-    if isinstance(p, ast.Cut):
-        inner = under(p.chan)
-        return App("cut", (Const(p.chan), Wrap(p.ann),
-                           _enc(p.left, inner), _enc(p.right, inner)))
-    if isinstance(p, ast.Close):
-        return App("close", (ch(p.chan),))
-    if isinstance(p, ast.Wait):
-        return App("wait", (ch(p.chan), _enc(p.cont, e)))
-    if isinstance(p, ast.SendLabel):
-        return App("send_label", (ch(p.chan), Const(p.label), _enc(p.cont, e)))
-    if isinstance(p, ast.Case):
-        bs = tuple(App("branch", (Const(l), _enc(q, e))) for l, q in p.branches)
-        return App("case", (ch(p.chan),) + bs)
-    if isinstance(p, ast.SendChan):
-        return App("send_chan", (ch(p.chan), ch(p.payload), _enc(p.cont, e)))
-    if isinstance(p, ast.RecvChan):
-        return App("recv_chan", (Const(p.var), ch(p.chan), _enc(p.cont, under(p.var))))
-    if isinstance(p, ast.SendShift):
-        return App("send_shift", (ch(p.chan), _enc(p.cont, e)))
-    if isinstance(p, ast.RecvShift):
-        return App("recv_shift", (ch(p.chan), _enc(p.cont, e)))
-    if isinstance(p, ast.SendUnfold):
-        return App("send_unfold", (ch(p.chan), _enc(p.cont, e)))
-    if isinstance(p, ast.RecvUnfold):
-        return App("recv_unfold", (ch(p.chan), _enc(p.cont, e)))
-    if isinstance(p, ast.SendVal):
-        return App("send_val", (ch(p.chan), Wrap(p.term), _enc(p.cont, e)))
-    if isinstance(p, ast.RecvVal):
-        return App("recv_val", (Const(p.var), ch(p.chan), _enc(p.cont, e)))
-    if isinstance(p, ast.Unquote):
-        return App("unquote", (ch(p.chan), Wrap(p.term)) + tuple(ch(u) for u in p.used))
-    raise TypeError(f"not a process: {p!r}")
+    inner = e
+    args = []
+    for f, role in ast.PROC_ROLES[type(p)].items():
+        v = getattr(p, f)
+        if role is CHAN:
+            args.append(e.get(v) or Const(v))
+        elif role is CHILD:
+            args.append(_enc(v, inner))
+        elif role is BRANCHES:
+            args.extend(App("branch", (Const(l), _enc(q, inner))) for l, q in v)
+        elif role is CHANS:
+            args.extend(e.get(c) or Const(c) for c in v)
+        elif role is TERM or role is OPAQUE:
+            args.append(Wrap(v))
+        else:  # binders and labels
+            if role is CHAN_BINDER and v in e:
+                inner = {k: t for k, t in e.items() if k != v}
+            args.append(Const(v))
+    return App(_TAGS[type(p)], tuple(args))
 
 
 def _name(t: Term) -> str:
@@ -177,55 +169,35 @@ def _name(t: Term) -> str:
     return t.name
 
 
-def _payload(t: Term):
-    if not isinstance(t, Wrap):
-        raise ValueError(f"expected a wrapped payload, got {t!r}")
-    return t.payload
-
-
 def dec_proc(t: Term) -> ast.Process:
     """Decode a term produced by enc_proc back to a process."""
-    if not isinstance(t, App):
+    if not isinstance(t, App) or t.fn not in _DECODE:
         raise ValueError(f"not a process encoding: {t!r}")
-    tag, a = t.fn, t.args
-    if tag == "fwd+":
-        return ast.FwdPos(_name(a[0]), _name(a[1]))
-    if tag == "fwd-":
-        return ast.FwdNeg(_name(a[0]), _name(a[1]))
-    if tag == "cut":
-        return ast.Cut(_name(a[0]), _payload(a[1]), dec_proc(a[2]), dec_proc(a[3]))
-    if tag == "close":
-        return ast.Close(_name(a[0]))
-    if tag == "wait":
-        return ast.Wait(_name(a[0]), dec_proc(a[1]))
-    if tag == "send_label":
-        return ast.SendLabel(_name(a[0]), _name(a[1]), dec_proc(a[2]))
-    if tag == "case":
-        bs = []
-        for b in a[1:]:
-            if not (isinstance(b, App) and b.fn == "branch" and len(b.args) == 2):
-                raise ValueError(f"bad branch encoding: {b!r}")
-            bs.append((_name(b.args[0]), dec_proc(b.args[1])))
-        return ast.Case(_name(a[0]), tuple(bs))
-    if tag == "send_chan":
-        return ast.SendChan(_name(a[0]), _name(a[1]), dec_proc(a[2]))
-    if tag == "recv_chan":
-        return ast.RecvChan(_name(a[0]), _name(a[1]), dec_proc(a[2]))
-    if tag == "send_shift":
-        return ast.SendShift(_name(a[0]), dec_proc(a[1]))
-    if tag == "recv_shift":
-        return ast.RecvShift(_name(a[0]), dec_proc(a[1]))
-    if tag == "send_unfold":
-        return ast.SendUnfold(_name(a[0]), dec_proc(a[1]))
-    if tag == "recv_unfold":
-        return ast.RecvUnfold(_name(a[0]), dec_proc(a[1]))
-    if tag == "send_val":
-        return ast.SendVal(_name(a[0]), _payload(a[1]), dec_proc(a[2]))
-    if tag == "recv_val":
-        return ast.RecvVal(_name(a[0]), _name(a[1]), dec_proc(a[2]))
-    if tag == "unquote":
-        return ast.Unquote(_name(a[0]), _payload(a[1]), tuple(_name(u) for u in a[2:]))
-    raise ValueError(f"unknown process tag {tag!r}")
+    cls, roles = _DECODE[t.fn]
+    a = t.args
+    spread = roles[-1] is BRANCHES or roles[-1] is CHANS
+    if len(a) < len(roles) - spread or (len(a) > len(roles) and not spread):
+        raise ValueError(f"wrong number of arguments: {t!r}")
+    out = []
+    for i, role in enumerate(roles):
+        if role is CHILD:
+            out.append(dec_proc(a[i]))
+        elif role is BRANCHES:
+            bs = []
+            for b in a[i:]:
+                if not (isinstance(b, App) and b.fn == "branch" and len(b.args) == 2):
+                    raise ValueError(f"bad branch encoding: {b!r}")
+                bs.append((_name(b.args[0]), dec_proc(b.args[1])))
+            out.append(tuple(bs))
+        elif role is CHANS:
+            out.append(tuple(_name(c) for c in a[i:]))
+        elif role is TERM or role is OPAQUE:
+            if not isinstance(a[i], Wrap):
+                raise ValueError(f"expected a wrapped payload, got {a[i]!r}")
+            out.append(a[i].payload)
+        else:
+            out.append(_name(a[i]))
+    return cls(*out)
 
 
 def proc_fact(chan: str, p: ast.Process) -> Fact:
@@ -259,11 +231,8 @@ def classify_fact(f: Fact) -> tuple:
 
 def config_state(facts: Iterable[Union[ast.ProcF, ast.MsgF]]) -> Multiset:
     """Encode checked configuration facts as a rewriting state."""
-    out = []
-    for f in facts:
-        pred = "msg" if isinstance(f, ast.MsgF) else "proc"
-        out.append(Fact(pred, (Const(f.chan), enc_proc(f.proc))))
-    return Multiset.of(out)
+    return Multiset.of([(msg_fact if isinstance(f, ast.MsgF) else proc_fact)(f.chan, f.proc)
+                        for f in facts])
 
 
 @lru_cache(maxsize=65536)
@@ -369,12 +338,10 @@ class SillSystem:
             provider = p.chan == c
             pol = ast.POSITIVE if provider else ast.NEGATIVE
             mkey, mproc = ast.make_message(kind, pol, p.chan, _FRESH, payload)
-            env = {_FRESH: Var(_EVAR)}
             mfact = Fact("msg", (Const(p.chan) if mkey == p.chan else Var(_EVAR),
-                                 enc_proc(mproc, env)))
-            cont = ast.subst_chan(p.cont, {p.chan: _FRESH})
+                                 enc_proc(mproc, {_FRESH: Var(_EVAR)})))
             ckey = Var(_EVAR) if provider else key
-            cfact = Fact("proc", (ckey, enc_proc(cont, env)))
+            cfact = Fact("proc", (ckey, enc_proc(p.cont, {p.chan: Var(_EVAR)})))
             rs.append(_ground(name, [fact], [mfact, cfact], evars=(_EVAR,),
                               hints=((_EVAR, (p.chan, "prime")),)))
 
@@ -411,13 +378,11 @@ class SillSystem:
                     rs.append(_ground("fwd-", [fact, mf],
                                       [Fact("msg", (mf.args[0], enc_proc(new)))]))
         elif isinstance(p, ast.Cut):
-            left = ast.subst_chan(p.left, {p.chan: _FRESH})
-            right = ast.subst_chan(p.right, {p.chan: _FRESH})
-            env = {_FRESH: Var(_EVAR)}
+            env = {p.chan: Var(_EVAR)}
             rs.append(_ground(
                 "cut", [fact],
-                [Fact("proc", (Var(_EVAR), enc_proc(left, env))),
-                 Fact("proc", (key, enc_proc(right, env)))],
+                [Fact("proc", (Var(_EVAR), enc_proc(p.left, env))),
+                 Fact("proc", (key, enc_proc(p.right, env)))],
                 evars=(_EVAR,), hints=((_EVAR, (p.chan, "prime")),)))
         elif isinstance(p, ast.Unquote):
             v = self.eval(p.term)

@@ -10,6 +10,18 @@ from the provider to the client, negative types the reverse; polarity shifts
 are explicit type constructors.  Recursive types are iso-recursive: a
 recursive type and its unfolding are related only by explicit unfold
 messages, never silently.
+
+Binding structure is stated once, in one role table per layer
+(``TYPE_ROLES``, ``TERM_ROLES``, ``PROC_ROLES``), and nowhere else.  Every
+field of every construct is a child in the same layer (``CHILD``) or
+labelled children (``BRANCHES``); a free channel (``CHAN``), a tuple of them
+(``CHANS``) or a channel binder (``CHAN_BINDER``); a functional variable
+(``FUNC_VAR``) or its binder (``FUNC_BINDER``); a term in a process
+(``TERM``) or a process quoted in a term (``QUOTED``); a type variable
+(``TYPE_VAR``), a recursion binder (``TYPE_BINDER``) or a functional type
+in a session type (``FUNC_TYPE``); a ``LABEL``; or an ``OPAQUE``
+annotation.  Renaming, substitution, free names, canonical types and the
+term encoding in ``sill.dynamics`` are one traversal of a table each.
 """
 
 from __future__ import annotations
@@ -35,9 +47,22 @@ Process = Union[
 ]
 
 
-def _sorted_branches(branches) -> tuple:
-    items = tuple(branches.items()) if isinstance(branches, dict) else tuple(branches)
-    return tuple(sorted(items, key=lambda kv: kv[0]))
+class _Branching:
+    """Labelled branches, given as a dict or as pairs, kept sorted by label."""
+
+    def __post_init__(self):
+        bs = self.branches
+        items = tuple(bs.items()) if isinstance(bs, dict) else tuple(bs)
+        object.__setattr__(self, "branches", tuple(sorted(items, key=lambda kv: kv[0])))
+
+    def branch(self, label: str):
+        for l, x in self.branches:
+            if l == label:
+                return x
+        return None
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(l for l, _ in self.branches)
 
 
 # -- session types -------------------------------------------------------------
@@ -49,37 +74,13 @@ class One:
 
 
 @dataclass(frozen=True)
-class Plus:
+class Plus(_Branching):
     branches: tuple[tuple[str, SessionType], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", _sorted_branches(self.branches))
-
-    def branch(self, label: str) -> Optional[SessionType]:
-        for l, t in self.branches:
-            if l == label:
-                return t
-        return None
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.branches)
 
 
 @dataclass(frozen=True)
-class With:
+class With(_Branching):
     branches: tuple[tuple[str, SessionType], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", _sorted_branches(self.branches))
-
-    def branch(self, label: str) -> Optional[SessionType]:
-        for l, t in self.branches:
-            if l == label:
-                return t
-        return None
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.branches)
 
 
 @dataclass(frozen=True)
@@ -146,72 +147,11 @@ def polarity(a: SessionType, xi: Optional[Mapping[str, str]] = None) -> str:
     raise TypeError(f"not a session type: {a!r}")
 
 
-def subst_tvar(a: SessionType, name: str, repl: SessionType) -> SessionType:
-    """Substitute repl for the type variable name.
-
-    repl is always closed here, so capture cannot arise; shadowed binders
-    still stop the descent.
-    """
-    if isinstance(a, TVar):
-        return repl if a.name == name else a
-    if isinstance(a, Plus):
-        return Plus(tuple((l, subst_tvar(t, name, repl)) for l, t in a.branches))
-    if isinstance(a, With):
-        return With(tuple((l, subst_tvar(t, name, repl)) for l, t in a.branches))
-    if isinstance(a, Tensor):
-        return Tensor(subst_tvar(a.left, name, repl), subst_tvar(a.right, name, repl))
-    if isinstance(a, Lolli):
-        return Lolli(subst_tvar(a.left, name, repl), subst_tvar(a.right, name, repl))
-    if isinstance(a, Down):
-        return Down(subst_tvar(a.body, name, repl))
-    if isinstance(a, Up):
-        return Up(subst_tvar(a.body, name, repl))
-    if isinstance(a, AndVal):
-        return AndVal(a.vtype, subst_tvar(a.body, name, repl))
-    if isinstance(a, ImpVal):
-        return ImpVal(a.vtype, subst_tvar(a.body, name, repl))
-    if isinstance(a, Rec):
-        if a.var == name:
-            return a
-        return Rec(a.var, subst_tvar(a.body, name, repl))
-    return a
-
-
 def unfold_rec(a: Rec) -> SessionType:
     """One unfolding: the recursive type substituted for its own variable."""
     if not isinstance(a, Rec):
         raise TypeError(f"cannot unfold {type_to_str(a)}")
     return subst_tvar(a.body, a.var, a)
-
-
-def canon_type(a: SessionType, depth: int = 0, env: Optional[dict] = None) -> SessionType:
-    """Rename recursion binders to positional names so that equality of
-    canonical forms is alpha-equivalence."""
-    env = env or {}
-    if isinstance(a, TVar):
-        return TVar(env.get(a.name, a.name))
-    if isinstance(a, Plus):
-        return Plus(tuple((l, canon_type(t, depth, env)) for l, t in a.branches))
-    if isinstance(a, With):
-        return With(tuple((l, canon_type(t, depth, env)) for l, t in a.branches))
-    if isinstance(a, Tensor):
-        return Tensor(canon_type(a.left, depth, env), canon_type(a.right, depth, env))
-    if isinstance(a, Lolli):
-        return Lolli(canon_type(a.left, depth, env), canon_type(a.right, depth, env))
-    if isinstance(a, Down):
-        return Down(canon_type(a.body, depth, env))
-    if isinstance(a, Up):
-        return Up(canon_type(a.body, depth, env))
-    if isinstance(a, AndVal):
-        return AndVal(canon_functype(a.vtype), canon_type(a.body, depth, env))
-    if isinstance(a, ImpVal):
-        return ImpVal(canon_functype(a.vtype), canon_type(a.body, depth, env))
-    if isinstance(a, Rec):
-        fresh = f"%{depth}"
-        inner = dict(env)
-        inner[a.var] = fresh
-        return Rec(fresh, canon_type(a.body, depth + 1, inner))
-    return a
 
 
 def type_eq(a: SessionType, b: SessionType) -> bool:
@@ -288,39 +228,6 @@ def is_value(m: FuncTerm) -> bool:
     return isinstance(m, (Lam, Quote))
 
 
-def free_fvars(m: FuncTerm) -> set[str]:
-    if isinstance(m, FVar):
-        return {m.name}
-    if isinstance(m, Lam):
-        return free_fvars(m.body) - {m.var}
-    if isinstance(m, FApp):
-        return free_fvars(m.fn) | free_fvars(m.arg)
-    if isinstance(m, Fix):
-        return free_fvars(m.body) - {m.var}
-    if isinstance(m, Quote):
-        return proc_free_fvars(m.body)
-    raise TypeError(f"not a term: {m!r}")
-
-
-def subst_fvar(m: FuncTerm, name: str, value: FuncTerm) -> FuncTerm:
-    """Substitute a closed value for a functional variable."""
-    if isinstance(m, FVar):
-        return value if m.name == name else m
-    if isinstance(m, Lam):
-        if m.var == name:
-            return m
-        return Lam(m.var, m.ann, subst_fvar(m.body, name, value))
-    if isinstance(m, FApp):
-        return FApp(subst_fvar(m.fn, name, value), subst_fvar(m.arg, name, value))
-    if isinstance(m, Fix):
-        if m.var == name:
-            return m
-        return Fix(m.var, subst_fvar(m.body, name, value))
-    if isinstance(m, Quote):
-        return Quote(m.offered, proc_subst_fvar(m.body, name, value), m.used)
-    raise TypeError(f"not a term: {m!r}")
-
-
 # -- processes -----------------------------------------------------------------
 
 
@@ -372,18 +279,9 @@ class SendLabel:
 
 
 @dataclass(frozen=True)
-class Case:
+class Case(_Branching):
     chan: str
     branches: tuple[tuple[str, "Process"], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", _sorted_branches(self.branches))
-
-    def branch(self, label: str) -> Optional["Process"]:
-        for l, p in self.branches:
-            if l == label:
-                return p
-        return None
 
 
 @dataclass(frozen=True)
@@ -445,61 +343,153 @@ class Unquote:
     used: tuple[str, ...] = ()
 
 
+# -- binding structure -----------------------------------------------------------
+
+# The roles a field can play (see the module docstring).  A binder scopes
+# over the children of its construct (CHILD, BRANCHES, TERM, QUOTED) and over
+# no other field of it, and comes before them.
+CHILD, BRANCHES, LABEL, OPAQUE = "child", "branches", "label", "opaque"
+CHAN, CHANS, CHAN_BINDER = "chan", "chans", "chan_binder"
+FUNC_VAR, FUNC_BINDER, TERM, QUOTED = "func_var", "func_binder", "term", "quoted"
+TYPE_VAR, TYPE_BINDER, FUNC_TYPE = "type_var", "type_binder", "func_type"
+
+# construct -> {field: role}, one table per layer, fields in declaration order
+TYPE_ROLES: dict[type, dict[str, str]] = {
+    One: {},
+    Plus: {"branches": BRANCHES},
+    With: {"branches": BRANCHES},
+    Tensor: {"left": CHILD, "right": CHILD},
+    Lolli: {"left": CHILD, "right": CHILD},
+    Down: {"body": CHILD},
+    Up: {"body": CHILD},
+    Rec: {"var": TYPE_BINDER, "body": CHILD},
+    TVar: {"name": TYPE_VAR},
+    AndVal: {"vtype": FUNC_TYPE, "body": CHILD},
+    ImpVal: {"vtype": FUNC_TYPE, "body": CHILD},
+}
+TERM_ROLES: dict[type, dict[str, str]] = {
+    FVar: {"name": FUNC_VAR},
+    Lam: {"var": FUNC_BINDER, "ann": OPAQUE, "body": CHILD},
+    FApp: {"fn": CHILD, "arg": CHILD},
+    Fix: {"var": FUNC_BINDER, "body": CHILD},
+    # a quote binds the channels of its body, so its body has none free
+    Quote: {"offered": OPAQUE, "body": QUOTED, "used": OPAQUE},
+}
+PROC_ROLES: dict[type, dict[str, str]] = {
+    FwdPos: {"src": CHAN, "dst": CHAN},
+    FwdNeg: {"src": CHAN, "dst": CHAN},
+    Cut: {"chan": CHAN_BINDER, "ann": OPAQUE, "left": CHILD, "right": CHILD},
+    Close: {"chan": CHAN},
+    Wait: {"chan": CHAN, "cont": CHILD},
+    SendLabel: {"chan": CHAN, "label": LABEL, "cont": CHILD},
+    Case: {"chan": CHAN, "branches": BRANCHES},
+    SendChan: {"chan": CHAN, "payload": CHAN, "cont": CHILD},
+    RecvChan: {"var": CHAN_BINDER, "chan": CHAN, "cont": CHILD},
+    SendShift: {"chan": CHAN, "cont": CHILD},
+    RecvShift: {"chan": CHAN, "cont": CHILD},
+    SendUnfold: {"chan": CHAN, "cont": CHILD},
+    RecvUnfold: {"chan": CHAN, "cont": CHILD},
+    SendVal: {"chan": CHAN, "term": TERM, "cont": CHILD},
+    RecvVal: {"var": FUNC_BINDER, "chan": CHAN, "cont": CHILD},
+    Unquote: {"chan": CHAN, "term": TERM, "used": CHANS},
+}
+# functional variables occur in terms and in processes alike
+_FUNC_ROLES = {**TERM_ROLES, **PROC_ROLES}
+
+
+def _subst(x, table: dict, var: str, binder: str, name: str, value):
+    # value is closed, so nothing can capture it; a binder of name stops
+    # the descent into its children
+    out = []
+    for f, role in table[type(x)].items():
+        v = getattr(x, f)
+        if role is CHILD or role is TERM or role is QUOTED:
+            v = _subst(v, table, var, binder, name, value)
+        elif role is BRANCHES:
+            v = tuple((l, _subst(y, table, var, binder, name, value)) for l, y in v)
+        elif (role is var or role is binder) and v == name:
+            return value if role is var else x
+        out.append(v)
+    return type(x)(*out)
+
+
+def subst_tvar(a: SessionType, name: str, repl: SessionType) -> SessionType:
+    """Substitute the closed type repl for the type variable name."""
+    return _subst(a, TYPE_ROLES, TYPE_VAR, TYPE_BINDER, name, repl)
+
+
+def subst_fvar(x: Union[FuncTerm, Process], name: str, value: FuncTerm):
+    """Substitute a closed value for a functional variable throughout a term
+    or a process, and the terms and processes inside it."""
+    return _subst(x, _FUNC_ROLES, FUNC_VAR, FUNC_BINDER, name, value)
+
+
+def canon_type(a: SessionType, depth: int = 0, env: Optional[dict] = None) -> SessionType:
+    """Rename recursion binders to positional names so that equality of
+    canonical forms is alpha-equivalence."""
+    env = env or {}
+    inner, below = env, depth
+    out = []
+    for f, role in TYPE_ROLES[type(a)].items():
+        v = getattr(a, f)
+        if role is CHILD:
+            v = canon_type(v, below, inner)
+        elif role is BRANCHES:
+            v = tuple((l, canon_type(t, below, inner)) for l, t in v)
+        elif role is TYPE_VAR:
+            v = env.get(v, v)
+        elif role is TYPE_BINDER:
+            inner = {**env, v: f"%{depth}"}
+            v, below = inner[v], depth + 1
+        elif role is FUNC_TYPE:
+            v = canon_functype(v)
+        out.append(v)
+    return type(a)(*out)
+
+
+def free_fvars(x: Union[FuncTerm, Process]) -> set[str]:
+    """Free functional variables of a term or a process."""
+    free: set[str] = set()
+    inner: set[str] = set()
+    bound = None
+    for f, role in _FUNC_ROLES[type(x)].items():
+        v = getattr(x, f)
+        if role is CHILD or role is TERM or role is QUOTED:
+            inner |= free_fvars(v)
+        elif role is BRANCHES:
+            for _, y in v:
+                inner |= free_fvars(y)
+        elif role is FUNC_VAR:
+            free.add(v)
+        elif role is FUNC_BINDER:
+            bound = v
+    inner.discard(bound)
+    return free | inner
+
+
+proc_free_fvars, proc_subst_fvar = free_fvars, subst_fvar
+
+
 def fc(p: Process) -> set[str]:
     """Free channel names of a process."""
-    if isinstance(p, (FwdPos, FwdNeg)):
-        return {p.src, p.dst}
-    if isinstance(p, Cut):
-        return (fc(p.left) | fc(p.right)) - {p.chan}
-    if isinstance(p, Close):
-        return {p.chan}
-    if isinstance(p, (Wait, SendLabel, SendShift, RecvShift, SendUnfold,
-                      RecvUnfold, SendVal)):
-        return {p.chan} | fc(p.cont)
-    if isinstance(p, Case):
-        out = {p.chan}
-        for _, q in p.branches:
-            out |= fc(q)
-        return out
-    if isinstance(p, SendChan):
-        return {p.chan, p.payload} | fc(p.cont)
-    if isinstance(p, RecvChan):
-        return {p.chan} | (fc(p.cont) - {p.var})
-    if isinstance(p, RecvVal):
-        return {p.chan} | fc(p.cont)
-    if isinstance(p, Unquote):
-        return {p.chan} | set(p.used)
-    raise TypeError(f"not a process: {p!r}")
-
-
-def proc_free_fvars(p: Process) -> set[str]:
-    if isinstance(p, (FwdPos, FwdNeg, Close)):
-        return set()
-    if isinstance(p, Unquote):
-        return free_fvars(p.term)
-    if isinstance(p, Cut):
-        return proc_free_fvars(p.left) | proc_free_fvars(p.right)
-    if isinstance(p, Case):
-        out: set[str] = set()
-        for _, q in p.branches:
-            out |= proc_free_fvars(q)
-        return out
-    if isinstance(p, SendVal):
-        return free_fvars(p.term) | proc_free_fvars(p.cont)
-    if isinstance(p, RecvVal):
-        return proc_free_fvars(p.cont) - {p.var}
-    return proc_free_fvars(p.cont)
-
-
-def _alpha_fresh(base: str, avoid: set[str]) -> str:
-    # '%' is reserved by the fresh-name scheme, so renamed binders cannot
-    # collide with source identifiers; picking the smallest free index keeps
-    # renaming deterministic
-    stem = base.split("%")[0] or "x"
-    k = 0
-    while f"{stem}%{k}" in avoid:
-        k += 1
-    return f"{stem}%{k}"
+    free: set[str] = set()
+    inner: set[str] = set()
+    bound = None
+    for f, role in PROC_ROLES[type(p)].items():
+        v = getattr(p, f)
+        if role is CHAN:
+            free.add(v)
+        elif role is CHILD:
+            inner |= fc(v)
+        elif role is BRANCHES:
+            for _, q in v:
+                inner |= fc(q)
+        elif role is CHANS:
+            free.update(v)
+        elif role is CHAN_BINDER:
+            bound = v
+    inner.discard(bound)
+    return free | inner
 
 
 def subst_chan(p: Process, rho: Mapping[str, str]) -> Process:
@@ -509,95 +499,41 @@ def subst_chan(p: Process, rho: Mapping[str, str]) -> Process:
     rho = {k: v for k, v in rho.items() if k != v}
     if not rho:
         return p
-
-    def ch(c: str) -> str:
-        return rho.get(c, c)
-
-    def rebind(x: str, *bodies: "Process") -> tuple[str, tuple["Process", ...]]:
-        if x not in rho.values():
-            return x, bodies
-        avoid = set(rho) | set(rho.values())
-        for b in bodies:
-            avoid |= fc(b)
-        y = _alpha_fresh(x, avoid)
-        return y, tuple(subst_chan(b, {x: y}) for b in bodies)
-
-    if isinstance(p, FwdPos):
-        return FwdPos(ch(p.src), ch(p.dst))
-    if isinstance(p, FwdNeg):
-        return FwdNeg(ch(p.src), ch(p.dst))
-    if isinstance(p, Cut):
-        x, (left, right) = rebind(p.chan, p.left, p.right)
-        inner = {k: v for k, v in rho.items() if k != x}
-        return Cut(x, p.ann, subst_chan(left, inner), subst_chan(right, inner))
-    if isinstance(p, Close):
-        return Close(ch(p.chan))
-    if isinstance(p, Wait):
-        return Wait(ch(p.chan), subst_chan(p.cont, rho))
-    if isinstance(p, SendLabel):
-        return SendLabel(ch(p.chan), p.label, subst_chan(p.cont, rho))
-    if isinstance(p, Case):
-        return Case(ch(p.chan), tuple((l, subst_chan(q, rho)) for l, q in p.branches))
-    if isinstance(p, SendChan):
-        return SendChan(ch(p.chan), ch(p.payload), subst_chan(p.cont, rho))
-    if isinstance(p, RecvChan):
-        x, (cont,) = rebind(p.var, p.cont)
-        inner = {k: v for k, v in rho.items() if k != x}
-        return RecvChan(x, ch(p.chan), subst_chan(cont, inner))
-    if isinstance(p, SendShift):
-        return SendShift(ch(p.chan), subst_chan(p.cont, rho))
-    if isinstance(p, RecvShift):
-        return RecvShift(ch(p.chan), subst_chan(p.cont, rho))
-    if isinstance(p, SendUnfold):
-        return SendUnfold(ch(p.chan), subst_chan(p.cont, rho))
-    if isinstance(p, RecvUnfold):
-        return RecvUnfold(ch(p.chan), subst_chan(p.cont, rho))
-    if isinstance(p, SendVal):
-        return SendVal(ch(p.chan), p.term, subst_chan(p.cont, rho))
-    if isinstance(p, RecvVal):
-        return RecvVal(p.var, ch(p.chan), subst_chan(p.cont, rho))
-    if isinstance(p, Unquote):
-        return Unquote(ch(p.chan), p.term, tuple(ch(c) for c in p.used))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def proc_subst_fvar(p: Process, name: str, value: FuncTerm) -> Process:
-    """Substitute a closed value for a functional variable throughout a
-    process, descending into embedded terms."""
-    if isinstance(p, (FwdPos, FwdNeg, Close)):
-        return p
-    if isinstance(p, Cut):
-        return Cut(p.chan, p.ann, proc_subst_fvar(p.left, name, value),
-                   proc_subst_fvar(p.right, name, value))
-    if isinstance(p, Wait):
-        return Wait(p.chan, proc_subst_fvar(p.cont, name, value))
-    if isinstance(p, SendLabel):
-        return SendLabel(p.chan, p.label, proc_subst_fvar(p.cont, name, value))
-    if isinstance(p, Case):
-        return Case(p.chan, tuple((l, proc_subst_fvar(q, name, value))
-                                  for l, q in p.branches))
-    if isinstance(p, SendChan):
-        return SendChan(p.chan, p.payload, proc_subst_fvar(p.cont, name, value))
-    if isinstance(p, RecvChan):
-        return RecvChan(p.var, p.chan, proc_subst_fvar(p.cont, name, value))
-    if isinstance(p, SendShift):
-        return SendShift(p.chan, proc_subst_fvar(p.cont, name, value))
-    if isinstance(p, RecvShift):
-        return RecvShift(p.chan, proc_subst_fvar(p.cont, name, value))
-    if isinstance(p, SendUnfold):
-        return SendUnfold(p.chan, proc_subst_fvar(p.cont, name, value))
-    if isinstance(p, RecvUnfold):
-        return RecvUnfold(p.chan, proc_subst_fvar(p.cont, name, value))
-    if isinstance(p, SendVal):
-        return SendVal(p.chan, subst_fvar(p.term, name, value),
-                       proc_subst_fvar(p.cont, name, value))
-    if isinstance(p, RecvVal):
-        if p.var == name:
-            return p
-        return RecvVal(p.var, p.chan, proc_subst_fvar(p.cont, name, value))
-    if isinstance(p, Unquote):
-        return Unquote(p.chan, subst_fvar(p.term, name, value), p.used)
-    raise TypeError(f"not a process: {p!r}")
+    roles = PROC_ROLES[type(p)]
+    pre: dict = {}  # a capturing binder's renaming, applied to the children first
+    inner = rho
+    out = []
+    for f, role in roles.items():
+        v = getattr(p, f)
+        if role is CHAN:
+            v = rho.get(v, v)
+        elif role is CHILD:
+            v = subst_chan(subst_chan(v, pre), inner)
+        elif role is BRANCHES:
+            v = tuple((l, subst_chan(subst_chan(q, pre), inner)) for l, q in v)
+        elif role is CHANS:
+            v = tuple(rho.get(c, c) for c in v)
+        elif role is CHAN_BINDER:
+            if v in rho.values():
+                avoid = set(rho) | set(rho.values())
+                for g, r in roles.items():
+                    if r is CHILD:
+                        avoid |= fc(getattr(p, g))
+                    elif r is BRANCHES:
+                        for _, q in getattr(p, g):
+                            avoid |= fc(q)
+                # '%' is reserved by the fresh-name scheme, so the new name
+                # cannot collide with a source identifier; the smallest free
+                # index keeps renaming deterministic
+                stem, i = v.split("%")[0] or "x", 0
+                while f"{stem}%{i}" in avoid:
+                    i += 1
+                pre = {v: f"{stem}%{i}"}
+                v = pre[v]
+            if v in rho:
+                inner = {k: w for k, w in rho.items() if k != v}
+        out.append(v)
+    return type(p)(*out)
 
 
 # -- configuration facts ---------------------------------------------------------
@@ -945,14 +881,12 @@ def proc_to_str(p: Process) -> str:
 
 # printable payloads: anything that can end up embedded in a run state or a
 # reported value renders as surface syntax, not as a dataclass repr
-for _cls in (One, Plus, With, Tensor, Lolli, Down, Up, Rec, TVar, AndVal, ImpVal):
+for _cls in TYPE_ROLES:
     _cls.__str__ = type_to_str
 for _cls in (Arrow, ProcType):
     _cls.__str__ = functype_to_str
-for _cls in (FVar, Lam, FApp, Fix, Quote):
+for _cls in TERM_ROLES:
     _cls.__str__ = term_to_str
-for _cls in (FwdPos, FwdNeg, Cut, Close, Wait, SendLabel, Case, SendChan,
-             RecvChan, SendShift, RecvShift, SendUnfold, RecvUnfold, SendVal,
-             RecvVal, Unquote):
+for _cls in PROC_ROLES:
     _cls.__str__ = proc_to_str
 del _cls

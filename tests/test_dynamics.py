@@ -129,12 +129,23 @@ def test_roundtrip_random(p):
 
 
 def test_dec_rejects_garbage():
-    from sill.msr.terms import App, Const
+    from sill.msr.terms import App, Const, Wrap
 
     with pytest.raises(ValueError):
         dec_proc(Const("x"))
     with pytest.raises(ValueError):
         dec_proc(App("nonsense", (Const("x"),)))
+    # too few arguments, and too many
+    a, b, val = Const("a"), Const("b"), Wrap(UNIT_Q)
+    for short in (App("wait", (a,)), App("send_val", (a, val)),
+                  App("cut", (a, Wrap(One()), enc_proc(Close("a")))),
+                  App("unquote", (a,)), App("case", ())):
+        with pytest.raises(ValueError):
+            dec_proc(short)
+    for long in (App("close", (a, b)), App("fwd+", (a, b, b)),
+                 App("wait", (a, enc_proc(Close("b")), b))):
+        with pytest.raises(ValueError):
+            dec_proc(long)
     from sill.msr.multiset import Fact
 
     with pytest.raises(ValueError):

@@ -7,9 +7,9 @@ from sill.lang import (
     AndVal, Arrow, Case, Close, CyclicSharing, Cut, Down, FApp, Fix, FVar,
     FwdNeg, FwdPos, IllFormed, IllTyped, ImpVal, Interface, InterfaceMismatch,
     Lam, LinearityError, Lolli, MsgF, One, ParseError, Plus,
-    ProcF, ProcType, Quote, Rec, RecvChan, RecvShift, RecvVal, SendChan,
-    SendLabel, SendShift, SendUnfold, SendVal, SillTypeError, Tensor, TVar,
-    UnboundTypeVariable, Unquote, Up, Wait, With,
+    ProcF, ProcType, Quote, Rec, RecvChan, RecvShift, RecvUnfold, RecvVal,
+    SendChan, SendLabel, SendShift, SendUnfold, SendVal, SillTypeError, Tensor,
+    TVar, UnboundTypeVariable, Unquote, Up, Wait, With,
     check_config, check_proc, check_term, check_type, fc, message_parts,
     module_to_str, parse, parse_proc, parse_term, parse_type,
     polarity, proc_to_str, type_eq, type_to_str, unfold_rec,
@@ -378,9 +378,25 @@ def test_branches_are_label_sorted():
 _label_names = st.sampled_from(["l", "r", "z", "s", "b0", "b1"])
 
 
+def _branches(sub):
+    # duplicate labels are merged by dict rather than rejected by unique_by:
+    # Hypothesis builds the repr of a strategy that rejects draws, and at
+    # these depths it runs to hundreds of kB
+    return st.lists(st.tuples(_label_names, sub), max_size=2).map(dict)
+
+
+_tvar_names = st.sampled_from(["x", "y"])
+_functypes = st.sampled_from([
+    ProcType(("c", One())),
+    ProcType(("c", One()), (("d", Plus(())),)),
+    Arrow(ProcType(("c", One())), ProcType(("c", With(())))),
+])
+
+
 def _types(depth):
     if depth == 0:
-        return st.sampled_from([One(), Plus(()), With(())])
+        return st.one_of(st.sampled_from([One(), Plus(()), With(())]),
+                         st.builds(TVar, _tvar_names))
     sub = _types(depth - 1)
     pos = st.sampled_from([One(), Plus(())])
     return st.one_of(
@@ -389,14 +405,32 @@ def _types(depth):
         st.builds(Lolli, pos, st.sampled_from([With(()), Up(One())])),
         st.builds(Down, st.sampled_from([With(()), Up(One())])),
         st.builds(Up, pos),
-        st.lists(st.tuples(_label_names, sub), max_size=2,
-                 unique_by=lambda kv: kv[0]).map(lambda bs: Plus(tuple(bs))),
-        st.lists(st.tuples(_label_names, sub), max_size=2,
-                 unique_by=lambda kv: kv[0]).map(lambda bs: With(tuple(bs))),
+        _branches(sub).map(Plus),
+        _branches(sub).map(With),
+        st.builds(Rec, _tvar_names, sub),
+        st.builds(AndVal, _functypes, sub),
+        st.builds(ImpVal, _functypes, sub),
     )
 
 
 _chans = st.sampled_from(["a", "b", "c", "d"])
+_fvar_names = st.sampled_from(["v", "w"])
+_UNIT_PT = ProcType(("x", One()))
+
+
+def _terms(depth):
+    leaf = st.one_of(st.builds(FVar, _fvar_names),
+                     st.just(Quote(("x", One()), Close("x"))))
+    if depth == 0:
+        return leaf
+    sub = _terms(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Lam, _fvar_names, st.just(_UNIT_PT), sub),
+        st.builds(FApp, sub, sub),
+        st.builds(Fix, _fvar_names, sub),
+        st.builds(lambda m: Quote(("x", One()), Unquote("x", m)), sub),
+    )
 
 
 def _procs(depth):
@@ -404,6 +438,8 @@ def _procs(depth):
         st.builds(Close, _chans),
         st.builds(FwdPos, _chans, _chans),
         st.builds(FwdNeg, _chans, _chans),
+        st.builds(Unquote, _chans, _terms(1),
+                  st.lists(_chans, max_size=2).map(tuple)),
     )
     if depth == 0:
         return leaf
@@ -417,12 +453,11 @@ def _procs(depth):
         st.builds(SendShift, _chans, sub),
         st.builds(RecvShift, _chans, sub),
         st.builds(SendUnfold, _chans, sub),
-        st.builds(SendVal, _chans, st.just(Quote(("x", One()), Close("x"))), sub),
-        st.builds(RecvVal, st.sampled_from(["v", "w"]), _chans, sub),
+        st.builds(RecvUnfold, _chans, sub),
+        st.builds(SendVal, _chans, _terms(2), sub),
+        st.builds(RecvVal, _fvar_names, _chans, sub),
         st.builds(Cut, st.sampled_from(["x", "y"]), _types(1), sub, sub),
-        st.builds(lambda ch, bs: Case(ch, tuple(bs)), _chans,
-                  st.lists(st.tuples(_label_names, sub), max_size=2,
-                           unique_by=lambda kv: kv[0])),
+        st.builds(Case, _chans, _branches(sub)),
     )
 
 
