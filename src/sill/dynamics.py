@@ -594,7 +594,8 @@ def run(
     preservation: the initial state must type against the interface, and
     after each step the consumed facts leave a ``ConfigTyping`` of the
     state and the produced ones join it, so a checked step re-types only
-    the facts and channels it touched.  The first failure raises
+    the facts and channels it touched, and a step that changed nothing
+    re-types nothing.  The first failure raises
     PreservationViolation with its step index (0 for the initial state).
     """
     typing: Optional[ConfigTyping] = None
@@ -610,18 +611,21 @@ def run(
     else:
         types = dict(interface.all_types())
 
+    prev = state
+
     def watch(tr: Trace) -> None:
-        step = tr.steps[-1]
+        nonlocal prev
+        step, now = tr.steps[-1], tr.final()
         try:
             if step.xi:
                 name = step.xi_map()[_EVAR]
                 if name in types:
                     raise PreservationViolation(f"fresh channel {name} is already typed")
                 types[name] = _birth_type(types, step)
-            if typing is not None:
+            # a step that left the state object itself changed no fact
+            if typing is not None and now is not prev:
                 for f, n in step.inst.eph_ant_g().eph_items():
                     typing.remove(f, n)
-                now = tr.final()
                 for f in step.produced:
                     n = now.count(f) - typing.count(f)
                     if n > 0:
@@ -629,6 +633,7 @@ def run(
                 typing.check()
         except SillError as ex:
             raise _violation(len(tr.steps), ex) from ex
+        prev = now
         if observer is not None:
             observer(tr)
 

@@ -484,15 +484,23 @@ def fair_execute(
     computes no key itself after the start.  The SILL enabled set keeps the
     keyed steps of each fact whose steps depend on it alone; the MRS one
     keys every candidate it matches.  Likewise only the queued
-    instantiations that consume a fact the step consumed are re-checked.
-    So a step costs what it touched, not the size of the state or of the
-    queue, and the run is the one a full re-enumeration after every step
-    would give.
+    instantiations that consume a fact whose count the step lowered are
+    re-checked.  So a step costs what it touched, not the size of the state
+    or of the queue, and the run is the one a full re-enumeration after
+    every step would give.
+
+    A step that changes nothing, such as a process stepping to itself,
+    leaves the state object itself (see ``apply_inst``).  Every queued
+    instantiation is then still applicable and none has become so, so the
+    applied one alone is re-admitted at the back, and the step costs O(1):
+    the enabled set is not asked.  A one-element shuffle draws no random
+    number, so seeded runs keep their order.
 
     meta["sched"] counts the full enumerations, the candidates the enabled
     set proposed, the fresh instantiations that joined the queue after a
-    step, and of the candidates, the steps the enabled set derived and
-    keyed (``steps_derived``) and those it handed out again from its cache
+    step, the steps that changed nothing (``unchanged_steps``), and of the
+    candidates, the steps the enabled set derived and keyed
+    (``steps_derived``) and those it handed out again from its cache
     (``steps_reused``).
     """
     tr = Trace(mrs, start, sig)
@@ -523,19 +531,30 @@ def fair_execute(
         rng.shuffle(initial)
     admit((_equiv_key(i), i) for i in initial)
     enabled = mrs.enabled(start)
-    sched = {"full_enumerations": 1, "delta_candidates": 0, "fresh_admitted": 0}
+    sched = {"full_enumerations": 1, "delta_candidates": 0, "fresh_admitted": 0,
+             "unchanged_steps": 0}
     depths: list[int] = []
     while queue and len(tr.steps) < budget:
         if record_queue_depths:
             depths.append(len(queue))
-        inst, eph = drop(next(iter(queue)))
+        first = next(iter(queue))
+        inst, eph = queue[first]
+        prev = tr.final()
         step = tr.extend(inst)
         if observer is not None:
             observer(tr)
         state = tr.final()
+        if state is prev:
+            # nothing changed: everything queued stays applicable and
+            # nothing new became so; the step goes to the back
+            queue[first] = queue.pop(first)
+            sched["unchanged_steps"] += 1
+            continue
+        drop(first)
         for f in eph:
-            for k in [k for k in needs.get(f, ()) if not queue[k][0].applicable(state)]:
-                drop(k)
+            if state.count(f) < prev.count(f):
+                for k in [k for k in needs.get(f, ()) if not queue[k][0].applicable(state)]:
+                    drop(k)
         gone = [f for f in eph if not state.count(f)]
         touched = list(dict.fromkeys(
             [*step.produced, *(f for f in eph if state.count(f)), *inst.pers_ant_g()]))

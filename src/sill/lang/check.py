@@ -9,7 +9,7 @@ with no branches, where there is nothing left to run.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Collection, Mapping, Optional
 
 from . import ast
 from .ast import NEGATIVE, POSITIVE
@@ -468,12 +468,12 @@ def _proc(p, cname, ctype, delta, env):
 # -- configurations ------------------------------------------------------------
 
 
-def _type_fact(f: ast.ConfigFact, types: Mapping[str, ast.SessionType]) -> None:
+def _type_fact(f: ast.ConfigFact, uses: Collection[str],
+               types: Mapping[str, ast.SessionType]) -> None:
     """Type one fact at the given channel types: each of its channels has
     a type, a msg fact holds a message, and its process provides its own
-    channel using exactly the others."""
-    uses = ast.fc(f.proc) - {f.chan}
-    missing = sorted(c for c in uses | {f.chan} if c not in types)
+    channel using exactly the others, the channels in uses."""
+    missing = sorted(c for c in [f.chan, *uses] if c not in types)
     if missing:
         raise InterfaceMismatch(f"channels {missing} are not in the interface")
     if isinstance(f, ast.MsgF) and ast.message_parts(f.chan, f.proc) is None:
@@ -567,7 +567,8 @@ class ConfigTyping:
                 raise CyclicSharing(f"channel {c} is consumed by two facts")
         added = [k for k in added if k in self._facts]
         for k in added:
-            _type_fact(self._facts[k][0], self.types)
+            f, uses, _ = self._facts[k]
+            _type_fact(f, uses, self.types)
         for c in touched:
             provided, consumed = c in self.providers, c in self.consumers
             if c in self.used:
@@ -659,6 +660,6 @@ def check_module(m: ast.Module) -> None:
                 for t in types.values():
                     check_type(t)
                 for f in d.facts:
-                    _type_fact(f, types)
+                    _type_fact(f, ast.fc(f.proc) - {f.chan}, types)
         else:
             raise SillError(f"unknown declaration {d!r}")

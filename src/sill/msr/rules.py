@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .multiset import Fact, Multiset, fact_to_str, fact_vars
 from .terms import App, Const, Term, Var, match_term, subst_term, term_key, term_to_str
@@ -147,12 +147,31 @@ class Inst:
     def theta_key(self) -> tuple:
         return tuple(term_key(t) for _, t in self.theta)
 
+    def _kept(self, name: str, build: Callable[[dict[str, Term]], object]):
+        """build(theta), kept on a ground instantiation (empty theta) after
+        its first call.  Every SILL step is one, and a step grounds its
+        antecedent several times.  Others build afresh: the fairness
+        analysis holds thousands of them, and keeping their parts would
+        cost more memory than the grounding saves."""
+        if self.theta:
+            return build(self.theta_map())
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            # the dataclass is frozen: write past its __setattr__
+            value = self.__dict__[name] = build({})
+            return value
+
     def pers_ant_g(self) -> frozenset[Fact]:
-        th = self.theta_map()
-        return frozenset(_ground_fact(f, th) for f in self.rule.pers_ant)
+        return self._kept("_pers_ant", self._pers_ant_at)
+
+    def _pers_ant_at(self, th: Mapping[str, Term]) -> frozenset[Fact]:
+        return _ground_set(self.rule.pers_ant, th)
 
     def eph_ant_g(self) -> Multiset:
-        th = self.theta_map()
+        return self._kept("_eph_ant", self._eph_ant_at)
+
+    def _eph_ant_at(self, th: Mapping[str, Term]) -> Multiset:
         # Rule keeps persistent facts out of the ephemeral antecedent
         return Multiset._make(_tally(_ground_fact(f, th) for f in self.rule.eph_ant), frozenset())
 
@@ -164,15 +183,32 @@ class Inst:
         return self.pers_ant_g() <= state.pers and self.eph_ant_g().leq(state)
 
     def consequent(self, xi: Mapping[str, Term]) -> tuple[frozenset[Fact], Multiset]:
+        if not self.rule._con_evars:
+            # no fresh name occurs in it, so xi changes nothing
+            return self._kept("_con", self._con_at)
         th = self.theta_map()
         th.update(xi)
-        pers = frozenset(_ground_fact(f, th) for f in self.rule.pers_con)
+        return self._con_at(th)
+
+    def _con_at(self, th: Mapping[str, Term]) -> tuple[frozenset[Fact], Multiset]:
+        pers = _ground_set(self.rule.pers_con, th)
         eph = Multiset.of(_ground_fact(f, th) for f in self.rule.eph_con)
         return pers, eph
 
     def to_str(self) -> str:
         args = ", ".join(f"{v} := {term_to_str(t)}" for v, t in self.theta)
         return f"{self.rule.name}[{args}]" if args else self.rule.name
+
+
+_NO_FACTS: frozenset[Fact] = frozenset()
+
+
+def _ground_set(facts: tuple[Fact, ...], th: Mapping[str, Term]) -> frozenset[Fact]:
+    # most rules have no persistent facts; every empty frozenset built is
+    # a new object, and ground instantiations keep theirs, so they share one
+    if not facts:
+        return _NO_FACTS
+    return frozenset(_ground_fact(f, th) for f in facts)
 
 
 def _ground_fact(f: Fact, th: Mapping[str, Term]) -> Fact:
@@ -403,6 +439,11 @@ def apply_inst(
     assignment actually used.  A list passed as produced receives the
     distinct produced facts, as the objects the successor state was built
     from.
+
+    A step that changes nothing (its ephemeral consequent equals its
+    ephemeral antecedent and its persistent consequent is already in the
+    state) returns the given state object itself, so it copies nothing and
+    a caller can tell such a step by identity.
     """
     consumed = inst.eph_ant_g()
     if not (inst.pers_ant_g() <= state.pers and consumed.leq(state)):
@@ -422,6 +463,8 @@ def apply_inst(
     if produced is not None:
         produced.extend(pers)
         produced.extend(eph.eph_support())
+    if eph == consumed and pers <= state.pers:
+        return state, sig, names
     return state.rewrite(consumed, eph).with_pers(pers), sig, names
 
 

@@ -71,6 +71,9 @@ class Trace:
         self.sig = sig
         self.steps: list[Step] = []
         self.meta: dict = {}
+        # what readers derive from the recorded steps, keyed by the reader,
+        # each entry with the step count it describes
+        self.memo: dict = {}
         self._final = initial
         self._states: Optional[list[Multiset]] = None
 

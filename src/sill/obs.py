@@ -125,13 +125,21 @@ def _message_index(tr: Trace) -> dict:
 
     A message some state held is in the initial state or was produced by a
     step, so ``tr.facts()`` meets every message in the order the run did,
-    and no intermediate state is rebuilt.
+    and no intermediate state is rebuilt.  Only msg facts are decoded.  The
+    index is kept in ``tr.memo`` with the step count it describes, so the
+    observations of one trace build it once, and again only after the
+    trace has grown.
     """
-    out: dict = {}
-    for f in tr.facts():
-        pred, _, _, info = classify_fact(f)
-        if pred == "msg" and info is not None and info.carrier not in out:
-            out[info.carrier] = info
+    steps, out = tr.memo.get(_message_index, (None, None))
+    if steps != len(tr.steps):
+        out = {}
+        for f in tr.facts():
+            if f.pred != "msg":
+                continue
+            info = classify_fact(f)[3]
+            if info is not None and info.carrier not in out:
+                out[info.carrier] = info
+        tr.memo[_message_index] = (len(tr.steps), out)
     return out
 
 

@@ -93,6 +93,24 @@ def test_apply_accounting(queue):
         )
 
 
+def test_apply_keeps_the_state_of_a_step_that_changes_nothing():
+    mrs = parse_system(
+        """
+        rule stay: forall x. !ok(x), tok(x) -o !ok(x), tok(x)
+        rule move: forall x. tok(x) -o tok(x), !seen(x)
+        init: !ok(a), tok(a)
+        """
+    )
+    sig = mrs.signature()
+    (stay,) = match_rule(mrs.rule("stay"), mrs.initial)
+    assert apply_inst(mrs.initial, stay, sig)[0] is mrs.initial
+    (move,) = match_rule(mrs.rule("move"), mrs.initial)
+    after, _, _ = apply_inst(mrs.initial, move, sig)
+    assert after is not mrs.initial and after != mrs.initial
+    # once the persistent fact is there, the same step changes nothing
+    assert apply_inst(after, move, sig)[0] is after
+
+
 def test_apply_rejects_inapplicable(queue):
     e1 = queue.rule("e1")
     inst = Inst.make(e1, {"x": Const("q"), "y": Const("1")})

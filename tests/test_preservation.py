@@ -15,6 +15,7 @@ from test_dynamics import corpus
 from test_scheduler import SEEDS, replicated_corpus
 
 import sill.dynamics as dynamics
+import sill.lang.check as check_mod
 from sill.dynamics import (
     PreservationViolation,
     SillSystem,
@@ -47,6 +48,7 @@ from sill.lang.ast import (
     Wait,
     fc,
 )
+from sill.equiv import divergent
 from sill.lang.check import check_config, check_proc, check_type
 from sill.lang.errors import (
     CyclicSharing,
@@ -383,6 +385,21 @@ def test_checked_run_never_decodes_the_whole_state(monkeypatch):
     facts, iface = replicated_corpus(1)
     tr = run(SillSystem(), config_state(facts), iface, fuel=400, seed=1, check=True)
     assert tr.meta["maximal"]
+
+
+def test_checked_spin_types_its_process_once(monkeypatch):
+    typed = []
+    type_fact = check_mod._type_fact
+
+    def counting(f, uses, types):
+        typed.append(f)
+        type_fact(f, uses, types)
+
+    monkeypatch.setattr(check_mod, "_type_fact", counting)
+    state, iface = initial_config(divergent("r", ONE), {}, ("r", ONE))
+    tr = run(SillSystem(), state, iface, fuel=200, check=True)
+    assert len(tr.steps) == 200
+    assert len(typed) == 1
 
 
 # -- fresh names ---------------------------------------------------------------------

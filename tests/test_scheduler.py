@@ -202,6 +202,18 @@ def test_replicated_corpus_matches_rescan():
         assert tr.meta["maximal"]
 
 
+def test_corpus_beside_a_spin_matches_rescan():
+    # a process stepping to itself keeps its step in the queue among the
+    # corpus's steps, so steps that change nothing interleave with real ones
+    facts, _ = replicated_corpus(1)
+    start = config_state(facts).msum(
+        Multiset.of([proc_fact("spin", divergent("spin", One()))]))
+    for seed in SEEDS:
+        system = SillSystem()
+        tr = assert_same_run(system, start, sill_rescan(system), 400, seed, seed)
+        assert 0 < tr.meta["sched"]["unchanged_steps"] < len(tr.steps)
+
+
 def test_duplicated_proc_facts_match_rescan():
     # unchecked: two identical providers of a, three clients waiting on it
     start = Multiset.of([proc_fact("a", Close("a")), proc_fact("a", Close("a"))]
@@ -242,6 +254,20 @@ def test_random_mrs_matches_rescan():
         assert_same_run(mrs, mrs.initial, mrs_rescan(mrs), 12, seed, (i, mrs.rules))
 
 
+def test_unchanged_steps_are_the_steps_that_change_nothing():
+    rng = random.Random(20211018)
+    seen = 0
+    for i in range(300):
+        mrs = _extend(random_mrs(rng), rng)
+        seed = None if i % 3 == 0 else rng.randrange(1000)
+        tr = fair_execute(mrs, mrs.initial, budget=12, seed=seed)
+        states = tr.states
+        same = sum(states[j + 1] == states[j] for j in range(len(tr.steps)))
+        assert tr.meta["sched"]["unchanged_steps"] == same, (i, mrs.rules)
+        seen += same
+    assert seen
+
+
 RING = """
 rule pass: forall x, y. tok(x), next(x, y) -o tok(y), next(x, y)
 rule stay: forall x. tok(x) -o tok(x)
@@ -267,8 +293,8 @@ def test_omega_enumerates_once():
     state, iface = initial_config(Unquote("o", w), {}, ("o", conat))
     tr = run(SillSystem(), state, iface, fuel=300)
     assert tr.meta["sched"] == {"full_enumerations": 1, "delta_candidates": 300,
-                                "fresh_admitted": 300, "steps_derived": 300,
-                                "steps_reused": 0}
+                                "fresh_admitted": 300, "unchanged_steps": 0,
+                                "steps_derived": 300, "steps_reused": 0}
 
 
 # -- the step cache ----------------------------------------------------------------
@@ -305,8 +331,12 @@ def test_divergent_spin_derives_once():
     tr = run(Keeping(), state, iface, fuel=200)
     assert len(tr.steps) == 200
     assert {s.inst.rule.name for s in tr.steps} == {"unquote"}
-    assert tr.meta["sched"]["steps_derived"] == 1
-    assert tr.meta["sched"]["steps_reused"] == 199
+    # the start enumeration derives the spin; every step after leaves the
+    # state as it was, so the enabled set is never asked again
+    sched = tr.meta["sched"]
+    assert sched["unchanged_steps"] == 200
+    assert sched["delta_candidates"] == sched["steps_derived"] == sched["steps_reused"] == 0
+    assert len({id(st) for st in tr.states}) == 1
 
 
 def test_cache_holds_only_present_facts():
