@@ -28,7 +28,6 @@ checked step costs what it touched, not the size of the state.
 from __future__ import annotations
 
 from bisect import insort
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .fairness import fair_execute
@@ -208,25 +207,25 @@ def msg_fact(chan: str, p: ast.Process) -> Fact:
     return Fact("msg", (Const(chan), enc_proc(p)))
 
 
-@lru_cache(maxsize=65536)
 def dec_fact(f: Fact) -> tuple[str, ast.Process]:
     """Decode a proc or msg fact to (channel, process)."""
-    if f.pred not in ("proc", "msg") or len(f.args) != 2:
-        raise ValueError(f"not a process fact: {f!r}")
-    return _name(f.args[0]), dec_proc(f.args[1])
+    _, chan, p, _ = f.memo or _decode(f)
+    return chan, p
 
 
-# states mostly persist between steps, so per-fact work is cached; keys are
-# facts with construction-time hashes, making hits cheap
-_fkey = lru_cache(maxsize=65536)(fact_key)
-
-
-@lru_cache(maxsize=65536)
 def classify_fact(f: Fact) -> tuple:
     """(pred, channel, process, message info or None) for a process fact."""
-    chan, p = dec_fact(f)
+    return f.memo or _decode(f)
+
+
+def _decode(f: Fact) -> tuple:
+    # states mostly persist between steps, so a fact is decoded once and
+    # the decoding kept on the fact, for as long as the fact lives
+    if f.pred not in ("proc", "msg") or len(f.args) != 2:
+        raise ValueError(f"not a process fact: {f!r}")
+    chan, p = _name(f.args[0]), dec_proc(f.args[1])
     info = ast.message_parts(chan, p) if f.pred == "msg" else None
-    return f.pred, chan, p, info
+    return f.remember((f.pred, chan, p, info))
 
 
 def config_state(facts: Iterable[Union[ast.ProcF, ast.MsgF]]) -> Multiset:
@@ -235,17 +234,16 @@ def config_state(facts: Iterable[Union[ast.ProcF, ast.MsgF]]) -> Multiset:
                         for f in facts])
 
 
-@lru_cache(maxsize=65536)
 def config_fact(f: Fact) -> Union[ast.ProcF, ast.MsgF]:
     """Decode a proc or msg fact to a configuration fact."""
-    chan, p = dec_fact(f)
+    _, chan, p, _ = f.memo or _decode(f)
     return ast.MsgF(chan, p) if f.pred == "msg" else ast.ProcF(chan, p)
 
 
 def state_facts(st: Multiset) -> list[Union[ast.ProcF, ast.MsgF]]:
     """Decode a state back to configuration facts, sorted, with multiplicity."""
     out: list[Union[ast.ProcF, ast.MsgF]] = []
-    for f in sorted(st.eph_support(), key=_fkey):
+    for f in sorted(st.eph_support(), key=fact_key):
         out.extend([config_fact(f)] * st.count(f))
     return out
 
@@ -266,11 +264,6 @@ def initial_config(
 
 def _ground(name: str, consumed: list, produced: list,
             evars: tuple = (), hints: tuple = ()) -> Inst:
-    # a step that produces a copy of the fact it consumes (a process that
-    # steps to itself) produces the consumed object, so the state and the
-    # caches keyed on facts keep seeing one object for it
-    fact = consumed[0]
-    produced = [fact if hash(g) == hash(fact) and g == fact else g for g in produced]
     rule = Rule(name, (), (), tuple(consumed), evars, (), tuple(produced),
                 fresh_hints=hints)
     return Inst.make(rule, {})
@@ -489,7 +482,7 @@ class _StepIndex:
         elif info is not None:
             # buckets keep the fact-key order the step enumeration relies on
             insort(self.msgs.setdefault(info.carrier, []), (f, info, p),
-                   key=lambda t: _fkey(t[0]))
+                   key=lambda t: fact_key(t[0]))
 
     def _remove(self, f: Fact) -> None:
         pred, _, p, info = self.facts.pop(f)
@@ -510,7 +503,7 @@ class _StepIndex:
         """The steps of the given proc facts with their equivalence keys,
         in enumeration order."""
         out: list[tuple[tuple, Inst]] = []
-        for f in sorted(procs, key=_fkey):
+        for f in sorted(procs, key=fact_key):
             keyed = self.cache.get(f)
             if keyed is None:
                 _, c, p, _ = self.facts[f]

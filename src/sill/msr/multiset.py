@@ -1,5 +1,9 @@
 """Facts and states.
 
+Facts are hash-consed like the terms they hold (see ``terms``): equal facts
+are one object, so a state's dict and set operations hash and compare by
+address, and a fact's variables and order key are computed once.
+
 A state has a persistent part (a set of facts, monotonically growing) and an
 ephemeral part (a finite multiset).  The multiset operations are pointwise on
 multiplicities: sum adds, union takes the max, intersection the min,
@@ -8,33 +12,70 @@ difference truncates at zero, and inclusion compares pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .terms import Term, rename_consts, term_consts, term_key, term_to_str, term_vars
+from .terms import (InternRef, Term, immutable, intern_table, rename_consts, term_consts,
+                    term_key, term_to_str, union_vars)
+
+_FACTS, _facts_gone = intern_table()
 
 
-@dataclass(frozen=True)
 class Fact:
-    pred: str
-    args: tuple[Term, ...] = ()
-    persistent: bool = False
+    """A fact, interned like the terms: one object per (pred, args,
+    persistent), equality by identity, variables known from construction
+    and the order key (``fact_key``) kept once asked for.
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_h", hash((Fact, self.pred, self.args, self.persistent)))
+    ``memo`` holds what a client layer derives from the fact alone (the
+    process layer keeps its decoding there), set once with
+    ``Fact.remember``, so the derived data lives exactly as long as the
+    fact does."""
+
+    __slots__ = ("pred", "args", "persistent", "vars", "_key", "memo", "__weakref__")
+
+    def __new__(cls, pred: str, args: tuple[Term, ...] = (), persistent: bool = False) -> "Fact":
+        # interned as the terms are (see terms.py)
+        key = (pred, args, persistent)
+        ref = _FACTS.get(key)
+        if ref is not None:
+            f = ref()
+            if f is not None:
+                return f
+        f = object.__new__(cls)
+        _fact_pred(f, pred)
+        _fact_args(f, args)
+        _fact_persistent(f, persistent)
+        _fact_vars(f, union_vars(args))
+        _fact_key(f, None)
+        _fact_memo(f, None)
+        ref = _FACTS[key] = InternRef(f, _facts_gone)
+        ref.key = key
+        return f
+
+    __setattr__ = __delattr__ = immutable
+
+    def __repr__(self) -> str:
+        return f"Fact(pred={self.pred!r}, args={self.args!r}, persistent={self.persistent!r})"
+
+    def remember(self, value):
+        """Set ``memo`` to value, which must be derived from the fact
+        alone, and return it."""
+        _fact_memo(self, value)
+        return value
 
     def rename(self, rho: Mapping[str, str]) -> "Fact":
         return Fact(self.pred, tuple(rename_consts(a, rho) for a in self.args), self.persistent)
 
 
-# states hash facts on every operation; the terms below cache their own
-# hashes, so caching here makes the whole lookup O(1)
-Fact.__hash__ = lambda self: self._h  # type: ignore[method-assign]
+_fact_pred, _fact_args, _fact_persistent = (Fact.pred.__set__, Fact.args.__set__,
+                                            Fact.persistent.__set__)
+_fact_vars, _fact_key, _fact_memo = Fact.vars.__set__, Fact._key.__set__, Fact.memo.__set__
 
 
 def fact_key(f: Fact) -> tuple:
-    return (f.pred, f.persistent, tuple(term_key(a) for a in f.args))
+    """Total order key on facts, built once and kept on the fact."""
+    if f._key is None:
+        _fact_key(f, (f.pred, f.persistent, tuple([term_key(a) for a in f.args])))
+    return f._key
 
 
 def fact_to_str(f: Fact) -> str:
@@ -44,11 +85,8 @@ def fact_to_str(f: Fact) -> str:
     return f"{bang}{f.pred}({', '.join(term_to_str(a) for a in f.args)})"
 
 
-def fact_vars(f: Fact) -> set[str]:
-    out: set[str] = set()
-    for a in f.args:
-        out |= term_vars(a)
-    return out
+def fact_vars(f: Fact) -> frozenset[str]:
+    return f.vars
 
 
 def fact_consts(f: Fact) -> set[str]:
@@ -90,8 +128,7 @@ class Multiset:
     @classmethod
     def _make(cls, eph: dict[Fact, int], pers: frozenset[Fact]) -> "Multiset":
         # trusted constructor for internally produced parts: skips
-        # validation and, crucially, does not rehash every key the way a
-        # fresh dict build would
+        # validation and takes the dict as it is
         m = object.__new__(cls)
         m._eph = eph
         m._pers = pers
@@ -160,7 +197,6 @@ class Multiset:
         return Multiset(out, self._pers | other._pers)
 
     def msum(self, other: "Multiset") -> "Multiset":
-        # dict(d) reuses stored hashes, so only other's keys get hashed
         out = dict(self._eph)
         for f, n in other._eph.items():
             out[f] = out.get(f, 0) + n
@@ -188,7 +224,7 @@ class Multiset:
     def rewrite(self, consumed: "Multiset", produced: "Multiset") -> "Multiset":
         """``self.mdiff(consumed).msum(produced)`` with one copy of the
         ephemeral part: a rewriting step costs what it touched plus that
-        copy, and the facts left in place keep their identity."""
+        copy."""
         out = dict(self._eph)
         for f, n in consumed._eph.items():
             cur = out.get(f, 0)

@@ -212,11 +212,9 @@ def _ground_set(facts: tuple[Fact, ...], th: Mapping[str, Term]) -> frozenset[Fa
 
 
 def _ground_fact(f: Fact, th: Mapping[str, Term]) -> Fact:
-    # the ground rules of generated systems keep their own fact objects, so
-    # states and the caches keyed on facts see one object per fact
-    if not th:
+    if not th or not f.vars:
         return f
-    return Fact(f.pred, tuple(subst_term(a, th) for a in f.args), f.persistent)
+    return Fact(f.pred, tuple([subst_term(a, th) for a in f.args]), f.persistent)
 
 
 # -- matching ---------------------------------------------------------------
@@ -392,7 +390,7 @@ def _equiv_key(inst: Inst) -> tuple:
     persistent antecedent, since re-asserting an already-required persistent
     fact is unobservable.
 
-    The key is built from facts, whose hashes are cached at construction,
+    The key is built from facts, which are interned and hash by address,
     so neither building nor comparing it walks a term: the ground
     antecedent (a set and a multiset), and the consequent with placeholder
     constants for the existential variables that occur in it, as the set

@@ -27,11 +27,8 @@ class Step:
     """One applied instantiation and its delta.
 
     The step consumed ``inst.eph_ant_g()`` and produced ``produced``: the
-    distinct facts of the instantiated consequent, persistent ones first,
-    as the objects the successor state was built from.  A fresh copy would
-    miss the identity shortcut in the caches keyed on facts and fall into
-    deep equality.  ``xi`` records the fresh names, so the step replays
-    exactly.
+    distinct facts of the instantiated consequent, persistent ones first.
+    ``xi`` records the fresh names, so the step replays exactly.
     """
 
     inst: Inst

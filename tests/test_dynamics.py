@@ -181,6 +181,19 @@ def test_omega_cycles_three_rules():
     assert type_eq(types["o'2"], Plus((("z", One()), ("s", CONAT))))
 
 
+def test_deep_process_takes_its_first_step():
+    # 600 nested sends: keying and substituting the encoded process must
+    # not recurse once per level
+    p, t = Close("c"), One()
+    for _ in range(600):
+        p = SendLabel("c", "l", p)
+        t = Plus((("l", t),))
+    check_proc(p, ("c", t), {})
+    state, iface = initial_config(p, {}, ("c", t))
+    tr = run(SillSystem(), state, iface, fuel=1)
+    assert names(tr) == ["plus_r"]
+
+
 def test_terminal_state_gives_empty_trace():
     state = Multiset.of([msg_fact("b", Close("b"))])
     iface = Interface(used=(), internal=(), provided=(("b", One()),))

@@ -13,7 +13,7 @@ import random
 from helpers import old_equiv_key, random_mrs
 from test_dynamics import corpus
 
-from sill.dynamics import (SillSystem, _fkey, _listens_on, classify_fact, config_state,
+from sill.dynamics import (SillSystem, _listens_on, classify_fact, config_state,
                            initial_config, proc_fact, run)
 from sill.equiv import divergent
 from sill.fairness import fair_execute
@@ -82,9 +82,9 @@ def sill_rescan(system):
                     msgs.setdefault(info.carrier, []).append((f, info, p))
             else:
                 procs.append((f, chan, p))
-        procs.sort(key=lambda t: _fkey(t[0]))
+        procs.sort(key=lambda t: fact_key(t[0]))
         for bucket in msgs.values():
-            bucket.sort(key=lambda t: _fkey(t[0]))
+            bucket.sort(key=lambda t: fact_key(t[0]))
         out, seen = [], set()
         for f, c, p in procs:
             for inst in system._steps(f, c, p, msgs):
