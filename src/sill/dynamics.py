@@ -432,10 +432,8 @@ def _listens_on(p: ast.Process) -> Optional[str]:
         return p.src
     if isinstance(p, ast.FwdNeg):
         return p.dst
-    if isinstance(p, (ast.Wait, ast.Case, ast.RecvChan, ast.RecvShift,
-                      ast.RecvUnfold, ast.RecvVal)):
-        return p.chan
-    return None
+    comm = ast.comm_kind(p)
+    return p.chan if comm is not None and not comm[1] else None
 
 
 class _StepIndex:

@@ -307,12 +307,6 @@ class ConfigContext:
     outer: ast.Interface
     name: str = field(default="", compare=False)
 
-    @classmethod
-    def from_decl(cls, decl: ast.ConfigDecl) -> "ConfigContext":
-        if decl.hole is None:
-            raise SillError(f"configuration {decl.name} has no hole")
-        return cls(decl.facts, decl.hole, decl.interface, name=decl.name)
-
 
 @dataclass(frozen=True)
 class Experiment:

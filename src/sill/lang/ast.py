@@ -7,9 +7,10 @@ deterministic printed form.
 
 Session types are polarized.  Positive types describe communication flowing
 from the provider to the client, negative types the reverse; polarity shifts
-are explicit type constructors.  Recursive types are iso-recursive: a
-recursive type and its unfolding are related only by explicit unfold
-messages, never silently.
+are explicit type constructors.  Each connective's polarity, and the
+polarity its parts must have, is stated once, in ``POLARITIES``.  Recursive
+types are iso-recursive: a recursive type and its unfolding are related
+only by explicit unfold messages, never silently.
 
 Binding structure is stated once, in one role table per layer
 (``TYPE_ROLES``, ``TERM_ROLES``, ``PROC_ROLES``), and nowhere else.  Every
@@ -128,12 +129,27 @@ class ImpVal:
     body: SessionType
 
 
+# connective -> (its polarity, {session-type field: the polarity it must
+# have}); the one statement of polarity, read by polarity and by formation
+# checking.  TVar and Rec take theirs from context and from their body.
+POLARITIES: dict[type, tuple[str, dict[str, str]]] = {
+    One: (POSITIVE, {}),
+    Plus: (POSITIVE, {"branches": POSITIVE}),
+    With: (NEGATIVE, {"branches": NEGATIVE}),
+    Tensor: (POSITIVE, {"left": POSITIVE, "right": POSITIVE}),
+    Lolli: (NEGATIVE, {"left": POSITIVE, "right": NEGATIVE}),
+    Down: (POSITIVE, {"body": NEGATIVE}),
+    Up: (NEGATIVE, {"body": POSITIVE}),
+    AndVal: (POSITIVE, {"body": POSITIVE}),
+    ImpVal: (NEGATIVE, {"body": NEGATIVE}),
+}
+
+
 def polarity(a: SessionType, xi: Optional[Mapping[str, str]] = None) -> str:
     """Polarity of a session type; type variables are looked up in xi."""
-    if isinstance(a, (One, Plus, Tensor, Down, AndVal)):
-        return POSITIVE
-    if isinstance(a, (With, Lolli, Up, ImpVal)):
-        return NEGATIVE
+    entry = POLARITIES.get(type(a))
+    if entry is not None:
+        return entry[0]
     if isinstance(a, TVar):
         if xi is None or a.name not in xi:
             raise UnboundTypeVariable(a.name)
@@ -471,25 +487,39 @@ proc_free_fvars, proc_subst_fvar = free_fvars, subst_fvar
 
 
 def fc(p: Process) -> set[str]:
-    """Free channel names of a process."""
+    """Free channel names of a process.
+
+    One walk over an explicit stack, so nesting depth costs no Python
+    stack.  A binder scopes over the children of its construct, which
+    follow it; its name, pushed below them, closes the scope.
+    """
     free: set[str] = set()
-    inner: set[str] = set()
-    bound = None
-    for f, role in PROC_ROLES[type(p)].items():
-        v = getattr(p, f)
-        if role is CHAN:
-            free.add(v)
-        elif role is CHILD:
-            inner |= fc(v)
-        elif role is BRANCHES:
-            for _, q in v:
-                inner |= fc(q)
-        elif role is CHANS:
-            free.update(v)
-        elif role is CHAN_BINDER:
-            bound = v
-    inner.discard(bound)
-    return free | inner
+    bound: dict[str, int] = {}  # binder -> how many scopes of it are open
+    stack: list = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, str):
+            bound[q] -= 1
+            continue
+        binder = None
+        for f, role in PROC_ROLES[type(q)].items():
+            v = getattr(q, f)
+            if role is CHAN:
+                if not bound.get(v):
+                    free.add(v)
+            elif role is CHILD:
+                stack.append(v)
+            elif role is BRANCHES:
+                stack.extend(r for _, r in v)
+            elif role is CHANS:
+                free.update(c for c in v if not bound.get(c))
+            elif role is CHAN_BINDER:
+                binder = v
+                stack.append(v)
+        if binder is not None:
+            # opened only now: the construct's own channels are outside it
+            bound[binder] = bound.get(binder, 0) + 1
+    return free
 
 
 def subst_chan(p: Process, rho: Mapping[str, str]) -> Process:
@@ -650,10 +680,12 @@ class Module:
 # -- message shapes --------------------------------------------------------------
 
 # The kinds of message, and the only copy of what each kind is: the send
-# construct that emits it, with the field holding its payload, and the
-# connectives it is sent at.  Message classification, observation, the
-# checking of observed trees, experiment generation and the typing of
-# channels at birth all read these two tables, through send_kind,
+# construct that emits it, with the field holding its payload; the receive
+# construct that takes it; and the connectives it is sent at, the positive
+# one first.  Process typing (one rule for every send and receive),
+# message classification, observation, the checking of observed trees,
+# experiment generation, the typing of channels at birth and the step
+# index's listeners all read these tables, through comm_kind, send_kind,
 # message_parts, make_message and message_cont.
 MSG_SEND: dict[str, tuple[type, Optional[str]]] = {
     "close": (Close, None),
@@ -671,7 +703,17 @@ MSG_TYPES: dict[str, tuple[type, ...]] = {
     "unfold": (Rec,),
     "val": (AndVal, ImpVal),
 }
+MSG_RECV: dict[str, type] = {
+    "close": Wait,
+    "label": Case,
+    "chan": RecvChan,
+    "shift": RecvShift,
+    "unfold": RecvUnfold,
+    "val": RecvVal,
+}
 _SEND_KIND = {cls: (kind, fld) for kind, (cls, fld) in MSG_SEND.items()}
+_COMM_KIND = {**{cls: (kind, True) for kind, (cls, _) in MSG_SEND.items()},
+              **{cls: (kind, False) for kind, cls in MSG_RECV.items()}}
 
 
 @dataclass(frozen=True)
@@ -690,6 +732,12 @@ def send_kind(p: Process) -> Optional[tuple[str, object]]:
         return None
     kind, fld = entry
     return kind, (getattr(p, fld) if fld else None)
+
+
+def comm_kind(p: Process) -> Optional[tuple[str, bool]]:
+    """(kind, sends) of a send or receive construct; None for any other
+    process (a forward, a cut or an unquote)."""
+    return _COMM_KIND.get(type(p))
 
 
 def message_cont(kind: str, a: SessionType,

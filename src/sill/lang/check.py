@@ -5,6 +5,21 @@ Processes are checked against a sequent: a single offered channel on the
 right and a linear context of used channels on the left.  Every used channel
 must be consumed exactly once; the only implicit weakening is inside a case
 with no branches, where there is nothing left to run.
+
+Every send and receive is typed by one rule read off the message-kind
+tables of ``sill.lang.ast``: ``comm_kind`` (from ``MSG_SEND`` and
+``MSG_RECV``) names the construct's kind and whether it sends; the channel
+acted on must have a connective of ``MSG_TYPES[kind]`` whose polarity lets
+this side act (the provider sends at a positive type and receives at a
+negative one, the client the other way round); and the continuation is
+checked at the types ``message_cont`` gives.  Only what a kind adds (a
+channel or a value as payload, the branches of a case, close's empty
+context) is stated per kind.  Forwards, cuts and unquotes have their own
+rules.  Type formation reads each connective's polarity, and the polarity
+of each of its fields, from ``POLARITIES``.
+
+Process checking keeps its pending work on an explicit stack of frames, so
+a deeply nested process costs no Python stack.
 """
 
 from __future__ import annotations
@@ -45,46 +60,18 @@ def check_type(a: ast.SessionType, xi: Optional[Mapping[str, str]] = None) -> st
 
 
 def _formation(a, xi):
-    if isinstance(a, ast.One):
-        return POSITIVE
-    if isinstance(a, ast.Plus):
-        for label, t in a.branches:
-            if _formation(t, xi) != POSITIVE:
-                raise IllFormed(f"internal choice branch {label} must be positive")
-        return POSITIVE
-    if isinstance(a, ast.With):
-        for label, t in a.branches:
-            if _formation(t, xi) != NEGATIVE:
-                raise IllFormed(f"external choice branch {label} must be negative")
-        return NEGATIVE
-    if isinstance(a, ast.Tensor):
-        if _formation(a.left, xi) != POSITIVE or _formation(a.right, xi) != POSITIVE:
-            raise IllFormed("both components of * must be positive")
-        return POSITIVE
-    if isinstance(a, ast.Lolli):
-        if _formation(a.left, xi) != POSITIVE:
-            raise IllFormed("the argument of -o must be positive")
-        if _formation(a.right, xi) != NEGATIVE:
-            raise IllFormed("the result of -o must be negative")
-        return NEGATIVE
-    if isinstance(a, ast.Down):
-        if _formation(a.body, xi) != NEGATIVE:
-            raise IllFormed("down must wrap a negative type")
-        return POSITIVE
-    if isinstance(a, ast.Up):
-        if _formation(a.body, xi) != POSITIVE:
-            raise IllFormed("up must wrap a positive type")
-        return NEGATIVE
-    if isinstance(a, ast.AndVal):
-        check_functype(a.vtype)
-        if _formation(a.body, xi) != POSITIVE:
-            raise IllFormed("the continuation of ^ must be positive")
-        return POSITIVE
-    if isinstance(a, ast.ImpVal):
-        check_functype(a.vtype)
-        if _formation(a.body, xi) != NEGATIVE:
-            raise IllFormed("the continuation of => must be negative")
-        return NEGATIVE
+    entry = ast.POLARITIES.get(type(a))
+    if entry is not None:
+        pol, wants = entry
+        for f, role in ast.TYPE_ROLES[type(a)].items():
+            v = getattr(a, f)
+            if role is ast.FUNC_TYPE:
+                check_functype(v)
+            elif role is ast.CHILD or role is ast.BRANCHES:
+                for part, t in (v if role is ast.BRANCHES else ((f, v),)):
+                    if _formation(t, xi) != wants[f]:
+                        raise IllFormed(f"{part} of {a} must be {wants[f]}")
+        return pol
     if isinstance(a, ast.TVar):
         if a.name not in xi:
             raise UnboundTypeVariable(a.name)
@@ -204,11 +191,146 @@ def check_proc(p: ast.Process,
                used: Optional[Mapping[str, ast.SessionType]] = None,
                env: Optional[Mapping[str, ast.FuncType]] = None) -> None:
     """Check that p provides the offered channel using exactly `used`."""
-    name, a = offered
+    cname, ctype = offered
     delta = dict(used) if used else {}
-    if name in delta:
-        raise SillTypeError(f"offered channel {name} also appears on the left")
-    _proc(p, name, a, delta, dict(env) if env else {})
+    if cname in delta:
+        raise SillTypeError(f"offered channel {cname} also appears on the left")
+    env = dict(env) if env else {}
+    # The current frame is (p, cname, ctype, delta, env).  A construct with
+    # one continuation moves it on; the branches of a case and the right
+    # side of a cut wait on a stack, pushed in reverse so that faults are
+    # found in the order of a depth-first, left-to-right walk; a leaf takes
+    # the next waiting frame.  A frame owns its context and may change it.
+    waiting = []
+    while True:
+        comm = ast.comm_kind(p)
+        if comm is not None:
+            kind, sends = comm
+            a = p.chan
+            mine = a == cname
+            t = ctype if mine else _need(delta, a)
+            # the provider sends at a positive type and receives at a
+            # negative one, the client the other way round
+            want = POSITIVE if sends == mine else NEGATIVE
+            conns = ast.MSG_TYPES[kind]
+            if not (isinstance(t, conns[want is NEGATIVE]) if len(conns) == 2
+                    else isinstance(t, conns) and ast.polarity(t) == want):
+                raise SillTypeError(
+                    f"cannot {'send' if sends else 'receive'} a {kind} message "
+                    f"on {a}: {t} is not a {want} {kind} type")
+            if kind == "label" and not sends:
+                if t.labels() != p.labels():
+                    raise SillTypeError(
+                        f"case on {a} must cover exactly the labels of {t}")
+                for label, q in reversed(p.branches):
+                    (after,) = ast.message_cont(kind, t, label)
+                    if mine:
+                        waiting.append((q, cname, after, dict(delta), env))
+                    else:
+                        waiting.append((q, cname, ctype, {**delta, a: after}, env))
+            else:
+                conts = ast.message_cont(kind, t, p.label if kind == "label" else None)
+                if kind == "chan":
+                    if sends:
+                        b = p.payload
+                        if b == a:
+                            raise SillTypeError(f"cannot send channel {b} on itself")
+                        bt = _need(delta, b)
+                        if not ast.type_eq(bt, conts[0]):
+                            raise SillTypeError(
+                                f"payload {b} has type {bt}, expected {conts[0]}")
+                        del delta[b]
+                    else:
+                        x = p.var
+                        if x == cname or x in delta:
+                            raise SillTypeError(
+                                f"received channel name {x} is already in scope")
+                        delta[x] = conts[0]
+                elif kind == "val":
+                    if sends:
+                        check_term(p.term, env, t.vtype)
+                    else:
+                        env = {**env, p.var: t.vtype}
+                if mine:
+                    if conts:
+                        p, ctype = p.cont, conts[-1]
+                        continue
+                    _leaf(delta, "close")
+                else:
+                    if conts:
+                        delta[a] = conts[-1]
+                    else:
+                        del delta[a]
+                    p = p.cont
+                    continue
+
+        elif isinstance(p, (ast.FwdPos, ast.FwdNeg)):
+            pos = isinstance(p, ast.FwdPos)
+            word = "fwd+" if pos else "fwd-"
+            if p.dst != cname:
+                raise SillTypeError(f"{word} must provide the offered channel {cname}")
+            src_t = _need(delta, p.src)
+            del delta[p.src]
+            _leaf(delta, word)
+            if not ast.type_eq(src_t, ctype):
+                raise SillTypeError(
+                    f"{word} connects {p.src}:{src_t} to {p.dst}:{ctype}")
+            want = POSITIVE if pos else NEGATIVE
+            if ast.polarity(ctype) != want:
+                raise SillTypeError(f"{word} needs a {want} type, got {ctype}")
+
+        elif isinstance(p, ast.Cut):
+            x = p.chan
+            if p.ann is None:
+                raise SillTypeError(f"cut binding {x} needs a type annotation")
+            check_type(p.ann)
+            if x == cname or x in delta:
+                raise SillTypeError(f"cut reuses the channel name {x}")
+            fcl = ast.fc(p.left)
+            fcr = ast.fc(p.right)
+            dup = (fcl & fcr) & set(delta)
+            if dup:
+                raise LinearityError("channels used on both sides of a cut: "
+                                     + ", ".join(sorted(dup)))
+            left_delta = {c: t for c, t in delta.items() if c in fcl}
+            right_delta = {c: t for c, t in delta.items() if c not in fcl}
+            right_delta[x] = p.ann
+            waiting.append((p.right, cname, ctype, right_delta, env))
+            p, cname, ctype, delta = p.left, x, p.ann, left_delta
+            continue
+
+        elif isinstance(p, ast.Unquote):
+            if p.chan != cname:
+                raise SillTypeError(
+                    f"unquote must provide the offered channel {cname}")
+            pt = _synth(p.term, env)
+            if not isinstance(pt, ast.ProcType):
+                raise SillTypeError(f"unquoted a term of type {pt}")
+            if len(p.used) != len(pt.used):
+                raise SillTypeError(
+                    f"unquote passes {len(p.used)} channels, the process type "
+                    f"wants {len(pt.used)}")
+            if len(set(p.used)) != len(p.used):
+                raise LinearityError("unquote passes a channel twice")
+            for c in p.used:
+                _need(delta, c)
+            leftover = set(delta) - set(p.used)
+            if leftover:
+                raise LinearityError("unquote leaves channels unused: "
+                                     + ", ".join(sorted(leftover)))
+            if not ast.type_eq(pt.offered[1], ctype):
+                raise SillTypeError(
+                    f"unquoted process provides {pt.offered[1]}, expected {ctype}")
+            for c, (_, want) in zip(p.used, pt.used):
+                if not ast.type_eq(delta[c], want):
+                    raise SillTypeError(
+                        f"unquote passes {c}:{delta[c]} where {want} is expected")
+
+        else:
+            raise SillTypeError(f"not a process: {p!r}")
+        if not waiting:
+            return
+        p, cname, ctype, delta, env = waiting.pop()
 
 
 def _leaf(delta, what):
@@ -221,248 +343,6 @@ def _need(delta, c):
     if c not in delta:
         raise SillTypeError(f"channel {c} is not in scope")
     return delta[c]
-
-
-def _proc(p, cname, ctype, delta, env):
-    if isinstance(p, (ast.FwdPos, ast.FwdNeg)):
-        pos = isinstance(p, ast.FwdPos)
-        word = "fwd+" if pos else "fwd-"
-        if p.dst != cname:
-            raise SillTypeError(f"{word} must provide the offered channel {cname}")
-        src_t = _need(delta, p.src)
-        del delta[p.src]
-        _leaf(delta, word)
-        if not ast.type_eq(src_t, ctype):
-            raise SillTypeError(
-                f"{word} connects {p.src}:{src_t} to {p.dst}:{ctype}")
-        want = POSITIVE if pos else NEGATIVE
-        if ast.polarity(ctype) != want:
-            raise SillTypeError(f"{word} needs a {want} type, got {ctype}")
-        return
-
-    if isinstance(p, ast.Close):
-        if p.chan != cname:
-            raise SillTypeError(f"close must act on the offered channel {cname}")
-        if not isinstance(ctype, ast.One):
-            raise SillTypeError(f"close needs type 1, the channel has {ctype}")
-        _leaf(delta, "close")
-        return
-
-    if isinstance(p, ast.Wait):
-        t = _need(delta, p.chan)
-        if not isinstance(t, ast.One):
-            raise SillTypeError(f"wait needs type 1, channel {p.chan} has {t}")
-        del delta[p.chan]
-        _proc(p.cont, cname, ctype, delta, env)
-        return
-
-    if isinstance(p, ast.SendLabel):
-        a, k = p.chan, p.label
-        if a == cname:
-            if not isinstance(ctype, ast.Plus):
-                raise SillTypeError(f"cannot select on {a}: {ctype}")
-            t = ctype.branch(k)
-            if t is None:
-                raise SillTypeError(f"label {k} is not offered by {ctype}")
-            _proc(p.cont, cname, t, delta, env)
-            return
-        at = _need(delta, a)
-        if not isinstance(at, ast.With):
-            raise SillTypeError(f"cannot select on {a}: {at}")
-        t = at.branch(k)
-        if t is None:
-            raise SillTypeError(f"label {k} is not offered by {at}")
-        delta[a] = t
-        _proc(p.cont, cname, ctype, delta, env)
-        return
-
-    if isinstance(p, ast.Case):
-        a = p.chan
-        if a == cname:
-            t = ctype
-            if not isinstance(t, ast.With):
-                raise SillTypeError(f"cannot branch on {a}: {t}")
-        else:
-            t = _need(delta, a)
-            if not isinstance(t, ast.Plus):
-                raise SillTypeError(f"cannot branch on {a}: {t}")
-        if t.labels() != tuple(l for l, _ in p.branches):
-            raise SillTypeError(
-                f"case on {a} must cover exactly the labels of {t}")
-        for label, q in p.branches:
-            cont_t = t.branch(label)
-            if a == cname:
-                _proc(q, cname, cont_t, dict(delta), env)
-            else:
-                inner = dict(delta)
-                inner[a] = cont_t
-                _proc(q, cname, ctype, inner, env)
-        return
-
-    if isinstance(p, ast.SendChan):
-        a, b = p.chan, p.payload
-        if b == a:
-            raise SillTypeError(f"cannot send channel {b} on itself")
-        bt = _need(delta, b)
-        if a == cname:
-            if not isinstance(ctype, ast.Tensor):
-                raise SillTypeError(f"cannot send a channel on {a}: {ctype}")
-            if not ast.type_eq(bt, ctype.left):
-                raise SillTypeError(
-                    f"payload {b} has type {bt}, expected {ctype.left}")
-            del delta[b]
-            _proc(p.cont, cname, ctype.right, delta, env)
-            return
-        at = _need(delta, a)
-        if not isinstance(at, ast.Lolli):
-            raise SillTypeError(f"cannot send a channel on {a}: {at}")
-        if not ast.type_eq(bt, at.left):
-            raise SillTypeError(f"payload {b} has type {bt}, expected {at.left}")
-        del delta[b]
-        delta[a] = at.right
-        _proc(p.cont, cname, ctype, delta, env)
-        return
-
-    if isinstance(p, ast.RecvChan):
-        x, a = p.var, p.chan
-        if x == cname or x in delta:
-            raise SillTypeError(f"received channel name {x} is already in scope")
-        if a == cname:
-            if not isinstance(ctype, ast.Lolli):
-                raise SillTypeError(f"cannot receive a channel on {a}: {ctype}")
-            delta[x] = ctype.left
-            _proc(p.cont, cname, ctype.right, delta, env)
-            return
-        at = _need(delta, a)
-        if not isinstance(at, ast.Tensor):
-            raise SillTypeError(f"cannot receive a channel on {a}: {at}")
-        delta[x] = at.left
-        delta[a] = at.right
-        _proc(p.cont, cname, ctype, delta, env)
-        return
-
-    if isinstance(p, (ast.SendShift, ast.RecvShift)):
-        a = p.chan
-        send = isinstance(p, ast.SendShift)
-        if a == cname:
-            want = ast.Down if send else ast.Up
-            if not isinstance(ctype, want):
-                raise SillTypeError(f"shift does not fit {a}: {ctype}")
-            _proc(p.cont, cname, ctype.body, delta, env)
-            return
-        at = _need(delta, a)
-        want = ast.Up if send else ast.Down
-        if not isinstance(at, want):
-            raise SillTypeError(f"shift does not fit {a}: {at}")
-        delta[a] = at.body
-        _proc(p.cont, cname, ctype, delta, env)
-        return
-
-    if isinstance(p, (ast.SendUnfold, ast.RecvUnfold)):
-        a = p.chan
-        send = isinstance(p, ast.SendUnfold)
-        if a == cname:
-            t = ctype
-        else:
-            t = _need(delta, a)
-        if not isinstance(t, ast.Rec):
-            raise SillTypeError(f"cannot unfold {a}: {t}")
-        sender_side = send == (a == cname)
-        want = POSITIVE if sender_side else NEGATIVE
-        if ast.polarity(t) != want:
-            verb = "send" if send else "receive"
-            raise SillTypeError(
-                f"cannot {verb} an unfold on {a}: {t} has the wrong polarity")
-        unfolded = ast.unfold_rec(t)
-        if a == cname:
-            _proc(p.cont, cname, unfolded, delta, env)
-        else:
-            delta[a] = unfolded
-            _proc(p.cont, cname, ctype, delta, env)
-        return
-
-    if isinstance(p, ast.SendVal):
-        a = p.chan
-        if a == cname:
-            if not isinstance(ctype, ast.AndVal):
-                raise SillTypeError(f"cannot send a value on {a}: {ctype}")
-            check_term(p.term, env, ctype.vtype)
-            _proc(p.cont, cname, ctype.body, delta, env)
-            return
-        at = _need(delta, a)
-        if not isinstance(at, ast.ImpVal):
-            raise SillTypeError(f"cannot send a value on {a}: {at}")
-        check_term(p.term, env, at.vtype)
-        delta[a] = at.body
-        _proc(p.cont, cname, ctype, delta, env)
-        return
-
-    if isinstance(p, ast.RecvVal):
-        x, a = p.var, p.chan
-        inner = dict(env)
-        if a == cname:
-            if not isinstance(ctype, ast.ImpVal):
-                raise SillTypeError(f"cannot receive a value on {a}: {ctype}")
-            inner[x] = ctype.vtype
-            _proc(p.cont, cname, ctype.body, delta, inner)
-            return
-        at = _need(delta, a)
-        if not isinstance(at, ast.AndVal):
-            raise SillTypeError(f"cannot receive a value on {a}: {at}")
-        inner[x] = at.vtype
-        delta[a] = at.body
-        _proc(p.cont, cname, ctype, delta, inner)
-        return
-
-    if isinstance(p, ast.Cut):
-        x = p.chan
-        if p.ann is None:
-            raise SillTypeError(f"cut binding {x} needs a type annotation")
-        check_type(p.ann)
-        if x == cname or x in delta:
-            raise SillTypeError(f"cut reuses the channel name {x}")
-        fcl = ast.fc(p.left)
-        fcr = ast.fc(p.right)
-        dup = (fcl & fcr) & set(delta)
-        if dup:
-            raise LinearityError("channels used on both sides of a cut: "
-                                 + ", ".join(sorted(dup)))
-        left_delta = {c: t for c, t in delta.items() if c in fcl}
-        right_delta = {c: t for c, t in delta.items() if c not in fcl}
-        _proc(p.left, x, p.ann, left_delta, env)
-        right_delta[x] = p.ann
-        _proc(p.right, cname, ctype, right_delta, env)
-        return
-
-    if isinstance(p, ast.Unquote):
-        if p.chan != cname:
-            raise SillTypeError(
-                f"unquote must provide the offered channel {cname}")
-        pt = _synth(p.term, env)
-        if not isinstance(pt, ast.ProcType):
-            raise SillTypeError(f"unquoted a term of type {pt}")
-        if len(p.used) != len(pt.used):
-            raise SillTypeError(
-                f"unquote passes {len(p.used)} channels, the process type "
-                f"wants {len(pt.used)}")
-        if len(set(p.used)) != len(p.used):
-            raise LinearityError("unquote passes a channel twice")
-        for c in p.used:
-            _need(delta, c)
-        leftover = set(delta) - set(p.used)
-        if leftover:
-            raise LinearityError("unquote leaves channels unused: "
-                                 + ", ".join(sorted(leftover)))
-        if not ast.type_eq(pt.offered[1], ctype):
-            raise SillTypeError(
-                f"unquoted process provides {pt.offered[1]}, expected {ctype}")
-        for c, (_, want) in zip(p.used, pt.used):
-            if not ast.type_eq(delta[c], want):
-                raise SillTypeError(
-                    f"unquote passes {c}:{delta[c]} where {want} is expected")
-        return
-
-    raise SillTypeError(f"not a process: {p!r}")
 
 
 # -- configurations ------------------------------------------------------------

@@ -165,9 +165,6 @@ class Multiset:
             out |= fact_consts(f)
         return out
 
-    def is_empty(self) -> bool:
-        return not self._eph and not self._pers
-
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -14,6 +14,7 @@ from sill.lang import (
     module_to_str, parse, parse_proc, parse_term, parse_type,
     polarity, proc_to_str, type_eq, type_to_str, unfold_rec,
 )
+from sill.lang import ast
 from sill.lang.ast import functype_eq, make_message
 
 CONAT = Rec("a", Plus((("z", One()), ("s", TVar("a")))))
@@ -201,6 +202,53 @@ def test_unquote_passes_exactly_the_context():
                    {"b": One(), "e": One()})
     with pytest.raises(SillTypeError):
         check_proc(Unquote("d", quote, ("b",)), ("d", One()), {"b": CONAT})
+
+
+def _numeral(n, last="z"):
+    """send c unfold; c.s; ... (n times), then send c unfold; c.<last>;
+    close c: 2n + 3 constructs deep."""
+    p = SendUnfold("c", SendLabel("c", last, Close("c")))
+    for _ in range(n):
+        p = SendUnfold("c", SendLabel("c", "s", p))
+    return p
+
+
+def test_checking_a_5000_deep_process_needs_no_python_stack():
+    p = _numeral(2500)
+    check_proc(p, ("c", CONAT))
+    iface = Interface((), (), (("c", CONAT),))
+    assert check_config([ProcF("c", p)], iface) == {"c": (ProcF("c", p),)}
+    assert fc(p) == {"c"}
+    bad = _numeral(2500, "q")
+    with pytest.raises(SillTypeError, match="label q"):
+        check_proc(bad, ("c", CONAT))
+    with pytest.raises(IllTyped) as e:
+        check_config([ProcF("c", bad)], iface)
+    assert isinstance(e.value.__cause__, SillTypeError)
+
+
+def test_message_tables_agree_with_the_polarities():
+    k = Close("k")
+    comms = [Close("c"), Wait("c", k), SendLabel("c", "l", k), Case("c", ()),
+             SendChan("c", "d", k), RecvChan("x", "c", k), SendShift("c", k),
+             RecvShift("c", k), SendUnfold("c", k), RecvUnfold("c", k),
+             SendVal("c", FVar("v"), k), RecvVal("v", "c", k)]
+    for p in comms:
+        kind, sends = ast.comm_kind(p)
+        assert type(p) is (ast.MSG_SEND[kind][0] if sends else ast.MSG_RECV[kind])
+    assert {ast.comm_kind(p) for p in comms} == {
+        (kind, sends) for kind in ast.MSG_TYPES for sends in (True, False)}
+    for p in (FwdPos("a", "c"), FwdNeg("a", "c"), Unquote("c", FVar("v")),
+              Cut("x", One(), Close("x"), Wait("x", Close("c")))):
+        assert ast.comm_kind(p) is None
+    # a kind sent at two connectives lists the positive one first
+    for conns in ast.MSG_TYPES.values():
+        if len(conns) == 2:
+            assert [ast.POLARITIES[c][0] for c in conns] == ["positive", "negative"]
+    # every session-type field of a connective has a required polarity
+    for cls, (_, fields) in ast.POLARITIES.items():
+        roles = ast.TYPE_ROLES[cls]
+        assert set(fields) == {f for f, r in roles.items() if r in (ast.CHILD, ast.BRANCHES)}
 
 
 # -- configurations
