@@ -4,14 +4,14 @@ A running configuration is a multiset of ``proc`` and ``msg`` facts whose
 second argument encodes a process as a first-order term.  Rewrite rules are
 not fixed up front: each enabled step is a ground rule generated from the
 facts that enable it, so the fair scheduler and the trace machinery apply
-unchanged.  A full enumeration decodes every fact of a state; a fair run
-does that once, then decodes each fact as it appears and, after a step,
-asks only for the steps that can consume a fact the step touched.  Most
-processes (senders, cuts, closes, unquotes) have steps that depend on their
-own fact alone; a run derives and keys those once per fact and reuses them
-while the fact stays, so a process that steps to a copy of itself costs one
-derivation for the whole run.  Only the steps of processes that wait for a
-message are derived again, since the messages they can take change.
+unchanged.  Steps read and build the encoding: one rule for every send and
+one for every receive, read off the message-kind tables of ``ast``, with
+each continuation a subterm of the fact, renamed by one walk.  A fair run
+enumerates the start state once; after a step it asks only for the steps
+that can consume a fact the step touched.  Most processes (senders, cuts,
+closes, unquotes) have steps that depend on their own fact alone; a run
+derives and keys those once per fact and reuses them while the fact stays.
+Only the steps of processes that wait for a message are derived again.
 
 Sending is asynchronous.  A sender turns into a message fact plus a
 continuation running on a fresh channel; a receiver consumes the matching
@@ -28,11 +28,13 @@ checked step costs what it touched, not the size of the state.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Iterable, Mapping, Optional, Union
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .fairness import fair_execute
 from .lang import ast
-from .lang.ast import BRANCHES, CHAN, CHAN_BINDER, CHANS, CHILD, OPAQUE, TERM
+from .lang.ast import (BRANCHES, CHAN, CHAN_BINDER, CHANS, CHILD, FUNC_BINDER,
+                       OPAQUE, TERM)
 from .lang.check import ConfigTyping, check_config
 from .lang.errors import SillError, SillTypeError
 from .msr.multiset import Fact, Multiset, fact_key
@@ -42,9 +44,6 @@ from .msr.trace import Trace
 
 DEFAULT_EVAL_FUEL = 10_000
 
-# the fresh continuation channel of a message built by make_message; '%'
-# keeps it apart from source identifiers and generated runtime names
-_FRESH = "%fresh"
 _EVAR = "nc"
 
 
@@ -129,37 +128,52 @@ _DECODE = {tag: (cls, tuple(ast.PROC_ROLES[cls].values()))
            for cls, tag in _TAGS.items()}
 
 
-def enc_proc(p: ast.Process, env: Optional[Mapping[str, Term]] = None) -> Term:
-    """Encode a process as a term.
-
-    Channel names go through env (defaulting to constants of the same
-    name), so rule consequents can place existential variables at fresh
-    positions.  Binders shadow env.  Functional payloads and cut
-    annotations are wrapped opaquely: they never contain free channels.
-    """
-    return _enc(p, dict(env) if env else {})
+def _roles(t: App) -> Iterable[tuple[str, Term]]:
+    """(role, argument) of an encoded construct; spread ones take the last."""
+    roles = _DECODE[t.fn][1]
+    return zip(chain(roles, repeat(roles[-1])), t.args)
 
 
-def _enc(p: ast.Process, e: dict) -> Term:
-    inner = e
+def _fold(root, expand: Callable, build: Callable):
+    """build(node, an iterator over its children's values), children first,
+    for root and every node expand lists below it; no Python recursion."""
+    order, todo = [], [root]
+    while todo:
+        node = todo.pop()
+        kids = expand(node)
+        order.append((node, len(kids)))
+        todo.extend(kids)
+    done: list = []
+    for node, k in reversed(order):
+        kids, done[len(done) - k:] = iter(done[len(done) - k:]), []
+        done.append(build(node, kids))
+    return done[0]
+
+
+def _subprocs(p: ast.Process) -> list:
+    return [q for f, role in ast.PROC_ROLES[type(p)].items()
+            for q in ((getattr(p, f),) if role is CHILD else
+                      (r for _, r in getattr(p, f)) if role is BRANCHES else ())]
+
+
+def _enc(q: ast.Process, kids: Iterator[Term]) -> Term:
     args = []
-    for f, role in ast.PROC_ROLES[type(p)].items():
-        v = getattr(p, f)
-        if role is CHAN:
-            args.append(e.get(v) or Const(v))
-        elif role is CHILD:
-            args.append(_enc(v, inner))
+    for f, role in ast.PROC_ROLES[type(q)].items():
+        v = getattr(q, f)
+        if role is CHILD:
+            args.append(next(kids))
         elif role is BRANCHES:
-            args.extend(App("branch", (Const(l), _enc(q, inner))) for l, q in v)
+            args.extend(App("branch", (Const(l), next(kids))) for l, _ in v)
         elif role is CHANS:
-            args.extend(e.get(c) or Const(c) for c in v)
-        elif role is TERM or role is OPAQUE:
-            args.append(Wrap(v))
-        else:  # binders and labels
-            if role is CHAN_BINDER and v in e:
-                inner = {k: t for k, t in e.items() if k != v}
-            args.append(Const(v))
-    return App(_TAGS[type(p)], tuple(args))
+            args.extend(map(Const, v))
+        else:  # payloads and annotations are wrapped, names become constants
+            args.append(Wrap(v) if role is TERM or role is OPAQUE else Const(v))
+    return App(_TAGS[type(q)], tuple(args))
+
+
+def enc_proc(p: ast.Process) -> Term:
+    """Encode a process as a term, one application per construct."""
+    return _fold(p, _subprocs, _enc)
 
 
 def _name(t: Term) -> str:
@@ -173,30 +187,70 @@ def dec_proc(t: Term) -> ast.Process:
     if not isinstance(t, App) or t.fn not in _DECODE:
         raise ValueError(f"not a process encoding: {t!r}")
     cls, roles = _DECODE[t.fn]
-    a = t.args
-    spread = roles[-1] is BRANCHES or roles[-1] is CHANS
-    if len(a) < len(roles) - spread or (len(a) > len(roles) and not spread):
+    n, spread = len(roles), roles[-1] is BRANCHES or roles[-1] is CHANS
+    if len(t.args) < n - spread or (len(t.args) > n and not spread):
         raise ValueError(f"wrong number of arguments: {t!r}")
-    out = []
-    for i, role in enumerate(roles):
+    out: list = []
+    for role, a in _roles(t):
         if role is CHILD:
-            out.append(dec_proc(a[i]))
+            out.append(dec_proc(a))
         elif role is BRANCHES:
-            bs = []
-            for b in a[i:]:
-                if not (isinstance(b, App) and b.fn == "branch" and len(b.args) == 2):
-                    raise ValueError(f"bad branch encoding: {b!r}")
-                bs.append((_name(b.args[0]), dec_proc(b.args[1])))
-            out.append(tuple(bs))
-        elif role is CHANS:
-            out.append(tuple(_name(c) for c in a[i:]))
+            if not (isinstance(a, App) and a.fn == "branch" and len(a.args) == 2):
+                raise ValueError(f"bad branch encoding: {a!r}")
+            out.append((_name(a.args[0]), dec_proc(a.args[1])))
         elif role is TERM or role is OPAQUE:
-            if not isinstance(a[i], Wrap):
-                raise ValueError(f"expected a wrapped payload, got {a[i]!r}")
-            out.append(a[i].payload)
+            if not isinstance(a, Wrap):
+                raise ValueError(f"expected a wrapped payload, got {a!r}")
+            out.append(a.payload)
         else:
-            out.append(_name(a[i]))
-    return cls(*out)
+            out.append(_name(a))
+    return cls(*out[:n - 1], tuple(out[n - 1:])) if spread else cls(*out)
+
+
+def _rename(t: Term, rho: Mapping[str, Term],
+            val: Optional[tuple[str, ast.FuncTerm]] = None) -> Term:
+    """An encoded process with the free channel names in rho renamed, to
+    constants or to a step's variable, and the closed value v put for x
+    when val = (x, v); a binder shadows its name.  A construct whose binder
+    is in rho's range would capture: it goes to ``ast.subst_chan``, the one
+    alpha-renaming, which above it recurses just as this walk does."""
+    def expand(node: list) -> list:
+        u, r, x = node
+        kids: list = []
+        if not r and x is None:
+            return kids
+        for role, a in _roles(u):
+            if role is CHAN_BINDER and a in r.values():
+                # the node becomes its renamed encoding, which build keeps
+                q = dec_proc(u) if x is None else ast.subst_fvar(dec_proc(u), *x)
+                node[:] = enc_proc(ast.subst_chan(q, {c: w.name for c, w in r.items()})), {}, None
+                return []
+            if role is CHAN_BINDER and a.name in r:
+                r = {c: w for c, w in r.items() if c != a.name}
+            elif role is FUNC_BINDER and x is not None and a.name == x[0]:
+                x = None
+            elif role is CHILD or role is BRANCHES:
+                kids.append([a if role is CHILD else a.args[1], r, x])
+        return kids
+
+    def build(node: list, kids: Iterator[Term]) -> Term:
+        u, r, x = node
+        if not r and x is None:
+            return u
+        args = []
+        for role, a in _roles(u):
+            if role is CHAN or role is CHANS:
+                a = r.get(a.name, a)
+            elif role is CHILD:
+                a = next(kids)
+            elif role is BRANCHES:
+                a = App("branch", (a.args[0], next(kids)))
+            elif role is TERM and x is not None:
+                a = Wrap(ast.subst_fvar(a.payload, *x))
+            args.append(a)
+        return App(u.fn, tuple(args))
+
+    return _fold([t, {c: u for c, u in rho.items() if u is not Const(c)}, val], expand, build)
 
 
 def proc_fact(chan: str, p: ast.Process) -> Fact:
@@ -207,20 +261,11 @@ def msg_fact(chan: str, p: ast.Process) -> Fact:
     return Fact("msg", (Const(chan), enc_proc(p)))
 
 
-def dec_fact(f: Fact) -> tuple[str, ast.Process]:
-    """Decode a proc or msg fact to (channel, process)."""
-    _, chan, p, _ = f.memo or _decode(f)
-    return chan, p
-
-
 def classify_fact(f: Fact) -> tuple:
-    """(pred, channel, process, message info or None) for a process fact."""
-    return f.memo or _decode(f)
-
-
-def _decode(f: Fact) -> tuple:
-    # states mostly persist between steps, so a fact is decoded once and
-    # the decoding kept on the fact, for as long as the fact lives
+    """(pred, channel, process, message info or None) for a process fact,
+    decoded once and kept on the fact for as long as the fact lives."""
+    if f.memo:
+        return f.memo
     if f.pred not in ("proc", "msg") or len(f.args) != 2:
         raise ValueError(f"not a process fact: {f!r}")
     chan, p = _name(f.args[0]), dec_proc(f.args[1])
@@ -236,7 +281,7 @@ def config_state(facts: Iterable[Union[ast.ProcF, ast.MsgF]]) -> Multiset:
 
 def config_fact(f: Fact) -> Union[ast.ProcF, ast.MsgF]:
     """Decode a proc or msg fact to a configuration fact."""
-    _, chan, p, _ = f.memo or _decode(f)
+    _, chan, p, _ = classify_fact(f)
     return ast.MsgF(chan, p) if f.pred == "msg" else ast.ProcF(chan, p)
 
 
@@ -274,16 +319,12 @@ class SillSystem:
 
     Quacks like a rule system for the scheduler and the trace machinery,
     but its rules are ground and generated on demand, one per enabled step,
-    deduplicated and deterministically ordered.  ``applicable`` decodes a
+    deduplicated and deterministically ordered.  ``applicable`` indexes a
     whole state; the enabled set of a fair run (``enabled``, a
-    ``_StepIndex``) keeps the decoded facts indexed and after each step
-    hands out, with their equivalence keys, the steps of the proc facts the
-    step touched and of the proc facts listening on the carriers of touched
-    messages.  It derives a listener's steps afresh each time and every
-    other proc fact's steps once while the fact stays in the state.
-    Functional side conditions are evaluated with a fixed fuel and memoised
-    per system; a divergent side condition makes the step silently
-    unavailable.
+    ``_StepIndex``) keeps the facts indexed and after each step hands out
+    the steps that can consume a touched fact.  Functional side conditions
+    are evaluated with a fixed fuel and memoised per system; a divergent
+    side condition makes the step silently unavailable.
     """
 
     rules: tuple = ()
@@ -311,191 +352,162 @@ class SillSystem:
         fact key, then each fact's steps; equivalent steps after the first
         are dropped."""
         index = _StepIndex(self, state)
-        out: list[Inst] = []
-        seen = set()
+        out: dict[tuple, Inst] = {}
         for k, inst in index.steps(index.procs):
-            if k not in seen:
-                seen.add(k)
-                out.append(inst)
-        return out
+            out.setdefault(k, inst)
+        return list(out.values())
 
     def enabled(self, state: Multiset) -> "_StepIndex":
         """The per-run enabled set the fair scheduler advances step by step."""
         return _StepIndex(self, state)
 
-    def _steps(self, fact: Fact, c: str, p: ast.Process, msgs: dict) -> list[Inst]:
-        key = fact.args[0]
-        rs: list[Inst] = []
-
-        def send(name: str, kind: str, payload=None) -> None:
-            provider = p.chan == c
-            pol = ast.POSITIVE if provider else ast.NEGATIVE
-            mkey, mproc = ast.make_message(kind, pol, p.chan, _FRESH, payload)
-            mfact = Fact("msg", (Const(p.chan) if mkey == p.chan else Var(_EVAR),
-                                 enc_proc(mproc, {_FRESH: Var(_EVAR)})))
-            ckey = Var(_EVAR) if provider else key
-            cfact = Fact("proc", (ckey, enc_proc(p.cont, {p.chan: Var(_EVAR)})))
-            rs.append(_ground(name, [fact], [mfact, cfact], evars=(_EVAR,),
-                              hints=((_EVAR, (p.chan, "prime")),)))
-
-        def recv(name_r: str, name_l: str, kind: str,
-                 make_cont: Callable[[ast.MsgInfo], Optional[ast.Process]]) -> None:
-            provider = p.chan == c
-            want = ast.NEGATIVE if provider else ast.POSITIVE
-            name = name_r if provider else name_l
-            for mf, info, _ in msgs.get(p.chan, ()):
-                if info.kind != kind or info.polarity != want:
-                    continue
-                q = make_cont(info)
-                if q is None:
-                    continue
-                q = ast.subst_chan(q, {p.chan: info.cont})
-                nk = Const(info.cont) if provider else key
-                rs.append(_ground(name, [fact, mf],
-                                  [Fact("proc", (nk, enc_proc(q)))]))
-
-        if isinstance(p, ast.FwdPos):
-            # a waiting positive message is relabeled onto the forwarder's
-            # own channel; the forwarder disappears
-            for mf, info, m in msgs.get(p.src, ()):
-                if info.polarity == ast.POSITIVE:
-                    new = ast.subst_chan(m, {p.src: p.dst})
-                    rs.append(_ground("fwd+", [fact, mf],
-                                      [Fact("msg", (Const(p.dst), enc_proc(new)))]))
-        elif isinstance(p, ast.FwdNeg):
-            # negative messages travel toward the provider: one addressed to
-            # the forwarder is redirected to its source channel
-            for mf, info, m in msgs.get(p.dst, ()):
-                if info.polarity == ast.NEGATIVE:
-                    new = ast.subst_chan(m, {p.dst: p.src})
-                    rs.append(_ground("fwd-", [fact, mf],
-                                      [Fact("msg", (mf.args[0], enc_proc(new)))]))
-        elif isinstance(p, ast.Cut):
-            env = {p.chan: Var(_EVAR)}
-            rs.append(_ground(
-                "cut", [fact],
-                [Fact("proc", (Var(_EVAR), enc_proc(p.left, env))),
-                 Fact("proc", (key, enc_proc(p.right, env)))],
-                evars=(_EVAR,), hints=((_EVAR, (p.chan, "prime")),)))
-        elif isinstance(p, ast.Unquote):
-            v = self.eval(p.term)
-            if isinstance(v, ast.Quote) and len(v.used) == len(p.used):
-                rho = {v.offered[0]: c}
-                for (formal, _), actual in zip(v.used, p.used):
-                    rho[formal] = actual
-                body = ast.subst_chan(v.body, rho)
-                rs.append(_ground("unquote", [fact],
-                                  [Fact("proc", (key, enc_proc(body)))]))
-        elif isinstance(p, ast.Close):
-            if p.chan == c:
-                rs.append(_ground("one_r", [fact], [Fact("msg", (key, enc_proc(p)))]))
-        elif isinstance(p, ast.Wait):
-            for mf, info, _ in msgs.get(p.chan, ()):
-                if info.kind == "close":
-                    rs.append(_ground("one_l", [fact, mf],
-                                      [Fact("proc", (key, enc_proc(p.cont)))]))
-        elif isinstance(p, ast.SendLabel):
-            send("plus_r" if p.chan == c else "with_l", "label", p.label)
-        elif isinstance(p, ast.SendChan):
-            send("tensor_r" if p.chan == c else "lolli_l", "chan", p.payload)
-        elif isinstance(p, ast.SendShift):
-            send("down_r" if p.chan == c else "up_l", "shift")
-        elif isinstance(p, ast.SendUnfold):
-            send("rec_pos_r" if p.chan == c else "rec_neg_l", "unfold")
-        elif isinstance(p, ast.SendVal):
-            v = self.eval(p.term)
-            if v is not DIVERGED:
-                send("and_r" if p.chan == c else "imp_l", "val", v)
-        elif isinstance(p, ast.Case):
-            branches = dict(p.branches)
-
-            def pick(info: ast.MsgInfo) -> Optional[ast.Process]:
-                return branches.get(info.payload)
-
-            recv("with_r", "plus_l", "label", pick)
-        elif isinstance(p, ast.RecvChan):
-            recv("lolli_r", "tensor_l", "chan",
-                 lambda info: ast.subst_chan(p.cont, {p.var: info.payload}))
-        elif isinstance(p, ast.RecvShift):
-            recv("up_r", "down_l", "shift", lambda info: p.cont)
-        elif isinstance(p, ast.RecvUnfold):
-            recv("rec_neg_r", "rec_pos_l", "unfold", lambda info: p.cont)
-        elif isinstance(p, ast.RecvVal):
-            recv("imp_r", "and_l", "val",
-                 lambda info: ast.proc_subst_fvar(p.cont, p.var, info.payload))
+    def _steps(self, fact: Fact, msgs: dict) -> list[Inst]:
+        key, t = fact.args
+        tag, args = t.fn, t.args
+        if tag == "fwd+" or tag == "fwd-":
+            # a forward passes on each message of its polarity: a positive
+            # one from src to dst, rekeyed there, a negative one from dst to
+            # src, still keyed by its continuation
+            at = _LISTENS[tag]
+            pol, frm, to = ast.POSITIVE if at == 0 else ast.NEGATIVE, args[at], args[1 - at]
+            return [_ground(tag, [fact, mf], [Fact("msg", (
+                to if at == 0 else mf.args[0], _rename(mf.args[1], {frm.name: to})))])
+                for mf, info in msgs.get(frm.name, ()) if info.polarity == pol]
+        # a cut or a send creates one channel, named after its first one
+        nc, fresh = Var(_EVAR), {"evars": (_EVAR,), "hints": ((_EVAR, (args[0].name, "prime")),)}
+        if tag == "cut":
+            env = {args[0].name: nc}
+            return [_ground("cut", [fact], [Fact("proc", (nc, _rename(args[2], env))),
+                                            Fact("proc", (key, _rename(args[3], env)))], **fresh)]
+        if tag == "unquote":
+            v, used = self.eval(args[1].payload), args[2:]
+            if not isinstance(v, ast.Quote) or len(v.used) != len(used):
+                return []
+            rho = dict(zip((v.offered[0], *(n for n, _ in v.used)),
+                           (key.name, *(c.name for c in used))))
+            body = Fact("proc", (key, enc_proc(ast.subst_chan(v.body, rho))))
+            return [_ground("unquote", [fact], [body])]
+        kind, sends, at, pay = _COMM[tag]
+        chan = args[at].name
+        provider = chan == key.name
+        # the provider sends at the positive connective and receives at the
+        # negative one, a client the other way round
+        stem = _CONNECTIVES[kind][provider != sends]
+        if stem is None:
+            return []
+        name = stem + ("_r" if provider else "_l")
+        if sends and kind == "close":
+            return [_ground(name, [fact], [Fact("msg", (key, t))])]
+        if sends:
+            # the message ends in a forward to the fresh channel, on which
+            # the continuation runs
+            head, a, fwd = list(args[:-1]), args[at], _TAGS[ast._forwards(kind)[not provider]]
+            if kind == "val":
+                v = self.eval(head[pay].payload)
+                if v is DIVERGED:
+                    return []
+                head[pay] = Wrap(v)
+            msg = ((a, App(tag, (*head, App(fwd, (nc, a))))) if provider
+                   else (nc, App(tag, (*head, App(fwd, (a, nc))))))
+            cont = Fact("proc", (nc if provider else key, _rename(args[-1], {chan: nc})))
+            return [_ground(name, [fact], [Fact("msg", msg), cont], **fresh)]
+        # a receive continues on the message's continuation channel, with
+        # what it received in place of its binder
+        want = ast.NEGATIVE if provider else ast.POSITIVE
+        branches = {b.args[0].name: b.args[1] for b in args[1:]} if kind == "label" else {}
+        rs = []
+        for mf, info in msgs.get(chan, ()):
+            if info.kind != kind or info.polarity != want:
+                continue
+            q = branches.get(info.payload) if kind == "label" else args[-1]
+            if q is None:
+                continue
+            if kind == "chan":
+                q = _rename(q, {args[0].name: Const(info.payload)})
+            rho = {chan: Const(info.cont)} if info.cont is not None else {}
+            q = _rename(q, rho, (args[0].name, info.payload) if kind == "val" else None)
+            rs.append(_ground(name, [fact, mf],
+                              [Fact("proc", (Const(info.cont) if provider else key, q))]))
         return rs
 
 
-def _listens_on(p: ast.Process) -> Optional[str]:
-    """The carrier whose messages the process's steps consume, if any."""
-    if isinstance(p, ast.FwdPos):
-        return p.src
-    if isinstance(p, ast.FwdNeg):
-        return p.dst
-    comm = ast.comm_kind(p)
-    return p.chan if comm is not None and not comm[1] else None
+# message kind -> the rule-name stems of the connectives it is sent at, the
+# positive one's and the negative one's (close is sent at 1 only)
+_CONNECTIVES = {"close": ("one", None), "label": ("plus", "with"), "chan": ("tensor", "lolli"),
+                "shift": ("down", "up"), "unfold": ("rec_pos", "rec_neg"), "val": ("and", "imp")}
+# encoded send or receive -> (kind, sends, the carrier's argument, the
+# payload's argument), read off ast.MSG_SEND, ast.MSG_RECV and ast.PROC_ROLES
+_COMM = {_TAGS[cls]: (kind, sends, tuple(ast.PROC_ROLES[cls]).index("chan"),
+                      tuple(ast.PROC_ROLES[cls]).index(fld) if fld and sends else None)
+         for kind, (send, fld) in ast.MSG_SEND.items()
+         for cls, sends in ((send, True), (ast.MSG_RECV[kind], False))}
+# tag of a forward or a receive -> the argument of the carrier whose
+# messages it takes (a fwd+ takes positive ones, a fwd- negative ones)
+_LISTENS = {"fwd+": 0, "fwd-": 1,
+            **{tag: at for tag, (_, sends, at, _) in _COMM.items() if not sends}}
+
+
+def _listens_on(t: Term) -> Optional[str]:
+    """The carrier whose messages the encoded process's steps consume, if any."""
+    at = _LISTENS.get(t.fn)
+    return None if at is None else t.args[at].name
 
 
 class _StepIndex:
     """The facts of a state arranged for step generation, and the steps
     already derived from them.
 
-    Messages are bucketed by carrier and proc facts by the carrier they
-    listen on.  A proc fact's steps depend only on the fact and the bucket
-    of that carrier, so after a step only the touched proc facts and the
-    listeners on the carriers of touched messages need their steps.
-
-    The steps of a proc fact that listens on no carrier (a send, cut,
-    close or unquote) depend on the fact alone.  They are derived and keyed
-    once, when the fact is first asked for, and kept with their
-    equivalence keys until the fact leaves the state (a per-fact memory in
-    the manner of Rete), so the cache never holds more than the state.  A
-    process that steps to a copy of itself (``equiv.divergent``) then
-    derives and keys nothing after its first step.  Listeners' steps are
-    derived afresh each time.  ``derived`` and ``reused`` count the steps
-    handed out each way.
+    Messages are bucketed by carrier and proc facts by the carrier their
+    encoding listens on.  A proc fact's steps depend only on the fact and
+    the bucket of that carrier, so after a step only the touched proc facts
+    and the listeners on the carriers of touched messages need their steps.
+    The steps of a proc fact that listens on no carrier are derived and
+    keyed once, when the fact is first asked for, and kept until the fact
+    leaves the state (a per-fact memory in the manner of Rete), so the
+    cache never holds more than the state.  ``derived`` and ``reused``
+    count the steps handed out each way.
     """
 
     def __init__(self, system: SillSystem, state: Multiset):
         self.system = system
-        # classification of every indexed fact, so removal needs no decoding
-        self.facts: dict[Fact, tuple] = {}
+        # indexed fact -> the carrier a proc fact listens on, or a message's
+        # info, so removal reads nothing again
+        self.facts: dict[Fact, object] = {}
         self.procs: dict[Fact, None] = {}
         self.msgs: dict[str, list] = {}
         self.listeners: dict[str, dict[Fact, None]] = {}
         # non-listening proc fact -> its steps, each with its key
         self.cache: dict[Fact, list[tuple[tuple, Inst]]] = {}
-        self.derived = 0
-        self.reused = 0
+        self.derived = self.reused = 0
         for f in state.eph_support():
             self._add(f)
 
     def _add(self, f: Fact) -> None:
-        pred, _, p, info = self.facts[f] = classify_fact(f)
-        if pred == "proc":
+        if f.pred == "proc":
             self.procs[f] = None
-            carrier = _listens_on(p)
+            carrier = self.facts[f] = _listens_on(f.args[1])
             if carrier is not None:
                 self.listeners.setdefault(carrier, {})[f] = None
-        elif info is not None:
+            return
+        info = self.facts[f] = classify_fact(f)[3]
+        if info is not None:
             # buckets keep the fact-key order the step enumeration relies on
-            insort(self.msgs.setdefault(info.carrier, []), (f, info, p),
+            insort(self.msgs.setdefault(info.carrier, []), (f, info),
                    key=lambda t: fact_key(t[0]))
 
     def _remove(self, f: Fact) -> None:
-        pred, _, p, info = self.facts.pop(f)
-        if pred == "proc":
+        entry = self.facts.pop(f)
+        if f.pred == "proc":
             del self.procs[f]
-            carrier = _listens_on(p)
-            if carrier is None:
+            if entry is None:
                 self.cache.pop(f, None)
             else:
-                del self.listeners[carrier][f]
-        elif info is not None:
-            bucket = self.msgs[info.carrier]
-            bucket.pop(next(i for i, t in enumerate(bucket) if t[0] == f))
+                del self.listeners[entry][f]
+        elif entry is not None:
+            bucket = self.msgs[entry.carrier]
+            bucket.pop(next(i for i, t in enumerate(bucket) if t[0] is f))
             if not bucket:
-                del self.msgs[info.carrier]
+                del self.msgs[entry.carrier]
 
     def steps(self, procs: Iterable[Fact]) -> list[tuple[tuple, Inst]]:
         """The steps of the given proc facts with their equivalence keys,
@@ -504,10 +516,9 @@ class _StepIndex:
         for f in sorted(procs, key=fact_key):
             keyed = self.cache.get(f)
             if keyed is None:
-                _, c, p, _ = self.facts[f]
-                keyed = [(_equiv_key(i), i) for i in self.system._steps(f, c, p, self.msgs)]
+                keyed = [(_equiv_key(i), i) for i in self.system._steps(f, self.msgs)]
                 self.derived += len(keyed)
-                if _listens_on(p) is None:
+                if self.facts[f] is None:
                     self.cache[f] = keyed
             else:
                 self.reused += len(keyed)
@@ -527,11 +538,10 @@ class _StepIndex:
         for f in touched:
             if f not in self.facts:
                 self._add(f)
-            pred, _, _, info = self.facts[f]
-            if pred == "proc":
+            if f.pred == "proc":
                 procs[f] = None
-            elif info is not None:
-                procs.update(self.listeners.get(info.carrier, {}))
+            elif self.facts[f] is not None:
+                procs.update(self.listeners.get(self.facts[f].carrier, {}))
         return self.steps(procs)
 
 
@@ -539,26 +549,26 @@ class _StepIndex:
 
 
 def _birth_type(types: dict, step) -> ast.SessionType:
-    """Type of the channel a step created, read off the consumed fact."""
-    pf = next(f for f in step.inst.rule.eph_ant if f.pred == "proc")
-    _, p = dec_fact(pf)
-    if isinstance(p, ast.Cut):
-        if p.ann is None:
+    """Type of the channel a step created, read off the consumed fact: a
+    cut's annotation, or the last continuation type of a send's carrier."""
+    t = next(f for f in step.inst.rule.eph_ant if f.pred == "proc").args[1]
+    if t.fn == "cut":
+        if t.args[1].payload is None:
             raise PreservationViolation("cut without a type annotation")
-        return p.ann
-    t = types.get(p.chan)
-    if t is None:
-        raise PreservationViolation(f"no recorded type for {p.chan}")
-    sent = ast.send_kind(p)
+        return t.args[1].payload
+    kind, sends, at, pay = _COMM[t.fn]
+    chan = t.args[at].name
+    if chan not in types:
+        raise PreservationViolation(f"no recorded type for {chan}")
     try:
-        conts = ast.message_cont(sent[0], t, sent[1]) if sent else ()
+        # a label is the one payload a continuation's type depends on
+        label = t.args[pay].name if kind == "label" else None
+        conts = ast.message_cont(kind, types[chan], label) if sends else ()
     except SillTypeError as ex:
-        raise PreservationViolation(f"channel {p.chan}: {ex}") from ex
+        raise PreservationViolation(f"channel {chan}: {ex}") from ex
     if not conts:
         raise PreservationViolation(f"rule {step.inst.rule.name} created an "
                                     f"unexpected fresh channel")
-    # the carrier's continuation is the last entry, after a paired
-    # channel's type
     return conts[-1]
 
 

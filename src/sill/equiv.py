@@ -66,8 +66,8 @@ def _fc_state(state: Multiset) -> set[str]:
 def _carries(facts: Iterable[Fact], a: str) -> bool:
     """Is one of facts a message whose carrier is a?"""
     for f in facts:
-        pred, _, _, info = classify_fact(f)
-        if pred == "msg" and info is not None and info.carrier == a:
+        info = classify_fact(f)[3] if f.pred == "msg" else None
+        if info is not None and info.carrier == a:
             return True
     return False
 

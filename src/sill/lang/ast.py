@@ -21,8 +21,9 @@ labelled children (``BRANCHES``); a free channel (``CHAN``), a tuple of them
 (``TERM``) or a process quoted in a term (``QUOTED``); a type variable
 (``TYPE_VAR``), a recursion binder (``TYPE_BINDER``) or a functional type
 in a session type (``FUNC_TYPE``); a ``LABEL``; or an ``OPAQUE``
-annotation.  Renaming, substitution, free names, canonical types and the
-term encoding in ``sill.dynamics`` are one traversal of a table each.
+annotation.  Renaming, substitution, free names, canonical types, and the
+term encoding that ``sill.dynamics`` runs processes on, are one traversal
+of a table each.
 """
 
 from __future__ import annotations
@@ -483,9 +484,6 @@ def free_fvars(x: Union[FuncTerm, Process]) -> set[str]:
     return free | inner
 
 
-proc_free_fvars, proc_subst_fvar = free_fvars, subst_fvar
-
-
 def fc(p: Process) -> set[str]:
     """Free channel names of a process.
 
@@ -684,9 +682,9 @@ class Module:
 # construct that takes it; and the connectives it is sent at, the positive
 # one first.  Process typing (one rule for every send and receive),
 # message classification, observation, the checking of observed trees,
-# experiment generation, the typing of channels at birth and the step
-# index's listeners all read these tables, through comm_kind, send_kind,
-# message_parts, make_message and message_cont.
+# experiment generation, the typing of channels at birth and SILL's steps
+# all read these tables, directly or through comm_kind, message_parts,
+# make_message and message_cont.
 MSG_SEND: dict[str, tuple[type, Optional[str]]] = {
     "close": (Close, None),
     "label": (SendLabel, "label"),
@@ -711,7 +709,6 @@ MSG_RECV: dict[str, type] = {
     "unfold": RecvUnfold,
     "val": RecvVal,
 }
-_SEND_KIND = {cls: (kind, fld) for kind, (cls, fld) in MSG_SEND.items()}
 _COMM_KIND = {**{cls: (kind, True) for kind, (cls, _) in MSG_SEND.items()},
               **{cls: (kind, False) for kind, cls in MSG_RECV.items()}}
 
@@ -723,15 +720,6 @@ class MsgInfo:
     carrier: str
     cont: Optional[str]
     payload: object = None
-
-
-def send_kind(p: Process) -> Optional[tuple[str, object]]:
-    """(kind, payload) of a send construct; None for any other process."""
-    entry = _SEND_KIND.get(type(p))
-    if entry is None:
-        return None
-    kind, fld = entry
-    return kind, (getattr(p, fld) if fld else None)
 
 
 def comm_kind(p: Process) -> Optional[tuple[str, bool]]:
@@ -782,10 +770,11 @@ def message_parts(chan: str, p: Process) -> Optional[MsgInfo]:
     negative message is keyed by its continuation d and ends in the dual
     forward.  Returns None when the shape (or the fact channel) is wrong.
     """
-    sent = send_kind(p)
-    if sent is None:
+    kind, sends = comm_kind(p) or (None, False)
+    if not sends:
         return None
-    kind, payload = sent
+    fld = MSG_SEND[kind][1]
+    payload = getattr(p, fld) if fld else None
     a = p.chan
     if kind == "close":
         return MsgInfo(POSITIVE, kind, a, None) if a == chan else None

@@ -6,20 +6,43 @@ reach every construct and connective.  Channel renamings range over the
 free names, the binders (so alpha-renaming happens) and names of the form
 ``stem%k`` that alpha-renaming picks; a second renaming runs on the result
 of the first, so renamed binders are renamed again, and some processes
-have such names free before the first.  Encoder environments
-map free names and binders to variables and constants.
+have such names free before the first.  The walk that renames an encoded
+process (``sill.dynamics._rename``) must give the encoding of the process
+``subst_chan`` renames, alpha-renaming included, and the encoding the old
+encoder gave under a channel environment when it renames onto a step's
+variable.  Two runtime cases capture a binder in a received continuation
+and compare the step with the one the old step derivation took.
 """
 
 import dataclasses
 
 import ast_oracle as ref
+import dynamics_oracle
 from hypothesis import given, settings, strategies as st
 from test_lang import _procs, _terms, _types
 
 from sill import dynamics
 from sill.lang import ast
-from sill.lang.ast import Lam, One, Plus, ProcType, Quote, TVar, Unquote, With
-from sill.msr.terms import Const, Var
+from sill.lang.ast import (
+    Case,
+    Close,
+    FwdPos,
+    Lam,
+    MsgF,
+    One,
+    Plus,
+    ProcF,
+    ProcType,
+    Quote,
+    RecvChan,
+    SendChan,
+    SendLabel,
+    TVar,
+    Unquote,
+    Wait,
+    With,
+)
+from sill.msr.terms import Const, Var, iter_subterms
 
 NAMES = ("a", "b", "c", "d", "x", "y", "a%0", "x%0", "y%0")
 # swaps, and renamings onto a binder together with the name alpha-renaming
@@ -31,12 +54,6 @@ SPECIAL = (
 _renamings = st.one_of(
     st.dictionaries(st.sampled_from(NAMES), st.sampled_from(NAMES), max_size=4),
     st.sampled_from(SPECIAL),
-)
-_envs = st.dictionaries(
-    st.sampled_from(NAMES),
-    st.one_of(st.builds(Var, st.sampled_from(["nc", "e"])),
-              st.builds(Const, st.sampled_from(NAMES))),
-    max_size=3,
 )
 # closed values and types, as substitution requires
 _values = st.sampled_from([
@@ -56,20 +73,18 @@ def test_role_tables_give_every_field_of_every_construct_in_order():
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(_procs(3), st.booleans(), _renamings, _renamings, _envs)
-def test_process_walks_match_the_reference(p, generated, rho, sigma, env):
+@given(_procs(3), st.booleans(), _renamings, _renamings)
+def test_process_walks_match_the_reference(p, generated, rho, sigma):
     if generated:
         # free names of the form alpha-renaming picks, which it must avoid
         p = ref.subst_chan(p, {"a": "x%0", "b": "a%0", "c": "y%0"})
     assert ast.fc(p) == ref.fc(p)
-    assert ast.proc_free_fvars(p) == ref.proc_free_fvars(p)
+    assert ast.free_fvars(p) == ref.proc_free_fvars(p)
     once = ast.subst_chan(p, rho)
     assert once == ref.subst_chan(p, rho)
     assert ast.subst_chan(once, sigma) == ref.subst_chan(once, sigma)
     assert ast.fc(once) == ref.fc(once)
     for q in (p, once):
-        t = dynamics.enc_proc(q, env)
-        assert t == ref.enc_proc(q, env)
         assert dynamics.enc_proc(q) == ref.enc_proc(q)
         assert dynamics.dec_proc(dynamics.enc_proc(q)) == ref.dec_proc(ref.enc_proc(q)) == q
 
@@ -79,8 +94,8 @@ def test_process_walks_match_the_reference(p, generated, rho, sigma, env):
 def test_functional_walks_match_the_reference(p, m, name, value):
     assert ast.free_fvars(m) == ref.free_fvars(m)
     assert ast.subst_fvar(m, name, value) == ref.subst_fvar(m, name, value)
-    assert ast.proc_free_fvars(p) == ref.proc_free_fvars(p)
-    assert ast.proc_subst_fvar(p, name, value) == ref.proc_subst_fvar(p, name, value)
+    assert ast.free_fvars(p) == ref.proc_free_fvars(p)
+    assert ast.subst_fvar(p, name, value) == ref.proc_subst_fvar(p, name, value)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -97,12 +112,56 @@ def test_type_walks_match_the_reference(a, b, name, repl, depth):
     assert ast.type_eq(rec, ast.Rec("z", ast.subst_tvar(a, name, TVar("z"))))
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_procs(3), st.booleans(), _renamings, _fvars, _values)
+def test_renaming_an_encoding_encodes_the_renamed_process(p, generated, rho, name, value):
+    # the %0 names among the images make subst_chan alpha-rename binders
+    if generated:
+        p = ref.subst_chan(p, {"a": "x%0", "b": "a%0", "c": "y%0"})
+    t = dynamics.enc_proc(p)
+    consts = {c: Const(d) for c, d in rho.items()}
+    assert dynamics._rename(t, consts) == dynamics.enc_proc(ast.subst_chan(p, rho))
+    # a received value is substituted in the same walk
+    substituted = ast.subst_chan(ast.subst_fvar(p, name, value), rho)
+    assert dynamics._rename(t, consts, (name, value)) == dynamics.enc_proc(substituted)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_procs(3), st.sampled_from(NAMES))
 def test_encoding_under_a_channel_variable_needs_no_renaming(p, chan):
-    # a derived step encodes its continuation with the consumed channel
-    # mapped to the step's variable; renaming onto a placeholder first, as
-    # steps once did, gives the same term
-    fresh = "%fresh"
-    renamed = dynamics.enc_proc(ast.subst_chan(p, {chan: fresh}), {fresh: Var("nc")})
-    assert dynamics.enc_proc(p, {chan: Var("nc")}) == renamed
+    # a derived step renames the consumed channel in its continuation to
+    # the step's variable, which no binder can capture
+    env = {chan: Var("nc")}
+    assert dynamics._rename(dynamics.enc_proc(p), env) == dynamics_oracle.enc_proc(p, env)
+
+
+def _same_steps_capturing(facts):
+    """The steps of the configuration, derived both ways; each produces a
+    process whose binder was alpha-renamed."""
+    state = dynamics.config_state(facts)
+    new = dynamics.SillSystem().applicable(state)
+    old = dynamics_oracle.OracleSystem().applicable(state)
+    assert [(i.rule.name, i.rule.eph_ant, i.rule.eph_con) for i in new] == \
+        [(i.rule.name, i.rule.eph_ant, i.rule.eph_con) for i in old]
+    received = [i for i in new if len(i.rule.eph_ant) == 2]
+    assert received
+    for i in received:
+        names = {s.name for f in i.rule.eph_con for s in iter_subterms(f.args[1])
+                 if type(s) is Const}
+        assert any(n.endswith("%0") for n in names), i.to_str()
+
+
+def test_a_received_channel_named_like_a_binder_of_the_continuation():
+    # x is renamed to the received y inside "y <- recv x; ...", whose
+    # binder y must move out of the way
+    facts = [MsgF("c", SendChan("c", "y", FwdPos("d", "c"))),
+             ProcF("e", RecvChan("x", "c", RecvChan("y", "x",
+                                                   Wait("y", Wait("x", Wait("c", Close("e")))))))]
+    _same_steps_capturing(facts)
+
+
+def test_a_continuation_channel_named_like_a_binder_of_the_receiver():
+    # the message continues on x, and the chosen branch binds x
+    facts = [MsgF("c", SendLabel("c", "l", FwdPos("x", "c"))),
+             ProcF("e", Case("c", (("l", RecvChan("x", "c", Wait("x", Wait("c", Close("e"))))),)))]
+    _same_steps_capturing(facts)

@@ -3,14 +3,14 @@
 import pytest
 from hypothesis import given, settings
 
-from test_lang import _procs
+from test_lang import _numeral, _procs
 
 from sill.dynamics import (
     DIVERGED,
     PreservationViolation,
     SillSystem,
+    classify_fact,
     config_state,
-    dec_fact,
     dec_proc,
     enc_proc,
     eval_term,
@@ -149,7 +149,7 @@ def test_dec_rejects_garbage():
     from sill.msr.multiset import Fact
 
     with pytest.raises(ValueError):
-        dec_fact(Fact("other", (Const("x"),)))
+        classify_fact(Fact("other", (Const("x"),)))
 
 
 # -- goldens -----------------------------------------------------------------------
@@ -179,6 +179,27 @@ def test_omega_cycles_three_rules():
     assert type_eq(types["o'0"], Plus((("z", One()), ("s", CONAT))))
     assert type_eq(types["o'1"], CONAT)
     assert type_eq(types["o'2"], Plus((("z", One()), ("s", CONAT))))
+
+
+def test_an_unchecked_run_decodes_no_process():
+    # steps read and build the encoded processes; only a message's shape is
+    # classified
+    w = Fix("w", Quote(("c", CONAT),
+                       SendUnfold("c", SendLabel("c", "s", Unquote("c", FVar("w"))))))
+    state, iface = initial_config(Unquote("o", w), {}, ("o", CONAT))
+    tr = run(SillSystem(), state, iface, fuel=1000)
+    assert len(tr.steps) == 1000
+    procs = [f for f in tr.facts() if f.pred == "proc"]
+    assert len(procs) > 1000
+    assert all(f.memo is None for f in procs)
+
+
+def test_an_unchecked_run_of_a_5000_deep_process_takes_its_step():
+    p = _numeral(2500)
+    state, iface = initial_config(p, {}, ("c", CONAT))
+    tr = run(SillSystem(), state, iface, fuel=1, check=False)
+    assert names(tr) == ["rec_pos_r"]
+    assert tr.final().eph_size() == 2
 
 
 def test_deep_process_takes_its_first_step():

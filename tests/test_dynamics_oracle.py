@@ -1,0 +1,105 @@
+"""Differential tests: SILL steps derived on the term encoding against the
+reference in ``dynamics_oracle``, which decoded each process and encoded
+its successors again.
+
+At every state of every run below, both give the same enabled steps, in
+the same order: rule name, consumed and produced facts, existentials,
+fresh-name hints and equivalence key.  Full fair runs take the same steps
+with the same fresh names, and the channels those steps create get the
+same types.  The inputs are the corpus under several seeds, the wide
+benchmark configuration, an endless sender, divergent spins and
+type-directed well-typed processes.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+import dynamics_oracle as ref
+from test_check_oracle import _well_typed
+from test_dynamics import corpus
+from test_obs import CONAT, omega_proc
+
+from sill.dynamics import SillSystem, _birth_type, config_state, initial_config, run
+from sill.equiv import divergent
+from sill.lang import check_module, parse
+from sill.lang.ast import One, Plus, Up
+from sill.msr.rules import _equiv_key
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import wide_source  # noqa: E402
+
+SEEDS = (None, 0, 1, 2, 7)
+
+
+def _inst(i):
+    r = i.rule
+    return r.name, r.eph_ant, r.eph_con, r.evars, r.fresh_hints, _equiv_key(i)
+
+
+def assert_same_runs(state, iface, fuel, seeds=SEEDS, check=False):
+    """Run both systems from state under each seed; compare the steps, the
+    enabled steps at every state and the types of the born channels.
+    Returns the traces of the current system."""
+    traces = []
+    for seed in seeds:
+        new = run(SillSystem(), state, iface, fuel=fuel, seed=seed, check=check)
+        old = run(ref.OracleSystem(), state, iface, fuel=fuel, seed=seed, check=check)
+        assert [(_inst(s.inst), s.xi, s.produced) for s in new.steps] == \
+            [(_inst(s.inst), s.xi, s.produced) for s in old.steps]
+        assert new.meta["maximal"] == old.meta["maximal"]
+        assert new.meta["sched"] == old.meta["sched"]
+        types = new.meta["channel_types"]
+        for s in new.steps:
+            if s.xi:
+                assert _birth_type(types, s) == ref._birth_type(types, s)
+        for st in new.states:
+            assert [_inst(i) for i in SillSystem().applicable(st)] == \
+                [_inst(i) for i in ref.OracleSystem().applicable(st)]
+        traces.append(new)
+    return traces
+
+
+def test_corpus_runs_match_the_reference():
+    for name, facts, iface in corpus():
+        for tr in assert_same_runs(config_state(facts), iface, 200, check=True):
+            assert tr.meta["maximal"] is True, name
+
+
+def test_the_wide_configuration_runs_like_the_reference():
+    src, provided = wide_source(4, 1)
+    mod = parse(src)
+    check_module(mod)
+    decl = mod.configs["wide"]
+    tr, = assert_same_runs(config_state(decl.facts), decl.interface, 10_000,
+                           seeds=(1,), check=True)
+    assert tr.meta["maximal"] is True and len(tr.steps) > 200
+
+
+def test_an_endless_sender_runs_like_the_reference():
+    state, iface = initial_config(omega_proc(), {}, ("o", CONAT))
+    tr, = assert_same_runs(state, iface, 300, seeds=(None,))
+    assert len(tr.steps) == 300
+
+
+def test_divergent_spins_run_like_the_reference():
+    up1 = Up(One())
+    for p, offered, used in (
+            (divergent("r", One()), ("r", One()), {}),
+            (divergent("r", up1, (("u", One()), ("v", up1))), ("r", up1),
+             {"u": One(), "v": up1}),
+            (divergent("z0", Plus((("l", One()),)), (("z1", One()),)),
+             ("z0", Plus((("l", One()),))), {"z1": One()})):
+        state, iface = initial_config(p, used, offered)
+        for tr in assert_same_runs(state, iface, 40, seeds=(None, 3)):
+            assert len(tr.steps) == 40
+
+
+def test_well_typed_processes_run_like_the_reference():
+    steps = 0
+    for seed in range(200):
+        p, offered, used = _well_typed(random.Random(seed))
+        state, iface = initial_config(p, used, offered)
+        for tr in assert_same_runs(state, iface, 40, seeds=(None, seed)):
+            steps += len(tr.steps)
+    assert steps > 4000

@@ -22,7 +22,9 @@ from sill.dynamics import (
     _EVAR,
     _birth_type,
     _ground,
+    classify_fact,
     config_state,
+    enc_proc,
     initial_config,
     msg_fact,
     proc_fact,
@@ -58,6 +60,7 @@ from sill.lang.errors import (
     SillError,
     SillTypeError,
 )
+from sill.msr.multiset import Fact
 
 CONAT = Rec("a", Plus((("z", One()), ("s", TVar("a")))))
 TWO = Plus((("s", One()), ("z", One())))
@@ -243,14 +246,20 @@ class Faulty(SillSystem):
         super().__init__()
         self.rewrite = rewrite
 
-    def _steps(self, fact, c, p, msgs):
+    def _steps(self, fact, msgs):
+        _, c, p, _ = classify_fact(fact)
         out = self.rewrite(self, fact, c, p, msgs)
-        return super()._steps(fact, c, p, msgs) if out is None else out
+        return super()._steps(fact, msgs) if out is None else out
 
 
 def generate_as(q):
     """Generate the steps a fact would take if it held q instead."""
-    return lambda system, fact, c, p, msgs: SillSystem._steps(system, fact, c, q, msgs)
+    def steps(system, fact, c, p, msgs):
+        stand_in = Fact("proc", (fact.args[0], enc_proc(q)))
+        return [_ground(r.name, [fact if g is stand_in else g for g in r.eph_ant],
+                        r.eph_con, r.evars, r.fresh_hints)
+                for r in (i.rule for i in SillSystem._steps(system, stand_in, msgs))]
+    return steps
 
 
 def on(chan, proc, make):

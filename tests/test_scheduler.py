@@ -76,18 +76,18 @@ def sill_rescan(system):
     def enumerate_(state):
         msgs, procs = {}, []
         for f in state.eph_support():
-            pred, chan, p, info = classify_fact(f)
+            pred, _, _, info = classify_fact(f)
             if pred == "msg":
                 if info is not None:
-                    msgs.setdefault(info.carrier, []).append((f, info, p))
+                    msgs.setdefault(info.carrier, []).append((f, info))
             else:
-                procs.append((f, chan, p))
-        procs.sort(key=lambda t: fact_key(t[0]))
+                procs.append(f)
+        procs.sort(key=fact_key)
         for bucket in msgs.values():
             bucket.sort(key=lambda t: fact_key(t[0]))
         out, seen = [], set()
-        for f, c, p in procs:
-            for inst in system._steps(f, c, p, msgs):
+        for f in procs:
+            for inst in system._steps(f, msgs):
                 k = old_equiv_key(inst)
                 if k not in seen:
                     seen.add(k)
@@ -322,8 +322,7 @@ def assert_cache_current(index, state):
     """The cache holds only non-listening proc facts the state holds."""
     for f in index.cache:
         assert state.count(f), f
-        pred, _, p, _ = classify_fact(f)
-        assert pred == "proc" and _listens_on(p) is None, f
+        assert f.pred == "proc" and _listens_on(f.args[1]) is None, f
 
 
 def test_divergent_spin_derives_once():
