@@ -182,29 +182,51 @@ def _name(t: Term) -> str:
     return t.name
 
 
-def dec_proc(t: Term) -> ast.Process:
-    """Decode a term produced by enc_proc back to a process."""
+def _dec_fields(node: list) -> list:
+    """Check the shape of the term in node, then make node the construct,
+    where its spread fields start (or None), its decoded fields with a
+    hole for each subprocess, and the holes as (index, branch label or
+    None).  Returns the subprocesses, as nodes of their own."""
+    t = node[0]
     if not isinstance(t, App) or t.fn not in _DECODE:
         raise ValueError(f"not a process encoding: {t!r}")
     cls, roles = _DECODE[t.fn]
     n, spread = len(roles), roles[-1] is BRANCHES or roles[-1] is CHANS
     if len(t.args) < n - spread or (len(t.args) > n and not spread):
         raise ValueError(f"wrong number of arguments: {t!r}")
-    out: list = []
+    fields, holes, kids = [], [], []
     for role, a in _roles(t):
         if role is CHILD:
-            out.append(dec_proc(a))
+            holes.append((len(fields), None))
+            kids.append([a])
         elif role is BRANCHES:
             if not (isinstance(a, App) and a.fn == "branch" and len(a.args) == 2):
                 raise ValueError(f"bad branch encoding: {a!r}")
-            out.append((_name(a.args[0]), dec_proc(a.args[1])))
+            holes.append((len(fields), _name(a.args[0])))
+            kids.append([a.args[1]])
         elif role is TERM or role is OPAQUE:
             if not isinstance(a, Wrap):
                 raise ValueError(f"expected a wrapped payload, got {a!r}")
-            out.append(a.payload)
+            a = a.payload
         else:
-            out.append(_name(a))
-    return cls(*out[:n - 1], tuple(out[n - 1:])) if spread else cls(*out)
+            a = _name(a)
+        fields.append(a)
+    node[:] = cls, n - 1 if spread else None, fields, holes
+    return kids
+
+
+def _dec(node: list, kids: Iterator[ast.Process]) -> ast.Process:
+    cls, spread, fields, holes = node
+    for i, label in holes:
+        fields[i] = next(kids) if label is None else (label, next(kids))
+    if spread is None:
+        return cls(*fields)
+    return cls(*fields[:spread], tuple(fields[spread:]))
+
+
+def dec_proc(t: Term) -> ast.Process:
+    """Decode a term produced by enc_proc back to a process."""
+    return _fold([t], _dec_fields, _dec)
 
 
 def _rename(t: Term, rho: Mapping[str, Term],

@@ -5,6 +5,11 @@ Two configurations are compared by subjecting both to experiments
 the observed communications.  Universal quantification over contexts is
 replaced by a user-supplied context suite plus generated experiment
 families at bounded depth, so every verdict here is bounded.
+
+Every observation is an experiment run: ``plug`` composes a context with
+its subject and ``observe_config`` runs and observes the result, for the
+suite and the generated families alike.  The empty context observes each
+subject alone.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .dynamics import SillSystem, classify_fact, config_state, run, state_facts
+from .dynamics import SillSystem, classify_fact, config_state, state_facts
 from .fairness import fair_execute
 from .lang import ast
 from .lang.check import check_config
@@ -23,10 +28,10 @@ from .obs import (
     BOT,
     CommTree,
     Label,
+    Observation,
     ValueRelation,
     check_comm,
     comm_eq,
-    observe,
     observe_config,
     syntactic,
     tree_to_str,
@@ -436,15 +441,6 @@ def run_experiment(subject: Subject, experiment: Experiment,
 # -- bounded equivalence checking ----------------------------------------------------
 
 
-def _observe_alone(subject: Subject, fuel, depth, seed, system):
-    state, iface = subject
-    tr = run(system or SillSystem(), state, iface, fuel=fuel, seed=seed)
-    rows = {}
-    for c, t in list(iface.used) + list(iface.provided):
-        rows[c] = (observe(tr, c, depth)[0], t)
-    return rows
-
-
 def _answer_name(base: str, taken: set[str]) -> str:
     k = 0
     while f"{base}_ans{k if k else ''}" in taken:
@@ -452,7 +448,7 @@ def _answer_name(base: str, taken: set[str]) -> str:
     return f"{base}_ans{k if k else ''}"
 
 
-def _check_family(ref: dict, target: Subject, n: int, fuel: int,
+def _check_family(ref: Observation, target: Subject, n: int, fuel: int,
                   seed, system) -> Optional[dict]:
     """Generated experiments from reference observations, run against target.
 
@@ -463,10 +459,9 @@ def _check_family(ref: dict, target: Subject, n: int, fuel: int,
     by one combined context.
     """
     t_state, t_iface = target
-    names = set(ref) | _fc_state(t_state)
+    names = {chan for chan, _, _ in ref.channels} | _fc_state(t_state)
     used = dict(t_iface.used)
-    for chan in sorted(ref):
-        v, a = ref[chan]
+    for chan, v, a in ref.channels:
         r = _answer_name(chan, names)
         if chan in used:
             family = gen_experiments_L(n, chan, r, v, a)
@@ -474,11 +469,10 @@ def _check_family(ref: dict, target: Subject, n: int, fuel: int,
             family = gen_experiments_R(n, chan, r, v, a)
         for proc in family:
             key = chan if chan in used else r
-            facts = (ast.ProcF(key, proc),)
-            state, iface = plug_experiment(facts, target, chan, r)
-            tr = run(system or SillSystem(), state, iface, fuel=fuel,
-                     seed=seed)
-            got = observe(tr, r, 2)[0]
+            state, iface = plug_experiment((ast.ProcF(key, proc),), target,
+                                           chan, r)
+            got = observe_config(state, iface, (r,), fuel, 2, seed,
+                                 system).tree(r)
             if got != Label("y", BOT):
                 return {
                     "kind": "generated",
@@ -492,33 +486,21 @@ def _check_family(ref: dict, target: Subject, n: int, fuel: int,
 
 def plug_experiment(exp_facts: tuple[ast.ConfigFact, ...], subject: Subject,
                     chan: str, r: str) -> Subject:
-    """Compose a generated experiment with its subject.
+    """Plug the subject into a generated experiment.
 
-    The tested channel moves inside; the answer channel r joins the
+    The experiment is a context whose hole is the subject's interface: the
+    tested channel moves inside, and the answer channel r joins the outer
     interface on the experiment's side.
     """
-    state, iface = subject
-    avoid = {n for cf in exp_facts for n in ast.fc(cf.proc) | {cf.chan}}
-    avoid |= {r}
-    subject_facts, internal_pairs = _rename_internals(subject, avoid)
-    facts = tuple(exp_facts) + tuple(subject_facts)
-    used = dict(iface.used)
-    if chan in used:
-        new_used = tuple((c, t) for c, t in iface.used if c != chan) \
-                   + ((r, Y_NEG),)
-        new_prov = iface.provided
-        internal = ((chan, used[chan]),)
+    iface = subject[1]
+    used, provided = iface.used, iface.provided
+    if chan in dict(used):
+        used = tuple(p for p in used if p[0] != chan) + ((r, Y_NEG),)
     else:
-        prov = dict(iface.provided)
-        new_used = iface.used
-        new_prov = tuple((c, t) for c, t in iface.provided if c != chan) \
-                   + ((r, Y_POS),)
-        internal = ((chan, prov[chan]),)
-    out = ast.Interface(used=new_used,
-                        internal=internal + tuple(internal_pairs),
-                        provided=new_prov)
-    check_config(list(facts), out)
-    return config_state(facts), out
+        provided = tuple(p for p in provided if p[0] != chan) + ((r, Y_POS),)
+    hole = ast.Interface(used=iface.used, provided=iface.provided)
+    outer = ast.Interface(used=used, provided=provided)
+    return plug(ConfigContext(tuple(exp_facts), hole, outer), subject)
 
 
 def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
@@ -526,6 +508,10 @@ def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
                 system: Optional[SillSystem] = None) -> dict:
     """Bounded equivalence verdict over the system's experiments plus the
     generated families at increasing depth.
+
+    Every observation is an experiment run.  The suite starts with the
+    empty context, which observes each subject alone on all its interface
+    channels; the generated families are built from those observations.
 
     The verdict is a dict with mode, bounded (always true), equivalent, and
     a counterexample when one was found.
@@ -537,6 +523,10 @@ def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
     for idx, e in enumerate(suite):
         obs_c = run_experiment(c, e, sys.mode, fuel, depth, seed, system)
         obs_d = run_experiment(d, e, sys.mode, fuel, depth, seed, system)
+        if idx == 0:
+            # the empty context observes each subject alone, on every
+            # interface channel, in every mode
+            alone_c, alone_d = obs_c, obs_d
         for (name, tc, _), (_, td, _) in zip(obs_c.channels, obs_d.channels):
             if not comm_eq(tc, td, sys.rel):
                 verdict["equivalent"] = False
@@ -549,11 +539,9 @@ def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
                 }
                 return verdict
 
-    ref_c = _observe_alone(c, fuel, depth, seed, system)
-    ref_d = _observe_alone(d, fuel, depth, seed, system)
     for n in range(depth):
-        for ref, tgt, tag in ((ref_c, d, "left-right"),
-                              (ref_d, c, "right-left")):
+        for ref, tgt, tag in ((alone_c, d, "left-right"),
+                              (alone_d, c, "right-left")):
             bad = _check_family(ref, tgt, n, fuel, seed, system)
             if bad is not None:
                 bad["direction"] = tag

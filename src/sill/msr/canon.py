@@ -91,19 +91,12 @@ def _first_appearance_relabel(ms: Multiset, fresh: set[str]) -> tuple[Multiset, 
     return ms.rename(rho), rho
 
 
-def canonical_form(
-    ms: Multiset, rigid: Optional[Callable[[str], bool]] = None
-) -> tuple[Multiset, dict[str, str]]:
+def canonical_form(ms: Multiset) -> tuple[Multiset, dict[str, str]]:
     """Canonical representative of ms up to renaming generated constants.
 
-    Returns the renamed state and the mapping applied.  A constant is
-    renameable when it is not rigid; by default the generated-name marker
-    decides.
+    Returns the renamed state and the mapping applied.
     """
-    if rigid is None:
-        renameable = {c for c in ms.consts() if is_generated_name(c)}
-    else:
-        renameable = {c for c in ms.consts() if not rigid(c)}
+    renameable = {c for c in ms.consts() if is_generated_name(c)}
     if not renameable:
         return ms, {}
 
@@ -156,7 +149,6 @@ def find_renaming(
     a: Multiset,
     b: Multiset,
     rigid: Optional[Callable[[str], bool]] = None,
-    prefer_identity: bool = True,
 ) -> Optional[dict[str, str]]:
     """An injective renaming of generated constants with rho(a) == b.
 
@@ -174,33 +166,24 @@ def find_renaming(
     if not fresh_a:
         return {} if a == b else None
 
-    # joint colour refinement so colours are comparable across the two states
-    colors: dict[tuple[str, str], int] = {("a", c): 0 for c in fresh_a}
-    colors.update({("b", c): 0 for c in fresh_b})
-    while True:
-        sigs = {}
-        for (side, c), col in colors.items():
-            ms = a if side == "a" else b
-            local = {cc: colors[(side, cc)] for cc in (fresh_a if side == "a" else fresh_b)}
-            sigs[(side, c)] = (col, _signature(c, ms, local))
-        order = sorted(set(sigs.values()))
-        index = {s: i for i, s in enumerate(order)}
-        new = {k: index[sigs[k]] for k in colors}
-        if new == colors:
-            break
-        colors = new
-
+    # one colour refinement over both states, b's constants renamed apart
+    # (no name holds a space), so that colours are comparable across them
+    apart = {c: f"b {c}" for c in fresh_b}
+    colors = _refine(a.msum(b.rename(apart)),
+                     {c: 0 for c in fresh_a + list(apart.values())})
     class_a: dict[int, list[str]] = {}
     class_b: dict[int, list[str]] = {}
-    for (side, c), col in colors.items():
-        (class_a if side == "a" else class_b).setdefault(col, []).append(c)
+    for c in fresh_a:
+        class_a.setdefault(colors[c], []).append(c)
+    for c in fresh_b:
+        class_b.setdefault(colors[apart[c]], []).append(c)
     if {k: len(v) for k, v in class_a.items()} != {k: len(v) for k, v in class_b.items()}:
         return None
 
     # constants present on both sides go first so the identity choice is
     # still available when their turn comes
     both = set(fresh_a) & set(fresh_b)
-    ordered = sorted(fresh_a, key=lambda c: (c not in both, colors[("a", c)], c))
+    ordered = sorted(fresh_a, key=lambda c: (c not in both, colors[c], c))
     used: set[str] = set()
     rho: dict[str, str] = {}
 
@@ -208,9 +191,9 @@ def find_renaming(
         if i == len(ordered):
             return a.rename(rho) == b
         c = ordered[i]
-        cands = [d for d in class_b.get(colors[("a", c)], []) if d not in used]
+        cands = [d for d in class_b.get(colors[c], []) if d not in used]
         cands.sort()
-        if prefer_identity and c in cands:
+        if c in cands:
             cands.remove(c)
             cands.insert(0, c)
         for d in cands:

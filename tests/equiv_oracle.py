@@ -1,0 +1,87 @@
+"""Plugging and observing a subject as they were before every observation
+became an experiment run.
+
+A reference for the differential tests in ``tests/test_equiv_oracle.py``:
+``plug_experiment`` renamed, composed, assembled the interface of and
+checked a generated experiment on its own, and ``_observe_alone`` ran a
+subject a second time to read its interface channels.  Both are copied
+verbatim, with the ``_rename_internals`` they call; every result here is
+one that the current code must reproduce.
+"""
+
+from __future__ import annotations
+
+from sill.dynamics import SillSystem, config_state, run, state_facts
+from sill.equiv import Y_NEG, Y_POS, Subject
+from sill.lang import ast
+from sill.lang.check import check_config
+from sill.lang.errors import SillError
+from sill.obs import observe
+
+
+def _rename_internals(subject: Subject, avoid: set[str]) -> tuple[list, list]:
+    """Fresh names for every non-interface channel of the subject."""
+    state, iface = subject
+    keep = {n for n, _ in iface.used} | {n for n, _ in iface.provided}
+    facts = state_facts(state)
+    internal = sorted({n for cf in facts
+                       for n in ast.fc(cf.proc) | {cf.chan}} - keep)
+    taken = set(avoid) | keep | set(internal)
+    rho = {}
+    for name in internal:
+        if name not in avoid:
+            rho[name] = name
+            continue
+        k = 0
+        while f"{name}%{k}" in taken:
+            k += 1
+        rho[name] = f"{name}%{k}"
+        taken.add(rho[name])
+    out = [type(cf)(rho.get(cf.chan, cf.chan), ast.subst_chan(cf.proc, rho))
+           for cf in facts]
+    itypes = dict(iface.internal)
+    pairs = [(rho[n], itypes[n]) for n in internal if n in itypes]
+    missing = [n for n in internal if n not in itypes]
+    if missing:
+        raise SillError(f"no recorded types for internal channels {missing}")
+    return out, pairs
+
+
+def _observe_alone(subject: Subject, fuel, depth, seed, system):
+    state, iface = subject
+    tr = run(system or SillSystem(), state, iface, fuel=fuel, seed=seed)
+    rows = {}
+    for c, t in list(iface.used) + list(iface.provided):
+        rows[c] = (observe(tr, c, depth)[0], t)
+    return rows
+
+
+def plug_experiment(exp_facts: tuple[ast.ConfigFact, ...], subject: Subject,
+                    chan: str, r: str) -> Subject:
+    """Compose a generated experiment with its subject.
+
+    The tested channel moves inside; the answer channel r joins the
+    interface on the experiment's side.
+    """
+    state, iface = subject
+    avoid = {n for cf in exp_facts for n in ast.fc(cf.proc) | {cf.chan}}
+    avoid |= {r}
+    subject_facts, internal_pairs = _rename_internals(subject, avoid)
+    facts = tuple(exp_facts) + tuple(subject_facts)
+    used = dict(iface.used)
+    if chan in used:
+        new_used = tuple((c, t) for c, t in iface.used if c != chan) \
+                   + ((r, Y_NEG),)
+        new_prov = iface.provided
+        internal = ((chan, used[chan]),)
+    else:
+        prov = dict(iface.provided)
+        new_used = iface.used
+        new_prov = tuple((c, t) for c, t in iface.provided if c != chan) \
+                   + ((r, Y_POS),)
+        internal = ((chan, prov[chan]),)
+    out = ast.Interface(used=new_used,
+                        internal=internal + tuple(internal_pairs),
+                        provided=new_prov)
+    check_config(list(facts), out)
+    return config_state(facts), out

@@ -202,6 +202,15 @@ def test_an_unchecked_run_of_a_5000_deep_process_takes_its_step():
     assert tr.final().eph_size() == 2
 
 
+def test_a_checked_run_of_a_5000_deep_process_takes_its_steps():
+    # typing each produced fact decodes it, which must not recurse either
+    p = _numeral(2500)
+    state, iface = initial_config(p, {}, ("c", CONAT))
+    tr = run(SillSystem(), state, iface, fuel=3, check=True)
+    assert names(tr) == ["rec_pos_r", "plus_r", "rec_pos_r"]
+    assert tr.final().eph_size() == 4
+
+
 def test_deep_process_takes_its_first_step():
     # 600 nested sends: keying and substituting the encoded process must
     # not recurse once per level

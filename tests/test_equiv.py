@@ -2,17 +2,20 @@
 
 import pytest
 
+from sill import equiv, obs
 from sill.dynamics import initial_config
 from sill.equiv import (
+    Experiment,
     UnknownChannel,
     barb,
     barbed_sim,
     config_subject,
     divergent,
     _check_family,
-    _observe_alone,
+    empty_context,
     equiv_check,
     make_system,
+    run_experiment,
     weak_barb,
 )
 from sill.lang import check_module, parse
@@ -43,6 +46,31 @@ def subjects():
 def test_numeral_equals_its_cut_and_forward_construction(subjects):
     v = equiv_check(subjects["four"], subjects["four_cut"], make_system("external"), depth=4)
     assert v == {"mode": "external", "bounded": True, "equivalent": True}
+
+
+def test_an_equal_verdict_runs_each_subject_alone_once(subjects, monkeypatch):
+    # each subject runs once per suite context (here only the empty one,
+    # whose observations the families are built from), and the target
+    # once per generated experiment
+    counts = {"runs": 0, "generated": 0}
+    run = obs.run
+
+    def counted_run(*args, **kwargs):
+        counts["runs"] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(obs, "run", counted_run)
+    for side in ("L", "R"):
+        def counted_gen(*args, gen=getattr(equiv, f"gen_experiments_{side}")):
+            out = gen(*args)
+            counts["generated"] += len(out)
+            return out
+
+        monkeypatch.setattr(equiv, f"gen_experiments_{side}", counted_gen)
+    v = equiv_check(subjects["four"], subjects["four_cut"], make_system("external"), depth=4)
+    assert v["equivalent"] is True
+    assert counts["generated"] > 0
+    assert counts["runs"] == 2 * 1 + counts["generated"]
 
 
 def test_different_numerals_differ_on_their_channel(subjects):
@@ -132,12 +160,18 @@ def by_connective():
     return {name: config_subject(decl) for name, decl in mod.configs.items()}
 
 
+def alone(subject, seed=None):
+    """The subject observed in the empty context: run alone."""
+    return run_experiment(subject, Experiment(empty_context(subject[1])),
+                          fuel=FUEL, depth=6, seed=seed)
+
+
 def test_experiments_from_own_observation_answer_yes(by_connective):
     # a client subject's used channel takes the L family, every provided
     # channel the R family
     for name, subject in by_connective.items():
         for seed in (None, 0, 1):
-            ref = _observe_alone(subject, FUEL, 6, seed, None)
+            ref = alone(subject, seed)
             for n in range(6):
                 assert _check_family(ref, subject, n, FUEL, seed, None) is None, \
                     (name, seed, n)
@@ -146,7 +180,7 @@ def test_experiments_from_own_observation_answer_yes(by_connective):
 def test_changed_label_yields_a_generated_counterexample(by_connective):
     for name in CHANGED:
         subject, changed = by_connective[name], by_connective[f"{name}_changed"]
-        ref = _observe_alone(subject, FUEL, 6, None, None)
+        ref = alone(subject)
         found = [_check_family(ref, changed, n, FUEL, None, None) for n in range(6)]
         bad = [f for f in found if f is not None]
         assert bad and all(f["kind"] == "generated" for f in bad), name
