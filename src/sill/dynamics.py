@@ -351,10 +351,9 @@ class SillSystem:
 
     rules: tuple = ()
     source: Optional[str] = None
+    declared: frozenset[str] = frozenset()
 
-    def __init__(self, declared: Iterable[str] = (),
-                 eval_fuel: int = DEFAULT_EVAL_FUEL):
-        self.declared = frozenset(declared)
+    def __init__(self, eval_fuel: int = DEFAULT_EVAL_FUEL):
         self.eval_fuel = eval_fuel
         self._memo: dict = {}
 

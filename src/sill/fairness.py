@@ -19,14 +19,13 @@ A lasso has one analysis (``_Analysis``), built by its first verdict and
 kept with the ``LassoTrace``.  It describes the trace at the step count it
 was built for: every later verdict on the same lasso reads it, and a
 verdict on a trace extended in the meantime builds a fresh one.  The
-analysis enumerates the applicable instantiations of the first state in
-full and replays every other position's by delta, advancing the system's
-enabled set through the recorded steps the way ``fair_execute`` advances
-its queue.  Each position's instantiations are kept with their
-equivalence keys, which also carry their antecedent facts; what is
-applicable or enabled at some loop state, and at every one, is collected
-once, so each verdict's predicate is a set lookup per candidate and orbit
-member.
+analysis and the fair scheduler keep the applicable instantiations of the
+current state in one structure (``_Applicable``), enumerated in full at
+the start and advanced by each step's delta.  The analysis keeps each
+position's instantiations with their equivalence keys, which also carry
+their antecedent facts; what is applicable or enabled at some loop state,
+and at every one, is collected once, so each verdict's predicate is a set
+lookup per candidate and orbit member.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .msr.canon import find_renaming
 from .msr.multiset import Fact, Multiset, fact_consts, fact_key, fact_to_str
-from .msr.rules import Inst, Mrs, Signature, _equiv_key
+from .msr.rules import Inst, Mrs, _equiv_key
 from .msr.terms import rename_consts, term_consts, term_to_str
 from .msr.trace import Trace
 
@@ -96,6 +95,69 @@ def _ant_facts(key: tuple) -> Iterator[Fact]:
         yield f
 
 
+class _Applicable:
+    """The applicable instantiations of a run's current state, one per
+    equivalence class, kept under their equivalence keys in admission
+    order, and advanced step by step through the system's enabled set.
+
+    Only the start state is enumerated in full.  A step lowers the counts
+    of the facts it consumed only, so only the live instantiations that
+    consume one of those can stop being applicable; each is re-checked by
+    comparing the counts its key records with the successor state's.
+    Persistent facts never leave a state.  An instantiation that is
+    applicable after a step but was not before must have an antecedent
+    fact the step touched, and the enabled set (``mrs.enabled(start)``)
+    proposes exactly the applicable instantiations with a touched
+    antecedent fact, in enumeration order, each with its key.  So a step
+    costs what it touched, not the size of the state, and the live set is
+    the one a full re-enumeration after every step would give.  Equivalent
+    instantiations consume the same facts, so a class is applicable at a
+    state as a whole; the second part of its key holds those facts with
+    their multiplicities.  ``proposed`` counts the candidates proposed.
+    """
+
+    def __init__(self, mrs: Mrs, start: Multiset, insts: Iterable[Inst]):
+        self.live: dict[tuple, Inst] = {}
+        # ephemeral fact -> keys of the live instantiations that consume it
+        self.needs: dict[Fact, dict[tuple, None]] = {}
+        self.proposed = 0
+        for inst in insts:
+            self.admit(_equiv_key(inst), inst)
+        self.enabled = mrs.enabled(start)
+
+    def admit(self, key: tuple, inst: Inst) -> None:
+        self.live[key] = inst
+        for f, _ in key[1]:
+            self.needs.setdefault(f, {})[key] = None
+
+    def drop(self, key: tuple) -> None:
+        del self.live[key]
+        for f, _ in key[1]:
+            keys = self.needs[f]
+            del keys[key]
+            if not keys:
+                del self.needs[f]
+
+    def advance(self, state: Multiset, consumed: Iterable[Fact],
+                touched: Iterable[Fact]) -> list[tuple[tuple, Inst]]:
+        """Move to state, the successor of a step that consumed the
+        distinct facts consumed and touched the facts touched: drop what
+        the step disabled and return the proposed candidates that are not
+        live, one per key, in enumeration order."""
+        for f in consumed:
+            for key in [k for k in self.needs.get(f, ())
+                        if any(state.count(g) < m for g, m in k[1])]:
+                self.drop(key)
+        candidates = self.enabled.delta(state, [f for f in consumed if not state.count(f)],
+                                        touched)
+        self.proposed += len(candidates)
+        fresh: dict[tuple, Inst] = {}
+        for key, inst in candidates:
+            if key not in self.live:
+                fresh.setdefault(key, inst)
+        return list(fresh.items())
+
+
 class _Analysis:
     """Recurrence structure of a validated lasso, and the applicable
     instantiations at each of its positions.
@@ -105,20 +167,14 @@ class _Analysis:
     at most once: the states, the recurrence renaming and the recorded
     steps' equivalence keys when it is built, the rest on first use.
 
-    The applicable sets (``keyed``) come from one full enumeration of the
-    first state; every later position is reached by replaying the recorded
-    step through the system's enabled set (``mrs.enabled``), as
-    ``fair_execute`` advances its queue: the instantiations that need a
-    fact the step consumed are re-checked, and the enabled set proposes
-    those with an antecedent fact the step produced.  Equivalent
-    instantiations consume the same facts, so an equivalence class is
-    applicable at a state as a whole, and its key tells whether an
-    instantiation, or any fact it consumes or requires, is applicable or
-    enabled there.  Each position keeps one representative per applicable
-    class under its key, the least in rule order, then theta, listed in
-    that order: the list ``mrs.applicable`` gives for an ``Mrs``.  (The
-    generated rules of a ``SillSystem`` have no such order; its classes
-    keep the order of the first enumeration, then of their arrival.)
+    The applicable sets (``keyed``) replay the recorded steps through one
+    ``_Applicable``.  The applied instantiation stays live while its
+    consumed facts remain, so only the facts a step produced can bring a
+    class in.  Each position keeps one representative per applicable class
+    under its key, in rule order, then theta: the list ``mrs.applicable``
+    gives for an ``Mrs``.  (The generated rules of a ``SillSystem`` have no
+    such order; its classes keep the order of the first enumeration, then
+    of their arrival.)
     """
 
     def __init__(self, lt: LassoTrace):
@@ -208,42 +264,19 @@ class _Analysis:
         rank: dict = {}
         for i, r in enumerate(self.mrs.rules):
             rank.setdefault(r, i)
-        # key -> (enumeration order, representative)
-        live: dict[tuple, tuple[tuple, Inst]] = {}
-        # ephemeral fact -> keys of the live instantiations that consume it;
-        # a key's second part holds the consumed facts with multiplicities
-        needs: dict[Fact, set] = {}
 
-        def admit(key: tuple, inst: Inst) -> None:
-            live[key] = ((rank.get(inst.rule, len(rank)), inst.theta_key()), inst)
-            for f, _ in key[1]:
-                needs.setdefault(f, set()).add(key)
+        def order(entry: tuple[tuple, Inst]) -> tuple:
+            return rank.get(entry[1].rule, len(rank)), entry[1].theta_key()
 
-        def drop(key: tuple) -> None:
-            del live[key]
-            for f, _ in key[1]:
-                needs[f].discard(key)
-
-        for inst in self.mrs.applicable(self.states[0]):
-            admit(_equiv_key(inst), inst)
-        enabled = self.mrs.enabled(self.states[0])
-        out = []
-        for j, step in enumerate(self.trace.steps):
-            out.append({key: inst for key, (_, inst)
-                        in sorted(live.items(), key=lambda e: e[1][0])})
-            if j + 1 == self.L:
-                break
-            state = self.states[j + 1]
-            eph = [f for f, _ in self.step_keys[j][1]]
-            for f in eph:
-                for key in [key for key in needs.get(f, ())
-                            if any(state.count(g) < m for g, m in key[1])]:
-                    drop(key)
-            # a class not live before the step needs a fact the step produced
-            gone = [f for f in eph if not state.count(f)]
-            for key, inst in enabled.delta(state, gone, step.produced):
-                if key not in live:
-                    admit(key, inst)
+        start = self.states[0]
+        app = _Applicable(self.mrs, start, self.mrs.applicable(start))
+        out = [dict(sorted(app.live.items(), key=order))]
+        for j in range(self.L - 1):
+            consumed = [f for f, _ in self.step_keys[j][1]]
+            for key, inst in app.advance(self.states[j + 1], consumed,
+                                         self.trace.steps[j].produced):
+                app.admit(key, inst)
+            out.append(dict(sorted(app.live.items(), key=order)))
         return out
 
     def applicable_at(self, j: int) -> list[Inst]:
@@ -456,7 +489,6 @@ def fairness_report(lt: LassoTrace) -> dict[tuple[str, str], Verdict]:
 def fair_execute(
     mrs: Mrs,
     start: Multiset,
-    sig: Optional[Signature] = None,
     budget: int = 1000,
     seed: Optional[int] = None,
     observer: Optional[Callable[[Trace], None]] = None,
@@ -464,36 +496,23 @@ def fair_execute(
 ) -> Trace:
     """Run the FIFO scheduler over distinct applicable instantiations.
 
-    The queue always holds exactly the applicable instantiations, oldest
-    first, one per instantiation-equivalence class, each with its
-    equivalence key; after each step the survivors keep their order and the
-    newly applicable ones join at the back (shuffled when a seed is given,
-    otherwise in enumeration order).  Anything applicable is therefore
-    applied within queue-length steps, which makes every completed run über
-    fair, and a run that empties its queue is a maximal execution.
-
-    Only the start state is enumerated in full.  An instantiation that is
-    applicable after a step but not in the queue must have an antecedent
-    fact the step touched: a fact it produced, or one of the applied
-    instantiation's antecedent facts that is still present.  Otherwise it
-    was applicable before the step, so it or an equivalent one was queued
-    and still is.  The system's enabled set (``mrs.enabled(start)``)
-    proposes exactly the applicable instantiations with a touched
-    antecedent fact, in enumeration order, each with its equivalence key
-    (``delta`` returns (key, instantiation) pairs), so the scheduler
-    computes no key itself after the start.  The SILL enabled set keeps the
-    keyed steps of each fact whose steps depend on it alone; the MRS one
-    keys every candidate it matches.  Likewise only the queued
-    instantiations that consume a fact whose count the step lowered are
-    re-checked.  So a step costs what it touched, not the size of the state
-    or of the queue, and the run is the one a full re-enumeration after
-    every step would give.
+    The queue is the run's ``_Applicable``: exactly the applicable
+    instantiations, oldest first, one per instantiation-equivalence class.
+    After each step the survivors keep their order and the newly applicable
+    ones join at the back (shuffled when a seed is given, otherwise in
+    enumeration order).  Anything applicable is therefore applied within
+    queue-length steps, which makes every completed run über fair, and a
+    run that empties its queue is a maximal execution.  The applied
+    instantiation leaves the queue after a step that changed the state.
+    The step touched the facts it produced and the antecedent facts still
+    present, and through those the enabled set proposes it again if it is
+    still applicable.
 
     A step that changes nothing, such as a process stepping to itself,
     leaves the state object itself (see ``apply_inst``).  Every queued
     instantiation is then still applicable and none has become so, so the
-    applied one alone is re-admitted at the back, and the step costs O(1):
-    the enabled set is not asked.  A one-element shuffle draws no random
+    applied one alone goes to the back, and the step costs O(1): the
+    enabled set is not asked.  A one-element shuffle draws no random
     number, so seeded runs keep their order.
 
     meta["sched"] counts the full enumerations, the candidates the enabled
@@ -503,34 +522,13 @@ def fair_execute(
     (``steps_derived``) and those it handed out again from its cache
     (``steps_reused``).
     """
-    tr = Trace(mrs, start, sig)
+    tr = Trace(mrs, start)
     rng = random.Random(seed) if seed is not None else None
-    # key -> (queued instantiation, the distinct ephemeral facts it consumes)
-    queue: dict[tuple, tuple[Inst, tuple[Fact, ...]]] = {}
-    # ephemeral fact -> keys of the queued instantiations that consume it;
-    # a step can disable only the entries that need a fact it consumed
-    needs: dict[Fact, dict[tuple, None]] = {}
-
-    def admit(entries: Iterable[tuple[tuple, Inst]]) -> None:
-        for k, i in entries:
-            eph = tuple(i.eph_ant_g().eph_support())
-            queue[k] = (i, eph)
-            for f in eph:
-                needs.setdefault(f, {})[k] = None
-
-    def drop(k: tuple) -> tuple[Inst, tuple[Fact, ...]]:
-        i, eph = queue.pop(k)
-        for f in eph:
-            del needs[f][k]
-            if not needs[f]:
-                del needs[f]
-        return i, eph
-
     initial = list(mrs.applicable(start))
     if rng is not None:
         rng.shuffle(initial)
-    admit((_equiv_key(i), i) for i in initial)
-    enabled = mrs.enabled(start)
+    app = _Applicable(mrs, start, initial)
+    queue = app.live
     sched = {"full_enumerations": 1, "delta_candidates": 0, "fresh_admitted": 0,
              "unchanged_steps": 0}
     depths: list[int] = []
@@ -538,9 +536,8 @@ def fair_execute(
         if record_queue_depths:
             depths.append(len(queue))
         first = next(iter(queue))
-        inst, eph = queue[first]
         prev = tr.final()
-        step = tr.extend(inst)
+        step = tr.extend(queue[first])
         if observer is not None:
             observer(tr)
         state = tr.final()
@@ -550,27 +547,19 @@ def fair_execute(
             queue[first] = queue.pop(first)
             sched["unchanged_steps"] += 1
             continue
-        drop(first)
-        for f in eph:
-            if state.count(f) < prev.count(f):
-                for k in [k for k in needs.get(f, ()) if not queue[k][0].applicable(state)]:
-                    drop(k)
-        gone = [f for f in eph if not state.count(f)]
+        app.drop(first)
+        consumed = [f for f, _ in first[1]]
         touched = list(dict.fromkeys(
-            [*step.produced, *(f for f in eph if state.count(f)), *inst.pers_ant_g()]))
-        candidates = enabled.delta(state, gone, touched)
-        fresh: dict[tuple, Inst] = {}
-        for k, c in candidates:
-            if k not in queue and k not in fresh:
-                fresh[k] = c
-        admitted = list(fresh.items())
+            [*step.produced, *(f for f in consumed if state.count(f)), *first[0]]))
+        fresh = app.advance(state, consumed, touched)
         if rng is not None:
-            rng.shuffle(admitted)
-        admit(admitted)
-        sched["delta_candidates"] += len(candidates)
-        sched["fresh_admitted"] += len(admitted)
-    sched["steps_derived"] = enabled.derived
-    sched["steps_reused"] = enabled.reused
+            rng.shuffle(fresh)
+        for k, c in fresh:
+            app.admit(k, c)
+        sched["fresh_admitted"] += len(fresh)
+    sched["delta_candidates"] = app.proposed
+    sched["steps_derived"] = app.enabled.derived
+    sched["steps_reused"] = app.enabled.reused
     tr.meta["maximal"] = not queue
     tr.meta["sched"] = sched
     if record_queue_depths:

@@ -121,8 +121,9 @@ def test_barb_on_unknown_channel_raises(subjects):
 # -- one subject per connective -------------------------------------------------------
 
 # Providers at conat, a tensor, a down shift and a value; clients of a
-# with, a lolli and a value implication.  The *_changed subjects send one
-# label differently.
+# with, a lolli and a value implication.  The *_changed subjects of CHANGED
+# send one label differently; those of val_p and imp_c send another
+# functional payload.
 SUBJECTS = """
 type conat = rec a. +{z: 1, s: a}
 type lr = &{l: up 1, r: up 1}
@@ -147,6 +148,11 @@ config tensor_p_changed : |- c : 1 * +{l: 1, r: 1} =
   proc c { a : 1 <- { close a }; send c <a>; c.r; close c }
 config with_c_changed : d : lr |- e : 1 =
   proc e { d.r; send d shift; wait d; close e }
+config val_p_changed : |- c : [{z:1 <-}] ^ 1 =
+  proc c { send c [proc(z:1) {y : 1 <- {close y}; wait y; close z}]; close c }
+config imp_c_changed : d : [{z:1 <-}] => up 1 |- e : 1 =
+  proc e { send d [proc(z:1) {y : 1 <- {close y}; wait y; close z}];
+           send d shift; wait d; close e }
 """
 FUEL = 100
 MODES = ("external", "internal", "total")
@@ -198,3 +204,18 @@ def test_every_subject_is_equivalent_to_itself(by_connective):
             v = equiv_check(subject, subject, make_system(mode), fuel=FUEL, depth=6)
             assert v == {"mode": mode, "bounded": True, "equivalent": True}, \
                 (name, mode)
+
+
+def test_changed_payload_is_seen_only_where_values_are_compared(by_connective):
+    # total mode compares sent values syntactically; external and internal
+    # relate every pair of values
+    payloads = ("[proc(z:1) {close z}]", "[proc(z:1) {y: 1 <- {close y}; wait y; close z}]")
+    for name, chan, rest in (("val_p", "c", "close"), ("imp_c", "d", "(shift bot)")):
+        subject, changed = by_connective[name], by_connective[f"{name}_changed"]
+        v = equiv_check(subject, changed, make_system("total"), fuel=FUEL, depth=6)
+        assert v["counterexample"] == {
+            "kind": "context", "context": "hole", "channel": chan,
+            "left": f"(val {payloads[0]} {rest})", "right": f"(val {payloads[1]} {rest})"}, name
+        for mode in ("external", "internal"):
+            v = equiv_check(subject, changed, make_system(mode), fuel=FUEL, depth=6)
+            assert v["equivalent"] is True, (name, mode)

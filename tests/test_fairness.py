@@ -11,13 +11,13 @@ import pytest
 
 from fairness_oracles import definitional_report, reference_check_fairness
 
-from sill.dynamics import SillSystem, proc_fact
+from sill.dynamics import SillSystem, initial_config, proc_fact
 from sill.equiv import divergent
 from sill.fairness import (STRENGTHS, VARIETIES, InvalidLasso, LassoTrace, _analysis_of,
                            check_fairness, fair_execute, fairness_report)
-from sill.lang.ast import One
+from sill.lang.ast import Close, Cut, Fix, FVar, One, Quote, Unquote, Wait
 from sill.msr import Const, Fact, Inst, Multiset, Rule, Trace, Var, inst_equiv, parse_system
-from sill.msr.rules import Mrs, match_all
+from sill.msr.rules import Mrs, _equiv_key, match_all
 
 
 def build_trace(mrs, steps):
@@ -512,9 +512,9 @@ def test_invalid_lasso_raises_on_every_verdict():
     assert lt._analysis is None
 
 
-def test_sill_steps_of_one_rule_stay_distinct_candidates():
+def _two_spin_lassos():
     # two divergent spins: every step is a ground rule named unquote with
-    # an empty theta, so candidates must not be told apart by name and theta
+    # an empty theta
     state = Multiset.of([proc_fact("r", divergent("r", One())),
                          proc_fact("q", divergent("q", One()))])
     system = SillSystem()
@@ -522,9 +522,33 @@ def test_sill_steps_of_one_rule_stay_distinct_candidates():
         tr = Trace(system, state)
         for p in picks:
             tr.extend(system.applicable(state)[p])
-        lt = LassoTrace(tr, 0)
+        yield picks, LassoTrace(tr, 0)
+
+
+def _spawning_lasso():
+    # each round cuts a fresh channel x, closes and waits on it, and
+    # unquotes the loop again beside a divergent spin
+    body = Cut("x", One(), Close("x"), Wait("x", Unquote("z", FVar("w"), ())))
+    loop = Unquote("c", Fix("w", Quote(("z", One()), body, ())), ())
+    state, _ = initial_config(loop, {}, ("c", One()))
+    state = state.msum(Multiset.of([proc_fact("r", divergent("r", One()))]))
+    return LassoTrace(fair_execute(SillSystem(), state, budget=12), 3)
+
+
+def test_sill_steps_of_one_rule_stay_distinct_candidates():
+    # candidates must not be told apart by rule name and theta
+    for picks, lt in _two_spin_lassos():
         fair = {key: v.fair for key, v in fairness_report(lt).items()}
         assert fair == definitional_report(lt)
         both = len(picks) == 2
         assert fair[("inst", "weak")] == fair[("inst", "strong")] == both
         assert fair[("fact", "weak")] == both and fair[("rule", "weak")]
+
+
+def test_sill_lasso_replay_matches_full_enumeration():
+    # compared as sets: the replay keeps SILL classes in arrival order
+    lassos = [lt for _, lt in _two_spin_lassos()] + [_spawning_lasso()]
+    for lt in lassos:
+        an = _analysis_of(lt)
+        for j, state in enumerate(lt.trace.states[:-1]):
+            assert set(an.keyed[j]) == {_equiv_key(i) for i in SillSystem().applicable(state)}, j
