@@ -25,7 +25,11 @@ the start and advanced by each step's delta.  The analysis keeps each
 position's instantiations with their equivalence keys, which also carry
 their antecedent facts; what is applicable or enabled at some loop state,
 and at every one, is collected once, so each verdict's predicate is a set
-lookup per candidate and orbit member.
+lookup per candidate and orbit member.  The scheduler also keeps the
+step of each live class whose last application was idle (it left the
+state as it was and bound no fresh name): such a step stays valid while
+its class is live, so it is recorded again, its applicability still
+checked, instead of applied anew.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .msr.canon import find_renaming
 from .msr.multiset import Fact, Multiset, fact_consts, fact_key, fact_to_str
 from .msr.rules import Inst, Mrs, _equiv_key
 from .msr.terms import rename_consts, term_consts, term_to_str
-from .msr.trace import Trace
+from .msr.trace import Step, Trace
 
 VARIETIES = ("rule", "fact", "inst")
 STRENGTHS = ("weak", "strong", "uber")
@@ -114,10 +118,14 @@ class _Applicable:
     instantiations consume the same facts, so a class is applicable at a
     state as a whole; the second part of its key holds those facts with
     their multiplicities.  ``proposed`` counts the candidates proposed.
+    ``idle`` holds the ``Step`` of each live class whose last application
+    was idle: valid while the class is live, and checked for applicability
+    when recorded again (``Trace.repeat``); ``drop`` removes it with it.
     """
 
     def __init__(self, mrs: Mrs, start: Multiset, insts: Iterable[Inst]):
         self.live: dict[tuple, Inst] = {}
+        self.idle: dict[tuple, Step] = {}
         # ephemeral fact -> keys of the live instantiations that consume it
         self.needs: dict[Fact, dict[tuple, None]] = {}
         self.proposed = 0
@@ -132,6 +140,7 @@ class _Applicable:
 
     def drop(self, key: tuple) -> None:
         del self.live[key]
+        self.idle.pop(key, None)
         for f, _ in key[1]:
             keys = self.needs[f]
             del keys[key]
@@ -513,11 +522,15 @@ def fair_execute(
     instantiation is then still applicable and none has become so, so the
     applied one alone goes to the back, and the step costs O(1): the
     enabled set is not asked.  A one-element shuffle draws no random
-    number, so seeded runs keep their order.
+    number, so seeded runs keep their order.  An idle step (``Step.idle``)
+    stays valid in ``app.idle`` while its class is live, and the class's
+    next turns record it again through ``Trace.repeat``: the steps and
+    states of a fresh application, its applicability checked, nothing applied.
 
     meta["sched"] counts the full enumerations, the candidates the enabled
     set proposed, the fresh instantiations that joined the queue after a
-    step, the steps that changed nothing (``unchanged_steps``), and of the
+    step, the steps that changed nothing (``unchanged_steps``), those of
+    them recorded again from ``app.idle`` (``idle_replays``), and of the
     candidates, the steps the enabled set derived and keyed
     (``steps_derived``) and those it handed out again from its cache
     (``steps_reused``).
@@ -530,20 +543,27 @@ def fair_execute(
     app = _Applicable(mrs, start, initial)
     queue = app.live
     sched = {"full_enumerations": 1, "delta_candidates": 0, "fresh_admitted": 0,
-             "unchanged_steps": 0}
+             "unchanged_steps": 0, "idle_replays": 0}
     depths: list[int] = []
     while queue and len(tr.steps) < budget:
         if record_queue_depths:
             depths.append(len(queue))
         first = next(iter(queue))
         prev = tr.final()
-        step = tr.extend(queue[first])
+        step = app.idle.get(first)
+        if step is None:
+            step = tr.extend(queue[first])
+        else:
+            tr.repeat(step)
+            sched["idle_replays"] += 1
         if observer is not None:
             observer(tr)
         state = tr.final()
         if state is prev:
             # nothing changed: everything queued stays applicable and
             # nothing new became so; the step goes to the back
+            if step.idle:
+                app.idle[first] = step
             queue[first] = queue.pop(first)
             sched["unchanged_steps"] += 1
             continue

@@ -238,7 +238,11 @@ class Multiset:
         the persistent parts."""
         if not self._pers <= other._pers:
             return False
-        return all(n <= other._eph.get(f, 0) for f, n in self._eph.items())
+        eph = other._eph
+        for f, n in self._eph.items():
+            if eph.get(f, 0) < n:
+                return False
+        return True
 
     def with_pers(self, extra: Iterable[Fact]) -> "Multiset":
         extra = frozenset(extra)

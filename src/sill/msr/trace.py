@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .canon import find_renaming
 from .multiset import Fact, Multiset, fact_key, fact_to_str
-from .rules import Inst, Mrs, Signature, apply_inst, is_generated_name
+from .rules import Inst, Mrs, NotApplicable, Signature, apply_inst, is_generated_name
 from .terms import term_to_str
 from .text import parse_fact, parse_system, parse_term
 
@@ -28,12 +28,15 @@ class Step:
 
     The step consumed ``inst.eph_ant_g()`` and produced ``produced``: the
     distinct facts of the instantiated consequent, persistent ones first.
-    ``xi`` records the fresh names, so the step replays exactly.
+    ``xi`` records the fresh names, so the step replays exactly.  An
+    ``idle`` step bound no fresh name and left the state as it was, as it
+    does wherever it applies later in its trace: persistent facts stay.
     """
 
     inst: Inst
     xi: tuple[tuple[str, str], ...]
     produced: tuple[Fact, ...] = field(compare=False, repr=False)
+    idle: bool = field(default=False, compare=False, repr=False)
 
     def xi_map(self) -> dict[str, str]:
         return dict(self.xi)
@@ -83,12 +86,25 @@ class Trace:
     def extend(self, inst: Inst, xi: Optional[Mapping[str, str]] = None) -> Step:
         produced: list[Fact] = []
         nxt, self.sig, names = apply_inst(self._final, inst, self.sig, xi, produced)
-        step = Step(inst, tuple((v, names[v]) for v in inst.rule.evars), tuple(produced))
+        step = Step(inst, tuple(names.items()), tuple(produced), nxt is self._final and not names)
         self.steps.append(step)
         self._final = nxt
         if self._states is not None:
             self._states.append(nxt)
         return step
+
+    def repeat(self, step: Step) -> None:
+        """Record again an idle step of this trace, as applying it again
+        would, without ``apply_inst`` or a new ``Step``.  Its applicability
+        is checked in O(consumed), raising ``NotApplicable``; a step that
+        is not idle raises ``ValueError``."""
+        if not step.idle:
+            raise ValueError(f"{step.to_str()} is not idle")
+        if not step.inst.applicable(self._final):
+            raise NotApplicable(step.inst.to_str())
+        self.steps.append(step)
+        if self._states is not None:
+            self._states.append(self._final)
 
     @property
     def states(self) -> list[Multiset]:

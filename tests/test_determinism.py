@@ -3,8 +3,9 @@
 Interned terms and facts hash by address, so two identical runs can
 iterate a set of facts in different orders, even in one process.  Every
 order that reaches an output comes from a sort by key.  This test runs the
-dynamics corpus under every seed, a fair ring run cut into a lasso, and a
-hand-built ring lasso, in two interpreters with different string hash
+dynamics corpus under every seed, alone and beside two processes that step
+to themselves, a fair ring run cut into a lasso, and a hand-built ring
+lasso, in two interpreters with different string hash
 seeds.  Each interpreter records them twice, with garbage allocated in
 between so that the second record's objects sit at other addresses.  All
 four records must agree: step by step (rule, theta, fresh names, consumed
@@ -53,8 +54,9 @@ def _ring(nodes: list, tokens: int, extra: str = ""):
 
 def record() -> dict:
     from test_dynamics import corpus, run_corpus_entry
-    from test_scheduler import SEEDS
+    from test_scheduler import SEEDS, beside_spins
 
+    from sill.dynamics import SillSystem
     from sill.fairness import LassoTrace, fair_execute
     from sill.msr import Const, Inst, Trace
 
@@ -62,6 +64,10 @@ def record() -> dict:
     for name, facts, iface in corpus():
         for seed in SEEDS:
             out["corpus"].append([name, seed, _steps(run_corpus_entry(facts, iface, seed))])
+    spins = beside_spins("spin", "spin2")
+    for seed in SEEDS:
+        run = fair_execute(SillSystem(), spins, budget=400, seed=seed)
+        out["corpus"].append(["beside two spins", seed, _steps(run)])
     nodes = [f"n{(5 * i) % 12}" for i in range(12)]
     ring = _ring(nodes, 4)
     for seed in (1, 3):

@@ -1,9 +1,11 @@
 """Bounded reachability, overlap, and the combined-rule emulation check."""
 
+import itertools
 import random
 
 import pytest
 
+from sill.fairness import fair_execute
 from sill.msr import (
     BudgetExceeded,
     Fact,
@@ -12,6 +14,7 @@ from sill.msr import (
     overlap,
     parse_system,
     reachable_within,
+    union_equivalent,
 )
 
 from helpers import random_mrs
@@ -97,6 +100,23 @@ def test_queue_is_non_overlapping():
         """
     )
     assert is_non_overlapping(queue, queue.initial)
+
+
+def test_fair_runs_of_non_overlapping_systems_are_union_equivalent():
+    # interference freedom: where no two applicable instantiations compete
+    # for a fact, maximal runs differ only in the order of their steps
+    rng = random.Random(20210404)
+    compared = 0
+    for i in range(600):
+        mrs = random_mrs(rng)
+        if not is_non_overlapping(mrs, mrs.initial):
+            continue
+        runs = [fair_execute(mrs, mrs.initial, budget=60, seed=seed) for seed in (None, 1, 2, 3)]
+        maximal = [tr for tr in runs if tr.meta["maximal"]]
+        for a, b in itertools.combinations(maximal, 2):
+            assert union_equivalent(a, b), (i, mrs.rules)
+            compared += 1
+    assert compared
 
 
 def test_competing_consumers_overlap():

@@ -10,9 +10,11 @@ since the FIFO order is part of the fairness argument.
 
 import random
 
+import pytest
 from helpers import old_equiv_key, random_mrs
 from test_dynamics import corpus
 
+from sill import fairness
 from sill.dynamics import (SillSystem, _listens_on, classify_fact, config_state,
                            initial_config, proc_fact, run)
 from sill.equiv import divergent
@@ -36,7 +38,7 @@ from sill.lang.ast import (
     subst_chan,
 )
 from sill.lang.check import check_config
-from sill.msr import Const, Fact, Multiset, Rule, Trace, Var, parse_system
+from sill.msr import Const, Fact, Multiset, NotApplicable, Rule, Trace, Var, parse_system
 from sill.msr.multiset import fact_key
 from sill.msr.rules import Inst, Mrs, _equiv_key, _match_fact
 
@@ -202,16 +204,24 @@ def test_replicated_corpus_matches_rescan():
         assert tr.meta["maximal"]
 
 
+def beside_spins(*spins):
+    """The corpus beside processes that each step to themselves, on the
+    channels named."""
+    facts, _ = replicated_corpus(1)
+    return config_state(facts).msum(
+        Multiset.of([proc_fact(c, divergent(c, One())) for c in spins]))
+
+
 def test_corpus_beside_a_spin_matches_rescan():
     # a process stepping to itself keeps its step in the queue among the
     # corpus's steps, so steps that change nothing interleave with real ones
-    facts, _ = replicated_corpus(1)
-    start = config_state(facts).msum(
-        Multiset.of([proc_fact("spin", divergent("spin", One()))]))
-    for seed in SEEDS:
-        system = SillSystem()
-        tr = assert_same_run(system, start, sill_rescan(system), 400, seed, seed)
-        assert 0 < tr.meta["sched"]["unchanged_steps"] < len(tr.steps)
+    for spins in (("spin",), ("spin", "spin2")):
+        for seed in SEEDS:
+            system = SillSystem()
+            tr = assert_same_run(system, beside_spins(*spins), sill_rescan(system), 400,
+                                 seed, (spins, seed))
+            sched = tr.meta["sched"]
+            assert 0 < sched["idle_replays"] < sched["unchanged_steps"] < len(tr.steps)
 
 
 def test_duplicated_proc_facts_match_rescan():
@@ -229,7 +239,8 @@ def test_duplicated_proc_facts_match_rescan():
 
 def _extend(mrs, rng):
     """Add a rule that re-produces its antecedent, one whose antecedent is
-    persistent, or one without antecedent."""
+    persistent, one without antecedent, or a pair that takes a q fact and
+    gives it back, so that a class of stay is dropped and admitted again."""
     x = Var("x")
     extra = []
     if rng.random() < 0.5:
@@ -239,18 +250,30 @@ def _extend(mrs, rng):
                           (Fact("p", (Var("n"),), True),), (Fact("q", (x,)),)))
     if rng.random() < 0.2:
         extra.append(Rule("tick", (), (), (), (), (), (Fact("s"),)))
+    tokens = []
+    if rng.random() < 0.5:
+        extra.append(Rule("take", ("x",), (), (Fact("q", (x,)), Fact("t")), (), (),
+                          (Fact("r", (x,)),)))
+        extra.append(Rule("give", ("x",), (), (Fact("r", (x,)),), (), (),
+                          (Fact("q", (x,)), Fact("t"))))
+        tokens.append(Fact("t"))
     pers = [Fact("p", (Const(c),), True) for c in ("a", "b") if rng.random() < 0.5]
     return Mrs(mrs.rules + tuple(extra), mrs.declared,
-               Multiset.of(list(mrs.initial.eph_support()) * 2, pers))
+               Multiset.of(list(mrs.initial.eph_support()) * 2 + tokens, pers))
 
 
-def test_random_mrs_matches_rescan():
+def random_runs():
+    """600 random systems, every other one extended, each with a seed."""
     rng = random.Random(20210403)
     for i in range(600):
         mrs = random_mrs(rng)
         if i % 2:
             mrs = _extend(mrs, rng)
-        seed = None if i % 3 == 0 else rng.randrange(1000)
+        yield i, mrs, None if i % 3 == 0 else rng.randrange(1000)
+
+
+def test_random_mrs_matches_rescan():
+    for i, mrs, seed in random_runs():
         assert_same_run(mrs, mrs.initial, mrs_rescan(mrs), 12, seed, (i, mrs.rules))
 
 
@@ -266,6 +289,58 @@ def test_unchanged_steps_are_the_steps_that_change_nothing():
         assert tr.meta["sched"]["unchanged_steps"] == same, (i, mrs.rules)
         seen += same
     assert seen
+
+
+def test_idle_steps_stay_live_and_are_checked_when_recorded_again(monkeypatch):
+    tables = []
+
+    class Watched(fairness._Applicable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.idle_dropped = 0
+            tables.append(self)
+
+        def drop(self, key):
+            self.idle_dropped += key in self.idle
+            super().drop(key)
+
+    def check(tr, at):
+        # every idle step is its live class's and applies to the state the
+        # tables describe; reading tr.states keeps them as the run goes
+        app, state = tables[-1], tr.states[at]
+        assert app.idle.keys() <= app.live.keys()
+        for key, step in app.idle.items():
+            assert step.idle and step.inst is app.live[key]
+            assert step.inst.applicable(state)
+
+    monkeypatch.setattr(fairness, "_Applicable", Watched)
+    runs = [(SillSystem(), beside_spins("spin", "spin2"), 400, seed) for seed in SEEDS]
+    runs += [(mrs, mrs.initial, 12, seed) for _, mrs, seed in random_runs()]
+    replays = 0
+    for system, start, budget, seed in runs:
+        # the observer runs before the scheduler takes in the step
+        tr = fair_execute(system, start, budget=budget, seed=seed,
+                          observer=lambda tr: check(tr, -2))
+        check(tr, -1)
+        assert tr.states[-1] is tr.final() and len(tr.states) == len(tr.steps) + 1
+        replays += tr.meta["sched"]["idle_replays"]
+    assert replays and sum(app.idle_dropped for app in tables)
+
+    mrs = parse_system("""
+        rule stay: forall x. q(x) -o q(x)
+        rule take: forall x. q(x), t -o r(x)
+        init: q(a), t
+        """)
+    tr = Trace(mrs, mrs.initial)
+    stay = tr.extend(Inst.make(mrs.rule("stay"), {"x": Const("a")}))
+    tr.repeat(stay)
+    assert tr.steps == [stay, stay] and tr.final() is mrs.initial
+    take = tr.extend(Inst.make(mrs.rule("take"), {"x": Const("a")}))
+    with pytest.raises(ValueError):
+        tr.repeat(take)
+    with pytest.raises(NotApplicable):
+        tr.repeat(stay)
+    assert len(tr.steps) == 3
 
 
 RING = """
@@ -294,7 +369,8 @@ def test_omega_enumerates_once():
     tr = run(SillSystem(), state, iface, fuel=300)
     assert tr.meta["sched"] == {"full_enumerations": 1, "delta_candidates": 300,
                                 "fresh_admitted": 300, "unchanged_steps": 0,
-                                "steps_derived": 300, "steps_reused": 0}
+                                "idle_replays": 0, "steps_derived": 300,
+                                "steps_reused": 0}
 
 
 # -- the step cache ----------------------------------------------------------------
@@ -331,9 +407,12 @@ def test_divergent_spin_derives_once():
     assert len(tr.steps) == 200
     assert {s.inst.rule.name for s in tr.steps} == {"unquote"}
     # the start enumeration derives the spin; every step after leaves the
-    # state as it was, so the enabled set is never asked again
+    # state as it was, so the enabled set is never asked again, and every
+    # step after the first records the first one again
     sched = tr.meta["sched"]
     assert sched["unchanged_steps"] == 200
+    assert sched["idle_replays"] == 199
+    assert len({id(s) for s in tr.steps}) == 1
     assert sched["delta_candidates"] == sched["steps_derived"] == sched["steps_reused"] == 0
     assert len({id(st) for st in tr.states}) == 1
 
