@@ -3,11 +3,16 @@
 An eventually periodic infinite run is given as a finite trace plus the
 index where the loop starts; the states at the loop boundaries must agree
 up to a renaming of generated constants.  That recurrence renaming drives
-the whole analysis: a ground object (fact, instantiation) recurs in the
-unrolled infinite trace exactly when all its generated constants lie on
-cycles of the renaming, and then its occurrences sweep through the orbit
-under the renaming.  Constants born inside the loop and not returning are
-transient: they appear in finitely many rounds only.
+the whole analysis through one walk: a ground object (a fact, or an
+instantiation, whose names sit in theta or, for a ground rule, in the
+rule's facts) is renamed round after round while its generated constants
+lie in the renaming's domain.  The renaming is injective, so the walk
+either returns to the object, which then recurs in the unrolled infinite
+trace with the walk as its orbit, or leaves the domain: the object names
+a constant born inside the loop and is transient, present in finitely
+many rounds only.  A loop step's images along its walk, recurrent or not,
+are what the later rounds apply, and they meet the über obligations of
+the recorded states.
 
 Varieties of fairness quantify over rules, facts, or instantiations; each
 comes in a weak (almost-always applicable/enabled implies applied) and a
@@ -34,16 +39,15 @@ checked, instead of applied anew.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .msr.canon import find_renaming
-from .msr.multiset import Fact, Multiset, fact_consts, fact_key, fact_to_str
+from .msr.multiset import Fact, Multiset, fact_key, fact_to_str
 from .msr.rules import Inst, Mrs, _equiv_key
-from .msr.terms import rename_consts, term_consts, term_to_str
+from .msr.terms import term_to_str
 from .msr.trace import Step, Trace
 
 VARIETIES = ("rule", "fact", "inst")
@@ -176,14 +180,24 @@ class _Analysis:
     at most once: the states, the recurrence renaming and the recorded
     steps' equivalence keys when it is built, the rest on first use.
 
+    One walk (``images``) follows a fact or an instantiation through the
+    rounds of the unrolled trace: its images under the recurrence renaming
+    ``rho``.  An object recurs when the walk returns to it, and then it and
+    its images are its orbit; a walk that leaves rho's domain marks a
+    transient object.  Weak and strong verdicts read orbits.  The über
+    obligation of an instantiation applicable at a recorded state is met by
+    a later recorded step of its class or by an image of a loop step
+    (``later_steps``), recurrent or not: a loop step whose next-round image
+    acts on a name born in this round is transient, yet that image is
+    applied.
+
     The applicable sets (``keyed``) replay the recorded steps through one
     ``_Applicable``.  The applied instantiation stays live while its
     consumed facts remain, so only the facts a step produced can bring a
     class in.  Each position keeps one representative per applicable class
-    under its key, in rule order, then theta: the list ``mrs.applicable``
-    gives for an ``Mrs``.  (The generated rules of a ``SillSystem`` have no
-    such order; its classes keep the order of the first enumeration, then
-    of their arrival.)
+    under its key, in rule order, then theta, then, for a ground step, the
+    facts it consumes: for an ``Mrs`` the list ``mrs.applicable`` gives.
+    (The generated rules of a ``SillSystem`` have no rule order.)
     """
 
     def __init__(self, lt: LassoTrace):
@@ -204,61 +218,26 @@ class _Analysis:
                 "loop endpoint is not the loop start up to renaming generated constants"
             )
         self.rho = rho
-        # constants whose orbit under rho returns to them
-        self.cyc: dict[str, int] = {}
-        for c in rho:
-            cur, n = rho[c], 1
-            while cur != c and cur in rho:
-                cur = rho[cur]
-                n += 1
-            if cur == c:
-                self.cyc[c] = n
         self.step_keys = [_equiv_key(s.inst) for s in tr.steps]
 
-    # -- orbit machinery ----------------------------------------------------
-
-    def is_recurrent(self, consts: Iterable[str]) -> bool:
-        return all(self.rigid(c) or c in self.cyc for c in consts)
-
-    def period(self, consts: Iterable[str]) -> int:
-        p = 1
-        for c in consts:
-            if not self.rigid(c):
-                p = math.lcm(p, self.cyc[c])
-        return p
-
-    def shift_inst(self, inst: Inst, m: int) -> Inst:
-        rho_m = {}
-        for _, t in inst.theta:
-            for c in term_consts(t):
-                if not self.rigid(c):
-                    cur = c
-                    for _ in range(m):
-                        cur = self.rho[cur]
-                    rho_m[c] = cur
-        if not rho_m:
-            return inst
-        return Inst(
-            inst.rule, tuple((v, rename_consts(t, rho_m)) for v, t in inst.theta)
-        )
-
-    def inst_consts(self, inst: Inst) -> set[str]:
-        out: set[str] = set()
-        for _, t in inst.theta:
-            out |= term_consts(t)
-        return out
-
-    def inst_orbit(self, inst: Inst) -> list[Inst]:
-        return [self.shift_inst(inst, m) for m in range(self.period(self.inst_consts(inst)))]
-
-    def fact_orbit(self, f: Fact) -> list[Fact]:
-        consts = fact_consts(f)
-        out = []
-        cur = f
-        for _ in range(self.period(consts)):
-            out.append(cur)
-            cur = cur.rename(self.rho)
-        return out
+    def images(self, x) -> tuple[list, bool]:
+        """The walk of x, a fact or an instantiation, under rho:
+        x.rename(rho)^m for m = 1, 2, ..., taken while the generated
+        constants of the last image lie in rho's domain, and stopped when x
+        returns, which is not listed; and whether x returned.  rho is
+        injective, so the walk either returns, and then x recurs with x and
+        the images as its orbit, or leaves rho's domain, and then x is
+        transient.  Either way the images are what later rounds of the loop
+        make of x, as far as they name constants of the recorded trace."""
+        rho, names = self.rho, {c for c in x.consts() if not self.rigid(c)}
+        out, y = [], x
+        while names <= rho.keys():
+            y = y.rename(rho)
+            if y == x:
+                return out, True
+            out.append(y)
+            names = {rho[c] for c in names}
+        return out, False
 
     def loop_positions(self) -> range:
         assert self.k is not None
@@ -275,7 +254,9 @@ class _Analysis:
             rank.setdefault(r, i)
 
         def order(entry: tuple[tuple, Inst]) -> tuple:
-            return rank.get(entry[1].rule, len(rank)), entry[1].theta_key()
+            inst = entry[1]
+            return (rank.get(inst.rule, len(rank)), inst.theta_key(),
+                    [fact_key(f) for f in _consumed(inst)])
 
         start = self.states[0]
         app = _Applicable(self.mrs, start, self.mrs.applicable(start))
@@ -287,10 +268,6 @@ class _Analysis:
                 app.admit(key, inst)
             out.append(dict(sorted(app.live.items(), key=order)))
         return out
-
-    def applicable_at(self, j: int) -> list[Inst]:
-        """The applicable instantiations at state j < L, as a list."""
-        return list(self.keyed[j].values())
 
     def _over_loop(self, per_position: Callable[[dict[tuple, Inst]], set]) -> tuple[set, set]:
         """What holds at some loop position, and what holds at every one."""
@@ -315,77 +292,43 @@ class _Analysis:
         return self._over_loop(lambda keyed: {i.rule.name for i in keyed.values()})
 
     @cached_property
-    def loop_steps_cyclic(self) -> list[Inst]:
-        """The loop steps whose constants all recur."""
-        return [self.trace.steps[j].inst for j in self.loop_positions()
-                if self.is_recurrent(self.inst_consts(self.trace.steps[j].inst))]
-
-    @cached_property
-    def applied_keys(self) -> set[tuple]:
-        """Equivalence keys of the instantiations the loop applies
-        infinitely often: the orbits of its recurring steps."""
-        return {_equiv_key(o) for step in self.loop_steps_cyclic for o in self.inst_orbit(step)}
-
-    @cached_property
-    def applied_insts(self) -> set[Inst]:
-        """The instantiations the loop applies infinitely often."""
-        return {o for step in self.loop_steps_cyclic for o in self.inst_orbit(step)}
-
-    @cached_property
     def loop_active(self) -> set[Fact]:
         """Facts some loop step consumes or requires."""
         return {f for j in self.loop_positions() for f in _ant_facts(self.step_keys[j])}
 
-    # -- predicates on the unrolled infinite trace ---------------------------
+    # -- what the unrolled infinite trace applies ----------------------------
 
-    def _orbit_keys(self, inst: Inst) -> Optional[list[tuple]]:
-        """The equivalence keys of inst's orbit; None when inst is transient."""
-        if not self.is_recurrent(self.inst_consts(inst)):
-            return None
-        return [_equiv_key(o) for o in self.inst_orbit(inst)]
+    @cached_property
+    def later_steps(self) -> dict[Inst, tuple]:
+        """The steps of the loop's later rounds that name only constants of
+        the recorded trace, with their equivalence keys: the orbits of the
+        recurrent loop steps and the images of the transient ones."""
+        out: dict[Inst, tuple] = {}
+        for j in self.loop_positions():
+            x = self.trace.steps[j].inst
+            walk, recurrent = self.images(x)
+            if recurrent:
+                out[x] = self.step_keys[j]
+            for y in walk:
+                if y not in out:
+                    out[y] = _equiv_key(y)
+        return out
 
-    def inst_applicable_io(self, inst: Inst) -> bool:
-        keys = self._orbit_keys(inst)
-        return keys is not None and any(key in self.loop_keys[0] for key in keys)
-
-    def inst_applicable_aa(self, inst: Inst) -> bool:
-        keys = self._orbit_keys(inst)
-        return keys is not None and all(key in self.loop_keys[1] for key in keys)
-
-    def inst_applied_io_equal(self, inst: Inst) -> bool:
-        return inst in self.applied_insts
-
-    def fact_enabled_io(self, f: Fact) -> bool:
-        if not self.is_recurrent(fact_consts(f)):
-            return False
-        return any(o in self.loop_enabled[0] for o in self.fact_orbit(f))
-
-    def fact_enabled_aa(self, f: Fact) -> bool:
-        if not self.is_recurrent(fact_consts(f)):
-            return False
-        return all(o in self.loop_enabled[1] for o in self.fact_orbit(f))
-
-    def fact_active_io(self, f: Fact) -> bool:
-        if not self.is_recurrent(fact_consts(f)):
-            return False
-        return any(o in self.loop_active for o in self.fact_orbit(f))
-
-    def rule_applied_in_loop(self, name: str) -> bool:
-        return any(
-            self.trace.steps[j].inst.rule.name == name for j in self.loop_positions()
-        )
+    @cached_property
+    def later_keys(self) -> set[tuple]:
+        return set(self.later_steps.values())
 
     @cached_property
     def uber_obligation(self) -> Optional[tuple[int, Inst]]:
         """The first instantiation applicable at a reached state that is
         never applied later up to equivalence, in the recorded part or in
-        the loop's future rounds, with that state's index; None if there
+        the loop's later rounds, with that state's index; None if there
         is none."""
         # equivalence key -> the last position of a recorded step with that key
         last = {key: s for s, key in enumerate(self.step_keys)}
         for i in range(self.L):
             for key, inst in self.keyed[i].items():
-                if last.get(key, -1) < i and key not in self.applied_keys:
+                if last.get(key, -1) < i and key not in self.later_keys:
                     return i, inst
         return None
 
@@ -400,35 +343,47 @@ def _analysis_of(lt: LassoTrace) -> _Analysis:
     return an
 
 
+def _consumed(inst: Inst) -> list[Fact]:
+    """What tells apart the ground steps of one rule name, which have no
+    theta: the facts they consume, in fact order; empty for other steps."""
+    return [] if inst.theta else sorted(inst.rule.eph_ant, key=fact_key)
+
+
+def _inst_order(inst: Inst) -> tuple:
+    """The order of instantiation witnesses."""
+    return inst.theta_key(), inst.rule.name, [fact_key(f) for f in _consumed(inst)]
+
+
 def _inst_witness(inst: Inst) -> dict:
-    return {
+    w = {
         "kind": "instantiation",
         "rule": inst.rule.name,
         "theta": {v: term_to_str(t) for v, t in inst.theta},
     }
+    if not inst.theta:
+        w["consumed"] = [fact_to_str(f) for f in _consumed(inst)]
+    return w
 
 
-def _candidate_insts(an: _Analysis) -> list[Inst]:
-    """Applicable instantiations at loop states, one representative per
-    orbit, sorted theta-first so witnesses come out in a stable order."""
-    seen: set = set()
+def _candidate_insts(an: _Analysis) -> list[tuple[Inst, list[tuple]]]:
+    """The recurrent instantiations applicable at loop states, one per
+    orbit, in witness order: the orbit's least member with the keys of
+    all its members.  A transient instantiation is applicable at finitely
+    many states of the unrolled trace, so it is no candidate."""
     done: set = set()
-    out: list[Inst] = []
+    out: list[tuple[Inst, list[tuple]]] = []
     for j in an.loop_positions():
         for k, inst in an.keyed[j].items():
             # a class has the same representative at every position
             if k in done:
                 continue
             done.add(k)
-            orbit = an.inst_orbit(inst) if an.is_recurrent(an.inst_consts(inst)) else [inst]
-            # the orbit itself: distinct steps of a SillSystem share their
-            # rule's name and an empty theta
-            key = frozenset(orbit)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(min(orbit, key=lambda i: (i.theta_key(), i.rule.name)))
-    out.sort(key=lambda i: (i.theta_key(), i.rule.name))
+            walk, recurrent = an.images(inst)
+            if recurrent:
+                keys = [k, *map(_equiv_key, walk)]
+                done.update(keys)
+                out.append((min([inst, *walk], key=_inst_order), keys))
+    out.sort(key=lambda c: _inst_order(c[0]))
     return out
 
 
@@ -460,25 +415,31 @@ def check_fairness(lt: LassoTrace, variety: str, strength: str) -> Verdict:
         return Verdict(variety, "uber", False, w)
 
     witnesses: list[tuple[tuple, dict]] = []
+    weak = strength == "weak"
     if variety == "rule":
         some, every = an.loop_rules
+        applied = {an.trace.steps[j].inst.rule.name for j in an.loop_positions()}
         for r in an.mrs.rules:
-            premise = r.name in (every if strength == "weak" else some)
-            if premise and not an.rule_applied_in_loop(r.name):
+            if r.name in (every if weak else some) and r.name not in applied:
                 witnesses.append(((r.name,), {"kind": "rule", "rule": r.name}))
     elif variety == "fact":
+        some, every = an.loop_enabled
         for f in sorted(an.trace.supp().support(), key=fact_key):
-            premise = an.fact_enabled_aa(f) if strength == "weak" else an.fact_enabled_io(f)
-            if premise and not an.fact_active_io(f):
+            walk, recurrent = an.images(f)
+            orbit = [f, *walk]
+            premise = (all(o in every for o in orbit) if weak
+                       else any(o in some for o in orbit))
+            if recurrent and premise and not any(o in an.loop_active for o in orbit):
                 witnesses.append(((fact_key(f),), {"kind": "fact", "fact": fact_to_str(f)}))
     else:
-        for inst in _candidate_insts(an):
-            if strength == "weak":
-                if an.inst_applicable_aa(inst) and _equiv_key(inst) not in an.applied_keys:
-                    witnesses.append(((inst.theta_key(), inst.rule.name), _inst_witness(inst)))
+        some, every = an.loop_keys
+        for inst, keys in _candidate_insts(an):
+            if weak:
+                unfair = all(k in every for k in keys) and keys[0] not in an.later_keys
             else:
-                if an.inst_applicable_io(inst) and not an.inst_applied_io_equal(inst):
-                    witnesses.append(((inst.theta_key(), inst.rule.name), _inst_witness(inst)))
+                unfair = any(k in some for k in keys) and inst not in an.later_steps
+            if unfair:
+                witnesses.append((_inst_order(inst), _inst_witness(inst)))
 
     if witnesses:
         witnesses.sort(key=lambda w: w[0])

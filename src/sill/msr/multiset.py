@@ -6,8 +6,8 @@ address, and a fact's variables and order key are computed once.
 
 A state has a persistent part (a set of facts, monotonically growing) and an
 ephemeral part (a finite multiset).  The multiset operations are pointwise on
-multiplicities: sum adds, union takes the max, intersection the min,
-difference truncates at zero, and inclusion compares pointwise.
+multiplicities: sum adds, intersection takes the min, difference
+truncates at zero, and inclusion compares pointwise.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ class Fact:
 
     def rename(self, rho: Mapping[str, str]) -> "Fact":
         return Fact(self.pred, tuple(rename_consts(a, rho) for a in self.args), self.persistent)
+
+    def consts(self) -> set[str]:
+        return fact_consts(self)
 
 
 _fact_pred, _fact_args, _fact_persistent = (Fact.pred.__set__, Fact.args.__set__,
@@ -188,19 +191,11 @@ class Multiset:
 
     # -- algebra on the ephemeral part --------------------------------------
 
-    def _binop(self, other: "Multiset", op) -> "Multiset":
-        keys = set(self._eph) | set(other._eph)
-        out = {f: op(self._eph.get(f, 0), other._eph.get(f, 0)) for f in keys}
-        return Multiset(out, self._pers | other._pers)
-
     def msum(self, other: "Multiset") -> "Multiset":
         out = dict(self._eph)
         for f, n in other._eph.items():
             out[f] = out.get(f, 0) + n
         return Multiset._make(out, self._pers | other._pers)
-
-    def munion(self, other: "Multiset") -> "Multiset":
-        return self._binop(other, max)
 
     def minter(self, other: "Multiset") -> "Multiset":
         keys = set(self._eph) & set(other._eph)

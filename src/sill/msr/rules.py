@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .multiset import Fact, Multiset, fact_to_str, fact_vars
-from .terms import App, Const, Term, Var, match_term, subst_term, term_key, term_to_str
+from .multiset import Fact, Multiset, fact_consts, fact_to_str, fact_vars
+from .terms import (App, Const, Term, Var, match_term, rename_consts, subst_term, term_consts,
+                    term_key, term_to_str)
 
 
 class NotApplicable(Exception):
@@ -130,6 +131,10 @@ class Rule:
         return f"rule {self.name}: {fa}{lhs} -o {ex}{rhs}"
 
 
+# the fact tuples of a rule
+_FACT_PARTS = ("pers_ant", "eph_ant", "pers_con", "eph_con")
+
+
 @dataclass(frozen=True)
 class Inst:
     """A rule instantiated with ground terms for its universal variables."""
@@ -194,6 +199,25 @@ class Inst:
         pers = _ground_set(self.rule.pers_con, th)
         eph = Multiset.of(_ground_fact(f, th) for f in self.rule.eph_con)
         return pers, eph
+
+    def consts(self) -> frozenset[str]:
+        """The constants it names: theta's, or for a ground rule (one
+        without universal variables, as every SILL step is) its facts'."""
+        if self.rule.uvars:
+            return frozenset().union(*[term_consts(t) for _, t in self.theta])
+        return self._kept("_consts", lambda _: frozenset().union(
+            *[fact_consts(f) for part in _FACT_PARTS for f in getattr(self.rule, part)]))
+
+    def rename(self, rho: Mapping[str, str]) -> "Inst":
+        """The instantiation with the constants that consts() gives renamed
+        by rho; itself when rho moves none of them."""
+        if self.consts().isdisjoint(rho):
+            return self
+        if self.rule.uvars:
+            return Inst(self.rule, tuple((v, rename_consts(t, rho)) for v, t in self.theta))
+        return Inst(replace(self.rule, **{
+            part: tuple(f.rename(rho) for f in getattr(self.rule, part))
+            for part in _FACT_PARTS}), ())
 
     def to_str(self) -> str:
         args = ", ".join(f"{v} := {term_to_str(t)}" for v, t in self.theta)

@@ -195,10 +195,6 @@ def term_consts(t: Term) -> set[str]:
     return {s.name for s in iter_subterms(t) if type(s) is Const}
 
 
-def is_ground(t: Term) -> bool:
-    return not t.vars
-
-
 def subst_term(t: Term, theta: Mapping[str, Term]) -> Term:
     """t with each variable named in theta replaced by its image.  A
     subterm without variables is returned as it is, and each distinct

@@ -15,6 +15,7 @@ and reads "infinitely often" as "in each of the last windows" and
 being one period (the lcm of the renaming's cycle lengths) of rounds.
 """
 
+import dataclasses
 import math
 from typing import Iterable, Optional
 
@@ -170,8 +171,13 @@ class _ReferenceAnalysis:
 
 
 def _inst_witness(inst: Inst) -> dict:
-    return {"kind": "instantiation", "rule": inst.rule.name,
-            "theta": {v: term_to_str(t) for v, t in inst.theta}}
+    w = {"kind": "instantiation", "rule": inst.rule.name,
+         "theta": {v: term_to_str(t) for v, t in inst.theta}}
+    if not inst.theta:
+        # a ground step is named by the facts it consumes
+        consumed = sorted(inst.eph_ant_g().eph_items(), key=lambda fn: fact_key(fn[0]))
+        w["consumed"] = [fact_to_str(f) for f, n in consumed for _ in range(n)]
+    return w
 
 
 def _candidate_insts(an: _ReferenceAnalysis) -> list[Inst]:
@@ -240,7 +246,8 @@ class Unrolled:
     steps with their constants renamed by ``cur``: the loop start's
     constants go where the previous round took their images under the
     recurrence renaming, and names born inside the loop go to the names
-    born in their place this round.
+    born in their place this round.  A step's theta is renamed, or, for a
+    ground rule (no universal variables), the facts of the rule itself.
     """
 
     def __init__(self, lt: LassoTrace, rounds: int):
@@ -257,8 +264,16 @@ class Unrolled:
         for _ in range(1, rounds):
             cur = dict(m)
             for s in src.steps[self.k:]:
-                theta = {v: rename_consts(t, cur) for v, t in s.inst.theta}
-                step = self.tr.extend(Inst.make(s.inst.rule, theta))
+                rule = s.inst.rule
+                if rule.uvars:
+                    theta = {v: rename_consts(t, cur) for v, t in s.inst.theta}
+                    step = self.tr.extend(Inst.make(rule, theta))
+                else:
+                    # a ground rule (every SILL step is one) holds its names
+                    # in its facts
+                    facts = {part: tuple(f.rename(cur) for f in getattr(rule, part))
+                             for part in ("pers_ant", "eph_ant", "pers_con", "eph_con")}
+                    step = self.tr.extend(Inst.make(dataclasses.replace(rule, **facts), {}))
                 for v, name in s.xi:
                     cur[name] = step.xi_map()[v]
             m = {c: cur[rho[c]] for c in rho}

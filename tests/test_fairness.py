@@ -9,14 +9,15 @@ import random
 
 import pytest
 
-from fairness_oracles import definitional_report, reference_check_fairness
+from fairness_oracles import _ReferenceAnalysis, definitional_report, reference_check_fairness
 
 from sill.dynamics import SillSystem, initial_config, proc_fact
 from sill.equiv import divergent
 from sill.fairness import (STRENGTHS, VARIETIES, InvalidLasso, LassoTrace, _analysis_of,
                            check_fairness, fair_execute, fairness_report)
 from sill.lang.ast import Close, Cut, Fix, FVar, One, Quote, Unquote, Wait
-from sill.msr import Const, Fact, Inst, Multiset, Rule, Trace, Var, inst_equiv, parse_system
+from sill.msr import (Const, Fact, Inst, Multiset, Rule, Trace, Var, fact_to_str, inst_equiv,
+                      parse_system)
 from sill.msr.rules import Mrs, _equiv_key, match_all
 
 
@@ -438,12 +439,12 @@ def _assert_matches_reference(lt):
         assert v == reference_check_fairness(fresh, variety, strength), (variety, strength)
     an = lt._analysis
     for j in range(len(lt.trace.steps)):
-        assert an.applicable_at(j) == lt.trace.mrs.applicable(lt.trace.states[j]), j
+        assert list(an.keyed[j].values()) == lt.trace.mrs.applicable(lt.trace.states[j]), j
 
 
 def test_shared_analysis_matches_reference_checker(lasso1, lasso2, lasso3):
     lassos = _random_lassos(7, 250) + _fixed_lassos(lasso1, lasso2, lasso3)
-    periods = [max(_analysis_of(lt).cyc.values(), default=1) for lt in lassos]
+    periods = [max(_ReferenceAnalysis(lt).cyc.values(), default=1) for lt in lassos]
     assert len(lassos) >= 100 and sum(p > 1 for p in periods) >= 10
     for lt in lassos:
         _assert_matches_reference(lt)
@@ -545,8 +546,44 @@ def test_sill_steps_of_one_rule_stay_distinct_candidates():
         assert fair[("fact", "weak")] == both and fair[("rule", "weak")]
 
 
+def _spawning_lasso_without_spin():
+    # the spawning lasso's steps without those of the divergent spin on r,
+    # which stays applicable and is never applied
+    lt = _spawning_lasso()
+    tr = Trace(lt.trace.mrs, lt.trace.initial, lt.trace.sig0)
+    for s in lt.trace.steps:
+        if s.inst.rule.eph_ant[0].args[0] != Const("r"):
+            tr.extend(s.inst, s.xi_map())
+    return LassoTrace(tr, 2)
+
+
+def test_a_loop_that_moves_names_is_fair_in_every_sense():
+    # the loop closes under {x'0: x'1}: one_r on x'1, applicable at the
+    # last state, is applied on x'1 in the next round
+    lt = _spawning_lasso()
+    assert _analysis_of(lt).rho == {"x'0": "x'1"}
+    fair = {key: v.fair for key, v in fairness_report(lt).items()}
+    assert all(fair.values()) and fair == definitional_report(lt)
+
+
+def test_a_loop_that_moves_names_and_starves_a_spin_is_unfair():
+    lt = _spawning_lasso_without_spin()
+    assert len(lt.trace.steps) == 6 and _analysis_of(lt).rho == {"x'0": "x'1"}
+    report = fairness_report(lt)
+    fair = {key: v.fair for key, v in report.items()}
+    assert fair == definitional_report(lt)
+    assert [key for key, v in fair.items() if v] == [("rule", "weak"), ("rule", "strong")]
+    # a ground step has no theta: its witness names the facts it consumes
+    spin = fact_to_str(proc_fact("r", divergent("r", One())))
+    for strength in STRENGTHS:
+        w = report["inst", strength].witness
+        assert (w["rule"], w["theta"], w["consumed"]) == ("unquote", {}, [spin]), strength
+    assert report["fact", "weak"].witness == {"kind": "fact", "fact": spin}
+
+
 def test_sill_lasso_replay_matches_full_enumeration():
-    # compared as sets: the replay keeps SILL classes in arrival order
+    # compared as sets: the replay orders SILL classes by their consumed
+    # facts, not as SillSystem.applicable does
     lassos = [lt for _, lt in _two_spin_lassos()] + [_spawning_lasso()]
     for lt in lassos:
         an = _analysis_of(lt)

@@ -18,6 +18,7 @@ from sill.msr import (
     NotApplicable,
     Rule,
     Trace,
+    Var,
     apply_inst,
     inst_equiv,
     parse_system,
@@ -255,3 +256,24 @@ def test_one_pass_enumeration_keeps_list_and_order():
             if not insts:
                 break
             tr.extend(rng.choice(insts))
+
+
+def test_rename_moves_theta_or_a_ground_rule_s_facts(queue):
+    inst = Inst.make(queue.rule("e2"), {"x": Const("q"), "y": Const("1"),
+                                        "z": Const("0"), "w": Const("qp")})
+    assert inst.consts() == {"q", "1", "0", "qp"}
+    moved = inst.rename({"qp": "q#7"})
+    assert moved.rule is inst.rule and moved.theta_map()["w"] == Const("q#7")
+    assert inst.rename({"n#1": "n#2"}) is inst
+    # a ground rule, as every SILL step is, holds its names in its facts
+    def tok(a):
+        return Fact("tok", (a,))
+
+    ground = Inst.make(Rule("g", (), (), (tok(Const("a#0")),), ("v",), (),
+                            (tok(Var("v")), Fact("seen", (Const("a#0"),)))), {})
+    assert ground.consts() == {"a#0"}
+    moved = ground.rename({"a#0": "a#1"})
+    assert moved.theta == () and moved.rule.evars == ("v",)
+    assert moved.rule.eph_ant == (tok(Const("a#1")),)
+    assert moved.rule.eph_con == (tok(Var("v")), Fact("seen", (Const("a#1"),)))
+    assert ground.rename({"b#0": "b#1"}) is ground
