@@ -9,9 +9,9 @@ one for every receive, read off the message-kind tables of ``ast``, with
 each continuation a subterm of the fact, renamed by one walk.  A fair run
 enumerates the start state once; after a step it asks only for the steps
 that can consume a fact the step touched.  Most processes (senders, cuts,
-closes, unquotes) have steps that depend on their own fact alone; a run
-derives and keys those once per fact and reuses them while the fact stays.
-Only the steps of processes that wait for a message are derived again.
+closes, unquotes) have steps that depend on their own fact alone; a system
+derives those once per fact and hands them to every run on it.  Only the
+steps of processes that wait for a message are derived again in each run.
 
 Sending is asynchronous.  A sender turns into a message fact plus a
 continuation running on a fresh channel; a receiver consumes the matching
@@ -346,7 +346,9 @@ class SillSystem:
     ``_StepIndex``) keeps the facts indexed and after each step hands out
     the steps that can consume a touched fact.  Functional side conditions
     are evaluated with a fixed fuel and memoised per system; a divergent
-    side condition makes the step silently unavailable.
+    side condition makes the step silently unavailable.  ``store`` keeps
+    the steps derived for each proc fact that listens on no carrier, and
+    its facts, for the system's lifetime: build one per run or per verdict.
     """
 
     rules: tuple = ()
@@ -356,6 +358,7 @@ class SillSystem:
     def __init__(self, eval_fuel: int = DEFAULT_EVAL_FUEL):
         self.eval_fuel = eval_fuel
         self._memo: dict = {}
+        self.store: dict[Fact, list[Inst]] = {}
 
     def signature(self) -> Signature:
         return Signature(self.declared, 0)
@@ -475,18 +478,16 @@ def _listens_on(t: Term) -> Optional[str]:
 
 
 class _StepIndex:
-    """The facts of a state arranged for step generation, and the steps
-    already derived from them.
+    """The facts of a run's current state arranged for step generation.
 
     Messages are bucketed by carrier and proc facts by the carrier their
     encoding listens on.  A proc fact's steps depend only on the fact and
     the bucket of that carrier, so after a step only the touched proc facts
     and the listeners on the carriers of touched messages need their steps.
-    The steps of a proc fact that listens on no carrier are derived and
-    keyed once, when the fact is first asked for, and kept until the fact
-    leaves the state (a per-fact memory in the manner of Rete), so the
-    cache never holds more than the state.  ``derived`` and ``reused``
-    count the steps handed out each way.
+    The steps of a proc fact that listens on no carrier come from the
+    system's ``store`` (a per-fact memory in the manner of Rete), derived
+    when a run on the system first asks; each run keys them anew.
+    ``derived`` and ``reused`` count the steps handed out each way.
     """
 
     def __init__(self, system: SillSystem, state: Multiset):
@@ -497,8 +498,6 @@ class _StepIndex:
         self.procs: dict[Fact, None] = {}
         self.msgs: dict[str, list] = {}
         self.listeners: dict[str, dict[Fact, None]] = {}
-        # non-listening proc fact -> its steps, each with its key
-        self.cache: dict[Fact, list[tuple[tuple, Inst]]] = {}
         self.derived = self.reused = 0
         for f in state.eph_support():
             self._add(f)
@@ -520,9 +519,7 @@ class _StepIndex:
         entry = self.facts.pop(f)
         if f.pred == "proc":
             del self.procs[f]
-            if entry is None:
-                self.cache.pop(f, None)
-            else:
+            if entry is not None:
                 del self.listeners[entry][f]
         elif entry is not None:
             bucket = self.msgs[entry.carrier]
@@ -535,15 +532,15 @@ class _StepIndex:
         in enumeration order."""
         out: list[tuple[tuple, Inst]] = []
         for f in sorted(procs, key=fact_key):
-            keyed = self.cache.get(f)
-            if keyed is None:
-                keyed = [(_equiv_key(i), i) for i in self.system._steps(f, self.msgs)]
-                self.derived += len(keyed)
+            insts = self.system.store.get(f)
+            if insts is None:
+                insts = self.system._steps(f, self.msgs)
+                self.derived += len(insts)
                 if self.facts[f] is None:
-                    self.cache[f] = keyed
+                    self.system.store[f] = insts
             else:
-                self.reused += len(keyed)
-            out.extend(keyed)
+                self.reused += len(insts)
+            out.extend([(_equiv_key(i), i) for i in insts])
         return out
 
     def delta(self, state: Multiset, gone: Iterable[Fact],

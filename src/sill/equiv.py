@@ -89,11 +89,8 @@ def barb(state: Multiset, a: str, system: Optional[SillSystem] = None) -> bool:
     if _carries(state.eph_support(), a):
         return True
     sig = Signature(frozenset(state.consts()) | sys.signature().declared, 0)
-    for inst in sys.applicable(state):
-        nxt, _, _ = apply_inst(state, inst, sig)
-        if _carries(nxt.eph_support(), a):
-            return True
-    return False
+    return any(_carries(apply_inst(state, inst, sig)[0].eph_support(), a)
+               for inst in sys.applicable(state))
 
 
 def weak_barb(
@@ -109,9 +106,7 @@ def weak_barb(
     sys = system or SillSystem()
     tr = fair_execute(sys, state, budget=fuel, seed=seed)
     # every message some state of the run held is among the run's facts
-    if _carries(tr.facts(), a):
-        return True
-    return barb(tr.final(), a, sys)
+    return _carries(tr.facts(), a) or barb(tr.final(), a, sys)
 
 
 def barbed_sim(
@@ -120,12 +115,14 @@ def barbed_sim(
     fuel: int = 500,
     seed: Optional[int] = None,
 ) -> bool:
-    """Per channel of the shared interface, a weak barb of c implies one of d."""
+    """Per channel of the shared interface, a weak barb of c implies one of
+    d; each subject's runs share one system."""
     cs, ci = c
     ds, di = d
     _require_shared(ci, di)
+    c_sys, d_sys = SillSystem(), SillSystem()
     for x in sorted([n for n, _ in ci.used] + [n for n, _ in ci.provided]):
-        if weak_barb(cs, x, fuel, seed) and not weak_barb(ds, x, fuel, seed):
+        if weak_barb(cs, x, fuel, seed, c_sys) and not weak_barb(ds, x, fuel, seed, d_sys):
             return False
     return True
 
@@ -512,11 +509,14 @@ def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
     Every observation is an experiment run.  The suite starts with the
     empty context, which observes each subject alone on all its interface
     channels; the generated families are built from those observations.
+    All runs share one ``SillSystem``, a new one per verdict unless system
+    is given; a given system is shared and keeps growing while it lives.
 
     The verdict is a dict with mode, bounded (always true), equivalent, and
     a counterexample when one was found.
     """
     _require_shared(c[1], d[1])
+    system = system or SillSystem()
     verdict = {"mode": sys.mode, "bounded": True, "equivalent": True}
 
     suite = [Experiment(empty_context(c[1]))] + list(sys.experiments)

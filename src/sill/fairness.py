@@ -492,9 +492,9 @@ def fair_execute(
     set proposed, the fresh instantiations that joined the queue after a
     step, the steps that changed nothing (``unchanged_steps``), those of
     them recorded again from ``app.idle`` (``idle_replays``), and of the
-    candidates, the steps the enabled set derived and keyed
-    (``steps_derived``) and those it handed out again from its cache
-    (``steps_reused``).
+    candidates, the steps the enabled set derived (``steps_derived``) and
+    those it took from the store of a ``SillSystem`` (``steps_reused``),
+    which an earlier run on the same system may have filled.
     """
     tr = Trace(mrs, start)
     rng = random.Random(seed) if seed is not None else None

@@ -185,6 +185,9 @@ class Inst:
         return self.eph_ant_g().with_pers(self.pers_ant_g())
 
     def applicable(self, state: Multiset) -> bool:
+        kept = self.__dict__  # a ground instantiation's parts, once _kept built them
+        if "_eph_ant" in kept and "_pers_ant" in kept:
+            return kept["_pers_ant"] <= state.pers and kept["_eph_ant"].leq(state)
         return self.pers_ant_g() <= state.pers and self.eph_ant_g().leq(state)
 
     def consequent(self, xi: Mapping[str, Term]) -> tuple[frozenset[Fact], Multiset]:

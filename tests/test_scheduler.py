@@ -373,7 +373,7 @@ def test_omega_enumerates_once():
                                 "steps_reused": 0}
 
 
-# -- the step cache ----------------------------------------------------------------
+# -- the step store ----------------------------------------------------------------
 
 
 class Keeping(SillSystem):
@@ -394,11 +394,13 @@ class Keeping(SillSystem):
         return index
 
 
-def assert_cache_current(index, state):
-    """The cache holds only non-listening proc facts the state holds."""
-    for f in index.cache:
-        assert state.count(f), f
+def assert_store_current(system):
+    """The store holds only proc facts that listen on no carrier, each
+    with the steps a new system derives for it."""
+    fresh = SillSystem()
+    for f, insts in system.store.items():
         assert f.pred == "proc" and _listens_on(f.args[1]) is None, f
+        assert insts == fresh._steps(f, {}), f
 
 
 def test_divergent_spin_derives_once():
@@ -417,20 +419,19 @@ def test_divergent_spin_derives_once():
     assert len({id(st) for st in tr.states}) == 1
 
 
-def test_cache_holds_only_present_facts():
+def test_store_holds_fresh_derivations():
     conat = Rec("a", Plus((("z", One()), ("s", TVar("a")))))
     w = Fix("w", Quote(("c", conat),
                        SendUnfold("c", SendLabel("c", "s", Unquote("c", FVar("w"))))))
     state, iface = initial_config(Unquote("o", w), {}, ("o", conat))
     system = Keeping()
-    tr = run(system, state, iface, fuel=300)
-    assert system.index.cache
-    assert_cache_current(system.index, tr.final())
+    run(system, state, iface, fuel=300)
+    assert system.store
+    assert_store_current(system)
     for _, facts, corpus_iface in corpus():
         for seed in SEEDS:
             system = Keeping()
             tr = run(system, config_state(facts), corpus_iface, fuel=200, seed=seed)
-            assert_cache_current(system.index, tr.final())
+            assert_store_current(system)
             sched = tr.meta["sched"]
             assert sched["steps_derived"] + sched["steps_reused"] == sched["delta_candidates"]
-
