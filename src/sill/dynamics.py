@@ -630,19 +630,16 @@ def run(
     else:
         types = dict(interface.all_types())
 
-    prev = state
-
     def watch(tr: Trace) -> None:
-        nonlocal prev
-        step, now = tr.steps[-1], tr.final()
+        step = tr.steps[-1]
         try:
             if step.xi:
                 name = step.xi_map()[_EVAR]
                 if name in types:
                     raise PreservationViolation(f"fresh channel {name} is already typed")
                 types[name] = _birth_type(types, step)
-            # a step that left the state object itself changed no fact
-            if typing is not None and now is not prev:
+            if typing is not None and step.changed:
+                now = tr.live
                 for f, n in step.inst.eph_ant_g().eph_items():
                     typing.remove(f, n)
                 for f in step.produced:
@@ -652,7 +649,6 @@ def run(
                 typing.check()
         except SillError as ex:
             raise _violation(len(tr.steps), ex) from ex
-        prev = now
         if observer is not None:
             observer(tr)
 

@@ -478,15 +478,16 @@ def fair_execute(
     present, and through those the enabled set proposes it again if it is
     still applicable.
 
-    A step that changes nothing, such as a process stepping to itself,
-    leaves the state object itself (see ``apply_inst``).  Every queued
-    instantiation is then still applicable and none has become so, so the
-    applied one alone goes to the back, and the step costs O(1): the
-    enabled set is not asked.  A one-element shuffle draws no random
-    number, so seeded runs keep their order.  An idle step (``Step.idle``)
-    stays valid in ``app.idle`` while its class is live, and the class's
-    next turns record it again through ``Trace.repeat``: the steps and
-    states of a fresh application, its applicability checked, nothing applied.
+    The queue and the enabled set read the trace's live state, which no
+    step copies.  A step that changes nothing (``Step.changed``), such as
+    a process stepping to itself, leaves every queued instantiation
+    applicable and makes none so, so the applied one alone goes to the
+    back, and the step costs O(1): the enabled set is not asked.  A
+    one-element shuffle draws no random number, so seeded runs keep their
+    order.  An idle step (``Step.idle``) stays valid in ``app.idle`` while
+    its class is live, and the class's next turns record it again through
+    ``Trace.repeat``: the steps and states of a fresh application, its
+    applicability checked, nothing applied.
 
     meta["sched"] counts the full enumerations, the candidates the enabled
     set proposed, the fresh instantiations that joined the queue after a
@@ -501,7 +502,7 @@ def fair_execute(
     initial = list(mrs.applicable(start))
     if rng is not None:
         rng.shuffle(initial)
-    app = _Applicable(mrs, start, initial)
+    app = _Applicable(mrs, tr.live, initial)
     queue = app.live
     sched = {"full_enumerations": 1, "delta_candidates": 0, "fresh_admitted": 0,
              "unchanged_steps": 0, "idle_replays": 0}
@@ -510,7 +511,6 @@ def fair_execute(
         if record_queue_depths:
             depths.append(len(queue))
         first = next(iter(queue))
-        prev = tr.final()
         step = app.idle.get(first)
         if step is None:
             step = tr.extend(queue[first])
@@ -519,8 +519,7 @@ def fair_execute(
             sched["idle_replays"] += 1
         if observer is not None:
             observer(tr)
-        state = tr.final()
-        if state is prev:
+        if not step.changed:
             # nothing changed: everything queued stays applicable and
             # nothing new became so; the step goes to the back
             if step.idle:
@@ -529,6 +528,7 @@ def fair_execute(
             sched["unchanged_steps"] += 1
             continue
         app.drop(first)
+        state = tr.live
         consumed = [f for f, _ in first[1]]
         touched = list(dict.fromkeys(
             [*step.produced, *(f for f in consumed if state.count(f)), *first[0]]))

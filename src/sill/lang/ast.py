@@ -878,41 +878,58 @@ def term_to_str(m: FuncTerm) -> str:
 
 
 def proc_to_str(p: Process) -> str:
+    """The printed process, built from an explicit stack of the
+    subprocesses and text still to print, so a deep process prints."""
+    out: list[str] = []
+    todo: list = [p]
+    while todo:
+        q = todo.pop()
+        if type(q) is str:
+            out.append(q)
+        else:
+            todo.extend(reversed(_proc_parts(q)))
+    return "".join(out)
+
+
+def _proc_parts(p: Process) -> list:
+    """p's text, with each direct subprocess in its place."""
     if isinstance(p, FwdPos):
-        return f"fwd+ {p.src} -> {p.dst}"
+        return [f"fwd+ {p.src} -> {p.dst}"]
     if isinstance(p, FwdNeg):
-        return f"fwd- {p.src} -> {p.dst}"
+        return [f"fwd- {p.src} -> {p.dst}"]
     if isinstance(p, Cut):
         ann = f": {type_to_str(p.ann)} " if p.ann is not None else " "
-        return f"{p.chan}{ann}<- {{{proc_to_str(p.left)}}}; {proc_to_str(p.right)}"
+        return [f"{p.chan}{ann}<- {{", p.left, "}; ", p.right]
     if isinstance(p, Close):
-        return f"close {p.chan}"
+        return [f"close {p.chan}"]
     if isinstance(p, Wait):
-        return f"wait {p.chan}; {proc_to_str(p.cont)}"
+        return [f"wait {p.chan}; ", p.cont]
     if isinstance(p, SendLabel):
-        return f"{p.chan}.{p.label}; {proc_to_str(p.cont)}"
+        return [f"{p.chan}.{p.label}; ", p.cont]
     if isinstance(p, Case):
-        inner = " | ".join(f"{l} => {proc_to_str(q)}" for l, q in p.branches)
-        return f"case {p.chan} {{{inner}}}"
+        parts: list = [f"case {p.chan} {{"]
+        for i, (l, q) in enumerate(p.branches):
+            parts += [f"{' | ' if i else ''}{l} => ", q]
+        return parts + ["}"]
     if isinstance(p, SendChan):
-        return f"send {p.chan} <{p.payload}>; {proc_to_str(p.cont)}"
+        return [f"send {p.chan} <{p.payload}>; ", p.cont]
     if isinstance(p, RecvChan):
-        return f"{p.var} <- recv {p.chan}; {proc_to_str(p.cont)}"
+        return [f"{p.var} <- recv {p.chan}; ", p.cont]
     if isinstance(p, SendShift):
-        return f"send {p.chan} shift; {proc_to_str(p.cont)}"
+        return [f"send {p.chan} shift; ", p.cont]
     if isinstance(p, RecvShift):
-        return f"shift <- recv {p.chan}; {proc_to_str(p.cont)}"
+        return [f"shift <- recv {p.chan}; ", p.cont]
     if isinstance(p, SendUnfold):
-        return f"send {p.chan} unfold; {proc_to_str(p.cont)}"
+        return [f"send {p.chan} unfold; ", p.cont]
     if isinstance(p, RecvUnfold):
-        return f"unfold <- recv {p.chan}; {proc_to_str(p.cont)}"
+        return [f"unfold <- recv {p.chan}; ", p.cont]
     if isinstance(p, SendVal):
-        return f"send {p.chan} [{term_to_str(p.term)}]; {proc_to_str(p.cont)}"
+        return [f"send {p.chan} [{term_to_str(p.term)}]; ", p.cont]
     if isinstance(p, RecvVal):
-        return f"[{p.var}] <- recv {p.chan}; {proc_to_str(p.cont)}"
+        return [f"[{p.var}] <- recv {p.chan}; ", p.cont]
     if isinstance(p, Unquote):
         tail = " ".join(p.used)
-        return f"{p.chan} <- [{term_to_str(p.term)}]" + (f" <- {tail}" if tail else "")
+        return [f"{p.chan} <- [{term_to_str(p.term)}]" + (f" <- {tail}" if tail else "")]
     raise TypeError(f"not a process: {p!r}")
 
 

@@ -100,7 +100,12 @@ def fact_consts(f: Fact) -> set[str]:
 
 
 class Multiset:
-    """Immutable state: persistent fact set plus ephemeral fact multiset."""
+    """A state: persistent fact set plus ephemeral fact multiset.
+
+    Immutable, with one exception: ``rewrite_in_place`` changes a state
+    that no reader holds, such as a trace's live state (``Trace.live``) or
+    a copy made for the purpose (``copy``, ``rewrite``).
+    """
 
     __slots__ = ("_eph", "_pers", "_hash")
 
@@ -154,9 +159,6 @@ class Multiset:
 
     def eph_support(self) -> Iterator[Fact]:
         return iter(self._eph.keys())
-
-    def eph_size(self) -> int:
-        return sum(self._eph.values())
 
     def support(self) -> set[Fact]:
         """All facts present, persistent and ephemeral, as a set."""
@@ -213,20 +215,35 @@ class Multiset:
                 out[f] = cur - n
         return Multiset._make(out, self._pers)
 
+    def copy(self) -> "Multiset":
+        """An equal state whose ephemeral part is a new dict, so that
+        ``rewrite_in_place`` may change it."""
+        return Multiset._make(dict(self._eph), self._pers)
+
     def rewrite(self, consumed: "Multiset", produced: "Multiset") -> "Multiset":
-        """``self.mdiff(consumed).msum(produced)`` with one copy of the
-        ephemeral part: a rewriting step costs what it touched plus that
-        copy."""
-        out = dict(self._eph)
+        """``self.mdiff(consumed).msum(produced)``: a copy of the state,
+        rewritten in place."""
+        out = self.copy()
+        out.rewrite_in_place(consumed, produced)
+        return out
+
+    def rewrite_in_place(self, consumed: "Multiset", produced: "Multiset") -> None:
+        """Become ``self.mdiff(consumed).msum(produced)``, at the cost of
+        the facts consumed and produced.  The persistent part is replaced
+        only when produced adds a fact to it.  Only for a state that no
+        reader holds (see the class docstring)."""
+        eph = self._eph
         for f, n in consumed._eph.items():
-            cur = out.get(f, 0)
+            cur = eph.get(f, 0)
             if cur <= n:
-                out.pop(f, None)
+                eph.pop(f, None)
             else:
-                out[f] = cur - n
+                eph[f] = cur - n
         for f, n in produced._eph.items():
-            out[f] = out.get(f, 0) + n
-        return Multiset._make(out, self._pers | produced._pers)
+            eph[f] = eph.get(f, 0) + n
+        if not produced._pers <= self._pers:
+            self._pers = self._pers | produced._pers
+        self._hash = None
 
     def leq(self, other: "Multiset") -> bool:
         """Pointwise inclusion of the ephemeral parts and set inclusion of

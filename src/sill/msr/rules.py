@@ -180,10 +180,6 @@ class Inst:
         # Rule keeps persistent facts out of the ephemeral antecedent
         return Multiset._make(_tally(_ground_fact(f, th) for f in self.rule.eph_ant), frozenset())
 
-    def active(self) -> Multiset:
-        """The instantiated antecedent, persistent and ephemeral together."""
-        return self.eph_ant_g().with_pers(self.pers_ant_g())
-
     def applicable(self, state: Multiset) -> bool:
         kept = self.__dict__  # a ground instantiation's parts, once _kept built them
         if "_eph_ant" in kept and "_pers_ant" in kept:
@@ -451,24 +447,24 @@ def inst_equiv(i1: Inst, i2: Inst) -> bool:
 # -- application ---------------------------------------------------------------
 
 
-def apply_inst(
+def fire(
     state: Multiset,
     inst: Inst,
     sig: Signature,
     xi: Optional[Mapping[str, str]] = None,
     produced: Optional[list[Fact]] = None,
-) -> tuple[Multiset, Signature, dict[str, str]]:
-    """Apply an instantiation, generating fresh constants unless xi is given.
+) -> tuple[Signature, dict[str, str], Optional[Multiset]]:
+    """The step of an instantiation at state, which it leaves as it was:
+    check applicability, bind the fresh names (generated unless xi is
+    given) and instantiate the consequent.
 
-    Returns the successor state, the advanced signature, and the fresh-name
-    assignment actually used.  A list passed as produced receives the
-    distinct produced facts, as the objects the successor state was built
-    from.
-
-    A step that changes nothing (its ephemeral consequent equals its
-    ephemeral antecedent and its persistent consequent is already in the
-    state) returns the given state object itself, so it copies nothing and
-    a caller can tell such a step by identity.
+    Returns the advanced signature, the fresh-name assignment used, and
+    the consequent, persistent facts included, or None when the step
+    changes nothing: its ephemeral consequent equals its ephemeral
+    antecedent and its persistent consequent is already in the state.
+    Applying the step is then ``rewrite(inst.eph_ant_g(), consequent)``,
+    in place or on a copy.  A list passed as produced receives the
+    distinct produced facts.
     """
     consumed = inst.eph_ant_g()
     if not (inst.pers_ant_g() <= state.pers and consumed.leq(state)):
@@ -489,8 +485,22 @@ def apply_inst(
         produced.extend(pers)
         produced.extend(eph.eph_support())
     if eph == consumed and pers <= state.pers:
-        return state, sig, names
-    return state.rewrite(consumed, eph).with_pers(pers), sig, names
+        return sig, names, None
+    return sig, names, eph.with_pers(pers) if pers else eph
+
+
+def apply_inst(
+    state: Multiset, inst: Inst, sig: Signature, xi: Optional[Mapping[str, str]] = None
+) -> tuple[Multiset, Signature, dict[str, str]]:
+    """Apply an instantiation to a copy of state: ``fire``, then
+    ``Multiset.rewrite``.
+
+    Returns the successor state, the advanced signature, and the
+    fresh-name assignment actually used.  A step that changes nothing
+    returns state, uncopied.
+    """
+    sig, names, con = fire(state, inst, sig, xi)
+    return (state if con is None else state.rewrite(inst.eph_ant_g(), con)), sig, names
 
 
 # -- parallel combination ------------------------------------------------------

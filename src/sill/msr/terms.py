@@ -304,13 +304,27 @@ def _leaf_key(t: Term) -> tuple:
 
 
 def term_to_str(t: Term) -> str:
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, App):
-        return f"{t.fn}({', '.join(term_to_str(a) for a in t.args)})"
-    return str(t)
+    """The printed term, built from an explicit stack of the subterms and
+    separators still to print, so a deep term prints."""
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        cls = type(u)
+        if cls is str:
+            out.append(u)
+        elif cls is App:
+            out.append(f"{u.fn}(")
+            todo.append(")")
+            for i in range(len(u.args) - 1, -1, -1):
+                todo.append(u.args[i])
+                if i:
+                    todo.append(", ")
+        elif cls is Const or cls is Var:
+            out.append(u.name)
+        else:
+            out.append(str(u))
+    return "".join(out)
 
 
 def iter_subterms(t: Term) -> Iterator[Term]:

@@ -4,10 +4,13 @@ A trace records the initial state and every applied step (rule,
 instantiation, fresh-name assignment, produced facts), plus the current
 state.  That is all it stores: a step's delta is its instantiation's
 ephemeral antecedent (consumed) and its produced facts, so a trace costs
-O(steps), not O(steps x state).  Readers that only need the facts a run
-ever held walk ``Trace.facts``; the intermediate states are rebuilt by
-replay the first time ``Trace.states`` is read.  Serialization can omit
-them for the same reason.
+O(steps), not O(steps x state).  The current state (``Trace.live``) is
+updated in place, so a step costs what it consumed and produced, not the
+size of the state; ``final()`` hands out a snapshot of it, which no later
+step changes.  Readers that only need the facts a run ever held walk
+``Trace.facts``; the intermediate states are rebuilt by replay the first
+time ``Trace.states`` is read.  Serialization can omit them for the same
+reason.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .canon import find_renaming
 from .multiset import Fact, Multiset, fact_key, fact_to_str
-from .rules import Inst, Mrs, NotApplicable, Signature, apply_inst, is_generated_name
+from .rules import Inst, Mrs, NotApplicable, Signature, apply_inst, fire, is_generated_name
 from .terms import term_to_str
 from .text import parse_fact, parse_system, parse_term
 
@@ -28,14 +31,16 @@ class Step:
 
     The step consumed ``inst.eph_ant_g()`` and produced ``produced``: the
     distinct facts of the instantiated consequent, persistent ones first.
-    ``xi`` records the fresh names, so the step replays exactly.  An
-    ``idle`` step bound no fresh name and left the state as it was, as it
-    does wherever it applies later in its trace: persistent facts stay.
+    ``xi`` records the fresh names, so the step replays exactly.  A step
+    that ``changed`` nothing left the state as it was; an ``idle`` one
+    also bound no fresh name, and leaves the state as it is wherever it
+    applies later in its trace: persistent facts stay.
     """
 
     inst: Inst
     xi: tuple[tuple[str, str], ...]
     produced: tuple[Fact, ...] = field(compare=False, repr=False)
+    changed: bool = field(default=True, compare=False, repr=False)
     idle: bool = field(default=False, compare=False, repr=False)
 
     def xi_map(self) -> dict[str, str]:
@@ -58,6 +63,13 @@ class Invalid(Exception):
 
 
 class Trace:
+    """A run's initial state, its steps, and its current state.
+
+    ``live`` is the current state, which each step rewrites in place: read
+    it while the run goes on, and keep ``final()`` instead.  The initial
+    state is copied once, since runs share it.
+    """
+
     def __init__(self, mrs: Optional[Mrs], initial: Multiset, sig: Optional[Signature] = None):
         self.mrs = mrs
         self.initial = initial
@@ -74,47 +86,59 @@ class Trace:
         # what readers derive from the recorded steps, keyed by the reader,
         # each entry with the step count it describes
         self.memo: dict = {}
-        self._final = initial
+        self.live = initial.copy()
+        # final()'s snapshot of live, None once a step changed live
+        self._final: Optional[Multiset] = initial
         self._states: Optional[list[Multiset]] = None
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def final(self) -> Multiset:
+        """The current state as a snapshot that later steps leave as it
+        is: copied on the first read after a step that changed the state,
+        and the same object until the next such step."""
+        if self._final is None:
+            self._final = self.live.copy()
         return self._final
 
     def extend(self, inst: Inst, xi: Optional[Mapping[str, str]] = None) -> Step:
         produced: list[Fact] = []
-        nxt, self.sig, names = apply_inst(self._final, inst, self.sig, xi, produced)
-        step = Step(inst, tuple(names.items()), tuple(produced), nxt is self._final and not names)
+        self.sig, names, con = fire(self.live, inst, self.sig, xi, produced)
+        if con is not None:
+            self.live.rewrite_in_place(inst.eph_ant_g(), con)
+            self._final = None
+        step = Step(inst, tuple(names.items()), tuple(produced),
+                    changed=con is not None, idle=con is None and not names)
         self.steps.append(step)
-        self._final = nxt
         if self._states is not None:
-            self._states.append(nxt)
+            self._states.append(self._states[-1] if con is None else self.final())
         return step
 
     def repeat(self, step: Step) -> None:
         """Record again an idle step of this trace, as applying it again
-        would, without ``apply_inst`` or a new ``Step``.  Its applicability
-        is checked in O(consumed), raising ``NotApplicable``; a step that
-        is not idle raises ``ValueError``."""
+        would, without ``fire`` or a new ``Step``.  Its applicability is
+        checked in O(consumed), raising ``NotApplicable``; a step that is
+        not idle raises ``ValueError``."""
         if not step.idle:
             raise ValueError(f"{step.to_str()} is not idle")
-        if not step.inst.applicable(self._final):
+        if not step.inst.applicable(self.live):
             raise NotApplicable(step.inst.to_str())
         self.steps.append(step)
         if self._states is not None:
-            self._states.append(self._final)
+            self._states.append(self._states[-1])
 
     @property
     def states(self) -> list[Multiset]:
-        """The initial state and the state after each step, in order.
+        """The initial state and the state after each step, in order, as
+        snapshots that later steps leave as they are.
 
         Nothing keeps these while the trace is recorded.  The first read
         replays the recorded steps from the initial state with their
         recorded fresh names, which costs one rule application and one
-        copy of the state per step, and keeps the list; later reads return
-        that list, and ``extend`` appends to it.  The last entry is
+        copy of the state per changing step, and keeps the list; later
+        reads return that list, and each later step appends to it, a new
+        snapshot after a step that changed the state.  The last entry is
         ``final()`` itself.  Treat the list as read-only.
         """
         if self._states is None:
@@ -123,7 +147,7 @@ class Trace:
                 st, sig, _ = apply_inst(states[-1], step.inst, sig, step.xi_map())
                 states.append(st)
             if self.steps:
-                states.append(self._final)
+                states.append(self.final())
             self._states = states
         return self._states
 
@@ -140,7 +164,7 @@ class Trace:
 
     def supp(self) -> Multiset:
         """Union of the supports of all states, as a set-like multiset."""
-        return Multiset.of(set(self.facts()), self._final.pers)
+        return Multiset.of(set(self.facts()), self.live.pers)
 
     # -- serialization -----------------------------------------------------
 
@@ -194,7 +218,7 @@ class Trace:
                 if v not in xi:
                     raise Invalid(i, f"xi missing variable {v!r}")
             inst = Inst.make(rule, theta)
-            if not inst.applicable(tr.final()):
+            if not inst.applicable(tr.live):
                 raise Invalid(i, f"{inst.to_str()} not applicable")
             tr.extend(inst, xi)
         return tr, data.get("loop_start")
@@ -218,7 +242,7 @@ def permute_trace(tr: Trace, perm: Sequence[int]) -> Trace:
     out = Trace(tr.mrs, tr.initial, tr.sig0)
     for i, j in enumerate(perm):
         step = tr.steps[j]
-        if not step.inst.applicable(out.final()):
+        if not step.inst.applicable(out.live):
             raise Invalid(i, f"{step.inst.to_str()} not applicable after permutation")
         out.extend(step.inst, step.xi_map())
     return out

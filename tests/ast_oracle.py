@@ -2,8 +2,8 @@
 
 A reference for the differential tests in ``tests/test_ast_oracle.py``:
 ``subst_tvar``, ``canon_type``, ``free_fvars``, ``subst_fvar``, ``fc``,
-``proc_free_fvars``, ``subst_chan`` and ``proc_subst_fvar`` from
-``sill.lang.ast``, and ``enc_proc``/``dec_proc`` from ``sill.dynamics``,
+``proc_free_fvars``, ``subst_chan``, ``proc_subst_fvar`` and
+``proc_to_str`` from ``sill.lang.ast``, and ``enc_proc``/``dec_proc`` from ``sill.dynamics``,
 each with one hand-written case per construct.  Every result here is one
 that the table-driven walks must reproduce.
 """
@@ -413,3 +413,43 @@ def dec_proc(t: Term) -> ast.Process:
     if tag == "unquote":
         return ast.Unquote(_name(a[0]), _payload(a[1]), tuple(_name(u) for u in a[2:]))
     raise ValueError(f"unknown process tag {tag!r}")
+
+
+def proc_to_str(p: Process) -> str:
+    term_to_str, type_to_str = ast.term_to_str, ast.type_to_str
+    if isinstance(p, FwdPos):
+        return f"fwd+ {p.src} -> {p.dst}"
+    if isinstance(p, FwdNeg):
+        return f"fwd- {p.src} -> {p.dst}"
+    if isinstance(p, Cut):
+        ann = f": {type_to_str(p.ann)} " if p.ann is not None else " "
+        return f"{p.chan}{ann}<- {{{proc_to_str(p.left)}}}; {proc_to_str(p.right)}"
+    if isinstance(p, Close):
+        return f"close {p.chan}"
+    if isinstance(p, Wait):
+        return f"wait {p.chan}; {proc_to_str(p.cont)}"
+    if isinstance(p, SendLabel):
+        return f"{p.chan}.{p.label}; {proc_to_str(p.cont)}"
+    if isinstance(p, Case):
+        inner = " | ".join(f"{l} => {proc_to_str(q)}" for l, q in p.branches)
+        return f"case {p.chan} {{{inner}}}"
+    if isinstance(p, SendChan):
+        return f"send {p.chan} <{p.payload}>; {proc_to_str(p.cont)}"
+    if isinstance(p, RecvChan):
+        return f"{p.var} <- recv {p.chan}; {proc_to_str(p.cont)}"
+    if isinstance(p, SendShift):
+        return f"send {p.chan} shift; {proc_to_str(p.cont)}"
+    if isinstance(p, RecvShift):
+        return f"shift <- recv {p.chan}; {proc_to_str(p.cont)}"
+    if isinstance(p, SendUnfold):
+        return f"send {p.chan} unfold; {proc_to_str(p.cont)}"
+    if isinstance(p, RecvUnfold):
+        return f"unfold <- recv {p.chan}; {proc_to_str(p.cont)}"
+    if isinstance(p, SendVal):
+        return f"send {p.chan} [{term_to_str(p.term)}]; {proc_to_str(p.cont)}"
+    if isinstance(p, RecvVal):
+        return f"[{p.var}] <- recv {p.chan}; {proc_to_str(p.cont)}"
+    if isinstance(p, Unquote):
+        tail = " ".join(p.used)
+        return f"{p.chan} <- [{term_to_str(p.term)}]" + (f" <- {tail}" if tail else "")
+    raise TypeError(f"not a process: {p!r}")

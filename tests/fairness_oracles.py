@@ -19,6 +19,8 @@ import dataclasses
 import math
 from typing import Iterable, Optional
 
+from helpers import active
+
 from sill.fairness import InvalidLasso, LassoTrace, Verdict
 from sill.msr import Trace
 from sill.msr.canon import find_renaming
@@ -137,7 +139,7 @@ class _ReferenceAnalysis:
     def fact_enabled_at(self, f: Fact, j: int) -> bool:
         if j not in self._enabled_facts:
             self._enabled_facts[j] = {
-                g for i in self.applicable_at(j) for g in i.active().support()
+                g for i in self.applicable_at(j) for g in active(i).support()
             }
         return f in self._enabled_facts[j]
 
@@ -158,7 +160,7 @@ class _ReferenceAnalysis:
             return False
         orbit = self.fact_orbit(f)
         for j in self.loop_positions():
-            act = self.trace.steps[j].inst.active()
+            act = active(self.trace.steps[j].inst)
             if any(act.count(o) > 0 for o in orbit):
                 return True
         return False
@@ -315,7 +317,7 @@ def definitional_report(lt: LassoTrace) -> dict[tuple[str, str], bool]:
     positions = [j for w in windows for j in w]
     app = {j: mrs.applicable(states[j]) for j in range(len(tr.steps))}
     step_keys = [_equiv_key(s.inst) for s in tr.steps]
-    enabled = {j: {g for i in app[j] for g in i.active().support()} for j in positions}
+    enabled = {j: {g for i in app[j] for g in active(i).support()} for j in positions}
 
     uber = all(_equiv_key(inst) in step_keys[i:]
                for i in range(len(tr.steps) - lookahead) for inst in app[i])
@@ -336,7 +338,7 @@ def definitional_report(lt: LassoTrace) -> dict[tuple[str, str], bool]:
             for r in mrs.rules)
         out["fact", strength] = not any(
             premise(lambda j: f in enabled[j])
-            and not applied_io(lambda j: tr.steps[j].inst.active().count(f) > 0)
+            and not applied_io(lambda j: active(tr.steps[j].inst).count(f) > 0)
             for f in set().union(*enabled.values()))
         if strength == "weak":
             used = lambda inst: lambda j: step_keys[j] == _equiv_key(inst)

@@ -14,6 +14,16 @@ from sill.msr.rules import Mrs
 from sill.msr.terms import Const, Var
 
 
+def eph_size(m: Multiset) -> int:
+    """The number of ephemeral fact occurrences in a state."""
+    return sum(n for _, n in m.eph_items())
+
+
+def active(inst) -> Multiset:
+    """The instantiated antecedent, persistent and ephemeral together."""
+    return inst.eph_ant_g().with_pers(inst.pers_ant_g())
+
+
 def old_equiv_key(inst) -> tuple:
     """The equivalence key built from sorted deep fact keys: the least
     placeholder consequent over every permutation of all the rule's

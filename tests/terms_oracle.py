@@ -1,8 +1,9 @@
 """The term walks as they were before terms were hash-consed.
 
 A reference for the differential tests in ``tests/test_terms.py``:
-``term_vars``, ``term_consts``, ``subst_term``, ``term_key`` and
-``match_term`` from ``sill.msr.terms`` and ``fact_key`` from
+``term_vars``, ``term_consts``, ``subst_term``, ``term_key``,
+``match_term`` and ``term_to_str`` from ``sill.msr.terms`` and
+``fact_key`` from
 ``sill.msr.multiset``, each a plain recursive walk that recomputes its
 answer on every call.  Every result here is one that the interned terms,
 with their kept variable sets and keys and their iterative walks, must
@@ -86,3 +87,13 @@ def term_key(t: Term) -> tuple:
 
 def fact_key(f: Fact) -> tuple:
     return (f.pred, f.persistent, tuple(term_key(a) for a in f.args))
+
+
+def term_to_str(t: Term) -> str:
+    if isinstance(t, Const):
+        return t.name
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, App):
+        return f"{t.fn}({', '.join(term_to_str(a) for a in t.args)})"
+    return str(t)

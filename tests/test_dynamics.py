@@ -1,7 +1,12 @@
 """Process execution: step generation, evaluation, typed runs."""
 
+import json
+
+import ast_oracle
 import pytest
+import terms_oracle
 from hypothesis import given, settings
+from helpers import eph_size
 
 from test_lang import _numeral, _procs
 
@@ -60,9 +65,11 @@ from sill.lang.ast import (
     message_parts,
     type_eq,
 )
+from sill.lang.ast import proc_to_str
 from sill.lang.check import check_config, check_proc
 from sill.lang.parser import parse
 from sill.msr.multiset import Multiset
+from sill.msr.terms import term_to_str
 from sill.msr.trace import union_equivalent
 
 CONAT = Rec("a", Plus((("z", One()), ("s", TVar("a")))))
@@ -199,7 +206,7 @@ def test_an_unchecked_run_of_a_5000_deep_process_takes_its_step():
     state, iface = initial_config(p, {}, ("c", CONAT))
     tr = run(SillSystem(), state, iface, fuel=1, check=False)
     assert names(tr) == ["rec_pos_r"]
-    assert tr.final().eph_size() == 2
+    assert eph_size(tr.final()) == 2
 
 
 def test_a_checked_run_of_a_5000_deep_process_takes_its_steps():
@@ -208,7 +215,7 @@ def test_a_checked_run_of_a_5000_deep_process_takes_its_steps():
     state, iface = initial_config(p, {}, ("c", CONAT))
     tr = run(SillSystem(), state, iface, fuel=3, check=True)
     assert names(tr) == ["rec_pos_r", "plus_r", "rec_pos_r"]
-    assert tr.final().eph_size() == 4
+    assert eph_size(tr.final()) == 4
 
 
 def test_deep_process_takes_its_first_step():
@@ -222,6 +229,39 @@ def test_deep_process_takes_its_first_step():
     state, iface = initial_config(p, {}, ("c", t))
     tr = run(SillSystem(), state, iface, fuel=1)
     assert names(tr) == ["plus_r"]
+
+
+def test_a_5000_deep_process_steps_and_prints():
+    # exporting the states prints the encoded 5000-deep term, which must
+    # not recurse once per level; nor may printing the process
+    p, t = Close("c"), One()
+    for _ in range(5000):
+        p = SendLabel("c", "l", p)
+        t = Plus((("l", t),))
+    assert proc_to_str(p) == "c.l; " * 5000 + "close c"
+    state, iface = initial_config(p, {}, ("c", t))
+    tr = run(SillSystem(), state, iface, fuel=1)
+    assert names(tr) == ["plus_r"]
+    data = json.loads(json.dumps(tr.to_json(include_states=True)))
+    [first] = data["states"][0]["ephemeral"]
+    assert first == "proc(c, " + "send_label(c, l, " * 5000 + "close(c)" + ")" * 5001
+    msg, rest = data["states"][1]["ephemeral"]
+    assert msg == "msg(c, send_label(c, l, fwd+(c'0, c)))"
+    assert rest.startswith("proc(c'0, send_label(c'0, l, ")
+    assert rest.count("send_label(") == 4999
+
+
+def test_printers_match_the_recursive_ones_on_the_corpus():
+    for name, facts, iface in corpus():
+        for f in facts:
+            assert proc_to_str(f.proc) == ast_oracle.proc_to_str(f.proc), name
+        tr = run_corpus_entry(facts, iface, None)
+        for f in tr.facts():
+            for a in f.args:
+                assert term_to_str(a) == terms_oracle.term_to_str(a), name
+            if f.pred == "proc":
+                q = dec_proc(f.args[1])
+                assert proc_to_str(q) == ast_oracle.proc_to_str(q), name
 
 
 def test_terminal_state_gives_empty_trace():

@@ -7,7 +7,7 @@ e2 walks an enqueue request down the chain.
 import random
 
 import pytest
-from helpers import random_mrs
+from helpers import eph_size, random_mrs
 
 from sill.msr import rules as rules_mod
 from sill.msr import (
@@ -89,7 +89,7 @@ def test_apply_accounting(queue):
     state = queue.initial
     for inst in match_all(queue.rules, state):
         result, _, _ = apply_inst(state, inst, queue.signature())
-        assert result.eph_size() == state.eph_size() - inst.eph_ant_g().eph_size() + len(
+        assert eph_size(result) == eph_size(state) - eph_size(inst.eph_ant_g()) + len(
             inst.rule.eph_con
         )
 

@@ -3,6 +3,7 @@ operations, the persistent part a set."""
 
 import pytest
 from hypothesis import given, strategies as st
+from helpers import eph_size
 
 from sill.msr import Const, Fact, Multiset
 
@@ -32,7 +33,7 @@ def test_counts_and_support():
     assert m.count(A) == 2
     assert m.count(B) == 1
     assert m.count(C) == 0
-    assert m.eph_size() == 3
+    assert eph_size(m) == 3
     assert m.support() == {A, B}
 
 

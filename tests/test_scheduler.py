@@ -11,7 +11,7 @@ since the FIFO order is part of the fairness argument.
 import random
 
 import pytest
-from helpers import old_equiv_key, random_mrs
+from helpers import active, old_equiv_key, random_mrs
 from test_dynamics import corpus
 
 from sill import fairness
@@ -152,7 +152,7 @@ def mrs_rescan(mrs):
 
 
 def steps_of(tr):
-    return [(s.inst.rule.name, s.inst.theta, s.xi, s.inst.active(), s.inst.rule.eph_con)
+    return [(s.inst.rule.name, s.inst.theta, s.xi, active(s.inst), s.inst.rule.eph_con)
             for s in tr.steps]
 
 

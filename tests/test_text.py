@@ -1,6 +1,7 @@
 """System file parsing and printing."""
 
 import pytest
+from helpers import eph_size
 
 from sill.msr import ParseError, parse_fact, parse_system, parse_term, system_to_str
 from sill.msr.terms import App, Const, Var
@@ -34,7 +35,7 @@ def test_empty_sides_and_comments():
     )
     assert mrs.rule("gen").eph_ant == ()
     assert mrs.rule("sink").eph_con == ()
-    assert mrs.initial.eph_size() == 1
+    assert eph_size(mrs.initial) == 1
 
 
 def test_roundtrip_through_printer():

@@ -8,6 +8,7 @@ walk a list of states recorded eagerly through the scheduler's observer,
 so neither side of a comparison depends on the replay.
 """
 
+from helpers import eph_size
 from test_dynamics import CONAT, corpus
 from test_obs import omega_proc, silent_proc
 from test_scheduler import RING
@@ -16,6 +17,7 @@ from sill.dynamics import SillSystem, classify_fact, config_state, initial_confi
 from sill.equiv import _fc_state, barb, weak_barb
 from sill.fairness import fair_execute
 from sill.msr import Multiset, Trace, parse_system
+from sill.msr.rules import NotApplicable
 from sill.msr.trace import _state_json
 from sill.obs import _message_index, observe, tree_height
 
@@ -122,5 +124,89 @@ def test_observe_and_supp_never_build_states(monkeypatch):
     assert tree_height(observe(tr, "o", 64)[0]) == 64
     # a cycle is unquote, send unfold, send label: every step leaves a new
     # process fact, the two sends a message each, and nobody receives
-    assert tr.final().eph_size() == 1 + 666
+    assert eph_size(tr.final()) == 1 + 666
     assert len(tr.supp().support()) == 1 + 1000 + 666
+
+
+def test_a_run_copies_its_state_at_the_start_and_on_read(monkeypatch):
+    # the trace copies the shared start state once; steps rewrite its copy
+    # in place, and final() copies that only when read after a change
+    copies = []
+    copy = Multiset.copy
+    monkeypatch.setattr(Multiset, "copy", lambda self: copies.append(self) or copy(self))
+    start, iface = initial_config(omega_proc(), {}, ("o", CONAT))
+    tr = run(SillSystem(), start, iface, fuel=1000, check=True)
+    assert len(tr.steps) == 1000 and len(copies) == 1
+    assert tr.final() is tr.final() and len(copies) == 2
+    mrs = parse_system(RING)
+    copies.clear()
+    tr = fair_execute(mrs, mrs.initial, budget=200)
+    assert len(tr.steps) == 200 and len(copies) == 1
+    assert tr.final() is tr.final() and len(copies) == 2
+
+
+# -- handed-out states -----------------------------------------------------------------
+
+# every kind of step: one that changes the state and adds a persistent fact
+# the first time only (pass), an idle one (stay), one that changes nothing
+# but binds a fresh name that occurs nowhere (name), and one that re-asserts
+# a present persistent fact (ok)
+PERSISTENT = """
+rule stay: forall x. !ok(x), tok(x) -o tok(x)
+rule name: forall x. tok(x) -o exists n. tok(x)
+rule ok: forall x. tok(x) -o tok(x), !ok(x)
+rule pass: forall x, y. tok(x), next(x, y) -o tok(y), next(x, y), !seen(y)
+init: !ok(a), !ok(b), tok(a), next(a, b), next(b, a)
+"""
+
+
+def contents(st):
+    return dict(st.eph_items()), st.pers, hash(st)
+
+
+def assert_handed_out_states_stay(system, start, budget, seed, label):
+    """Keep final() after every step and read Trace.states halfway, then
+    extend and repeat past the run: no later step changes a state that was
+    handed out, and a second run from the same start takes the same steps."""
+    kept = [(start, contents(start))]
+
+    def keep(tr):
+        kept.append((tr.final(), contents(tr.final())))
+        if len(tr.steps) == budget // 2:
+            kept.extend((st, contents(st)) for st in tr.states)
+
+    tr = fair_execute(system, start, budget=budget, seed=seed, observer=keep)
+    assert tr.initial is start, label
+    ran = [(s.inst, s.xi, s.produced) for s in tr.steps]
+    for step in list(tr.steps):
+        try:
+            if step.idle:
+                tr.repeat(step)
+            elif step.inst.applicable(tr.live):
+                tr.extend(step.inst)
+        except NotApplicable:
+            pass
+        kept.append((tr.final(), contents(tr.final())))
+    kept.extend((st, contents(st)) for st in tr.states)
+    again = fair_execute(system, start, budget=budget, seed=seed)
+    assert [(s.inst, s.xi, s.produced) for s in again.steps] == ran, label
+    for st, (eph, pers, h) in kept:
+        assert contents(st) == (eph, pers, h), label
+        assert hash(Multiset(eph, pers)) == h, label
+    assert tr.states[-1] is tr.final() == tr.live, label
+    return tr
+
+
+def test_handed_out_states_never_change():
+    mrs = parse_system(PERSISTENT)
+    for seed in SEEDS:
+        tr = assert_handed_out_states_stay(mrs, mrs.initial, 40, seed, seed)
+        kinds = {(s.changed, s.idle) for s in tr.steps}
+        assert kinds == {(True, False), (False, True), (False, False)}, seed
+    ring = parse_system(RING)
+    for seed in SEEDS:
+        assert_handed_out_states_stay(ring, ring.initial, 60, seed, seed)
+    for name, facts, iface in corpus():
+        start = config_state(facts)
+        for seed in SEEDS:
+            assert_handed_out_states_stay(SillSystem(), start, 200, seed, (name, seed))
