@@ -12,6 +12,10 @@ that can consume a fact the step touched.  Most processes (senders, cuts,
 closes, unquotes) have steps that depend on their own fact alone; a system
 derives those once per fact and hands them to every run on it.  Only the
 steps of processes that wait for a message are derived again in each run.
+A step derives nothing twice: its equivalence key is read off its own
+facts, a message's info off the two levels of its term (``msg_info``), and
+each quoted body is encoded once per system and renamed per unquote.  An
+unchecked run decodes no process.
 
 Sending is asynchronous.  A sender turns into a message fact plus a
 continuation running on a fresh channel; a receiver consumes the matching
@@ -38,13 +42,15 @@ from .lang.ast import (BRANCHES, CHAN, CHAN_BINDER, CHANS, CHILD, FUNC_BINDER,
 from .lang.check import ConfigTyping, check_config
 from .lang.errors import SillError, SillTypeError
 from .msr.multiset import Fact, Multiset, fact_key
-from .msr.rules import Inst, Rule, Signature, _equiv_key
+from .msr.rules import KEY_VARS, Inst, Rule, Signature, _equiv_key
 from .msr.terms import App, Const, Term, Var, Wrap
 from .msr.trace import Trace
 
 DEFAULT_EVAL_FUEL = 10_000
 
-_EVAR = "nc"
+# the one existential of a step, the fresh channel it creates: named after
+# the first placeholder of the equivalence key, so a step is its own key variant
+_EVAR = KEY_VARS[0]
 
 
 class PreservationViolation(SillError):
@@ -285,14 +291,74 @@ def msg_fact(chan: str, p: ast.Process) -> Fact:
 
 def classify_fact(f: Fact) -> tuple:
     """(pred, channel, process, message info or None) for a process fact,
-    decoded once and kept on the fact for as long as the fact lives."""
-    if f.memo:
-        return f.memo
+    decoded in full once and kept on the fact for as long as the fact
+    lives.  Checked runs and ``state_facts`` need the process; the step
+    path and the observations need only the message info, which
+    ``msg_info`` reads off the term and keeps on the fact with the process
+    still None."""
+    memo = f.memo
+    if memo is not None and memo[2] is not None:
+        return memo
     if f.pred not in ("proc", "msg") or len(f.args) != 2:
         raise ValueError(f"not a process fact: {f!r}")
     chan, p = _name(f.args[0]), dec_proc(f.args[1])
-    info = ast.message_parts(chan, p) if f.pred == "msg" else None
+    if memo is not None:
+        info = memo[3]
+    else:
+        info = ast.message_parts(chan, p) if f.pred == "msg" else None
     return f.remember((f.pred, chan, p, info))
+
+
+def msg_info(f: Fact) -> Optional[ast.MsgInfo]:
+    """The message info of a msg fact (``ast.message_parts`` of its
+    channel and process), or None when it has no message shape.
+
+    Read off the term by ``_read_msg`` and kept on the fact, with the
+    process left undecoded.  Any other shape goes to the full decode of
+    ``classify_fact``, which raises ValueError on a term that encodes no
+    process."""
+    memo = f.memo
+    if memo is not None:
+        return memo[3]
+    info = _read_msg(f)
+    if info is None:
+        return classify_fact(f)[3]
+    return f.remember(("msg", f.args[0].name, None, info))[3]
+
+
+def _read_msg(f: Fact) -> Optional[ast.MsgInfo]:
+    """The message info of a msg fact of message shape, or None for any
+    other fact.  A message term is two levels deep: the send, whose
+    carrier and payload are leaves, and the forward that ends it."""
+    if f.pred != "msg" or len(f.args) != 2:
+        return None
+    key, t = f.args
+    shape = _MSG_SHAPES.get(t.fn) if type(t) is App else None
+    if shape is None or len(t.args) != shape[0] or type(t.args[0]) is not Const:
+        return None
+    _, kind, pay, pos, neg = shape
+    a, c = t.args[0], t.args[-1]
+    if kind == "close":
+        return ast.MsgInfo(ast.POSITIVE, kind, a.name, None) if key is a else None
+    if type(c) is not App or len(c.args) != 2:
+        return None
+    src, dst = c.args
+    if c.fn == pos and dst is a and key is a and type(src) is Const:
+        pol, cont = ast.POSITIVE, src.name
+    elif c.fn == neg and src is a and key is dst and type(dst) is Const:
+        pol, cont = ast.NEGATIVE, dst.name
+    else:
+        return None
+    payload = None if pay is None else t.args[pay]
+    if kind == "val":
+        if type(payload) is not Wrap or not ast.is_value(payload.payload):
+            return None
+        payload = payload.payload
+    elif payload is not None:
+        if type(payload) is not Const:
+            return None
+        payload = payload.name
+    return ast.MsgInfo(pol, kind, a.name, cont, payload)
 
 
 def config_state(facts: Iterable[Union[ast.ProcF, ast.MsgF]]) -> Multiset:
@@ -345,10 +411,15 @@ class SillSystem:
     whole state; the enabled set of a fair run (``enabled``, a
     ``_StepIndex``) keeps the facts indexed and after each step hands out
     the steps that can consume a touched fact.  Functional side conditions
-    are evaluated with a fixed fuel and memoised per system; a divergent
-    side condition makes the step silently unavailable.  ``store`` keeps
-    the steps derived for each proc fact that listens on no carrier, and
-    its facts, for the system's lifetime: build one per run or per verdict.
+    are evaluated with a fixed fuel; a divergent side condition makes the
+    step silently unavailable.
+
+    Three memos last for the system's lifetime, so build one per run or
+    per verdict: ``_memo`` holds each evaluated term's value and
+    ``_quoted`` each unquoted term's quote with its body's encoding, both
+    keyed by the interned ``Wrap``, which hashes by address; ``store``
+    holds the steps derived for each proc fact that listens on no carrier,
+    and so its facts.
     """
 
     rules: tuple = ()
@@ -357,19 +428,35 @@ class SillSystem:
 
     def __init__(self, eval_fuel: int = DEFAULT_EVAL_FUEL):
         self.eval_fuel = eval_fuel
-        self._memo: dict = {}
+        self._memo: dict[Wrap, object] = {}
+        self._quoted: dict[Wrap, Optional[tuple[ast.Quote, Term]]] = {}
         self.store: dict[Fact, list[Inst]] = {}
 
     def signature(self) -> Signature:
         return Signature(self.declared, 0)
 
     def eval(self, m: ast.FuncTerm):
+        """The value of m, or DIVERGED."""
+        return self.value(Wrap(m))
+
+    def value(self, w: Wrap):
+        """The value of the functional term that w wraps, or DIVERGED,
+        memoised by the interned wrap, which hashes by address."""
         try:
-            return self._memo[m]
+            return self._memo[w]
         except KeyError:
-            v = eval_term(m, self.eval_fuel)
-            self._memo[m] = v
+            v = self._memo[w] = eval_term(w.payload, self.eval_fuel)
             return v
+
+    def quoted(self, w: Wrap) -> Optional[tuple[ast.Quote, Term]]:
+        """The quote that w evaluates to and its body's encoding, or None
+        when w evaluates to no quote."""
+        try:
+            return self._quoted[w]
+        except KeyError:
+            v = self.value(w)
+            q = self._quoted[w] = (v, enc_proc(v.body)) if isinstance(v, ast.Quote) else None
+            return q
 
     def applicable(self, state: Multiset) -> list[Inst]:
         """Every enabled step of state, in enumeration order: proc facts by
@@ -404,13 +491,12 @@ class SillSystem:
             return [_ground("cut", [fact], [Fact("proc", (nc, _rename(args[2], env))),
                                             Fact("proc", (key, _rename(args[3], env)))], **fresh)]
         if tag == "unquote":
-            v, used = self.eval(args[1].payload), args[2:]
-            if not isinstance(v, ast.Quote) or len(v.used) != len(used):
+            q, used = self.quoted(args[1]), args[2:]
+            if q is None or len(q[0].used) != len(used):
                 return []
-            rho = dict(zip((v.offered[0], *(n for n, _ in v.used)),
-                           (key.name, *(c.name for c in used))))
-            body = Fact("proc", (key, enc_proc(ast.subst_chan(v.body, rho))))
-            return [_ground("unquote", [fact], [body])]
+            v, body = q
+            rho = dict(zip((v.offered[0], *(n for n, _ in v.used)), (key, *used)))
+            return [_ground("unquote", [fact], [Fact("proc", (key, _rename(body, rho)))])]
         kind, sends, at, pay = _COMM[tag]
         chan = args[at].name
         provider = chan == key.name
@@ -427,7 +513,7 @@ class SillSystem:
             # the continuation runs
             head, a, fwd = list(args[:-1]), args[at], _TAGS[ast._forwards(kind)[not provider]]
             if kind == "val":
-                v = self.eval(head[pay].payload)
+                v = self.value(head[pay])
                 if v is DIVERGED:
                     return []
                 head[pay] = Wrap(v)
@@ -471,6 +557,14 @@ _LISTENS = {"fwd+": 0, "fwd-": 1,
             **{tag: at for tag, (_, sends, at, _) in _COMM.items() if not sends}}
 
 
+# encoded send -> (its number of arguments, its kind, the payload's argument
+# or None, the tags of the forwards ending a positive and a negative
+# message); the carrier is the first argument of every send
+_MSG_SHAPES = {tag: (len(ast.PROC_ROLES[ast.MSG_SEND[kind][0]]), kind, pay,
+                     *(_TAGS[fwd] for fwd in ast._forwards(kind)))
+               for tag, (kind, sends, at, pay) in _COMM.items() if sends}
+
+
 def _listens_on(t: Term) -> Optional[str]:
     """The carrier whose messages the encoded process's steps consume, if any."""
     at = _LISTENS.get(t.fn)
@@ -480,8 +574,9 @@ def _listens_on(t: Term) -> Optional[str]:
 class _StepIndex:
     """The facts of a run's current state arranged for step generation.
 
-    Messages are bucketed by carrier and proc facts by the carrier their
-    encoding listens on.  A proc fact's steps depend only on the fact and
+    Messages are bucketed by carrier, with the info ``msg_info`` reads off
+    their terms, and proc facts by the carrier their encoding listens on;
+    no fact is decoded.  A proc fact's steps depend only on the fact and
     the bucket of that carrier, so after a step only the touched proc facts
     and the listeners on the carriers of touched messages need their steps.
     The steps of a proc fact that listens on no carrier come from the
@@ -509,7 +604,7 @@ class _StepIndex:
             if carrier is not None:
                 self.listeners.setdefault(carrier, {})[f] = None
             return
-        info = self.facts[f] = classify_fact(f)[3]
+        info = self.facts[f] = msg_info(f)
         if info is not None:
             # buckets keep the fact-key order the step enumeration relies on
             insort(self.msgs.setdefault(info.carrier, []), (f, info),

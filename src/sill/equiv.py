@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .dynamics import SillSystem, classify_fact, config_state, state_facts
+from .dynamics import SillSystem, config_state, msg_info, state_facts
 from .fairness import fair_execute
 from .lang import ast
 from .lang.check import check_config
@@ -71,7 +71,7 @@ def _fc_state(state: Multiset) -> set[str]:
 def _carries(facts: Iterable[Fact], a: str) -> bool:
     """Is one of facts a message whose carrier is a?"""
     for f in facts:
-        info = classify_fact(f)[3] if f.pred == "msg" else None
+        info = msg_info(f) if f.pred == "msg" else None
         if info is not None and info.carrier == a:
             return True
     return False
@@ -81,13 +81,15 @@ def barb(state: Multiset, a: str, system: Optional[SillSystem] = None) -> bool:
     """Can an observable action on a occur after at most one step?
 
     Holds exactly when the state, or one of its single-step successors,
-    contains a message whose carrier is a.
+    contains a message whose carrier is a.  A message on a names a, so
+    the free channels, which need every process decoded, are computed
+    only when the state holds none.
     """
+    if _carries(state.eph_support(), a):
+        return True
     if a not in _fc_state(state):
         raise UnknownChannel(a)
     sys = system or SillSystem()
-    if _carries(state.eph_support(), a):
-        return True
     sig = Signature(frozenset(state.consts()) | sys.signature().declared, 0)
     return any(_carries(apply_inst(state, inst, sig)[0].eph_support(), a)
                for inst in sys.applicable(state))

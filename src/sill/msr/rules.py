@@ -111,8 +111,16 @@ class Rule:
         if extra:
             raise ValueError(f"rule {self.name}: unbound consequent variables {extra}")
         # the existential variables that occur in the consequent, in order;
-        # the equivalence key permutes only these
-        object.__setattr__(self, "_con_evars", tuple(v for v in self.evars if v in con_vars))
+        # the equivalence key permutes only these, onto its placeholders
+        con_evars = tuple(v for v in self.evars if v in con_vars)
+        if len(con_evars) > len(KEY_VARS):
+            raise ValueError(f"rule {self.name}: more than {len(KEY_VARS)} existential "
+                             f"variables in the consequent")
+        object.__setattr__(self, "_con_evars", con_evars)
+        # a ground rule whose existentials have their placeholders' names
+        # is its own key variant under the identity permutation
+        object.__setattr__(self, "_own_variant",
+                           not self.uvars and con_evars == KEY_VARS[:len(con_evars)])
         for v, _ in self.fresh_hints:
             if v not in eset:
                 raise ValueError(f"rule {self.name}: fresh hint for unknown variable {v}")
@@ -393,7 +401,12 @@ class FactIndex:
 
 # -- instantiation equivalence ------------------------------------------------
 
-_PLACEHOLDER = "\x00"
+# The placeholders of the equivalence key, by position: the variables its
+# variants put for a rule's existential variables.  The process layer names
+# the one fresh channel of its steps after the first, so its steps are keyed
+# by their own facts.
+KEY_VARS = ("nc",) + tuple(f"\x00{i}" for i in range(1, 10))
+_KEY_TERMS = tuple(Var(v) for v in KEY_VARS)
 
 
 def _tally(facts: Iterable[Fact]) -> dict[Fact, int]:
@@ -416,21 +429,32 @@ def _equiv_key(inst: Inst) -> tuple:
     The key is built from facts, which are interned and hash by address,
     so neither building nor comparing it walks a term: the ground
     antecedent (a set and a multiset), and the consequent with placeholder
-    constants for the existential variables that occur in it, as the set
-    of its variants under every assignment of those variables to the
-    placeholders.  Such sets of variants are equal or disjoint, and equal
-    exactly when a renaming of the fresh constants maps one consequent to
-    the other.  An existential variable that occurs nowhere tells no two
-    instantiations apart.
+    variables (``KEY_VARS``) for the existential variables that occur in
+    it, as the set of its variants under every assignment of those
+    variables to the placeholders.  Such sets of variants are equal or
+    disjoint, and equal exactly when a renaming of the fresh constants maps
+    one consequent to the other.  The ground facts hold no variables, so a
+    placeholder meets nothing but another placeholder.  An existential
+    variable that occurs nowhere tells no two instantiations apart.
+
+    The identity assignment comes first.  For a ground rule (empty theta)
+    whose existentials already bear their placeholders' names, it moves
+    nothing: that variant is the rule's own consequent and is not grounded
+    again.  Every step of the process layer is such a rule with at most one
+    existential, so its key grounds nothing.
     """
     rule = inst.rule
     th = inst.theta_map()
     ant_p = frozenset(_ground_fact(f, th) for f in rule.pers_ant)
     ant_e = frozenset(_tally(_ground_fact(f, th) for f in rule.eph_ant).items())
     evars = rule._con_evars
-    marks = [Const(f"{_PLACEHOLDER}{i}") for i in range(len(evars))]
+    perms = itertools.permutations(_KEY_TERMS[:len(evars)])
     variants = []
-    for perm in itertools.permutations(marks):
+    if rule._own_variant:
+        next(perms)
+        variants.append((frozenset(rule.pers_con) | ant_p,
+                         frozenset(_tally(rule.eph_con).items())))
+    for perm in perms:
         thx = dict(th)
         thx.update(zip(evars, perm))
         pers = frozenset(_ground_fact(f, thx) for f in rule.pers_con) | ant_p

@@ -230,11 +230,35 @@ def subst_term(t: Term, theta: Mapping[str, Term]) -> Term:
 
 
 def rename_consts(t: Term, rho: Mapping[str, str]) -> Term:
-    if isinstance(t, Const):
-        return Const(rho.get(t.name, t.name))
-    if isinstance(t, App):
-        return App(t.fn, tuple(rename_consts(a, rho) for a in t.args))
-    return t
+    """t with each constant named in rho renamed.  Each distinct
+    application is rebuilt once, children before parents, as in
+    ``subst_term``."""
+    if type(t) is Const:
+        return Const(rho[t.name]) if t.name in rho else t
+    if type(t) is not App:
+        return t
+    done: dict[Term, Term] = {}
+    todo = [(t, iter(t.args), [])]
+    while True:
+        u, rest, new = todo[-1]
+        for a in rest:
+            if type(a) is Const:
+                new.append(Const(rho[a.name]) if a.name in rho else a)
+            elif type(a) is not App:
+                new.append(a)
+            else:
+                b = done.get(a)
+                if b is None:
+                    todo.append((a, iter(a.args), []))
+                    break
+                new.append(b)
+        else:
+            todo.pop()
+            b = App(u.fn, tuple(new))
+            if not todo:
+                return b
+            done[u] = b
+            todo[-1][2].append(b)
 
 
 def match_term(pat: Term, ground: Term, theta: dict[str, Term]) -> Optional[dict[str, Term]]:

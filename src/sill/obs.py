@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .dynamics import SillSystem, classify_fact, run
+from .dynamics import SillSystem, msg_info, run
 from .lang import ast
 from .lang.check import check_term
 from .lang.errors import SillError, SillTypeError
@@ -125,7 +125,8 @@ def _message_index(tr: Trace) -> dict:
 
     A message some state held is in the initial state or was produced by a
     step, so ``tr.facts()`` meets every message in the order the run did,
-    and no intermediate state is rebuilt.  Only msg facts are decoded.  The
+    and no intermediate state is rebuilt.  Only msg facts are read, each by
+    ``msg_info``, which reads its shape off the term without decoding.  The
     index is kept in ``tr.memo`` with the step count it describes, so the
     observations of one trace build it once, and again only after the
     trace has grown.
@@ -136,7 +137,7 @@ def _message_index(tr: Trace) -> dict:
         for f in tr.facts():
             if f.pred != "msg":
                 continue
-            info = classify_fact(f)[3]
+            info = msg_info(f)
             if info is not None and info.carrier not in out:
                 out[info.carrier] = info
         tr.memo[_message_index] = (len(tr.steps), out)

@@ -1,8 +1,8 @@
 """The term walks as they were before terms were hash-consed.
 
 A reference for the differential tests in ``tests/test_terms.py``:
-``term_vars``, ``term_consts``, ``subst_term``, ``term_key``,
-``match_term`` and ``term_to_str`` from ``sill.msr.terms`` and
+``term_vars``, ``term_consts``, ``subst_term``, ``rename_consts``,
+``term_key``, ``match_term`` and ``term_to_str`` from ``sill.msr.terms`` and
 ``fact_key`` from
 ``sill.msr.multiset``, each a plain recursive walk that recomputes its
 answer on every call.  Every result here is one that the interned terms,
@@ -46,6 +46,14 @@ def subst_term(t: Term, theta: Mapping[str, Term]) -> Term:
         return theta.get(t.name, t)
     if isinstance(t, App):
         return App(t.fn, tuple(subst_term(a, theta) for a in t.args))
+    return t
+
+
+def rename_consts(t: Term, rho: Mapping[str, str]) -> Term:
+    if isinstance(t, Const):
+        return Const(rho.get(t.name, t.name))
+    if isinstance(t, App):
+        return App(t.fn, tuple(rename_consts(a, rho) for a in t.args))
     return t
 
 

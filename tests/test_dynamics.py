@@ -10,6 +10,7 @@ from helpers import eph_size
 
 from test_lang import _numeral, _procs
 
+from sill import dynamics, equiv, obs
 from sill.dynamics import (
     DIVERGED,
     PreservationViolation,
@@ -63,6 +64,7 @@ from sill.lang.ast import (
     Wait,
     With,
     message_parts,
+    subst_chan,
     type_eq,
 )
 from sill.lang.ast import proc_to_str
@@ -188,9 +190,13 @@ def test_omega_cycles_three_rules():
     assert type_eq(types["o'2"], Plus((("z", One()), ("s", CONAT))))
 
 
-def test_an_unchecked_run_decodes_no_process():
-    # steps read and build the encoded processes; only a message's shape is
-    # classified
+def test_an_unchecked_run_decodes_no_process(monkeypatch):
+    # steps read and build the encoded processes, and a message's info is
+    # read off its term; nor do observing the run and a barb on it decode
+    def refuse(t):
+        raise AssertionError(f"decoded {t!r}")
+
+    monkeypatch.setattr(dynamics, "dec_proc", refuse)
     w = Fix("w", Quote(("c", CONAT),
                        SendUnfold("c", SendLabel("c", "s", Unquote("c", FVar("w"))))))
     state, iface = initial_config(Unquote("o", w), {}, ("o", CONAT))
@@ -199,6 +205,10 @@ def test_an_unchecked_run_decodes_no_process():
     procs = [f for f in tr.facts() if f.pred == "proc"]
     assert len(procs) > 1000
     assert all(f.memo is None for f in procs)
+    assert all(f.memo[2] is None for f in tr.facts() if f.pred == "msg")
+    tree, _ = obs.observe(tr, "o", 8)
+    assert obs.tree_height(tree) == 8
+    assert equiv.barb(tr.final(), "o", SillSystem())
 
 
 def test_an_unchecked_run_of_a_5000_deep_process_takes_its_step():
@@ -307,6 +317,19 @@ def test_unquote_substitutes_actuals():
     iface = Interface(used=(), internal=(("u", One()),), provided=(("c", One()),))
     tr = run(SillSystem(), state, iface, fuel=10, check=True)
     assert names(tr) == ["unquote", "one_l", "one_r"]
+    assert final_facts(tr) == [MsgF("c", Close("c"))]
+
+
+def test_unquote_renames_a_capturing_binder_apart():
+    # the body binds c, the channel it is unquoted onto: the renamed
+    # encoding keeps ast.subst_chan's alpha-renaming
+    q = Quote(("z", One()), Cut("c", One(), Close("c"), Wait("c", Close("z"))))
+    state, iface = initial_config(Unquote("c", q), {}, ("c", One()))
+    tr = run(SillSystem(), state, iface, fuel=10, check=True)
+    assert names(tr)[0] == "unquote" and tr.meta["maximal"]
+    assert tr.steps[0].produced == (proc_fact("c", subst_chan(q.body, {"z": "c"})),)
+    assert subst_chan(q.body, {"z": "c"}) == Cut(
+        "c%0", One(), Close("c%0"), Wait("c%0", Close("c")))
     assert final_facts(tr) == [MsgF("c", Close("c"))]
 
 

@@ -219,3 +219,59 @@ def test_changed_payload_is_seen_only_where_values_are_compared(by_connective):
         for mode in ("external", "internal"):
             v = equiv_check(subject, changed, make_system(mode), fuel=FUEL, depth=6)
             assert v["equivalent"] is True, (name, mode)
+
+
+# -- a changed sent channel -------------------------------------------------------------
+
+# A provider and a client each send a channel whose own session differs
+# from the *_changed subject's: by a label, or, for tensor_v, only by the
+# functional payload it sends.
+SENT = """
+type lr1 = +{l: 1, r: 1}
+type v1 = [{z:1 <-}] ^ 1
+config tensor_s : |- c : lr1 * 1 =
+  proc c { a : lr1 <- { a.l; close a }; send c <a>; close c }
+config tensor_s_changed : |- c : lr1 * 1 =
+  proc c { a : lr1 <- { a.r; close a }; send c <a>; close c }
+config lolli_s : d : lr1 -o up 1 |- e : 1 =
+  proc e { a : lr1 <- { a.l; close a }; send d <a>; send d shift; wait d; close e }
+config lolli_s_changed : d : lr1 -o up 1 |- e : 1 =
+  proc e { a : lr1 <- { a.r; close a }; send d <a>; send d shift; wait d; close e }
+config tensor_v : |- c : v1 * 1 =
+  proc c { a : v1 <- { send a [proc(z:1) {close z}]; close a }; send c <a>; close c }
+config tensor_v_changed : |- c : v1 * 1 =
+  proc c { a : v1 <- { send a [proc(z:1) {y : 1 <- {close y}; wait y; close z}]; close a };
+           send c <a>; close c }
+"""
+
+
+@pytest.fixture(scope="module")
+def sent():
+    mod = parse(SENT)
+    check_module(mod)
+    return {name: config_subject(decl) for name, decl in mod.configs.items()}
+
+
+def test_a_changed_sent_channel_is_seen_wherever_values_allow(sent):
+    # a label in the sent channel's tree is seen in every mode; a payload
+    # there only where sent values are compared (total mode)
+    payloads = ("[proc(z:1) {close z}]", "[proc(z:1) {y: 1 <- {close y}; wait y; close z}]")
+    for name, chan, left, right, modes in (
+            ("tensor_s", "c", "(pair (l close) close)", "(pair (r close) close)", MODES),
+            ("lolli_s", "d", "(pair (l close) (shift bot))", "(pair (r close) (shift bot))",
+             MODES),
+            ("tensor_v", "c", f"(pair (val {payloads[0]} close) close)",
+             f"(pair (val {payloads[1]} close) close)", ("total",))):
+        subject, changed = sent[name], sent[f"{name}_changed"]
+        ref = alone(subject)
+        found = [_check_family(ref, changed, n, FUEL, None, None) for n in range(6)]
+        if len(modes) == len(MODES):
+            assert any(f is not None for f in found), name
+        for mode in MODES:
+            v = equiv_check(subject, changed, make_system(mode), fuel=FUEL, depth=6)
+            if mode in modes:
+                assert v["counterexample"] == {"kind": "context", "context": "hole",
+                                               "channel": chan, "left": left, "right": right}, \
+                    (name, mode)
+            else:
+                assert v == {"mode": mode, "bounded": True, "equivalent": True}, (name, mode)

@@ -15,7 +15,7 @@ import terms_oracle as ref
 from hypothesis import given, settings, strategies as st
 
 from sill.msr.multiset import Fact, fact_consts, fact_key, fact_vars
-from sill.msr.terms import (App, Const, Var, Wrap, iter_subterms, match_term,
+from sill.msr.terms import (App, Const, Var, Wrap, iter_subterms, match_term, rename_consts,
                             subst_term, term_consts, term_key, term_vars)
 
 NAMES = ("a", "b", "x", "y", "a#0")
@@ -69,6 +69,8 @@ def chain(link, leaf, depth):
 _links = st.tuples(st.just("a"), st.sampled_from(FNS),
                    st.lists(_specs, max_size=2).map(lambda xs: tuple(xs) + (("v", "hole"),)))
 _thetas = st.dictionaries(st.sampled_from(NAMES), _ground_specs.map(build), max_size=3)
+_renamings = st.dictionaries(st.sampled_from(NAMES), st.sampled_from(NAMES + ("b'1",)),
+                             max_size=3)
 
 
 # -- interning laws -------------------------------------------------------------
@@ -125,9 +127,10 @@ def test_assigning_or_deleting_an_attribute_raises(obj, attr):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_specs, _thetas)
-def test_walks_match_the_reference(spec, theta):
+@given(_specs, _thetas, _renamings)
+def test_walks_match_the_reference(spec, theta, rho):
     t = build(spec)
+    assert rename_consts(t, rho) is ref.rename_consts(t, rho)
     assert term_vars(t) == ref.term_vars(t)
     assert term_consts(t) == ref.term_consts(t)
     assert term_key(t) == ref.term_key(t)
@@ -156,9 +159,10 @@ def test_key_order_is_the_reference_order(specs):
 
 
 @settings(max_examples=50, deadline=None)
-@given(_links, _specs, st.integers(0, 120), _thetas)
-def test_chains_match_the_reference(link, leaf, depth, theta):
+@given(_links, _specs, st.integers(0, 120), _thetas, _renamings)
+def test_chains_match_the_reference(link, leaf, depth, theta, rho):
     t = chain(link, leaf, depth)
+    assert rename_consts(t, rho) is ref.rename_consts(t, rho)
     assert term_key(t) == ref.term_key(t)
     assert term_vars(t) == ref.term_vars(t)
     assert subst_term(t, theta) is ref.subst_term(t, theta)
@@ -179,6 +183,24 @@ def test_deep_terms_are_keyed_and_substituted_without_recursion():
     assert not u.vars
     assert fact_key(Fact("proc", (u,)))[2][0][2][0] == (0, "c")
     assert term_consts(u) == {"c", "l0", "l1", "l2"}
+
+
+def test_a_5000_deep_term_renames_without_recursion():
+    # Fact.rename, Inst.rename and Multiset.rename reach rename_consts
+    depth = 5000
+    t = App("end", (Const("a"), Wrap(0)))
+    for i in range(depth):
+        t = App("send", (Const("a"), Const(f"l{i % 3}"), t))
+    f = Fact("proc", (Const("a"), t))
+    g = f.rename({"a": "a'0", "l1": "l2"})
+    assert fact_consts(g) == {"a'0", "l0", "l2"}
+    u = g.args[1]
+    for i in reversed(range(depth)):
+        label = {"l1": "l2"}.get(f"l{i % 3}", f"l{i % 3}")
+        assert u.fn == "send" and u.args[:2] == (Const("a'0"), Const(label))
+        u = u.args[2]
+    assert u is App("end", (Const("a'0"), Wrap(0)))
+    assert Fact("proc", (Const("b"), t)).rename({"b": "c"}).args[1] is t
 
 
 # -- no leak across runs ----------------------------------------------------------
