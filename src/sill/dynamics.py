@@ -397,9 +397,8 @@ def initial_config(
 
 def _ground(name: str, consumed: list, produced: list,
             evars: tuple = (), hints: tuple = ()) -> Inst:
-    rule = Rule(name, (), (), tuple(consumed), evars, (), tuple(produced),
-                fresh_hints=hints)
-    return Inst.make(rule, {})
+    # built correct: ephemeral facts, and no variable but the fresh channel
+    return Inst(Rule.ground(name, tuple(consumed), tuple(produced), evars, hints), ())
 
 
 class SillSystem:
@@ -583,6 +582,9 @@ class _StepIndex:
     system's ``store`` (a per-fact memory in the manner of Rete), derived
     when a run on the system first asks; each run keys them anew.
     ``derived`` and ``reused`` count the steps handed out each way.
+    Order keys (``fact_key``) are built only to order two or more facts:
+    the proc facts of one ``steps`` call, or a message joining a carrier's
+    non-empty bucket.
     """
 
     def __init__(self, system: SillSystem, state: Multiset):
@@ -606,9 +608,13 @@ class _StepIndex:
             return
         info = self.facts[f] = msg_info(f)
         if info is not None:
-            # buckets keep the fact-key order the step enumeration relies on
-            insort(self.msgs.setdefault(info.carrier, []), (f, info),
-                   key=lambda t: fact_key(t[0]))
+            # buckets keep the fact-key order the step enumeration relies
+            # on; a fact joining an empty one is compared with nothing
+            bucket = self.msgs.get(info.carrier)
+            if bucket is None:
+                self.msgs[info.carrier] = [(f, info)]
+            else:
+                insort(bucket, (f, info), key=lambda t: fact_key(t[0]))
 
     def _remove(self, f: Fact) -> None:
         entry = self.facts.pop(f)
@@ -626,7 +632,10 @@ class _StepIndex:
         """The steps of the given proc facts with their equivalence keys,
         in enumeration order."""
         out: list[tuple[tuple, Inst]] = []
-        for f in sorted(procs, key=fact_key):
+        procs = list(procs)
+        if len(procs) > 1:
+            procs.sort(key=fact_key)
+        for f in procs:
             insts = self.system.store.get(f)
             if insts is None:
                 insts = self.system._steps(f, self.msgs)
@@ -661,9 +670,16 @@ class _StepIndex:
 # -- typed runs --------------------------------------------------------------------
 
 
-def _birth_type(types: dict, step) -> ast.SessionType:
+def _birth_type(types: dict, step, conts: Optional[dict] = None) -> ast.SessionType:
     """Type of the channel a step created, read off the consumed fact: a
-    cut's annotation, or the last continuation type of a send's carrier."""
+    cut's annotation, or the last continuation type of a send's carrier.
+
+    conts is a run's memo of continuation types, keyed by (kind, id of
+    the carrier's type, label); each entry holds that type, so its id is
+    not reused while the memo lives.  A session type is never hashed by
+    value: a frozen dataclass hashes recursively, and a deep type would
+    raise RecursionError.  A recursive type is then unfolded once per
+    run, not once per send."""
     t = next(f for f in step.inst.rule.eph_ant if f.pred == "proc").args[1]
     if t.fn == "cut":
         if t.args[1].payload is None:
@@ -673,16 +689,23 @@ def _birth_type(types: dict, step) -> ast.SessionType:
     chan = t.args[at].name
     if chan not in types:
         raise PreservationViolation(f"no recorded type for {chan}")
-    try:
+    if sends:
+        a = types[chan]
         # a label is the one payload a continuation's type depends on
         label = t.args[pay].name if kind == "label" else None
-        conts = ast.message_cont(kind, types[chan], label) if sends else ()
-    except SillTypeError as ex:
-        raise PreservationViolation(f"channel {chan}: {ex}") from ex
-    if not conts:
-        raise PreservationViolation(f"rule {step.inst.rule.name} created an "
-                                    f"unexpected fresh channel")
-    return conts[-1]
+        key = (kind, id(a), label)
+        if conts is None:
+            conts = {}
+        entry = conts.get(key)
+        if entry is None:
+            try:
+                entry = conts[key] = (a, ast.message_cont(kind, a, label))
+            except SillTypeError as ex:
+                raise PreservationViolation(f"channel {chan}: {ex}") from ex
+        if entry[1]:
+            return entry[1][-1]
+    raise PreservationViolation(f"rule {step.inst.rule.name} created an "
+                                f"unexpected fresh channel")
 
 
 def _violation(idx: int, ex: SillError) -> PreservationViolation:
@@ -724,6 +747,7 @@ def run(
         types = typing.types
     else:
         types = dict(interface.all_types())
+    conts: dict = {}
 
     def watch(tr: Trace) -> None:
         step = tr.steps[-1]
@@ -732,7 +756,7 @@ def run(
                 name = step.xi_map()[_EVAR]
                 if name in types:
                     raise PreservationViolation(f"fresh channel {name} is already typed")
-                types[name] = _birth_type(types, step)
+                types[name] = _birth_type(types, step, conts)
             if typing is not None and step.changed:
                 now = tr.live
                 for f, n in step.inst.eph_ant_g().eph_items():

@@ -102,7 +102,12 @@ def weak_barb(
     seed: Optional[int] = None,
     system: Optional[SillSystem] = None,
 ) -> bool:
-    """Does some state within a fair run of length <= fuel satisfy the barb?"""
+    """Does some state within a fair run of length <= fuel satisfy the barb?
+
+    A message on a names a, so, as in ``barb``, the free channels are
+    computed only when the state holds none."""
+    if _carries(state.eph_support(), a):
+        return True
     if a not in _fc_state(state):
         raise UnknownChannel(a)
     sys = system or SillSystem()

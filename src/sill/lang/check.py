@@ -60,32 +60,58 @@ def check_type(a: ast.SessionType, xi: Optional[Mapping[str, str]] = None) -> st
 
 
 def _formation(a, xi):
+    # A type's parts are checked in field order, each before the type
+    # that waits for its polarity, so faults are found in the order of a
+    # depth-first, left-to-right walk.  waiting holds, per type whose part
+    # is being checked, the type's polarity, its remaining parts, and the
+    # part's wanted polarity and name (None for a rec's body).  Messages
+    # name the connective, not the type, whose repr recurses.
+    waiting = []
+    pol, parts = _form_head(a, xi)
+    while True:
+        part = next(parts, None)
+        if part is not None:
+            t, t_xi, want, name = part
+            waiting.append((a, pol, parts, want, name))
+            a = t
+            pol, parts = _form_head(t, t_xi)
+            continue
+        if not waiting:
+            return pol
+        got = pol
+        a, pol, parts, want, name = waiting.pop()
+        if got != want:
+            raise IllFormed(f"{name} of {type(a).__name__} must be {want}" if name is not None
+                            else f"rec {a.var} is {want} but its body is {got}")
+
+
+def _form_head(a, xi):
+    """a's polarity, and an iterator over its parts as (type, xi, the
+    polarity it must have, its name); the iterator checks function types
+    in field order as it goes."""
     entry = ast.POLARITIES.get(type(a))
     if entry is not None:
-        pol, wants = entry
-        for f, role in ast.TYPE_ROLES[type(a)].items():
-            v = getattr(a, f)
-            if role is ast.FUNC_TYPE:
-                check_functype(v)
-            elif role is ast.CHILD or role is ast.BRANCHES:
-                for part, t in (v if role is ast.BRANCHES else ((f, v),)):
-                    if _formation(t, xi) != wants[f]:
-                        raise IllFormed(f"{part} of {a} must be {wants[f]}")
-        return pol
+        return entry[0], _form_parts(a, entry[1], xi)
     if isinstance(a, ast.TVar):
         if a.name not in xi:
             raise UnboundTypeVariable(a.name)
-        return xi[a.name]
+        return xi[a.name], iter(())
     if isinstance(a, ast.Rec):
         pol = ast.polarity(a, xi)
         inner = dict(xi)
         inner[a.var] = pol
-        body_pol = _formation(a.body, inner)
-        if body_pol != pol:
-            raise IllFormed(
-                f"rec {a.var} is {pol} but its body is {body_pol}")
-        return pol
+        return pol, iter(((a.body, inner, pol, None),))
     raise IllFormed(f"not a session type: {a!r}")
+
+
+def _form_parts(a, wants, xi):
+    for f, role in ast.TYPE_ROLES[type(a)].items():
+        v = getattr(a, f)
+        if role is ast.FUNC_TYPE:
+            check_functype(v)
+        elif role is ast.CHILD or role is ast.BRANCHES:
+            for part, t in (v if role is ast.BRANCHES else ((f, v),)):
+                yield t, xi, wants[f], part
 
 
 def check_functype(t: ast.FuncType) -> None:

@@ -74,6 +74,12 @@ class Signature:
 
 @dataclass(frozen=True)
 class Rule:
+    """A rule, validated on construction: the variables are range
+    restricted and each fact tuple holds facts of its own persistence.
+    ``Rule.ground`` builds a ground rule without the validation, for a
+    caller that builds it correct by construction; the result equals the
+    validated rule of the same fields."""
+
     name: str
     uvars: tuple[str, ...]
     pers_ant: tuple[Fact, ...]
@@ -95,6 +101,12 @@ class Rule:
         # matching draws each pattern from the facts of its own persistence
         if any(f.persistent for f in self.eph_ant):
             raise ValueError(f"rule {self.name}: persistent fact in ephemeral antecedent")
+        # checked here, once per rule, so that a fired step can trust the
+        # parts of its consequent
+        if any(not f.persistent for f in self.pers_con):
+            raise ValueError(f"rule {self.name}: ephemeral fact in persistent consequent")
+        if any(f.persistent for f in self.eph_con):
+            raise ValueError(f"rule {self.name}: persistent fact in ephemeral consequent")
         ant_vars: set[str] = set()
         for f in self.pers_ant + self.eph_ant:
             ant_vars |= fact_vars(f)
@@ -124,6 +136,22 @@ class Rule:
         for v, _ in self.fresh_hints:
             if v not in eset:
                 raise ValueError(f"rule {self.name}: fresh hint for unknown variable {v}")
+
+    @classmethod
+    def ground(cls, name: str, eph_ant: tuple[Fact, ...], eph_con: tuple[Fact, ...],
+               evars: tuple[str, ...] = (),
+               fresh_hints: tuple[tuple[str, tuple[str, str]], ...] = ()) -> "Rule":
+        """The ground rule ``eph_ant -o exists evars. eph_con``, unvalidated:
+        the caller guarantees ephemeral facts, a ground antecedent, the
+        consequent's variables among evars and hints only for evars."""
+        rule = object.__new__(cls)
+        con_evars = tuple(v for v in evars if any(v in f.vars for f in eph_con))
+        # the dataclass is frozen: write past its __setattr__
+        rule.__dict__.update(name=name, uvars=(), pers_ant=(), eph_ant=eph_ant, evars=evars,
+                             pers_con=(), eph_con=eph_con, fresh_hints=fresh_hints, cost=1,
+                             _con_evars=con_evars,
+                             _own_variant=con_evars == KEY_VARS[:len(con_evars)])
+        return rule
 
     def hint_for(self, evar: str) -> tuple[str, str]:
         for v, h in self.fresh_hints:
@@ -203,8 +231,9 @@ class Inst:
         return self._con_at(th)
 
     def _con_at(self, th: Mapping[str, Term]) -> tuple[frozenset[Fact], Multiset]:
+        # Rule keeps each consequent part to its own persistence
         pers = _ground_set(self.rule.pers_con, th)
-        eph = Multiset.of(_ground_fact(f, th) for f in self.rule.eph_con)
+        eph = Multiset._make(_tally(_ground_fact(f, th) for f in self.rule.eph_con), frozenset())
         return pers, eph
 
     def consts(self) -> frozenset[str]:
@@ -510,7 +539,7 @@ def fire(
         produced.extend(eph.eph_support())
     if eph == consumed and pers <= state.pers:
         return sig, names, None
-    return sig, names, eph.with_pers(pers) if pers else eph
+    return sig, names, Multiset._make(eph._eph, pers) if pers else eph
 
 
 def apply_inst(

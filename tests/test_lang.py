@@ -227,6 +227,27 @@ def test_checking_a_5000_deep_process_needs_no_python_stack():
     assert isinstance(e.value.__cause__, SillTypeError)
 
 
+def _deep_plus(n, last):
+    """+{l: +{l: ... last}}, n levels deep."""
+    t = last
+    for _ in range(n):
+        t = Plus((("l", t),))
+    return t
+
+
+def test_checking_a_5000_deep_type_needs_no_python_stack():
+    assert check_type(_deep_plus(5000, One())) == "positive"
+    assert check_type(_deep_plus(5000, TVar("x")), {"x": "positive"}) == "positive"
+
+
+def test_an_ill_formed_5000_deep_type_is_named_by_its_connective():
+    with pytest.raises(IllFormed) as e:
+        check_type(_deep_plus(5000, Up(One())))
+    assert str(e.value) == "l of Plus must be positive"
+    with pytest.raises(UnboundTypeVariable):
+        check_type(_deep_plus(5000, TVar("loose")))
+
+
 def test_message_tables_agree_with_the_polarities():
     k = Close("k")
     comms = [Close("c"), Wait("c", k), SendLabel("c", "l", k), Case("c", ()),

@@ -139,6 +139,11 @@ def test_antecedent_parts_keep_their_persistence():
         Rule("r", (), (), (lic,), (), (), ())
     with pytest.raises(ValueError, match="ephemeral fact in persistent"):
         Rule("r", (), (job,), (), (), (), ())
+    # and so do the consequent's, which a fired step then trusts
+    with pytest.raises(ValueError, match="persistent fact in ephemeral consequent"):
+        Rule("r", (), (), (), (), (), (lic,))
+    with pytest.raises(ValueError, match="ephemeral fact in persistent consequent"):
+        Rule("r", (), (), (), (), (job,), ())
 
 
 # -- instantiation equivalence -------------------------------------------------

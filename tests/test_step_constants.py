@@ -1,0 +1,112 @@
+"""A changing SILL step builds nothing it does not keep.
+
+Every step ``SillSystem._steps`` derives builds its ground rule with
+``Rule.ground``, unvalidated, and that rule is the one the validating
+constructor gives.  A run of an endless sender builds no order key
+(``fact_key``) in ``dynamics`` and validates no rule, while consumed
+messages are still enumerated in order-key order where a carrier queues
+two or more.  A weak barb on a message already present decodes no process.
+"""
+
+import itertools
+import sys
+from pathlib import Path
+
+import dynamics_oracle as ref
+from test_dynamics import corpus
+from test_dynamics_oracle import SEEDS, _inst, assert_same_runs
+from test_obs import CONAT, omega_proc
+
+from sill import dynamics, equiv
+from sill.dynamics import SillSystem, _StepIndex, config_state, initial_config, msg_fact, run
+from sill.lang import ast, check_module, parse
+from sill.msr.multiset import Multiset, fact_key
+from sill.msr.rules import Rule
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import wide_source  # noqa: E402
+
+
+def derived_steps(monkeypatch, state, iface, fuel, seed=None):
+    """Every step _steps derives in a run from state, and at each of its
+    states on a fresh system."""
+    out = []
+    steps = SillSystem._steps
+
+    def record(self, fact, msgs):
+        insts = steps(self, fact, msgs)
+        out.extend(insts)
+        return insts
+
+    monkeypatch.setattr(SillSystem, "_steps", record)
+    tr = run(SillSystem(), state, iface, fuel=fuel, seed=seed)
+    for st in tr.states:
+        index = _StepIndex(SillSystem(), st)
+        index.steps(index.procs)
+    monkeypatch.undo()
+    return out
+
+
+def test_ground_rules_equal_their_validated_rules(monkeypatch):
+    src, _ = wide_source(4, 1)
+    mod = parse(src)
+    check_module(mod)
+    steps = [i for _, facts, iface in corpus() for seed in SEEDS
+             for i in derived_steps(monkeypatch, config_state(facts), iface, 200, seed)]
+    wide = mod.configs["wide"]
+    steps += derived_steps(monkeypatch, config_state(wide.facts), wide.interface, 10_000, 1)
+    steps += derived_steps(monkeypatch, *initial_config(omega_proc(), {}, ("o", CONAT)), 300)
+    assert len(steps) > 1000 and any(i.rule.evars for i in steps)
+    for inst in steps:
+        r = inst.rule
+        checked = Rule(r.name, r.uvars, r.pers_ant, r.eph_ant, r.evars, r.pers_con,
+                       r.eph_con, r.fresh_hints, r.cost)
+        # the fields, _con_evars and _own_variant
+        assert vars(r) == vars(checked) and r == checked and inst.theta == ()
+
+
+def test_an_endless_sender_builds_no_order_key_and_validates_no_rule(monkeypatch):
+    calls = {"fact_key": 0, "rule": 0}
+
+    def counted_key(f):
+        calls["fact_key"] += 1
+        return fact_key(f)
+
+    post_init = Rule.__post_init__
+
+    def counted_post_init(self):
+        calls["rule"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(dynamics, "fact_key", counted_key)
+    monkeypatch.setattr(Rule, "__post_init__", counted_post_init)
+    state, iface = initial_config(omega_proc(), {}, ("o", CONAT))
+    tr = run(SillSystem(), state, iface, fuel=2000)
+    assert len(tr.steps) == 2000
+    assert calls == {"fact_key": 0, "rule": 0}
+
+
+def test_queued_messages_are_consumed_in_order_key_order():
+    # choice_round's provider with three label messages queued on its
+    # channel, which arrive in every order
+    prov = next(fs[0] for name, fs, _ in corpus() if name == "choice_round")
+    msgs = [msg_fact(*ast.make_message("label", ast.NEGATIVE, "c", d, label))
+            for d, label in (("d1", "l"), ("d2", "r"), ("d3", "l"))]
+    want = sorted(msgs, key=fact_key)
+    for order in itertools.permutations(msgs):
+        state = Multiset.of([dynamics.proc_fact(prov.chan, prov.proc), *order])
+        steps = SillSystem().applicable(state)
+        assert [_inst(i) for i in steps] == [_inst(i) for i in ref.OracleSystem().applicable(state)]
+        assert [i.rule.eph_ant[1] for i in steps] == want
+        assert_same_runs(state, ast.Interface(), 10)
+
+
+def test_a_weak_barb_on_a_present_message_decodes_no_process(monkeypatch):
+    state, iface = initial_config(omega_proc(), {}, ("o", CONAT))
+    final = run(SillSystem(), state, iface, fuel=2000).final()
+
+    def refuse(t):
+        raise AssertionError(f"decoded {t!r}")
+
+    monkeypatch.setattr(dynamics, "dec_proc", refuse)
+    assert equiv.weak_barb(final, "o", fuel=10)
