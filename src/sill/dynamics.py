@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 from .fairness import fair_execute
 from .lang import ast
 from .lang.ast import (BRANCHES, CHAN, CHAN_BINDER, CHANS, CHILD, FUNC_BINDER,
-                       OPAQUE, TERM)
+                       OPAQUE, TERM, fold)
 from .lang.check import ConfigTyping, check_config
 from .lang.errors import SillError, SillTypeError
 from .msr.multiset import Fact, Multiset, fact_key
@@ -140,29 +140,7 @@ def _roles(t: App) -> Iterable[tuple[str, Term]]:
     return zip(chain(roles, repeat(roles[-1])), t.args)
 
 
-def _fold(root, expand: Callable, build: Callable):
-    """build(node, an iterator over its children's values), children first,
-    for root and every node expand lists below it; no Python recursion."""
-    order, todo = [], [root]
-    while todo:
-        node = todo.pop()
-        kids = expand(node)
-        order.append((node, len(kids)))
-        todo.extend(kids)
-    done: list = []
-    for node, k in reversed(order):
-        kids, done[len(done) - k:] = iter(done[len(done) - k:]), []
-        done.append(build(node, kids))
-    return done[0]
-
-
-def _subprocs(p: ast.Process) -> list:
-    return [q for f, role in ast.PROC_ROLES[type(p)].items()
-            for q in ((getattr(p, f),) if role is CHILD else
-                      (r for _, r in getattr(p, f)) if role is BRANCHES else ())]
-
-
-def _enc(q: ast.Process, kids: Iterator[Term]) -> Term:
+def _enc(q: ast.Process, kids: Iterator[Term], _) -> Term:
     args = []
     for f, role in ast.PROC_ROLES[type(q)].items():
         v = getattr(q, f)
@@ -179,7 +157,7 @@ def _enc(q: ast.Process, kids: Iterator[Term]) -> Term:
 
 def enc_proc(p: ast.Process) -> Term:
     """Encode a process as a term, one application per construct."""
-    return _fold(p, _subprocs, _enc)
+    return fold(p, ast.subprocs, _enc)
 
 
 def _name(t: Term) -> str:
@@ -188,7 +166,7 @@ def _name(t: Term) -> str:
     return t.name
 
 
-def _dec_fields(node: list) -> list:
+def _dec_fields(node: list, _) -> list:
     """Check the shape of the term in node, then make node the construct,
     where its spread fields start (or None), its decoded fields with a
     hole for each subprocess, and the holes as (index, branch label or
@@ -221,7 +199,7 @@ def _dec_fields(node: list) -> list:
     return kids
 
 
-def _dec(node: list, kids: Iterator[ast.Process]) -> ast.Process:
+def _dec(node: list, kids: Iterator[ast.Process], _) -> ast.Process:
     cls, spread, fields, holes = node
     for i, label in holes:
         fields[i] = next(kids) if label is None else (label, next(kids))
@@ -232,7 +210,7 @@ def _dec(node: list, kids: Iterator[ast.Process]) -> ast.Process:
 
 def dec_proc(t: Term) -> ast.Process:
     """Decode a term produced by enc_proc back to a process."""
-    return _fold([t], _dec_fields, _dec)
+    return fold([t], _dec_fields, _dec)
 
 
 def _rename(t: Term, rho: Mapping[str, Term],
@@ -241,44 +219,47 @@ def _rename(t: Term, rho: Mapping[str, Term],
     constants or to a step's variable, and the closed value v put for x
     when val = (x, v); a binder shadows its name.  A construct whose binder
     is in rho's range would capture: it goes to ``ast.subst_chan``, the one
-    alpha-renaming, which above it recurses just as this walk does."""
-    def expand(node: list) -> list:
-        u, r, x = node
-        kids: list = []
-        if not r and x is None:
-            return kids
-        for role, a in _roles(u):
-            if role is CHAN_BINDER and a in r.values():
-                # the node becomes its renamed encoding, which build keeps
-                q = dec_proc(u) if x is None else ast.subst_fvar(dec_proc(u), *x)
-                node[:] = enc_proc(ast.subst_chan(q, {c: w.name for c, w in r.items()})), {}, None
-                return []
-            if role is CHAN_BINDER and a.name in r:
-                r = {c: w for c, w in r.items() if c != a.name}
-            elif role is FUNC_BINDER and x is not None and a.name == x[0]:
-                x = None
-            elif role is CHILD or role is BRANCHES:
-                kids.append([a if role is CHILD else a.args[1], r, x])
+    alpha-renaming, a fold like this walk."""
+    return fold([t, {c: u for c, u in rho.items() if u is not Const(c)}, val],
+                _rename_kids, _rename_build)
+
+
+def _rename_kids(node: list, _) -> list:
+    u, r, x = node
+    kids: list = []
+    if not r and x is None:
         return kids
+    for role, a in _roles(u):
+        if role is CHAN_BINDER and a in r.values():
+            # the node becomes its renamed encoding, which build keeps
+            q = dec_proc(u) if x is None else ast.subst_fvar(dec_proc(u), *x)
+            node[:] = enc_proc(ast.subst_chan(q, {c: w.name for c, w in r.items()})), {}, None
+            return []
+        if role is CHAN_BINDER and a.name in r:
+            r = {c: w for c, w in r.items() if c != a.name}
+        elif role is FUNC_BINDER and x is not None and a.name == x[0]:
+            x = None
+        elif role is CHILD or role is BRANCHES:
+            kids.append([a if role is CHILD else a.args[1], r, x])
+    return kids
 
-    def build(node: list, kids: Iterator[Term]) -> Term:
-        u, r, x = node
-        if not r and x is None:
-            return u
-        args = []
-        for role, a in _roles(u):
-            if role is CHAN or role is CHANS:
-                a = r.get(a.name, a)
-            elif role is CHILD:
-                a = next(kids)
-            elif role is BRANCHES:
-                a = App("branch", (a.args[0], next(kids)))
-            elif role is TERM and x is not None:
-                a = Wrap(ast.subst_fvar(a.payload, *x))
-            args.append(a)
-        return App(u.fn, tuple(args))
 
-    return _fold([t, {c: u for c, u in rho.items() if u is not Const(c)}, val], expand, build)
+def _rename_build(node: list, kids: Iterator[Term], _) -> Term:
+    u, r, x = node
+    if not r and x is None:
+        return u
+    args = []
+    for role, a in _roles(u):
+        if role is CHAN or role is CHANS:
+            a = r.get(a.name, a)
+        elif role is CHILD:
+            a = next(kids)
+        elif role is BRANCHES:
+            a = App("branch", (a.args[0], next(kids)))
+        elif role is TERM and x is not None:
+            a = Wrap(ast.subst_fvar(a.payload, *x))
+        args.append(a)
+    return App(u.fn, tuple(args))
 
 
 def proc_fact(chan: str, p: ast.Process) -> Fact:

@@ -21,14 +21,19 @@ labelled children (``BRANCHES``); a free channel (``CHAN``), a tuple of them
 (``TERM``) or a process quoted in a term (``QUOTED``); a type variable
 (``TYPE_VAR``), a recursion binder (``TYPE_BINDER``) or a functional type
 in a session type (``FUNC_TYPE``); a ``LABEL``; or an ``OPAQUE``
-annotation.  Renaming, substitution, free names, canonical types, and the
-term encoding that ``sill.dynamics`` runs processes on, are one traversal
-of a table each.
+annotation.  Each node's printed text is stated once too, in ``_TEXT``.
+
+Renaming, substitution, free names, canonical types and their equality,
+printing, and the term encoding that ``sill.dynamics`` runs processes on
+are one traversal, ``fold``, each an expand/build pair read off these
+tables.  The fold keeps its work on an explicit stack, so input of any
+depth walks without Python recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Mapping, Optional, Union
 
 from .errors import SillTypeError, UnboundTypeVariable
@@ -147,20 +152,21 @@ POLARITIES: dict[type, tuple[str, dict[str, str]]] = {
 
 
 def polarity(a: SessionType, xi: Optional[Mapping[str, str]] = None) -> str:
-    """Polarity of a session type; type variables are looked up in xi."""
+    """Polarity of a session type; type variables are looked up in xi.  A
+    chain of recs, each binding its variable positive, is walked in a loop."""
+    bound = set()
+    while isinstance(a, Rec) and not (isinstance(a.body, TVar) and a.body.name == a.var):
+        bound.add(a.var)
+        a = a.body
     entry = POLARITIES.get(type(a))
     if entry is not None:
         return entry[0]
+    if isinstance(a, Rec) or isinstance(a, TVar) and a.name in bound:
+        return POSITIVE
     if isinstance(a, TVar):
         if xi is None or a.name not in xi:
             raise UnboundTypeVariable(a.name)
         return xi[a.name]
-    if isinstance(a, Rec):
-        if isinstance(a.body, TVar) and a.body.name == a.var:
-            return POSITIVE
-        inner = dict(xi) if xi else {}
-        inner[a.var] = POSITIVE
-        return polarity(a.body, inner)
     raise TypeError(f"not a session type: {a!r}")
 
 
@@ -172,7 +178,9 @@ def unfold_rec(a: Rec) -> SessionType:
 
 
 def type_eq(a: SessionType, b: SessionType) -> bool:
-    return canon_type(a) == canon_type(b)
+    """Whether two session types, or two functional types, have equal
+    canonical forms, found without building them."""
+    return a is b or fold(((a, 0, _CLOSED), (b, 0, _CLOSED)), _alpha_kids, _alpha_build)
 
 
 # -- functional types ----------------------------------------------------------
@@ -190,21 +198,7 @@ class ProcType:
     used: tuple[tuple[str, SessionType], ...] = ()
 
 
-def canon_functype(t: FuncType) -> FuncType:
-    if isinstance(t, Arrow):
-        return Arrow(canon_functype(t.arg), canon_functype(t.res))
-    if isinstance(t, ProcType):
-        # channel names in a process type are binders; canonical names are
-        # positional
-        return ProcType(
-            ("%o", canon_type(t.offered[1])),
-            tuple((f"%u{i}", canon_type(a)) for i, (_, a) in enumerate(t.used)),
-        )
-    raise TypeError(f"not a functional type: {t!r}")
-
-
-def functype_eq(a: FuncType, b: FuncType) -> bool:
-    return canon_functype(a) == canon_functype(b)
+functype_eq = type_eq
 
 
 # -- functional terms ----------------------------------------------------------
@@ -412,156 +406,226 @@ PROC_ROLES: dict[type, dict[str, str]] = {
 }
 # functional variables occur in terms and in processes alike
 _FUNC_ROLES = {**TERM_ROLES, **PROC_ROLES}
+_FUNC_TYPES = (Arrow, ProcType)
+_CLOSED: dict = {}  # the empty environment, never changed
 
 
-def _subst(x, table: dict, var: str, binder: str, name: str, value):
-    # value is closed, so nothing can capture it; a binder of name stops
-    # the descent into its children
-    out = []
+# -- the one traversal -------------------------------------------------------------
+
+
+def fold(root, expand, build, ctx=None):
+    """The one traversal of the syntax: a catamorphism (Meijer, Fokkinga and
+    Paterson, FPCA 1991) on an explicit stack, so nesting costs no Python
+    stack.  build(node, an iterator over its children's values, ctx) runs
+    for root and every node that expand(node, ctx) lists below it, children
+    first and left to right; returns root's value."""
+    order, todo = [], [root]
+    while todo:
+        node = todo.pop()
+        kids = expand(node, ctx)
+        order.append((node, len(kids)))
+        todo.extend(kids)
+    done: list = []
+    for node, k in reversed(order):
+        kids = iter(done[len(done) - k:])
+        del done[len(done) - k:]
+        done.append(build(node, kids, ctx))
+    return done[0]
+
+
+def subprocs(p: Process, _=None) -> list:
+    """p's direct subprocesses, in field order."""
+    kids = []
+    for f, role in PROC_ROLES[type(p)].items():
+        if role is CHILD:
+            kids.append(getattr(p, f))
+        elif role is BRANCHES:
+            kids.extend(q for _, q in getattr(p, f))
+    return kids
+
+
+def _branches(bs: tuple, kids) -> tuple:
+    """bs with each body the next of kids, if any; bs if none changed."""
+    out = tuple([(l, next(kids, y)) for l, y in bs])
+    return bs if all([new is old for (_, new), (_, old) in zip(out, bs)]) else out
+
+
+def _remade(x, fields: list):
+    """x's construct with fields; x itself if they are its own."""
+    return x if all(map(is_, fields, vars(x).values())) else type(x)(*fields)
+
+
+def _subst_kids(x, ctx) -> list:
+    table, _, binder, name, _ = ctx
+    kids = []
     for f, role in table[type(x)].items():
         v = getattr(x, f)
-        if role is CHILD or role is TERM or role is QUOTED:
-            v = _subst(v, table, var, binder, name, value)
-        elif role is BRANCHES:
-            v = tuple((l, _subst(y, table, var, binder, name, value)) for l, y in v)
-        elif (role is var or role is binder) and v == name:
+        if role is binder and v == name:
+            return []  # it stops the descent
+        if role is BRANCHES:
+            kids += [y for _, y in v]
+        elif role is CHILD or role is TERM or role is QUOTED:
+            kids.append(v)
+    return kids
+
+
+def _subst_build(x, kids, ctx):
+    # value is closed, so nothing can capture it
+    table, var, binder, name, value = ctx
+    out = []
+    for v, role in zip(vars(x).values(), table[type(x)].values()):
+        if (role is var or role is binder) and v == name:
             return value if role is var else x
-        out.append(v)
-    return type(x)(*out)
+        out.append(_branches(v, kids) if role is BRANCHES else
+                   next(kids) if role is CHILD or role is TERM or role is QUOTED else v)
+    return _remade(x, out)
 
 
 def subst_tvar(a: SessionType, name: str, repl: SessionType) -> SessionType:
     """Substitute the closed type repl for the type variable name."""
-    return _subst(a, TYPE_ROLES, TYPE_VAR, TYPE_BINDER, name, repl)
+    return fold(a, _subst_kids, _subst_build, (TYPE_ROLES, TYPE_VAR, TYPE_BINDER, name, repl))
 
 
 def subst_fvar(x: Union[FuncTerm, Process], name: str, value: FuncTerm):
     """Substitute a closed value for a functional variable throughout a term
     or a process, and the terms and processes inside it."""
-    return _subst(x, _FUNC_ROLES, FUNC_VAR, FUNC_BINDER, name, value)
+    return fold(x, _subst_kids, _subst_build, (_FUNC_ROLES, FUNC_VAR, FUNC_BINDER, name, value))
+
+
+def _canon_kids(node: tuple, _) -> list:
+    # a node is (a type, how many recs are above it, their variables' new
+    # names); a functional type, and so each type in it, is closed
+    a, depth, env = node
+    if type(a) is Rec:
+        env, depth = {**env, a.var: f"%{depth}"}, depth + 1
+    return [(t, 0, _CLOSED) if type(t) in _FUNC_TYPES else (t, depth, env) for t in _parts(a)]
+
+
+def _canon_build(node: tuple, kids, _):
+    a, depth, env = node
+    if type(a) is ProcType:  # its channel names are binders, made positional
+        return ProcType(("%o", next(kids)),
+                        tuple((f"%u{i}", next(kids)) for i in range(len(a.used))))
+    if type(a) is Arrow:
+        return _remade(a, [next(kids), next(kids)])
+    return _remade(a, [next(kids) if r is CHILD or r is FUNC_TYPE else
+                       _branches(v, kids) if r is BRANCHES else
+                       env.get(v, v) if r is TYPE_VAR else
+                       f"%{depth}" if r is TYPE_BINDER else v
+                       for v, r in zip(vars(a).values(), TYPE_ROLES[type(a)].values())])
 
 
 def canon_type(a: SessionType, depth: int = 0, env: Optional[dict] = None) -> SessionType:
     """Rename recursion binders to positional names so that equality of
     canonical forms is alpha-equivalence."""
-    env = env or {}
-    inner, below = env, depth
-    out = []
-    for f, role in TYPE_ROLES[type(a)].items():
-        v = getattr(a, f)
-        if role is CHILD:
-            v = canon_type(v, below, inner)
-        elif role is BRANCHES:
-            v = tuple((l, canon_type(t, below, inner)) for l, t in v)
-        elif role is TYPE_VAR:
-            v = env.get(v, v)
-        elif role is TYPE_BINDER:
-            inner = {**env, v: f"%{depth}"}
-            v, below = inner[v], depth + 1
-        elif role is FUNC_TYPE:
-            v = canon_functype(v)
-        out.append(v)
-    return type(a)(*out)
+    return fold((a, depth, env or _CLOSED), _canon_kids, _canon_build)
 
 
-def free_fvars(x: Union[FuncTerm, Process]) -> set[str]:
-    """Free functional variables of a term or a process."""
-    free: set[str] = set()
-    inner: set[str] = set()
-    bound = None
-    for f, role in _FUNC_ROLES[type(x)].items():
-        v = getattr(x, f)
-        if role is CHILD or role is TERM or role is QUOTED:
-            inner |= free_fvars(v)
-        elif role is BRANCHES:
-            for _, y in v:
-                inner |= free_fvars(y)
-        elif role is FUNC_VAR:
-            free.add(v)
-        elif role is FUNC_BINDER:
-            bound = v
-    inner.discard(bound)
-    return free | inner
+def canon_functype(t: FuncType) -> FuncType:
+    if type(t) not in _FUNC_TYPES:
+        raise TypeError(f"not a functional type: {t!r}")
+    return fold((t, 0, _CLOSED), _canon_kids, _canon_build)
 
 
-def fc(p: Process) -> set[str]:
-    """Free channel names of a process.
+def _alpha_kids(pair: tuple, _) -> list:
+    (a, _, ea), (b, _, eb) = pair
+    if a is b and ea is eb:
+        return []
+    return list(zip(_canon_kids(pair[0], None), _canon_kids(pair[1], None)))
 
-    One walk over an explicit stack, so nesting depth costs no Python
-    stack.  A binder scopes over the children of its construct, which
-    follow it; its name, pushed below them, closes the scope.
-    """
-    free: set[str] = set()
-    bound: dict[str, int] = {}  # binder -> how many scopes of it are open
-    stack: list = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, str):
-            bound[q] -= 1
-            continue
-        binder = None
-        for f, role in PROC_ROLES[type(q)].items():
-            v = getattr(q, f)
-            if role is CHAN:
-                if not bound.get(v):
-                    free.add(v)
-            elif role is CHILD:
-                stack.append(v)
-            elif role is BRANCHES:
-                stack.extend(r for _, r in v)
-            elif role is CHANS:
-                free.update(c for c in v if not bound.get(c))
-            elif role is CHAN_BINDER:
-                binder = v
-                stack.append(v)
-        if binder is not None:
-            # opened only now: the construct's own channels are outside it
-            bound[binder] = bound.get(binder, 0) + 1
+
+def _alpha_build(pair: tuple, kids, _) -> bool:
+    # two nodes of canon's walk have equal canonical forms when they are one
+    # object under one environment, or have one connective, the same labels,
+    # canonical variable name or number of used channels, and parts with
+    # equal canonical forms
+    (a, _, ea), (b, _, eb) = pair
+    return a is b and ea is eb or type(a) is type(b) and (
+        a.labels() == b.labels() if isinstance(a, _Branching) else
+        ea.get(a.name, a.name) == eb.get(b.name, b.name) if type(a) is TVar else
+        len(a.used) == len(b.used) if type(a) is ProcType else True) and all(kids)
+
+
+def _fc_kids(p: Process, memo: dict) -> list:
+    return [] if id(p) in memo else subprocs(p)
+
+
+def _fc_build(p: Process, kids, memo: dict) -> set[str]:
+    free = memo.get(id(p))
+    if free is None:
+        free = memo[id(p)] = set().union(*kids)
+        own = []
+        for f, role in _NAMES[type(p)]:
+            if role is CHAN_BINDER:  # it scopes over the children alone
+                free.discard(getattr(p, f))
+            else:
+                own += getattr(p, f) if role is CHANS else [getattr(p, f)]
+        free.update(own)
     return free
+
+
+# construct -> its fields that name channels, read off PROC_ROLES
+_NAMES = {cls: [(f, r) for f, r in roles.items() if r in (CHAN, CHANS, CHAN_BINDER)]
+          for cls, roles in PROC_ROLES.items()}
+
+
+def fc(p: Process, memo: Optional[dict] = None) -> set[str]:
+    """Free channel names of a process.  memo maps id(q) to fc(q) for each
+    subprocess q walked before and takes each one walked now, so a caller
+    that keeps it while p lives walks each subprocess once; its sets are
+    shared, not to be changed."""
+    memo = {} if memo is None else memo
+    return memo[id(p)] if id(p) in memo else fold(p, _fc_kids, _fc_build, memo)
+
+
+def _chan_kids(node: list, _) -> list:
+    """node is [p, the renamings to apply to p in turn, None]: None becomes
+    p's fields with its own names renamed, and p's subprocesses are
+    returned with the renamings they get in turn."""
+    p, rhos, _ = node
+    subs, fields, after = subprocs(p), list(vars(p).values()), []
+    for rho in rhos:
+        inner = rho
+        for i, role in enumerate(PROC_ROLES[type(p)].values()):
+            v = fields[i]
+            if role is CHAN or role is CHANS:
+                fields[i] = rho.get(v, v) if role is CHAN else tuple(rho.get(c, c) for c in v)
+            elif role is CHAN_BINDER and v in rho.values():
+                # it would capture, so it is renamed in the children first;
+                # '%' is reserved by the fresh-name scheme, so the new name
+                # is no source identifier, and the least free index keeps
+                # renaming deterministic
+                avoid = set(rho).union(rho.values(), *(_renamed(fc(q), after) for q in subs))
+                stem, k = v.split("%")[0] or "x", 0
+                while f"{stem}%{k}" in avoid:
+                    k += 1
+                after.append({v: f"{stem}%{k}"})
+                fields[i] = f"{stem}%{k}"
+            if role is CHAN_BINDER and fields[i] in rho:
+                inner = {c: w for c, w in rho.items() if c != fields[i]}
+        after += [inner] if inner else []
+    node[2] = fields
+    return [[q, after, None] for q in subs] if after else []
+
+
+def _renamed(names: set[str], rhos: list) -> set[str]:
+    for rho in rhos:
+        names = {rho.get(c, c) for c in names}
+    return names
+
+
+def _chan_build(node: list, kids, _) -> Process:
+    # a subprocess that no renaming reaches is kept as it is
+    p, _, fields = node
+    return _remade(p, [next(kids, v) if r is CHILD else _branches(v, kids) if r is BRANCHES else v
+                       for v, r in zip(fields, PROC_ROLES[type(p)].values())])
 
 
 def subst_chan(p: Process, rho: Mapping[str, str]) -> Process:
     """Rename free channel names.  Bound channels are alpha-renamed when they
     would capture.  Functional subterms never contain free channels, so the
     descent stops at them."""
-    rho = {k: v for k, v in rho.items() if k != v}
-    if not rho:
-        return p
-    roles = PROC_ROLES[type(p)]
-    pre: dict = {}  # a capturing binder's renaming, applied to the children first
-    inner = rho
-    out = []
-    for f, role in roles.items():
-        v = getattr(p, f)
-        if role is CHAN:
-            v = rho.get(v, v)
-        elif role is CHILD:
-            v = subst_chan(subst_chan(v, pre), inner)
-        elif role is BRANCHES:
-            v = tuple((l, subst_chan(subst_chan(q, pre), inner)) for l, q in v)
-        elif role is CHANS:
-            v = tuple(rho.get(c, c) for c in v)
-        elif role is CHAN_BINDER:
-            if v in rho.values():
-                avoid = set(rho) | set(rho.values())
-                for g, r in roles.items():
-                    if r is CHILD:
-                        avoid |= fc(getattr(p, g))
-                    elif r is BRANCHES:
-                        for _, q in getattr(p, g):
-                            avoid |= fc(q)
-                # '%' is reserved by the fresh-name scheme, so the new name
-                # cannot collide with a source identifier; the smallest free
-                # index keeps renaming deterministic
-                stem, i = v.split("%")[0] or "x", 0
-                while f"{stem}%{i}" in avoid:
-                    i += 1
-                pre = {v: f"{stem}%{i}"}
-                v = pre[v]
-            if v in rho:
-                inner = {k: w for k, w in rho.items() if k != v}
-        out.append(v)
-    return type(p)(*out)
+    return fold([p, [{k: v for k, v in rho.items() if k != v}], None], _chan_kids, _chan_build)
 
 
 # -- configuration facts ---------------------------------------------------------
@@ -806,141 +870,97 @@ def make_message(kind: str, pol: str, carrier: str, cont: Optional[str],
 # -- printing --------------------------------------------------------------------
 
 
-def type_to_str(a: SessionType) -> str:
-    if isinstance(a, One):
-        return "1"
-    if isinstance(a, Plus):
-        inner = ", ".join(f"{l}: {type_to_str(t)}" for l, t in a.branches)
-        return "+{" + inner + "}"
-    if isinstance(a, With):
-        inner = ", ".join(f"{l}: {type_to_str(t)}" for l, t in a.branches)
-        return "&{" + inner + "}"
-    if isinstance(a, Tensor):
-        return f"{_type_atom(a.left)} * {_type_atom(a.right)}"
-    if isinstance(a, Lolli):
-        return f"{_type_atom(a.left)} -o {type_to_str(a.right)}"
-    if isinstance(a, Down):
-        return f"down {_type_atom(a.body)}"
-    if isinstance(a, Up):
-        return f"up {_type_atom(a.body)}"
-    if isinstance(a, Rec):
-        return f"rec {a.var}. {type_to_str(a.body)}"
-    if isinstance(a, TVar):
-        return a.name
-    if isinstance(a, AndVal):
-        return f"[{functype_to_str(a.vtype)}] ^ {_type_atom(a.body)}"
-    if isinstance(a, ImpVal):
-        return f"[{functype_to_str(a.vtype)}] => {_type_atom(a.body)}"
-    raise TypeError(f"not a session type: {a!r}")
+def _paren(x, bare: bool) -> list:
+    return [x] if bare else ["(", x, ")"]
 
 
-def _type_atom(a: SessionType) -> str:
-    s = type_to_str(a)
-    if isinstance(a, (One, Plus, With, TVar)):
-        return s
-    return f"({s})"
+def _atom(a: SessionType) -> list:
+    return _paren(a, isinstance(a, (One, Plus, With, TVar)))
 
 
-def functype_to_str(t: FuncType) -> str:
-    if isinstance(t, Arrow):
-        lhs = functype_to_str(t.arg)
-        if isinstance(t.arg, Arrow):
-            lhs = f"({lhs})"
-        return f"{lhs} -> {functype_to_str(t.res)}"
-    if isinstance(t, ProcType):
-        used = ", ".join(f"{c}:{type_to_str(a)}" for c, a in t.used)
-        c, a = t.offered
-        return "{" + f"{c}:{type_to_str(a)}" + (f" <- {used}" if used else " <-") + "}"
-    raise TypeError(f"not a functional type: {t!r}")
+def _listed(head: str, sep: str, mid: str, pairs, tail: str = "}") -> list:
+    """head, each (name, node) as name mid node with sep between, tail."""
+    out = [head]
+    for i, (n, x) in enumerate(pairs):
+        out += [f"{sep if i else ''}{n}{mid}", x]
+    return out + [tail]
 
 
-def term_to_str(m: FuncTerm) -> str:
-    if isinstance(m, FVar):
-        return m.name
-    if isinstance(m, Lam):
-        return f"\\{m.var}: {functype_to_str(m.ann)}. {term_to_str(m.body)}"
-    if isinstance(m, FApp):
-        fn = term_to_str(m.fn)
-        if isinstance(m.fn, (Lam, Fix)):
-            fn = f"({fn})"
-        arg = term_to_str(m.arg)
-        if not isinstance(m.arg, FVar):
-            arg = f"({arg})"
-        return f"{fn} {arg}"
-    if isinstance(m, Fix):
-        return f"fix {m.var}. {term_to_str(m.body)}"
-    if isinstance(m, Quote):
-        c, a = m.offered
-        used = ", ".join(f"{d}:{type_to_str(t)}" for d, t in m.used)
-        head = f"proc({c}:{type_to_str(a)}" + (f"; {used})" if used else ")")
-        return f"{head} {{{proc_to_str(m.body)}}}"
-    raise TypeError(f"not a term: {m!r}")
+# A node's text, stated per construct of every layer: a list of strings and,
+# in their places, the nodes printed inside it, in field order.  One emitter
+# prints them all; canonical forms and their equality read a type's parts
+# off it.
+_TEXT = {
+    One: lambda a: ["1"],
+    Plus: lambda a: _listed("+{", ", ", ": ", a.branches),
+    With: lambda a: _listed("&{", ", ", ": ", a.branches),
+    Tensor: lambda a: [*_atom(a.left), " * ", *_atom(a.right)],
+    Lolli: lambda a: [*_atom(a.left), " -o ", a.right],
+    Down: lambda a: ["down ", *_atom(a.body)],
+    Up: lambda a: ["up ", *_atom(a.body)],
+    Rec: lambda a: [f"rec {a.var}. ", a.body],
+    TVar: lambda a: [a.name],
+    AndVal: lambda a: ["[", a.vtype, "] ^ ", *_atom(a.body)],
+    ImpVal: lambda a: ["[", a.vtype, "] => ", *_atom(a.body)],
+    Arrow: lambda t: [*_paren(t.arg, not isinstance(t.arg, Arrow)), " -> ", t.res],
+    ProcType: lambda t: ["{" + f"{t.offered[0]}:", t.offered[1],
+                         *_listed(" <- " if t.used else " <-", ", ", ":", t.used)],
+    FVar: lambda m: [m.name],
+    Lam: lambda m: [f"\\{m.var}: ", m.ann, ". ", m.body],
+    FApp: lambda m: [*_paren(m.fn, not isinstance(m.fn, (Lam, Fix))), " ",
+                     *_paren(m.arg, isinstance(m.arg, FVar))],
+    Fix: lambda m: [f"fix {m.var}. ", m.body],
+    Quote: lambda m: [f"proc({m.offered[0]}:", m.offered[1],
+                      *_listed("; " if m.used else "", ", ", ":", m.used, ") {"), m.body, "}"],
+    FwdPos: lambda p: [f"fwd+ {p.src} -> {p.dst}"],
+    FwdNeg: lambda p: [f"fwd- {p.src} -> {p.dst}"],
+    Cut: lambda p: [p.chan, *([": ", p.ann, " "] if p.ann is not None else [" "]),
+                    "<- {", p.left, "}; ", p.right],
+    Close: lambda p: [f"close {p.chan}"],
+    Wait: lambda p: [f"wait {p.chan}; ", p.cont],
+    SendLabel: lambda p: [f"{p.chan}.{p.label}; ", p.cont],
+    Case: lambda p: _listed(f"case {p.chan} {{", " | ", " => ", p.branches),
+    SendChan: lambda p: [f"send {p.chan} <{p.payload}>; ", p.cont],
+    RecvChan: lambda p: [f"{p.var} <- recv {p.chan}; ", p.cont],
+    SendShift: lambda p: [f"send {p.chan} shift; ", p.cont],
+    RecvShift: lambda p: [f"shift <- recv {p.chan}; ", p.cont],
+    SendUnfold: lambda p: [f"send {p.chan} unfold; ", p.cont],
+    RecvUnfold: lambda p: [f"unfold <- recv {p.chan}; ", p.cont],
+    SendVal: lambda p: [f"send {p.chan} [", p.term, "]; ", p.cont],
+    RecvVal: lambda p: [f"[{p.var}] <- recv {p.chan}; ", p.cont],
+    Unquote: lambda p: [f"{p.chan} <- [", p.term, "]" + "".join(
+        f" <- {t}" for t in (" ".join(p.used),) if t)],
+}
 
 
-def proc_to_str(p: Process) -> str:
-    """The printed process, built from an explicit stack of the
-    subprocesses and text still to print, so a deep process prints."""
+def _text_kids(x, _) -> list:
+    return [] if type(x) is str else _TEXT[type(x)](x)
+
+
+def _parts(x) -> list:
+    """The nodes in x's text: its children in every layer."""
+    return [y for y in _TEXT[type(x)](x) if type(y) is not str]
+
+
+def _text_build(x, _, out: list) -> None:
+    if type(x) is str:  # the fold reaches the strings in the order of the text
+        out.append(x)
+
+
+def syntax_to_str(x) -> str:
+    """The printed form of a session type, a functional type, a term or a
+    process."""
+    if type(x) not in _TEXT:
+        raise TypeError(f"not syntax: {x!r}")
     out: list[str] = []
-    todo: list = [p]
-    while todo:
-        q = todo.pop()
-        if type(q) is str:
-            out.append(q)
-        else:
-            todo.extend(reversed(_proc_parts(q)))
+    fold(x, _text_kids, _text_build, out)
     return "".join(out)
 
 
-def _proc_parts(p: Process) -> list:
-    """p's text, with each direct subprocess in its place."""
-    if isinstance(p, FwdPos):
-        return [f"fwd+ {p.src} -> {p.dst}"]
-    if isinstance(p, FwdNeg):
-        return [f"fwd- {p.src} -> {p.dst}"]
-    if isinstance(p, Cut):
-        ann = f": {type_to_str(p.ann)} " if p.ann is not None else " "
-        return [f"{p.chan}{ann}<- {{", p.left, "}; ", p.right]
-    if isinstance(p, Close):
-        return [f"close {p.chan}"]
-    if isinstance(p, Wait):
-        return [f"wait {p.chan}; ", p.cont]
-    if isinstance(p, SendLabel):
-        return [f"{p.chan}.{p.label}; ", p.cont]
-    if isinstance(p, Case):
-        parts: list = [f"case {p.chan} {{"]
-        for i, (l, q) in enumerate(p.branches):
-            parts += [f"{' | ' if i else ''}{l} => ", q]
-        return parts + ["}"]
-    if isinstance(p, SendChan):
-        return [f"send {p.chan} <{p.payload}>; ", p.cont]
-    if isinstance(p, RecvChan):
-        return [f"{p.var} <- recv {p.chan}; ", p.cont]
-    if isinstance(p, SendShift):
-        return [f"send {p.chan} shift; ", p.cont]
-    if isinstance(p, RecvShift):
-        return [f"shift <- recv {p.chan}; ", p.cont]
-    if isinstance(p, SendUnfold):
-        return [f"send {p.chan} unfold; ", p.cont]
-    if isinstance(p, RecvUnfold):
-        return [f"unfold <- recv {p.chan}; ", p.cont]
-    if isinstance(p, SendVal):
-        return [f"send {p.chan} [{term_to_str(p.term)}]; ", p.cont]
-    if isinstance(p, RecvVal):
-        return [f"[{p.var}] <- recv {p.chan}; ", p.cont]
-    if isinstance(p, Unquote):
-        tail = " ".join(p.used)
-        return [f"{p.chan} <- [{term_to_str(p.term)}]" + (f" <- {tail}" if tail else "")]
-    raise TypeError(f"not a process: {p!r}")
-
-
+# every layer prints through the one emitter, under the layer's own name
+type_to_str = functype_to_str = term_to_str = proc_to_str = syntax_to_str
 # printable payloads: anything that can end up embedded in a run state or a
 # reported value renders as surface syntax, not as a dataclass repr
-for _cls in TYPE_ROLES:
-    _cls.__str__ = type_to_str
-for _cls in (Arrow, ProcType):
-    _cls.__str__ = functype_to_str
-for _cls in TERM_ROLES:
-    _cls.__str__ = term_to_str
-for _cls in PROC_ROLES:
-    _cls.__str__ = proc_to_str
+for _cls in _TEXT:
+    _cls.__str__ = syntax_to_str
 del _cls

@@ -115,19 +115,22 @@ def _form_parts(a, wants, xi):
 
 
 def check_functype(t: ast.FuncType) -> None:
-    if isinstance(t, ast.Arrow):
-        check_functype(t.arg)
-        check_functype(t.res)
-        return
-    if isinstance(t, ast.ProcType):
-        names = [t.offered[0]] + [c for c, _ in t.used]
-        if len(set(names)) != len(names):
-            raise IllFormed("a process type repeats a channel name")
-        check_type(t.offered[1])
-        for _, a in t.used:
-            check_type(a)
-        return
-    raise IllFormed(f"not a functional type: {t!r}")
+    # the fold walks nested arrows; process types are checked left to right
+    ast.fold(t, _arrow_parts, _check_proctype)
+
+
+def _arrow_parts(t, _) -> list:
+    return [t.arg, t.res] if isinstance(t, ast.Arrow) else []
+
+
+def _check_proctype(t, _, __) -> None:
+    if not isinstance(t, (ast.Arrow, ast.ProcType)):
+        raise IllFormed(f"not a functional type: {t!r}")
+    pairs = (t.offered, *t.used) if isinstance(t, ast.ProcType) else ()
+    if len({c for c, _ in pairs}) != len(pairs):
+        raise IllFormed("a process type repeats a channel name")
+    for _, a in pairs:
+        check_type(a)
 
 
 # -- term typing ---------------------------------------------------------------
@@ -227,7 +230,9 @@ def check_proc(p: ast.Process,
     # side of a cut wait on a stack, pushed in reverse so that faults are
     # found in the order of a depth-first, left-to-right walk; a leaf takes
     # the next waiting frame.  A frame owns its context and may change it.
+    # free keeps the free channels of the subprocesses cuts have walked
     waiting = []
+    free: dict = {}
     while True:
         comm = ast.comm_kind(p)
         if comm is not None:
@@ -312,8 +317,8 @@ def check_proc(p: ast.Process,
             check_type(p.ann)
             if x == cname or x in delta:
                 raise SillTypeError(f"cut reuses the channel name {x}")
-            fcl = ast.fc(p.left)
-            fcr = ast.fc(p.right)
+            fcl = ast.fc(p.left, free)
+            fcr = ast.fc(p.right, free)
             dup = (fcl & fcr) & set(delta)
             if dup:
                 raise LinearityError("channels used on both sides of a cut: "
@@ -521,11 +526,9 @@ def check_config(facts, claimed: ast.Interface):
         raise InterfaceMismatch(f"claimed channels {absent} have no provider")
 
     providers = {c: facts[keys[0]] for c, keys in typing.providers.items()}
-    children = {
-        c: sorted(ch for ch in ast.fc(providers[c].proc) - {c}
-                  if ch in providers)
-        for c in providers
-    }
+    # each fact's channels, sorted, as the typing read them off it
+    children = {c: [ch for ch in typing._facts[keys[0]][1] if ch in providers]
+                for c, keys in typing.providers.items()}
     trees: dict[str, tuple[ast.ConfigFact, ...]] = {}
     for root in sorted(typing.provided):
         order = []

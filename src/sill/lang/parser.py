@@ -322,6 +322,20 @@ class _Parser:
     # -- processes
 
     def proc(self, bound: frozenset) -> ast.Process:
+        # each prefix (x.l; and every form a process follows) waits on a
+        # stack for that process: a long sequence costs no Python stack
+        prefixes = []
+        while isinstance(p := self.proc_step(bound), tuple):
+            cls, fields, bound = p
+            prefixes.append((cls, fields))
+            self.expect(";")
+        for cls, fields in reversed(prefixes):
+            p = cls(*fields, p)
+        return p
+
+    def proc_step(self, bound: frozenset):
+        """A process, or a prefix as (its construct, its fields before the
+        process that follows, the names bound in that process)."""
         t = self.peek()
         if t.text in ("fwd+", "fwd-"):
             self.take()
@@ -332,9 +346,7 @@ class _Parser:
         if self.eat("close"):
             return ast.Close(self.ident("a channel"))
         if self.eat("wait"):
-            a = self.ident("a channel")
-            self.expect(";")
-            return ast.Wait(a, self.proc(bound))
+            return ast.Wait, (self.ident("a channel"),), bound
         if self.eat("case"):
             a = self.ident("a channel")
             self.expect("{")
@@ -353,59 +365,39 @@ class _Parser:
             if self.eat("<"):
                 b = self.ident("a channel")
                 self.expect(">")
-                self.expect(";")
-                return ast.SendChan(a, b, self.proc(bound))
+                return ast.SendChan, (a, b), bound
             if self.eat("["):
                 m = self.term(bound)
                 self.expect("]")
-                self.expect(";")
-                return ast.SendVal(a, m, self.proc(bound))
-            if self.eat("shift"):
-                self.expect(";")
-                return ast.SendShift(a, self.proc(bound))
-            if self.eat("unfold"):
-                self.expect(";")
-                return ast.SendUnfold(a, self.proc(bound))
+                return ast.SendVal, (a, m), bound
+            for word, cls in (("shift", ast.SendShift), ("unfold", ast.SendUnfold)):
+                if self.eat(word):
+                    return cls, (a,), bound
             self.fail("expected <channel>, [term], shift, or unfold after send")
-        if self.eat("shift"):
-            self.expect("<-")
-            self.expect("recv")
-            a = self.ident("a channel")
-            self.expect(";")
-            return ast.RecvShift(a, self.proc(bound))
-        if self.eat("unfold"):
-            self.expect("<-")
-            self.expect("recv")
-            a = self.ident("a channel")
-            self.expect(";")
-            return ast.RecvUnfold(a, self.proc(bound))
+        for word, cls in (("shift", ast.RecvShift), ("unfold", ast.RecvUnfold)):
+            if self.eat(word):
+                self.expect("<-")
+                self.expect("recv")
+                return cls, (self.ident("a channel"),), bound
         if self.at("["):
             self.take()
             x = self.ident("a variable")
             self.expect("]")
             self.expect("<-")
             self.expect("recv")
-            a = self.ident("a channel")
-            self.expect(";")
-            return ast.RecvVal(x, a, self.proc(bound | {x}))
+            return ast.RecvVal, (x, self.ident("a channel")), bound | {x}
         if t.kind != "ident":
             self.fail(f"expected a process, found {t.text!r}")
         name = self.take().text
         if self.eat("."):
-            lab = self.label()
-            self.expect(";")
-            return ast.SendLabel(name, lab, self.proc(bound))
+            return ast.SendLabel, (name, self.label()), bound
         if self.eat(":"):
             ann = self.type_expr(frozenset())
             self.expect("<-")
-            left = self.cut_left(name, bound)
-            self.expect(";")
-            return ast.Cut(name, ann, left, self.proc(bound))
+            return ast.Cut, (name, ann, self.cut_left(name, bound)), bound
         if self.eat("<-"):
             if self.eat("recv"):
-                a = self.ident("a channel")
-                self.expect(";")
-                return ast.RecvChan(name, a, self.proc(bound))
+                return ast.RecvChan, (name, self.ident("a channel")), bound
             if self.eat("["):
                 m = self.term(bound)
                 self.expect("]")

@@ -1,11 +1,12 @@
 """The walks over the syntax as they were before the role tables.
 
 A reference for the differential tests in ``tests/test_ast_oracle.py``:
-``subst_tvar``, ``canon_type``, ``free_fvars``, ``subst_fvar``, ``fc``,
-``proc_free_fvars``, ``subst_chan``, ``proc_subst_fvar`` and
-``proc_to_str`` from ``sill.lang.ast``, and ``enc_proc``/``dec_proc`` from ``sill.dynamics``,
-each with one hand-written case per construct.  Every result here is one
-that the table-driven walks must reproduce.
+``subst_tvar``, ``canon_type``, ``subst_fvar``, ``fc``, ``subst_chan``,
+``proc_subst_fvar``, and the printers ``type_to_str``, ``functype_to_str``,
+``term_to_str`` and ``proc_to_str``, from ``sill.lang.ast``, and
+``enc_proc``/``dec_proc`` from ``sill.dynamics``, each with one hand-written
+case per construct.  Every result here is one that the walks on the fold
+must reproduce.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Mapping, Optional
 from sill.lang import ast
 from sill.lang.ast import (
     AndVal,
+    Arrow,
     Case,
     Close,
     Cut,
@@ -22,14 +24,17 @@ from sill.lang.ast import (
     FApp,
     Fix,
     FuncTerm,
+    FuncType,
     FVar,
     FwdNeg,
     FwdPos,
     ImpVal,
     Lam,
     Lolli,
+    One,
     Plus,
     Process,
+    ProcType,
     Quote,
     Rec,
     RecvChan,
@@ -114,20 +119,6 @@ def canon_type(a: SessionType, depth: int = 0, env: Optional[dict] = None) -> Se
     return a
 
 
-def free_fvars(m: FuncTerm) -> set[str]:
-    if isinstance(m, FVar):
-        return {m.name}
-    if isinstance(m, Lam):
-        return free_fvars(m.body) - {m.var}
-    if isinstance(m, FApp):
-        return free_fvars(m.fn) | free_fvars(m.arg)
-    if isinstance(m, Fix):
-        return free_fvars(m.body) - {m.var}
-    if isinstance(m, Quote):
-        return proc_free_fvars(m.body)
-    raise TypeError(f"not a term: {m!r}")
-
-
 def subst_fvar(m: FuncTerm, name: str, value: FuncTerm) -> FuncTerm:
     """Substitute a closed value for a functional variable."""
     if isinstance(m, FVar):
@@ -172,25 +163,6 @@ def fc(p: Process) -> set[str]:
     if isinstance(p, Unquote):
         return {p.chan} | set(p.used)
     raise TypeError(f"not a process: {p!r}")
-
-
-def proc_free_fvars(p: Process) -> set[str]:
-    if isinstance(p, (FwdPos, FwdNeg, Close)):
-        return set()
-    if isinstance(p, Unquote):
-        return free_fvars(p.term)
-    if isinstance(p, Cut):
-        return proc_free_fvars(p.left) | proc_free_fvars(p.right)
-    if isinstance(p, Case):
-        out: set[str] = set()
-        for _, q in p.branches:
-            out |= proc_free_fvars(q)
-        return out
-    if isinstance(p, SendVal):
-        return free_fvars(p.term) | proc_free_fvars(p.cont)
-    if isinstance(p, RecvVal):
-        return proc_free_fvars(p.cont) - {p.var}
-    return proc_free_fvars(p.cont)
 
 
 def _alpha_fresh(base: str, avoid: set[str]) -> str:
@@ -415,8 +387,78 @@ def dec_proc(t: Term) -> ast.Process:
     raise ValueError(f"unknown process tag {tag!r}")
 
 
+def type_to_str(a: SessionType) -> str:
+    if isinstance(a, One):
+        return "1"
+    if isinstance(a, Plus):
+        inner = ", ".join(f"{l}: {type_to_str(t)}" for l, t in a.branches)
+        return "+{" + inner + "}"
+    if isinstance(a, With):
+        inner = ", ".join(f"{l}: {type_to_str(t)}" for l, t in a.branches)
+        return "&{" + inner + "}"
+    if isinstance(a, Tensor):
+        return f"{_type_atom(a.left)} * {_type_atom(a.right)}"
+    if isinstance(a, Lolli):
+        return f"{_type_atom(a.left)} -o {type_to_str(a.right)}"
+    if isinstance(a, Down):
+        return f"down {_type_atom(a.body)}"
+    if isinstance(a, Up):
+        return f"up {_type_atom(a.body)}"
+    if isinstance(a, Rec):
+        return f"rec {a.var}. {type_to_str(a.body)}"
+    if isinstance(a, TVar):
+        return a.name
+    if isinstance(a, AndVal):
+        return f"[{functype_to_str(a.vtype)}] ^ {_type_atom(a.body)}"
+    if isinstance(a, ImpVal):
+        return f"[{functype_to_str(a.vtype)}] => {_type_atom(a.body)}"
+    raise TypeError(f"not a session type: {a!r}")
+
+
+def _type_atom(a: SessionType) -> str:
+    s = type_to_str(a)
+    if isinstance(a, (One, Plus, With, TVar)):
+        return s
+    return f"({s})"
+
+
+def functype_to_str(t: FuncType) -> str:
+    if isinstance(t, Arrow):
+        lhs = functype_to_str(t.arg)
+        if isinstance(t.arg, Arrow):
+            lhs = f"({lhs})"
+        return f"{lhs} -> {functype_to_str(t.res)}"
+    if isinstance(t, ProcType):
+        used = ", ".join(f"{c}:{type_to_str(a)}" for c, a in t.used)
+        c, a = t.offered
+        return "{" + f"{c}:{type_to_str(a)}" + (f" <- {used}" if used else " <-") + "}"
+    raise TypeError(f"not a functional type: {t!r}")
+
+
+def term_to_str(m: FuncTerm) -> str:
+    if isinstance(m, FVar):
+        return m.name
+    if isinstance(m, Lam):
+        return f"\\{m.var}: {functype_to_str(m.ann)}. {term_to_str(m.body)}"
+    if isinstance(m, FApp):
+        fn = term_to_str(m.fn)
+        if isinstance(m.fn, (Lam, Fix)):
+            fn = f"({fn})"
+        arg = term_to_str(m.arg)
+        if not isinstance(m.arg, FVar):
+            arg = f"({arg})"
+        return f"{fn} {arg}"
+    if isinstance(m, Fix):
+        return f"fix {m.var}. {term_to_str(m.body)}"
+    if isinstance(m, Quote):
+        c, a = m.offered
+        used = ", ".join(f"{d}:{type_to_str(t)}" for d, t in m.used)
+        head = f"proc({c}:{type_to_str(a)}" + (f"; {used})" if used else ")")
+        return f"{head} {{{proc_to_str(m.body)}}}"
+    raise TypeError(f"not a term: {m!r}")
+
+
 def proc_to_str(p: Process) -> str:
-    term_to_str, type_to_str = ast.term_to_str, ast.type_to_str
     if isinstance(p, FwdPos):
         return f"fwd+ {p.src} -> {p.dst}"
     if isinstance(p, FwdNeg):

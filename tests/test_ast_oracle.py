@@ -1,5 +1,5 @@
-"""Differential tests: the walks driven by the role tables in
-``sill.lang.ast`` against the hand-written ones in ``ast_oracle``.
+"""Differential tests: the walks on the fold of ``sill.lang.ast`` against
+the hand-written ones in ``ast_oracle``, printers included.
 
 Processes, types and terms come from the generators of ``test_lang``, which
 reach every construct and connective.  Channel renamings range over the
@@ -19,7 +19,7 @@ import dataclasses
 import ast_oracle as ref
 import dynamics_oracle
 from hypothesis import given, settings, strategies as st
-from test_lang import _procs, _terms, _types
+from test_lang import _functypes, _procs, _terms, _types
 
 from sill import dynamics
 from sill.lang import ast
@@ -62,6 +62,7 @@ _values = st.sampled_from([
 ])
 _closed_types = st.sampled_from([One(), With(()), Plus((("l", One()),))])
 _fvars = st.sampled_from(["v", "w"])
+_arrows = st.recursive(_functypes, lambda sub: st.builds(ast.Arrow, sub, sub), max_leaves=4)
 _tvars = st.sampled_from(["x", "y"])
 
 
@@ -79,7 +80,6 @@ def test_process_walks_match_the_reference(p, generated, rho, sigma):
         # free names of the form alpha-renaming picks, which it must avoid
         p = ref.subst_chan(p, {"a": "x%0", "b": "a%0", "c": "y%0"})
     assert ast.fc(p) == ref.fc(p)
-    assert ast.free_fvars(p) == ref.proc_free_fvars(p)
     once = ast.subst_chan(p, rho)
     assert once == ref.subst_chan(p, rho)
     assert ast.subst_chan(once, sigma) == ref.subst_chan(once, sigma)
@@ -92,9 +92,7 @@ def test_process_walks_match_the_reference(p, generated, rho, sigma):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_procs(3), _terms(3), _fvars, _values)
 def test_functional_walks_match_the_reference(p, m, name, value):
-    assert ast.free_fvars(m) == ref.free_fvars(m)
     assert ast.subst_fvar(m, name, value) == ref.subst_fvar(m, name, value)
-    assert ast.free_fvars(p) == ref.proc_free_fvars(p)
     assert ast.subst_fvar(p, name, value) == ref.proc_subst_fvar(p, name, value)
 
 
@@ -110,6 +108,16 @@ def test_type_walks_match_the_reference(a, b, name, repl, depth):
     assert ast.unfold_rec(rec) == ref.subst_tvar(a, name, rec)
     # z occurs nowhere in a, so renaming the binder to it is alpha-equivalence
     assert ast.type_eq(rec, ast.Rec("z", ast.subst_tvar(a, name, TVar("z"))))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_types(3), _arrows, _terms(3), _procs(3))
+def test_printers_match_the_reference(a, t, m, p):
+    # each layer's printer, and each node's str, is the one emitter
+    assert ast.type_to_str(a) == str(a) == ref.type_to_str(a)
+    assert ast.functype_to_str(t) == str(t) == ref.functype_to_str(t)
+    assert ast.term_to_str(m) == str(m) == ref.term_to_str(m)
+    assert ast.proc_to_str(p) == str(p) == ref.proc_to_str(p)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -1,0 +1,149 @@
+"""Deep input: every walk over the syntax runs on the one explicit-stack fold
+of ``sill.lang.ast``, so each returns at depths far beyond the Python
+recursion limit, with the answer worked out here by hand.
+
+Deep syntax trees are compared level by level in a loop, or by their
+printed forms, because the dataclasses' own ``==`` recurses.
+"""
+
+import pytest
+
+from sill.lang import ast
+from sill.lang.ast import (
+    FApp, Arrow, Close, Cut, FVar, One, Plus, ProcType, Rec, SendLabel, SendVal,
+    TVar, Wait, With,
+)
+from sill.lang.check import IllFormed, check_functype, check_proc, check_type
+from sill.lang.parser import parse_proc
+
+DEEP = 5000
+CHAIN = 3000  # FApp and Arrow chains
+
+
+def _plus(n, last):
+    """+{l: +{l: ... last}}, n levels deep."""
+    for _ in range(n):
+        last = Plus((("l", last),))
+    return last
+
+
+def _recs(n, stem, last):
+    """rec x0. +{l: rec x1. +{l: ... last, r: x1}, r: x0}: n recs, 2n levels."""
+    for i in reversed(range(n)):
+        last = Rec(f"{stem}{i}", Plus((("l", last), ("r", TVar(f"{stem}{i}")))))
+    return last
+
+
+def _sends(n, last):
+    """c.l; c.l; ... last, n sends deep."""
+    for _ in range(n):
+        last = SendLabel("c", "l", last)
+    return last
+
+
+def _spine(x, field):
+    """x and the nodes below it along field (a name, or a branch label)."""
+    out = [x]
+    while True:
+        x = out[-1]
+        nxt = x.branch(field) if isinstance(x, ast._Branching) else getattr(x, field, None)
+        if nxt is None:
+            return out
+        out.append(nxt)
+
+
+def test_canonical_forms_of_alpha_variants_agree():
+    a, b = _recs(DEEP // 2, "x", One()), _recs(DEEP // 2, "y", One())
+    printed = ast.type_to_str(ast.canon_type(a))
+    assert printed == ast.type_to_str(ast.canon_type(b))
+    assert printed.startswith("rec %0. +{l: rec %1. +{l: ")
+    assert printed.endswith(", r: %1}, r: %0}")
+    assert ast.type_eq(a, b)
+    assert not ast.type_eq(a, _recs(DEEP // 2, "y", With(())))
+
+
+def test_unfolding_changes_only_the_innermost_node():
+    a = Rec("x", _plus(DEEP, TVar("x")))
+    before, after = _spine(a.body, "l"), _spine(ast.unfold_rec(a), "l")
+    assert len(before) == len(after) == DEEP + 1
+    assert all(type(p) is Plus and p.labels() == ("l",) for p in after[:-1])
+    assert before[-1] == TVar("x") and after[-1] is a
+
+
+def test_renaming_channels_changes_only_the_innermost_node():
+    p = ast.subst_chan(_sends(DEEP, Close("d")), {"d": "e"})
+    nodes = _spine(p, "cont")
+    assert len(nodes) == DEEP + 1
+    assert all(type(q) is SendLabel and (q.chan, q.label) == ("c", "l") for q in nodes[:-1])
+    assert nodes[-1] == Close("e")
+
+
+def test_substituting_a_value_changes_only_the_innermost_term():
+    value = FVar("w")
+    p = ast.subst_fvar(_sends(DEEP, SendVal("c", FVar("v"), Close("c"))), "v", value)
+    nodes = _spine(p, "cont")
+    assert len(nodes) == DEEP + 2
+    assert nodes[-2].term is value and nodes[-1] == Close("c")
+
+
+def test_printed_forms_have_the_expected_length_and_end():
+    assert ast.type_to_str(_plus(DEEP, One())) == "+{l: " * DEEP + "1" + "}" * DEEP
+    fn = FVar("f")
+    for _ in range(CHAIN):
+        fn = FApp(fn, FVar("a"))
+    assert ast.term_to_str(fn) == "f" + " a" * CHAIN
+    unit = ProcType(("c", One()))
+    t = unit
+    for _ in range(CHAIN):
+        t = Arrow(unit, t)
+    printed = ast.functype_to_str(t)
+    assert printed == "{c:1 <-} -> " * CHAIN + "{c:1 <-}"
+    assert ast.functype_to_str(ast.canon_functype(t)) == printed.replace("c:", "%o:")
+    assert ast.proc_to_str(_sends(DEEP, Close("c"))) == "c.l; " * DEEP + "close c"
+
+
+def test_free_channels_polarity_and_formation_of_deep_input():
+    p = _sends(DEEP, Cut("x", One(), Close("x"), Wait("x", Close("d"))))
+    assert ast.fc(p) == {"c", "d"}
+    recs = One()
+    for i in range(DEEP):
+        recs = Rec(f"x{i}", recs)
+    assert ast.polarity(recs) == "positive"
+    assert check_type(recs) == "positive"
+    assert ast.polarity(Rec("x", Rec("y", TVar("x")))) == "positive"
+
+
+def test_a_deep_arrow_chain_checks_and_its_bottom_is_still_checked():
+    unit = ProcType(("c", One()))
+    ok, bad = unit, ProcType(("c", One()), (("c", One()),))
+    for _ in range(CHAIN):
+        ok, bad = Arrow(unit, ok), Arrow(unit, bad)
+    check_functype(ok)
+    with pytest.raises(IllFormed, match="^a process type repeats a channel name$"):
+        check_functype(bad)
+
+
+def test_a_long_sequence_parses_into_its_chain():
+    p = parse_proc("c.l; " * CHAIN + "close c")
+    nodes = _spine(p, "cont")
+    assert len(nodes) == CHAIN + 1 and nodes[-1] == Close("c")
+    assert all(type(q) is SendLabel for q in nodes[:-1])
+
+
+def test_nested_cuts_walk_each_subprocess_once(monkeypatch):
+    n = 2000
+    p = Close("c")
+    for i in reversed(range(n)):
+        p = Cut(f"x{i}", One(), Close(f"x{i}"), Wait(f"x{i}", p))
+    visits = [0]
+    fold = ast.fold
+
+    def counted(root, expand, build, ctx=None):
+        def counting(node, c):
+            visits[0] += 1
+            return expand(node, c)
+        return fold(root, counting, build, ctx)
+
+    monkeypatch.setattr(ast, "fold", counted)
+    check_proc(p, ("c", One()), {})
+    assert visits[0] <= 4 * n
