@@ -394,12 +394,16 @@ class SillSystem:
     are evaluated with a fixed fuel; a divergent side condition makes the
     step silently unavailable.
 
-    Three memos last for the system's lifetime, so build one per run or
+    Four memos last for the system's lifetime, so build one per run or
     per verdict: ``_memo`` holds each evaluated term's value and
     ``_quoted`` each unquoted term's quote with its body's encoding, both
     keyed by the interned ``Wrap``, which hashes by address; ``store``
     holds the steps derived for each proc fact that listens on no carrier,
-    and so its facts.
+    and so its facts; ``observations`` holds each observation
+    ``obs.observe_config`` made on the system, with the interface it was
+    made under, keyed by (state, observed channels, fuel, depth, seed).
+    The state is a ``Multiset`` of interned facts, which hashes by their
+    addresses, and no session type is hashed.
     """
 
     rules: tuple = ()
@@ -411,6 +415,7 @@ class SillSystem:
         self._memo: dict[Wrap, object] = {}
         self._quoted: dict[Wrap, Optional[tuple[ast.Quote, Term]]] = {}
         self.store: dict[Fact, list[Inst]] = {}
+        self.observations: dict[tuple, tuple] = {}
 
     def signature(self) -> Signature:
         return Signature(self.declared, 0)

@@ -9,7 +9,12 @@ families at bounded depth, so every verdict here is bounded.
 Every observation is an experiment run: ``plug`` composes a context with
 its subject and ``observe_config`` runs and observes the result, for the
 suite and the generated families alike.  The empty context observes each
-subject alone.
+subject alone.  An experiment's outcome is a function of the plugged
+configuration, and a verdict's runs share one ``SillSystem``, which keeps
+every observation it made; so an experiment a verdict repeats (an equal
+pair's second direction, or a subject against itself) runs once.  A
+verdict reads each subject's facts and channel names once, and ``plug``
+checks only the experiment, as ``config_subject`` checked the subject.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .dynamics import SillSystem, config_state, msg_info, state_facts
+from .dynamics import SillSystem, config_fact, config_state, msg_info, state_facts
 from .fairness import fair_execute
 from .lang import ast
 from .lang.check import check_config
 from .lang.errors import InterfaceMismatch, SillError
-from .msr.multiset import Fact, Multiset
+from .msr.multiset import Fact, Multiset, fact_key
 from .msr.rules import Signature, apply_inst
 from .obs import (
     BOT,
@@ -359,61 +364,103 @@ def mode_channels(context: ConfigContext, mode: str) -> tuple[str, ...]:
 
 
 def _require_shared(ci: ast.Interface, di: ast.Interface) -> None:
-    for side in ("used", "provided"):
-        left = dict(getattr(ci, side))
-        right = dict(getattr(di, side))
-        if left.keys() != right.keys() or not all(
-                ast.type_eq(left[k], right[k]) for k in left):
-            raise InterfaceMismatch(f"{side} channels differ")
+    side = ci.differs(di, ("used", "provided"))
+    if side is not None:
+        raise InterfaceMismatch(f"{side} channels differ")
 
 
-def _rename_internals(subject: Subject, avoid: set[str]) -> tuple[list, list]:
-    """Fresh names for every non-interface channel of the subject."""
-    state, iface = subject
-    keep = {n for n, _ in iface.used} | {n for n, _ in iface.provided}
-    facts = state_facts(state)
-    internal = sorted({n for cf in facts
-                       for n in ast.fc(cf.proc) | {cf.chan}} - keep)
-    taken = set(avoid) | keep | set(internal)
-    rho = {}
-    for name in internal:
-        if name not in avoid:
-            rho[name] = name
-            continue
-        k = 0
-        while f"{name}%{k}" in taken:
-            k += 1
-        rho[name] = f"{name}%{k}"
-        taken.add(rho[name])
-    out = [type(cf)(rho.get(cf.chan, cf.chan), ast.subst_chan(cf.proc, rho))
-           for cf in facts]
-    itypes = dict(iface.internal)
-    pairs = [(rho[n], itypes[n]) for n in internal if n in itypes]
-    missing = [n for n in internal if n not in itypes]
-    if missing:
-        raise SillError(f"no recorded types for internal channels {missing}")
-    return out, pairs
+class _Prepared(tuple):
+    """A subject, still the pair (state, interface), with what plugging
+    reads off it, read once.
+
+    ``facts`` are its facts decoded in ``state_facts`` order and
+    ``ordered`` the same facts encoded; ``names`` holds every channel its
+    facts name, ``internal`` its internal channels with their types, in
+    sorted order, and ``stand_ins`` one fact per provided channel p, which
+    ``plug`` checks in place of p's tree: ``divergent`` at p, holding the
+    used channels the tree consumes.  The channels of a fact that like
+    holds too are like's.
+    """
+
+    def __new__(cls, subject: Subject, like: Optional["_Prepared"] = None):
+        if isinstance(subject, _Prepared):
+            return subject
+        self = super().__new__(cls, subject)
+        state, iface = subject
+        eph = [f for f in sorted(state.eph_support(), key=fact_key)
+               for _ in range(state.count(f))]
+        self.facts, self.ordered = [config_fact(f) for f in eph], Multiset.of(eph)
+        # each fact's channels, read once per fact
+        self._chans = dict(like._chans) if like is not None else {}
+        for f, cf in zip(eph, self.facts):
+            if f not in self._chans:
+                self._chans[f] = ast.fc(cf.proc) | {cf.chan}
+        chans = [self._chans[f] for f in eph]
+        self.names = set().union(*chans)
+        keep = {n for n, _ in iface.used} | {n for n, _ in iface.provided}
+        itypes = dict(iface.internal)
+        internal = sorted(self.names - keep)
+        missing = [n for n in internal if n not in itypes]
+        if missing:
+            raise SillError(f"no recorded types for internal channels {missing}")
+        self.internal = [(n, itypes[n]) for n in internal]
+        self._taken = self.names | keep
+        # each provided channel's tree, followed down to the used channels
+        provider = {cf.chan: c for cf, c in zip(self.facts, chans)}
+        used = dict(iface.used)
+        self.stand_ins = ()
+        for p, a in iface.provided:
+            seen, stack = {p}, [p]
+            while stack:
+                for c in provider.get(stack.pop(), ()):
+                    if c not in seen:
+                        seen.add(c)
+                        stack.extend(() if c in used else (c,))
+            held = tuple((c, t) for c, t in iface.used if c in seen)
+            self.stand_ins += (ast.ProcF(p, divergent(p, a, held)),)
+        return self
+
+    def renaming(self, avoid: set[str]) -> dict[str, str]:
+        """Fresh names for the internal channels that avoid holds: the
+        least free ``name%k``."""
+        rho: dict[str, str] = {}
+        taken = self._taken | avoid
+        for name, _ in self.internal:
+            if name in avoid:
+                k = 0
+                while f"{name}%{k}" in taken:
+                    k += 1
+                rho[name] = f"{name}%{k}"
+                taken.add(rho[name])
+        return rho
 
 
 def plug(context: ConfigContext, subject: Subject) -> Subject:
-    """Fill the context's hole, renaming subject internals apart."""
+    """Fill the context's hole, renaming subject internals apart.
+
+    The subject must be checked, as ``config_subject`` checks it: plug
+    type-checks only the context's facts, against the hole, and the
+    interface it assembles.  In the check each tree of the subject is
+    replaced by its stand-in (see ``_Prepared``), which meets the context
+    on the same channels, so a fault the whole composite would show, a
+    cycle through the hole among them, still raises.  The composite holds
+    the context's facts, then the subject's in ``state_facts`` order; when
+    no internal channel needs renaming, these are the subject's encoded
+    facts as they are.
+    """
+    subject = _Prepared(subject)
     _require_shared(context.hole, subject[1])
+    outer = context.outer
     ctx_names = {n for cf in context.facts
                  for n in ast.fc(cf.proc) | {cf.chan}}
-    ctx_names |= {n for n, _ in context.outer.used}
-    ctx_names |= {n for n, _ in context.outer.provided}
-    ctx_names |= {n for n, _ in context.outer.internal}
-    subject_facts, internal_pairs = _rename_internals(subject, ctx_names)
-    facts = tuple(context.facts) + tuple(subject_facts)
+    ctx_names |= {n for n, _ in (*outer.used, *outer.provided, *outer.internal)}
+    rho = subject.renaming(ctx_names)
     # hole channels not exposed by the outer interface become internal;
     # channels the context already lists are not repeated
-    ext = {n for n, _ in context.outer.used}
-    ext |= {n for n, _ in context.outer.provided}
-    hole_pairs = tuple(context.hole.used) + tuple(context.hole.provided)
+    ext = {n for n, _ in (*outer.used, *outer.provided)}
     seen: dict[str, ast.SessionType] = {}
     internal = []
-    for n, t in tuple(context.outer.internal) + hole_pairs \
-            + tuple(internal_pairs):
+    for n, t in (*outer.internal, *context.hole.used, *context.hole.provided):
         if n in ext:
             continue
         if n in seen:
@@ -422,13 +469,18 @@ def plug(context: ConfigContext, subject: Subject) -> Subject:
             continue
         seen[n] = t
         internal.append((n, t))
-    iface = ast.Interface(
-        used=context.outer.used,
-        internal=tuple(internal),
-        provided=context.outer.provided,
-    )
-    check_config(list(facts), iface)
-    return config_state(facts), iface
+    check_config(tuple(context.facts) + subject.stand_ins,
+                 ast.Interface(used=outer.used, internal=tuple(internal),
+                               provided=outer.provided))
+    # the subject's internal channels, renamed apart from all of these
+    internal += [(rho.get(n, n), t) for n, t in subject.internal]
+    iface = ast.Interface(used=outer.used, internal=tuple(internal),
+                          provided=outer.provided)
+    if not rho:
+        return config_state(context.facts).msum(subject.ordered), iface
+    renamed = [type(cf)(rho.get(cf.chan, cf.chan), ast.subst_chan(cf.proc, rho))
+               for cf in subject.facts]
+    return config_state(tuple(context.facts) + tuple(renamed)), iface
 
 
 def run_experiment(subject: Subject, experiment: Experiment,
@@ -462,9 +514,9 @@ def _check_family(ref: Observation, target: Subject, n: int, fuel: int,
     so each interface channel is tested by its own composite rather than
     by one combined context.
     """
-    t_state, t_iface = target
-    names = {chan for chan, _, _ in ref.channels} | _fc_state(t_state)
-    used = dict(t_iface.used)
+    target = _Prepared(target)
+    names = {chan for chan, _, _ in ref.channels} | target.names
+    used = dict(target[1].used)
     for chan, v, a in ref.channels:
         r = _answer_name(chan, names)
         if chan in used:
@@ -517,12 +569,18 @@ def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
     empty context, which observes each subject alone on all its interface
     channels; the generated families are built from those observations.
     All runs share one ``SillSystem``, a new one per verdict unless system
-    is given; a given system is shared and keeps growing while it lives.
+    is given; a given system is shared and keeps growing while it lives,
+    its observations among the rest, so an experiment observed before on
+    it, in this verdict or an earlier one, is not run again.  Both
+    subjects are read once (see ``_Prepared``) and must be checked, as
+    ``config_subject`` checks them.
 
     The verdict is a dict with mode, bounded (always true), equivalent, and
     a counterexample when one was found.
     """
     _require_shared(c[1], d[1])
+    c = _Prepared(c)
+    d = _Prepared(d, c)
     system = system or SillSystem()
     verdict = {"mode": sys.mode, "bounded": True, "equivalent": True}
 

@@ -666,6 +666,17 @@ class Interface:
         out.update(self.provided)
         return out
 
+    def differs(self, other: "Interface",
+                sides: tuple[str, ...] = ("used", "internal", "provided")) -> Optional[str]:
+        """The first of sides on which other names other channels or types
+        one of them otherwise (by ``type_eq``), or None."""
+        for side in sides:
+            left, right = dict(getattr(self, side)), dict(getattr(other, side))
+            if left.keys() != right.keys() or not all(
+                    type_eq(left[k], right[k]) for k in left):
+                return side
+        return None
+
     def __str__(self) -> str:
         def side(pairs):
             return ", ".join(f"{c}:{type_to_str(t)}" for c, t in pairs)

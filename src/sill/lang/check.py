@@ -97,10 +97,14 @@ def _form_head(a, xi):
             raise UnboundTypeVariable(a.name)
         return xi[a.name], iter(())
     if isinstance(a, ast.Rec):
+        # every rec of a chain has the chain's polarity, read once at its
+        # top, and the chain's variables are bound in one copy of xi
         pol = ast.polarity(a, xi)
         inner = dict(xi)
-        inner[a.var] = pol
-        return pol, iter(((a.body, inner, pol, None),))
+        while isinstance(a, ast.Rec):
+            inner[a.var] = pol
+            a = a.body
+        return pol, iter(((a, inner, pol, None),))
     raise IllFormed(f"not a session type: {a!r}")
 
 

@@ -147,3 +147,25 @@ def test_nested_cuts_walk_each_subprocess_once(monkeypatch):
     monkeypatch.setattr(ast, "fold", counted)
     check_proc(p, ("c", One()), {})
     assert visits[0] <= 4 * n
+
+
+def test_a_rec_chain_reads_its_polarity_once(monkeypatch):
+    # each rec of a chain has the chain's polarity: read at the top, it
+    # is one walk down the chain, not one per rec
+    recs = One()
+    for i in range(DEEP):
+        recs = Rec(f"x{i}", recs)
+    calls = [0]
+    polarity = ast.polarity
+
+    def counted(a, xi=None):
+        calls[0] += 1
+        return polarity(a, xi)
+
+    monkeypatch.setattr(ast, "polarity", counted)
+    assert check_type(recs) == "positive"
+    assert calls[0] == 1
+    # recs separated by other connectives read theirs once each
+    calls[0] = 0
+    assert check_type(_recs(DEEP // 2, "x", One())) == "positive"
+    assert calls[0] == DEEP // 2

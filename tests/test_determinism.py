@@ -4,13 +4,16 @@ Interned terms and facts hash by address, so two identical runs can
 iterate a set of facts in different orders, even in one process.  Every
 order that reaches an output comes from a sort by key.  This test runs the
 dynamics corpus under every seed, alone and beside two processes that step
-to themselves, a fair ring run cut into a lasso, and a hand-built ring
-lasso, in two interpreters with different string hash
-seeds.  Each interpreter records them twice, with garbage allocated in
-between so that the second record's objects sit at other addresses.  All
-four records must agree: step by step (rule, theta, fresh names, consumed
-and produced facts), and in the nine fairness verdicts with their
-witnesses.
+to themselves, a fair ring run cut into a lasso, a hand-built ring
+lasso, and the equivalence verdicts of the one-per-connective subjects
+of ``test_equiv``, in two interpreters with different string hash seeds.
+The verdicts share one system, whose observation memo is keyed by states
+of interned facts, which hash by address.  Each interpreter records them
+twice, with garbage allocated in between so that the second record's
+objects sit at other addresses.  All four records must agree: step by
+step (rule, theta, fresh names, consumed and produced facts), in the nine
+fairness verdicts with their witnesses, and in every equivalence verdict
+with its counterexample.
 
 Run as a script, the module prints its two records as JSON.
 """
@@ -54,13 +57,16 @@ def _ring(nodes: list, tokens: int, extra: str = ""):
 
 def record() -> dict:
     from test_dynamics import corpus, run_corpus_entry
+    from test_equiv import FUEL, MODES, SUBJECTS
     from test_scheduler import SEEDS, beside_spins
 
     from sill.dynamics import SillSystem
+    from sill.equiv import config_subject, equiv_check, make_system
+    from sill.lang import check_module, parse
     from sill.fairness import LassoTrace, fair_execute
     from sill.msr import Const, Inst, Trace
 
-    out: dict = {"corpus": [], "lassos": []}
+    out: dict = {"corpus": [], "lassos": [], "verdicts": []}
     for name, facts, iface in corpus():
         for seed in SEEDS:
             out["corpus"].append([name, seed, _steps(run_corpus_entry(facts, iface, seed))])
@@ -78,6 +84,17 @@ def record() -> dict:
     for a, b in zip(nodes, nodes[1:] + nodes[:1]):
         tr.extend(Inst.make(hand.rule("pass"), {"x": Const(a), "y": Const(b)}))
     out["lassos"].append([_steps(tr), _report(LassoTrace(tr, 0))])
+    mod = parse(SUBJECTS)
+    check_module(mod)
+    subjects = {name: config_subject(decl) for name, decl in mod.configs.items()}
+    shared = SillSystem()
+    for name, subject in subjects.items():
+        for other in sorted({name, f"{name}_changed"} & subjects.keys()):
+            for mode in MODES:
+                for seed in (None, 1):
+                    v = equiv_check(subject, subjects[other], make_system(mode),
+                                    fuel=FUEL, depth=6, seed=seed, system=shared)
+                    out["verdicts"].append([name, other, mode, seed, v])
     return out
 
 
@@ -109,6 +126,9 @@ def _records_under(hash_seed: str) -> list:
 def test_runs_and_verdicts_do_not_depend_on_addresses_or_hash_seeds():
     first, second = _records_under("0"), _records_under("1")
     assert first[0]["corpus"] and first[0]["lassos"]
+    verdicts = [v for *_, v in first[0]["verdicts"]]
+    assert any(v["equivalent"] for v in verdicts)
+    assert any("counterexample" in v for v in verdicts)
     # the hand-built lasso is unfair in some senses, so witnesses are compared
     assert any("witness" in v for v in first[0]["lassos"][-1][1].values())
     assert first[0] == first[1]
