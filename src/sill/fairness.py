@@ -267,6 +267,10 @@ class _Analysis:
                                          self.trace.steps[j].produced):
                 app.admit(key, inst)
             out.append(dict(sorted(app.live.items(), key=order)))
+        # no representative is fired, so none keeps the matcher's grounding
+        for keyed in out:
+            for inst in keyed.values():
+                inst.release()
         return out
 
     def _over_loop(self, per_position: Callable[[dict[tuple, Inst]], set]) -> tuple[set, set]:

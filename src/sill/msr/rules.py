@@ -178,9 +178,34 @@ class Inst:
     rule: Rule
     theta: tuple[tuple[str, Term], ...]
 
+    # the ground parts the matcher built with an instantiation that has a
+    # theta, by _kept's names, until its step is recorded (see _kept)
+    _matched = None
+
     @staticmethod
     def make(rule: Rule, theta: Mapping[str, Term]) -> "Inst":
         return Inst(rule, tuple((v, theta[v]) for v in rule.uvars))
+
+    @staticmethod
+    def matched(rule: Rule, theta: Mapping[str, Term], facts: Sequence[Fact]) -> "Inst":
+        """``Inst.make(rule, theta)``, where theta matched the antecedent
+        of rule on the fact occurrences facts, carrying its ground parts
+        when theta is not empty.  Facts are interned and theta binds every
+        variable (range restriction), so those occurrences are the ground
+        antecedent and are taken as they are.  The consequent is grounded
+        here, once, when no existential variable occurs in it; otherwise
+        each fresh name grounds it anew (``consequent``)."""
+        inst = Inst.make(rule, theta)
+        if not theta:
+            return inst  # a ground instantiation keeps what it builds
+        parts = {"_pers_ant": frozenset(f for f in facts if f.persistent) or _NO_FACTS,
+                 "_eph_ant": Multiset._make(_tally(f for f in facts if not f.persistent),
+                                            frozenset())}
+        if not rule._con_evars:
+            parts["_con"] = inst._con_at(theta)
+        # the dataclass is frozen: write past its __setattr__
+        object.__setattr__(inst, "_matched", parts)
+        return inst
 
     def theta_map(self) -> dict[str, Term]:
         return dict(self.theta)
@@ -189,19 +214,34 @@ class Inst:
         return tuple(term_key(t) for _, t in self.theta)
 
     def _kept(self, name: str, build: Callable[[dict[str, Term]], object]):
-        """build(theta), kept on a ground instantiation (empty theta) after
-        its first call.  Every SILL step is one, and a step grounds its
-        antecedent several times.  Others build afresh: the fairness
-        analysis holds thousands of them, and keeping their parts would
-        cost more memory than the grounding saves."""
+        """The ground part name, built by build(theta) or read where it is
+        kept.  A ground instantiation (empty theta) keeps what it builds
+        for its lifetime: every SILL step is one, a step grounds its
+        antecedent several times, and the step store reuses it.  One with
+        a theta keeps only the parts the matcher built with it
+        (``matched``): the key, ``fire`` and the trace's rewrite read that
+        one grounding, and ``Trace.extend`` drops it once the step is
+        recorded (``release``), so the parts live while the instantiation
+        is a candidate and no recorded step keeps them.  Others build
+        afresh: a long run records thousands of steps, and keeping their
+        parts would cost more memory than the grounding saves."""
         if self.theta:
-            return build(self.theta_map())
+            matched = self._matched
+            return build(self.theta_map()) if matched is None else matched[name]
         try:
             return self.__dict__[name]
         except KeyError:
             # the dataclass is frozen: write past its __setattr__
             value = self.__dict__[name] = build({})
             return value
+
+    def release(self) -> None:
+        """Drop the ground parts the matcher built, once the step is
+        recorded; a recorded step keeps its rule and theta only."""
+        if self._matched is not None:
+            # set, not deleted: on CPython 3.10 a deletion turns the
+            # instance's key-sharing dict into a larger one of its own
+            object.__setattr__(self, "_matched", None)
 
     def pers_ant_g(self) -> frozenset[Fact]:
         return self._kept("_pers_ant", self._pers_ant_at)
@@ -324,6 +364,12 @@ class FactIndex:
     in step with its state and matches semi-naively (Rete, TREAT): after a
     step only instantiations with an antecedent fact among the facts the
     step touched are proposed.
+
+    The join records the fact occurrences it matched, and each proposed
+    instantiation carries them as its ground antecedent, with its
+    consequent grounded once (``Inst.matched``).  The key and ``fire``
+    read those parts, and ``Trace.extend`` drops them once the step is
+    recorded, so they live as long as the candidate's queue entry.
     """
 
     # candidates matched and keyed by delta; none is ever reused
@@ -362,12 +408,14 @@ class FactIndex:
                 return self._by_first.get(key + (first,), ())
         return self._by_pred.get(key, ())
 
-    def _join(self, pats: Sequence[Fact], theta: dict[str, Term],
-              used: dict[Fact, int], out: list[dict[str, Term]]) -> None:
+    def _join(self, pats: Sequence[Fact], theta: dict[str, Term], used: dict[Fact, int],
+              path: list[Fact], out: list[tuple[dict[str, Term], tuple[Fact, ...]]]) -> None:
         """Extend theta by matching pats against distinct fact occurrences;
-        used counts the ephemeral occurrences already taken."""
+        used counts the ephemeral occurrences already taken and path holds
+        the occurrences matched so far.  Each complete match goes to out
+        with its occurrences."""
         if not pats:
-            out.append(theta)
+            out.append((theta, tuple(path)))
             return
         pat, rest = pats[0], pats[1:]
         for f in self._pool(pat, theta):
@@ -377,23 +425,26 @@ class FactIndex:
             th = _match_fact(pat, f, dict(theta))
             if th is None:
                 continue
+            path.append(f)
             if f.persistent:
-                self._join(rest, th, used, out)
+                self._join(rest, th, used, path, out)
             else:
                 used[f] = n + 1
-                self._join(rest, th, used, out)
+                self._join(rest, th, used, path, out)
                 used[f] = n
+            path.pop()
 
     def insts(self, rule: Rule, touched: Optional[Iterable[Fact]] = None) -> list[Inst]:
-        """Applicable instantiations of rule, distinct and sorted by theta.
+        """Applicable instantiations of rule, distinct and sorted by theta,
+        each carrying its ground parts (``Inst.matched``).
 
         With touched given, only those whose ground antecedent contains one
         of the touched facts, which must be present in the state.
         """
         pats = rule.pers_ant + rule.eph_ant
-        thetas: list[dict[str, Term]] = []
+        found: list[tuple[dict[str, Term], tuple[Fact, ...]]] = []
         if touched is None or not pats:
-            self._join(pats, {}, {}, thetas)
+            self._join(pats, {}, {}, [], found)
         else:
             for t in touched:
                 for j, pat in enumerate(pats):
@@ -402,12 +453,13 @@ class FactIndex:
                     th = _match_fact(pat, t, {})
                     if th is not None:
                         used = {} if t.persistent else {t: 1}
-                        self._join(pats[:j] + pats[j + 1:], th, used, thetas)
-        by_key: dict[tuple, Inst] = {}
-        for th in thetas:
-            inst = Inst.make(rule, th)
-            by_key.setdefault(inst.theta_key(), inst)
-        return [by_key[k] for k in sorted(by_key)]
+                        self._join(pats[:j] + pats[j + 1:], th, used, [t], found)
+        # one match per theta: theta determines the ground antecedent
+        by_key: dict[tuple, tuple[dict[str, Term], tuple[Fact, ...]]] = {}
+        for match in found:
+            th = match[0]
+            by_key.setdefault(tuple([term_key(th[v]) for v in rule.uvars]), match)
+        return [Inst.matched(rule, *by_key[k]) for k in sorted(by_key)]
 
     def delta(self, state: Multiset, gone: Iterable[Fact],
               touched: Sequence[Fact]) -> list[tuple[tuple, Inst]]:
@@ -466,17 +518,30 @@ def _equiv_key(inst: Inst) -> tuple:
     placeholder meets nothing but another placeholder.  An existential
     variable that occurs nowhere tells no two instantiations apart.
 
-    The identity assignment comes first.  For a ground rule (empty theta)
-    whose existentials already bear their placeholders' names, it moves
-    nothing: that variant is the rule's own consequent and is not grounded
-    again.  Every step of the process layer is such a rule with at most one
+    The key reads the ground parts the matcher built with the
+    instantiation (``Inst.matched``), which ``fire`` and the trace then
+    read too; a consequent without existential variables is then its one
+    variant.  Without them the key grounds what it needs and keeps
+    nothing, so a derived step that never fires keeps no grounding.  The
+    identity assignment comes first.  For a ground rule (empty theta) whose
+    existentials already bear their placeholders' names, it moves nothing:
+    that variant is the rule's own consequent and is not grounded again.
+    Every step of the process layer is such a rule with at most one
     existential, so its key grounds nothing.
     """
     rule = inst.rule
-    th = inst.theta_map()
-    ant_p = frozenset(_ground_fact(f, th) for f in rule.pers_ant)
-    ant_e = frozenset(_tally(_ground_fact(f, th) for f in rule.eph_ant).items())
     evars = rule._con_evars
+    parts = inst._matched
+    if parts is not None:
+        ant_p = parts["_pers_ant"]
+        ant_e = frozenset(parts["_eph_ant"].eph_items())
+        if not evars:
+            pers, eph = parts["_con"]
+            return (ant_p, ant_e, frozenset(((pers | ant_p, frozenset(eph.eph_items())),)))
+    th = inst.theta_map()
+    if parts is None:
+        ant_p = frozenset(_ground_fact(f, th) for f in rule.pers_ant)
+        ant_e = frozenset(_tally(_ground_fact(f, th) for f in rule.eph_ant).items())
     perms = itertools.permutations(_KEY_TERMS[:len(evars)])
     variants = []
     if rule._own_variant:
@@ -518,6 +583,12 @@ def fire(
     Applying the step is then ``rewrite(inst.eph_ant_g(), consequent)``,
     in place or on a copy.  A list passed as produced receives the
     distinct produced facts.
+
+    The antecedent and a consequent without fresh names are the ground
+    parts the instantiation carries, if any (``Inst._kept``): those the
+    matcher built with the candidate, which the key read before and the
+    caller's rewrite reads after, or those a ground instantiation keeps.
+    Parts it does not carry are grounded here for this call.
     """
     consumed = inst.eph_ant_g()
     if not (inst.pers_ant_g() <= state.pers and consumed.leq(state)):

@@ -108,6 +108,8 @@ class Trace:
         if con is not None:
             self.live.rewrite_in_place(inst.eph_ant_g(), con)
             self._final = None
+        # the step keeps its rule and theta, not the matcher's grounding
+        inst.release()
         step = Step(inst, tuple(names.items()), tuple(produced),
                     changed=con is not None, idle=con is None and not names)
         self.steps.append(step)
@@ -218,9 +220,10 @@ class Trace:
                 if v not in xi:
                     raise Invalid(i, f"xi missing variable {v!r}")
             inst = Inst.make(rule, theta)
-            if not inst.applicable(tr.live):
-                raise Invalid(i, f"{inst.to_str()} not applicable")
-            tr.extend(inst, xi)
+            try:
+                tr.extend(inst, xi)
+            except NotApplicable:
+                raise Invalid(i, f"{inst.to_str()} not applicable") from None
         return tr, data.get("loop_start")
 
 
@@ -242,9 +245,10 @@ def permute_trace(tr: Trace, perm: Sequence[int]) -> Trace:
     out = Trace(tr.mrs, tr.initial, tr.sig0)
     for i, j in enumerate(perm):
         step = tr.steps[j]
-        if not step.inst.applicable(out.live):
-            raise Invalid(i, f"{step.inst.to_str()} not applicable after permutation")
-        out.extend(step.inst, step.xi_map())
+        try:
+            out.extend(step.inst, step.xi_map())
+        except NotApplicable:
+            raise Invalid(i, f"{step.inst.to_str()} not applicable after permutation") from None
     return out
 
 

@@ -152,8 +152,13 @@ def mrs_rescan(mrs):
 
 
 def steps_of(tr):
-    return [(s.inst.rule.name, s.inst.theta, s.xi, active(s.inst), s.inst.rule.eph_con)
-            for s in tr.steps]
+    """Each step as rule, theta, fresh names, antecedent and consequent
+    pattern, then what it produced, in order, and whether it changed the
+    state and was idle.  The oracle extends its trace with ``Inst.make``
+    instances, the scheduler with the matcher's, which carry their
+    grounding: the produced facts compare the two groundings."""
+    return [(s.inst.rule.name, s.inst.theta, s.xi, active(s.inst), s.inst.rule.eph_con,
+             s.produced, s.changed, s.idle) for s in tr.steps]
 
 
 def assert_same_run(system, start, enumerate_, budget, seed, label):
