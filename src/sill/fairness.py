@@ -26,11 +26,18 @@ was built for: every later verdict on the same lasso reads it, and a
 verdict on a trace extended in the meantime builds a fresh one.  The
 analysis and the fair scheduler keep the applicable instantiations of the
 current state in one structure (``_Applicable``), enumerated in full at
-the start and advanced by each step's delta.  The analysis keeps each
-position's instantiations with their equivalence keys, which also carry
-their antecedent facts; what is applicable or enabled at some loop state,
-and at every one, is collected once, so each verdict's predicate is a set
-lookup per candidate and orbit member.  The scheduler also keeps the
+the start and advanced by each step's delta.  The analysis is built by
+one in-place replay of the recorded steps, which holds one state and
+never reads ``Trace.states``; it keeps each position's instantiations
+with their equivalence keys, which also carry their antecedent facts.
+What the verdicts read is collected once, on first use: what is
+applicable or enabled at some loop state and at every one, the steps of
+the loop's later rounds, and each fact and instantiation orbit with the
+predicates the weak and strong verdicts test.  So the first verdict of
+a variety walks the orbits, and every other verdict of that variety
+filters precomputed flags in O(candidates) and formats its witness.  The
+über verdict reads no variety's candidates: it is one obligation,
+computed once for all three.  The scheduler also keeps the
 step of each live class whose last application was idle (it left the
 state as it was and bound no fresh name): such a step stays valid while
 its class is live, so it is recorded again, its applicability still
@@ -46,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .msr.canon import find_renaming
 from .msr.multiset import Fact, Multiset, fact_key, fact_to_str
-from .msr.rules import Inst, Mrs, _equiv_key
+from .msr.rules import Inst, Mrs, _equiv_key, fire
 from .msr.terms import term_to_str
 from .msr.trace import Step, Trace
 
@@ -172,53 +179,101 @@ class _Applicable:
 
 
 class _Analysis:
-    """Recurrence structure of a validated lasso, and the applicable
-    instantiations at each of its positions.
+    """Recurrence structure of a validated lasso, the applicable
+    instantiations at each of its positions, and the orbits the verdicts
+    test.
 
     It describes the trace as it was when built, ``L`` steps long, and is
     shared by every verdict on the lasso, so everything in it is computed
-    at most once: the states, the recurrence renaming and the recorded
-    steps' equivalence keys when it is built, the rest on first use.
+    at most once.  Building it replays the recorded steps once, in place,
+    on one copy of the initial state, with ``rules.fire`` and the recorded
+    fresh names: the pass advances one ``_Applicable`` into each position's
+    applicable set (``keyed``), and at the loop start it finds the
+    recurrence renaming ``rho`` onto the final state, raising
+    ``InvalidLasso`` when there is none.  No state but the replayed one is
+    held, and ``Trace.states`` is not read, so the analysis costs O(steps)
+    in memory beside the applicable sets.  The rest is lazy and cached:
+    what is applicable or enabled at some loop state and at every one, the
+    steps of the loop's later rounds, the über obligation, and the fact
+    and instantiation orbits with the predicates the verdicts test
+    (``fact_orbits``, ``inst_orbits``).  The first verdict of a variety
+    computes those; the other verdicts filter the flags and format a
+    witness.
 
     One walk (``images``) follows a fact or an instantiation through the
-    rounds of the unrolled trace: its images under the recurrence renaming
-    ``rho``.  An object recurs when the walk returns to it, and then it and
-    its images are its orbit; a walk that leaves rho's domain marks a
-    transient object.  Weak and strong verdicts read orbits.  The über
-    obligation of an instantiation applicable at a recorded state is met by
-    a later recorded step of its class or by an image of a loop step
-    (``later_steps``), recurrent or not: a loop step whose next-round image
-    acts on a name born in this round is transient, yet that image is
-    applied.
+    rounds of the unrolled trace: its images under ``rho``.  An object
+    recurs when the walk returns to it, and then it and its images are its
+    orbit; a walk that leaves rho's domain marks a transient object.  Weak
+    and strong verdicts read orbits.  The über obligation of an
+    instantiation applicable at a recorded state is met by a later recorded
+    step of its class or by an image of a loop step (``later_steps``),
+    recurrent or not: a loop step whose next-round image acts on a name
+    born in this round is transient, yet that image is applied.
 
-    The applicable sets (``keyed``) replay the recorded steps through one
-    ``_Applicable``.  The applied instantiation stays live while its
-    consumed facts remain, so only the facts a step produced can bring a
-    class in.  Each position keeps one representative per applicable class
-    under its key, in rule order, then theta, then, for a ground step, the
-    facts it consumes: for an ``Mrs`` the list ``mrs.applicable`` gives.
-    (The generated rules of a ``SillSystem`` have no rule order.)
+    The applied instantiation stays live while its consumed facts remain,
+    so only the facts a step produced can bring a class in.  Each position
+    keeps one representative per applicable class under its key, in rule
+    order, then theta, then, for a ground step, the facts it consumes: for
+    an ``Mrs`` the list ``mrs.applicable`` gives.  (The generated rules of
+    a ``SillSystem`` have no rule order.)
     """
 
     def __init__(self, lt: LassoTrace):
         tr = lt.trace
         if tr.mrs is None:
             raise ValueError("trace carries no rewriting system")
+        assert lt.loop_start is not None
         self.trace = tr
-        self.states = tr.states
         self.mrs = tr.mrs
         self.k = lt.loop_start
         self.L = len(tr.steps)
         declared = tr.sig0.declared
         self.rigid = lambda c: c in declared
-        assert self.k is not None
-        rho = find_renaming(self.states[self.k], self.states[self.L], self.rigid)
-        if rho is None:
-            raise InvalidLasso(
-                "loop endpoint is not the loop start up to renaming generated constants"
-            )
-        self.rho = rho
         self.step_keys = [_equiv_key(s.inst) for s in tr.steps]
+        self.keyed = self._replay()
+
+    def _replay(self) -> list[dict[tuple, Inst]]:
+        """For each state j < L, its applicable instantiations, one per
+        equivalence class, under their keys, in enumeration order; sets
+        ``rho`` on the way."""
+        tr = self.trace
+        rank: dict = {}
+        for i, r in enumerate(self.mrs.rules):
+            rank.setdefault(r, i)
+
+        def order(inst: Inst) -> tuple:
+            return (rank.get(inst.rule, len(rank)), inst.theta_key(),
+                    [fact_key(f) for f in _consumed(inst)])
+
+        state, sig = tr.initial.copy(), tr.sig0
+        app = _Applicable(self.mrs, state, self.mrs.applicable(state))
+        # each live class's place in the order, taken when it is admitted
+        orders = {key: order(inst) for key, inst in app.live.items()}
+        out = []
+        for j, step in enumerate(tr.steps):
+            if j == self.k:
+                rho = find_renaming(state, tr.final(), self.rigid)
+                if rho is None:
+                    raise InvalidLasso(
+                        "loop endpoint is not the loop start up to renaming generated constants"
+                    )
+                self.rho = rho
+            out.append(dict(sorted(app.live.items(), key=lambda entry: orders[entry[0]])))
+            if j == self.L - 1:
+                break
+            sig, _, con = fire(state, step.inst, sig, step.xi_map())
+            # the step's key holds its ephemeral antecedent, already grounded
+            eph_ant = self.step_keys[j][1]
+            if con is not None:
+                state.rewrite_in_place(Multiset._make(dict(eph_ant), frozenset()), con)
+            for key, inst in app.advance(state, [f for f, _ in eph_ant], step.produced):
+                app.admit(key, inst)
+                orders[key] = order(inst)
+        # no representative is fired, so none keeps the matcher's grounding
+        for keyed in out:
+            for inst in keyed.values():
+                inst.release()
+        return out
 
     def images(self, x) -> tuple[list, bool]:
         """The walk of x, a fact or an instantiation, under rho:
@@ -230,6 +285,8 @@ class _Analysis:
         transient.  Either way the images are what later rounds of the loop
         make of x, as far as they name constants of the recorded trace."""
         rho, names = self.rho, {c for c in x.consts() if not self.rigid(c)}
+        if not names:
+            return [], True  # rho moves generated constants only: x is fixed
         out, y = [], x
         while names <= rho.keys():
             y = y.rename(rho)
@@ -240,38 +297,9 @@ class _Analysis:
         return out, False
 
     def loop_positions(self) -> range:
-        assert self.k is not None
         return range(self.k, self.L)
 
-    # -- applicable sets, replayed by delta ----------------------------------
-
-    @cached_property
-    def keyed(self) -> list[dict[tuple, Inst]]:
-        """For each state j < L, its applicable instantiations, one per
-        equivalence class, under their keys, in enumeration order."""
-        rank: dict = {}
-        for i, r in enumerate(self.mrs.rules):
-            rank.setdefault(r, i)
-
-        def order(entry: tuple[tuple, Inst]) -> tuple:
-            inst = entry[1]
-            return (rank.get(inst.rule, len(rank)), inst.theta_key(),
-                    [fact_key(f) for f in _consumed(inst)])
-
-        start = self.states[0]
-        app = _Applicable(self.mrs, start, self.mrs.applicable(start))
-        out = [dict(sorted(app.live.items(), key=order))]
-        for j in range(self.L - 1):
-            consumed = [f for f, _ in self.step_keys[j][1]]
-            for key, inst in app.advance(self.states[j + 1], consumed,
-                                         self.trace.steps[j].produced):
-                app.admit(key, inst)
-            out.append(dict(sorted(app.live.items(), key=order)))
-        # no representative is fired, so none keeps the matcher's grounding
-        for keyed in out:
-            for inst in keyed.values():
-                inst.release()
-        return out
+    # -- what the loop states hold -------------------------------------------
 
     def _over_loop(self, per_position: Callable[[dict[tuple, Inst]], set]) -> tuple[set, set]:
         """What holds at some loop position, and what holds at every one."""
@@ -294,6 +322,11 @@ class _Analysis:
         """Names of the rules applicable at some loop state, and at every
         loop state."""
         return self._over_loop(lambda keyed: {i.rule.name for i in keyed.values()})
+
+    @cached_property
+    def loop_applied(self) -> set[str]:
+        """Names of the rules some loop step applies."""
+        return {self.trace.steps[j].inst.rule.name for j in self.loop_positions()}
 
     @cached_property
     def loop_active(self) -> set[Fact]:
@@ -336,6 +369,58 @@ class _Analysis:
                     return i, inst
         return None
 
+    # -- the orbits the weak and strong verdicts test ------------------------
+
+    @cached_property
+    def fact_orbits(self) -> list[tuple[Fact, bool, bool, bool, bool]]:
+        """Each fact of the trace's support, in fact order, with what the
+        fact verdicts test of its orbit: whether it recurs, whether some
+        member is active (``loop_active``), whether every member is enabled
+        at every loop state, and whether some member is enabled at some
+        loop state.  The members of a recurrent orbit share one walk."""
+        some, every = self.loop_enabled
+        flags: dict[Fact, tuple[bool, bool, bool, bool]] = {}
+        out = []
+        for f in sorted(self.trace.supp().support(), key=fact_key):
+            if f not in flags:
+                walk, recurrent = self.images(f)
+                orbit = {f, *walk}
+                tested = (recurrent, not orbit.isdisjoint(self.loop_active), orbit <= every,
+                          not orbit.isdisjoint(some))
+                flags.update(dict.fromkeys(orbit if recurrent else [f], tested))
+            out.append((f, *flags[f]))
+        return out
+
+    @cached_property
+    def inst_orbits(self) -> list[tuple[Inst, bool, bool]]:
+        """The recurrent instantiations applicable at loop states, one per
+        orbit, in witness order: the orbit's least member, and whether the
+        orbit is starved weakly (every member is applicable at every loop
+        state, and the class found first is never applied in a later
+        round) and strongly (some member is applicable at some loop state,
+        and the least member is never applied in a later round).  A
+        transient instantiation is applicable at finitely many states of
+        the unrolled trace, so it is no candidate."""
+        some, every = self.loop_keys
+        done: set = set()
+        out = []
+        for j in self.loop_positions():
+            for k, inst in self.keyed[j].items():
+                # a class has the same representative at every position
+                if k in done:
+                    continue
+                done.add(k)
+                walk, recurrent = self.images(inst)
+                if recurrent:
+                    keys = [k, *map(_equiv_key, walk)]
+                    done.update(keys)
+                    least = min([inst, *walk], key=_inst_order)
+                    weak = all(key in every for key in keys) and k not in self.later_keys
+                    strong = any(key in some for key in keys) and least not in self.later_steps
+                    out.append((least, weak, strong))
+        out.sort(key=lambda c: _inst_order(c[0]))
+        return out
+
 
 def _analysis_of(lt: LassoTrace) -> _Analysis:
     """The lasso's analysis, built on first use and again once the trace
@@ -369,38 +454,19 @@ def _inst_witness(inst: Inst) -> dict:
     return w
 
 
-def _candidate_insts(an: _Analysis) -> list[tuple[Inst, list[tuple]]]:
-    """The recurrent instantiations applicable at loop states, one per
-    orbit, in witness order: the orbit's least member with the keys of
-    all its members.  A transient instantiation is applicable at finitely
-    many states of the unrolled trace, so it is no candidate."""
-    done: set = set()
-    out: list[tuple[Inst, list[tuple]]] = []
-    for j in an.loop_positions():
-        for k, inst in an.keyed[j].items():
-            # a class has the same representative at every position
-            if k in done:
-                continue
-            done.add(k)
-            walk, recurrent = an.images(inst)
-            if recurrent:
-                keys = [k, *map(_equiv_key, walk)]
-                done.update(keys)
-                out.append((min([inst, *walk], key=_inst_order), keys))
-    out.sort(key=lambda c: _inst_order(c[0]))
-    return out
-
-
 def check_fairness(lt: LassoTrace, variety: str, strength: str) -> Verdict:
     """Decide a fairness property of the infinite unrolling of a lasso.
 
     A finite trace (no loop) is fair by definition, and no analysis is
-    built for it.  Otherwise the verdict evaluates its own predicate on the
-    lasso's one analysis, which the first verdict builds (raising
-    ``InvalidLasso`` when the loop does not close) and later verdicts
-    share, as long as the trace keeps the step count the analysis
-    describes.  The verdict carries the least offending candidate as a
-    witness when unfair.
+    built for it.  Otherwise the verdict reads the lasso's one analysis,
+    which the first verdict builds (raising ``InvalidLasso`` when the loop
+    does not close) and later verdicts share, as long as the trace keeps
+    the step count the analysis describes.  A weak or strong verdict
+    filters its variety's candidates, in witness order, by the flags the
+    analysis computed for them once (``loop_rules``, ``fact_orbits``,
+    ``inst_orbits``); an über verdict reads the one obligation.  The
+    verdict carries the least offending candidate as a witness when
+    unfair, formatted anew for each verdict.
     """
     if variety not in VARIETIES:
         raise ValueError(f"unknown variety {variety!r}")
@@ -418,36 +484,21 @@ def check_fairness(lt: LassoTrace, variety: str, strength: str) -> Verdict:
         w.update({"kind": "obligation", "state_index": i})
         return Verdict(variety, "uber", False, w)
 
-    witnesses: list[tuple[tuple, dict]] = []
     weak = strength == "weak"
     if variety == "rule":
         some, every = an.loop_rules
-        applied = {an.trace.steps[j].inst.rule.name for j in an.loop_positions()}
-        for r in an.mrs.rules:
-            if r.name in (every if weak else some) and r.name not in applied:
-                witnesses.append(((r.name,), {"kind": "rule", "rule": r.name}))
+        starved = [r.name for r in an.mrs.rules
+                   if r.name in (every if weak else some) and r.name not in an.loop_applied]
+        if starved:
+            return Verdict(variety, strength, False, {"kind": "rule", "rule": min(starved)})
     elif variety == "fact":
-        some, every = an.loop_enabled
-        for f in sorted(an.trace.supp().support(), key=fact_key):
-            walk, recurrent = an.images(f)
-            orbit = [f, *walk]
-            premise = (all(o in every for o in orbit) if weak
-                       else any(o in some for o in orbit))
-            if recurrent and premise and not any(o in an.loop_active for o in orbit):
-                witnesses.append(((fact_key(f),), {"kind": "fact", "fact": fact_to_str(f)}))
+        for f, recurrent, active, always, sometimes in an.fact_orbits:
+            if recurrent and not active and (always if weak else sometimes):
+                return Verdict(variety, strength, False, {"kind": "fact", "fact": fact_to_str(f)})
     else:
-        some, every = an.loop_keys
-        for inst, keys in _candidate_insts(an):
-            if weak:
-                unfair = all(k in every for k in keys) and keys[0] not in an.later_keys
-            else:
-                unfair = any(k in some for k in keys) and inst not in an.later_steps
-            if unfair:
-                witnesses.append((_inst_order(inst), _inst_witness(inst)))
-
-    if witnesses:
-        witnesses.sort(key=lambda w: w[0])
-        return Verdict(variety, strength, False, witnesses[0][1])
+        for inst, starved_weak, starved_strong in an.inst_orbits:
+            if starved_weak if weak else starved_strong:
+                return Verdict(variety, strength, False, _inst_witness(inst))
     return Verdict(variety, strength, True)
 
 

@@ -92,6 +92,12 @@ class Rule:
     # step cost: a combined rule counts as the sum of its parts
     cost: int = 1
 
+    # each consequent fact that is also an antecedent pattern, by its first
+    # position in pers_ant + eph_ant.  Only Inst.matched reads it, for an
+    # instantiation with a theta, so a rule without universal variables
+    # (every Rule.ground one among them) records none
+    _con_pats = {}
+
     def __post_init__(self):
         uset, eset = set(self.uvars), set(self.evars)
         if uset & eset:
@@ -129,6 +135,13 @@ class Rule:
             raise ValueError(f"rule {self.name}: more than {len(KEY_VARS)} existential "
                              f"variables in the consequent")
         object.__setattr__(self, "_con_evars", con_evars)
+        if self.uvars:
+            # facts are interned: a pattern given back is the same object
+            first: dict[Fact, int] = {}
+            for i, f in enumerate(self.pers_ant + self.eph_ant):
+                first.setdefault(f, i)
+            object.__setattr__(self, "_con_pats", {
+                f: first[f] for f in self.pers_con + self.eph_con if f in first})
         # a ground rule whose existentials have their placeholders' names
         # is its own key variant under the identity permutation
         object.__setattr__(self, "_own_variant",
@@ -189,12 +202,15 @@ class Inst:
     @staticmethod
     def matched(rule: Rule, theta: Mapping[str, Term], facts: Sequence[Fact]) -> "Inst":
         """``Inst.make(rule, theta)``, where theta matched the antecedent
-        of rule on the fact occurrences facts, carrying its ground parts
+        of rule on the fact occurrences facts, one per pattern of
+        ``pers_ant + eph_ant`` in that order, carrying its ground parts
         when theta is not empty.  Facts are interned and theta binds every
         variable (range restriction), so those occurrences are the ground
         antecedent and are taken as they are.  The consequent is grounded
         here, once, when no existential variable occurs in it; otherwise
-        each fresh name grounds it anew (``consequent``)."""
+        each fresh name grounds it anew (``consequent``).  A consequent
+        fact that is an antecedent pattern (``Rule._con_pats``) is the
+        occurrence matched there, not grounded again."""
         inst = Inst.make(rule, theta)
         if not theta:
             return inst  # a ground instantiation keeps what it builds
@@ -202,7 +218,11 @@ class Inst:
                  "_eph_ant": Multiset._make(_tally(f for f in facts if not f.persistent),
                                             frozenset())}
         if not rule._con_evars:
-            parts["_con"] = inst._con_at(theta)
+            at = rule._con_pats
+            pers = [facts[at[f]] if f in at else _ground_fact(f, theta) for f in rule.pers_con]
+            eph = [facts[at[f]] if f in at else _ground_fact(f, theta) for f in rule.eph_con]
+            parts["_con"] = (frozenset(pers) if pers else _NO_FACTS,
+                             Multiset._make(_tally(eph), frozenset()))
         # the dataclass is frozen: write past its __setattr__
         object.__setattr__(inst, "_matched", parts)
         return inst
@@ -408,16 +428,19 @@ class FactIndex:
                 return self._by_first.get(key + (first,), ())
         return self._by_pred.get(key, ())
 
-    def _join(self, pats: Sequence[Fact], theta: dict[str, Term], used: dict[Fact, int],
-              path: list[Fact], out: list[tuple[dict[str, Term], tuple[Fact, ...]]]) -> None:
-        """Extend theta by matching pats against distinct fact occurrences;
-        used counts the ephemeral occurrences already taken and path holds
-        the occurrences matched so far.  Each complete match goes to out
-        with its occurrences."""
-        if not pats:
+    def _join(self, pats: Sequence[Fact], todo: Sequence[int], theta: dict[str, Term],
+              used: dict[Fact, int], path: list,
+              out: list[tuple[dict[str, Term], tuple[Fact, ...]]]) -> None:
+        """Extend theta by matching the patterns pats[i], i in todo, in
+        that order, against distinct fact occurrences; used counts the
+        ephemeral occurrences already taken and path[i] holds the
+        occurrence matched at pattern i.  Each complete match goes to out
+        with its occurrences in pattern order."""
+        if not todo:
             out.append((theta, tuple(path)))
             return
-        pat, rest = pats[0], pats[1:]
+        i, rest = todo[0], todo[1:]
+        pat = pats[i]
         for f in self._pool(pat, theta):
             n = used.get(f, 0)
             if not f.persistent and n >= self.state.count(f):
@@ -425,14 +448,13 @@ class FactIndex:
             th = _match_fact(pat, f, dict(theta))
             if th is None:
                 continue
-            path.append(f)
+            path[i] = f
             if f.persistent:
-                self._join(rest, th, used, path, out)
+                self._join(pats, rest, th, used, path, out)
             else:
                 used[f] = n + 1
-                self._join(rest, th, used, path, out)
+                self._join(pats, rest, th, used, path, out)
                 used[f] = n
-            path.pop()
 
     def insts(self, rule: Rule, touched: Optional[Iterable[Fact]] = None) -> list[Inst]:
         """Applicable instantiations of rule, distinct and sorted by theta,
@@ -442,9 +464,10 @@ class FactIndex:
         of the touched facts, which must be present in the state.
         """
         pats = rule.pers_ant + rule.eph_ant
+        todo = tuple(range(len(pats)))
         found: list[tuple[dict[str, Term], tuple[Fact, ...]]] = []
         if touched is None or not pats:
-            self._join(pats, {}, {}, [], found)
+            self._join(pats, todo, {}, {}, [None] * len(pats), found)
         else:
             for t in touched:
                 for j, pat in enumerate(pats):
@@ -453,7 +476,9 @@ class FactIndex:
                     th = _match_fact(pat, t, {})
                     if th is not None:
                         used = {} if t.persistent else {t: 1}
-                        self._join(pats[:j] + pats[j + 1:], th, used, [t], found)
+                        path: list = [None] * len(pats)
+                        path[j] = t
+                        self._join(pats, todo[:j] + todo[j + 1:], th, used, path, found)
         # one match per theta: theta determines the ground antecedent
         by_key: dict[tuple, tuple[dict[str, Term], tuple[Fact, ...]]] = {}
         for match in found:

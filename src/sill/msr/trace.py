@@ -141,7 +141,10 @@ class Trace:
         copy of the state per changing step, and keeps the list; later
         reads return that list, and each later step appends to it, a new
         snapshot after a step that changed the state.  The last entry is
-        ``final()`` itself.  Treat the list as read-only.
+        ``final()`` itself.  Treat the list as read-only.  The library
+        reads it only to serialize a trace with its states: the lasso
+        analysis replays the steps in place on one state instead, and the
+        other readers walk ``facts``.
         """
         if self._states is None:
             states, sig = [self.initial], self.sig0

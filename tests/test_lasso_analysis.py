@@ -1,0 +1,142 @@
+"""A lasso is analysed once.
+
+The analysis (``fairness._Analysis``) replays the recorded steps once, in
+place, and computes each orbit with the predicates the verdicts test on
+first use.  Its cached parts must not make a verdict depend on which
+verdicts came before it; the first verdict of a variety walks the orbits
+and the others only read them; and the analysis keeps no state per step,
+so ``Trace.states`` is never read.
+"""
+
+import random
+import sys
+import tracemalloc
+from pathlib import Path
+
+from fairness_oracles import definitional_report, reference_check_fairness
+from test_fairness import (_fixed_lassos, _random_lassos, _spawning_lasso,  # noqa: F401
+                           _spawning_lasso_without_spin, _two_spin_lassos, lasso1, lasso2,
+                           lasso3)
+
+from sill.fairness import (STRENGTHS, VARIETIES, LassoTrace, _Analysis, check_fairness,
+                           fair_execute, fairness_report)
+from sill.msr import Trace, parse_system
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import RING_RULE, ring_nodes, ring_source  # noqa: E402
+
+VERDICTS = [(v, s) for v in VARIETIES for s in STRENGTHS]
+
+
+def ring_lasso(nodes: int, seed: int) -> LassoTrace:
+    """The benchmark's ring lasso: four tokens passed once round the ring
+    by the fair scheduler, which brings them back after nodes steps."""
+    offset = random.Random(seed).randrange(nodes)
+    mrs = parse_system(ring_source(ring_nodes(nodes, seed), 4, offset, RING_RULE))
+    return LassoTrace(fair_execute(mrs, mrs.initial, budget=nodes, seed=seed), 0)
+
+
+# -- a verdict does not depend on the verdicts before it ------------------------------
+
+
+def test_verdicts_in_any_order_match_the_reference(lasso1, lasso2, lasso3):
+    # The reference keys candidates by rule name and theta, which every
+    # step of a SillSystem shares, and misses the transient images of loop
+    # steps: on the SILL lassos the definitions decide fairness instead,
+    # and the witnesses are those of each verdict asked alone.
+    mrs_lassos = _random_lassos(7, 250) + _fixed_lassos(lasso1, lasso2, lasso3)
+    sill_lassos = ([lt for _, lt in _two_spin_lassos()]
+                   + [_spawning_lasso(), _spawning_lasso_without_spin()])
+    rng = random.Random(24)
+    for n, lt in enumerate(mrs_lassos + sill_lassos):
+        fresh = lambda: LassoTrace(lt.trace, lt.loop_start)  # noqa: E731
+        want = {key: check_fairness(fresh(), *key) for key in VERDICTS}
+        if n < len(mrs_lassos):
+            assert want == {key: reference_check_fairness(fresh(), *key) for key in VERDICTS}, n
+        else:
+            assert {key: v.fair for key, v in want.items()} == definitional_report(lt), n
+        # each verdict alone first, then the others
+        for first in VERDICTS:
+            one = fresh()
+            assert check_fairness(one, *first) == want[first], (n, first)
+            rest = [key for key in VERDICTS if key != first]
+            rng.shuffle(rest)
+            for key in rest:
+                assert check_fairness(one, *key) == want[key], (n, first, key)
+        # several shuffled orders on one lasso, which keeps its analysis
+        shared = fresh()
+        for _ in range(3):
+            order = list(VERDICTS)
+            rng.shuffle(order)
+            for key in order:
+                assert check_fairness(shared, *key) == want[key], (n, order, key)
+
+
+# -- what each verdict computes ---------------------------------------------------------
+
+
+def walks_per_verdict(monkeypatch, lt, verdicts):
+    """The verdicts asked in order on lt, each with the number of
+    ``_Analysis.images`` calls it made; ``Trace.states`` raises."""
+    def no_states(self):
+        raise AssertionError("Trace.states was read")
+
+    walks = 0
+    images = _Analysis.images
+
+    def counted(self, x):
+        nonlocal walks
+        walks += 1
+        return images(self, x)
+
+    monkeypatch.setattr(Trace, "states", property(no_states))
+    monkeypatch.setattr(_Analysis, "images", counted)
+    out = []
+    for key in verdicts:
+        before = walks
+        out.append((key, check_fairness(lt, *key), walks - before))
+    monkeypatch.undo()
+    return out
+
+
+def test_the_first_verdict_of_a_variety_walks_its_orbits(monkeypatch):
+    for make in (lambda: ring_lasso(100, 3), _spawning_lasso):
+        lt = make()
+        report = walks_per_verdict(monkeypatch, lt, VERDICTS)
+        # the über verdict reads no variety's candidates: the first one
+        # walks the loop steps for all three
+        walked = [key for key, _, walks in report if walks]
+        assert set(walked) <= {("rule", "uber"), ("fact", "weak"), ("inst", "weak")}, walked
+        assert ("fact", "weak") in walked and ("inst", "weak") in walked
+        assert lt.trace._states is None
+        # the report on the same lasso reads what the first one computed
+        again = walks_per_verdict(monkeypatch, lt, VERDICTS)
+        assert [(key, v) for key, v, _ in again] == [(key, v) for key, v, _ in report]
+        assert all(walks == 0 for _, _, walks in again)
+        assert lt.trace._states is None
+        # strong first: then weak walks nothing
+        lt = make()
+        for variety in VARIETIES:
+            report = walks_per_verdict(monkeypatch, lt, [(variety, "strong"), (variety, "weak")])
+            assert report[1][2] == 0, variety
+        assert lt.trace._states is None
+
+
+def test_a_report_builds_no_state_per_step():
+    # two identical 400-step lassos on a 400-node ring: the report's peak
+    # stays below half of what reading the states of the other holds
+    lt, other = ring_lasso(400, 3), ring_lasso(400, 3)
+
+    def peak(work):
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    report_peak = peak(lambda: fairness_report(lt))
+    states_peak = peak(lambda: other.trace.states)
+    assert len(other.trace.states) == 401 and lt.trace._states is None
+    assert all(v.fair for v in fairness_report(lt).values())
+    assert report_peak < states_peak / 2, (report_peak, states_peak)

@@ -282,3 +282,30 @@ def test_rename_moves_theta_or_a_ground_rule_s_facts(queue):
     assert moved.rule.eph_ant == (tok(Const("a#1")),)
     assert moved.rule.eph_con == (tok(Var("v")), Fact("seen", (Const("a#1"),)))
     assert ground.rename({"b#0": "b#1"}) is ground
+
+
+def test_a_given_back_fact_is_the_occurrence_matched_for_it():
+    # each rule gives back antecedent patterns, persistent and ephemeral,
+    # at positions the touched-first join visits out of order
+    mrs = parse_system("""
+rule move: forall x, y. !edge(x, y), tok(x), mark(y) -o !edge(x, y), tok(y), mark(y)
+rule pair: forall x. tok(x), tok(x) -o tok(x), tok(x), seen(x)
+rule swap: forall x, y. mark(y), tok(x) -o mark(x), tok(x)
+init: !edge(a, b), !edge(b, a), tok(a), tok(a), mark(b), mark(a)
+""")
+    assert mrs.rule("move")._con_pats == {f: i for i, f in enumerate(mrs.rule("move").pers_ant
+                                                                       + mrs.rule("move").eph_ant)
+                                          if f.pred != "tok"}
+    state = mrs.initial
+    index = FactIndex(state, mrs.rules)
+    seen = 0
+    for rule in mrs.rules:
+        touched = [[f] for f in [*state.pers, *state.eph_support()]]
+        for insts in [index.insts(rule), *(index.insts(rule, t) for t in touched)]:
+            for inst in insts:
+                made = Inst.make(rule, inst.theta_map())
+                assert inst.pers_ant_g() == made.pers_ant_g(), inst.to_str()
+                assert inst.eph_ant_g() == made.eph_ant_g(), inst.to_str()
+                assert inst.consequent({}) == made.consequent({}), inst.to_str()
+                seen += 1
+    assert seen >= 10
