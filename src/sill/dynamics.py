@@ -12,9 +12,11 @@ that can consume a fact the step touched.  Most processes (senders, cuts,
 closes, unquotes) have steps that depend on their own fact alone; a system
 derives those once per fact and hands them to every run on it.  Only the
 steps of processes that wait for a message are derived again in each run.
-A step derives nothing twice: its equivalence key is read off its own
-facts, a message's info off the two levels of its term (``msg_info``), and
-each quoted body is encoded once per system and renamed per unquote.  An
+A step derives nothing twice: it is keyed by the facts it consumes, a
+message's info is read off the two levels of its term (``msg_info``), and
+each quoted body is encoded once per system and renamed per unquote.  A
+step that creates a channel holds its consequent as a template over the
+channel's term, which ``fire`` fills in once with the fresh name.  An
 unchecked run decodes no process.
 
 Sending is asynchronous.  A sender turns into a message fact plus a
@@ -43,13 +45,14 @@ from .lang.check import ConfigTyping, check_config
 from .lang.errors import SillError, SillTypeError
 from .msr.multiset import Fact, Multiset, fact_key
 from .msr.rules import KEY_VARS, Inst, Rule, Signature, _equiv_key
-from .msr.terms import App, Const, Term, Var, Wrap
+from .msr.terms import App, Const, Term, Wrap
 from .msr.trace import Trace
 
 DEFAULT_EVAL_FUEL = 10_000
 
 # the one existential of a step, the fresh channel it creates: named after
-# the first placeholder of the equivalence key, so a step is its own key variant
+# the first placeholder of the equivalence key, so the validated rule of a
+# step's fields is its own key variant
 _EVAR = KEY_VARS[0]
 
 
@@ -376,10 +379,13 @@ def initial_config(
 # -- step generation ---------------------------------------------------------------
 
 
-def _ground(name: str, consumed: list, produced: list,
+def _ground(name: str, consumed: list, produced: Union[list, Callable[[Term], tuple]],
             evars: tuple = (), hints: tuple = ()) -> Inst:
-    # built correct: ephemeral facts, and no variable but the fresh channel
-    return Inst(Rule.ground(name, tuple(consumed), tuple(produced), evars, hints), ())
+    # built correct: ephemeral facts, no variable but the fresh channel, and
+    # a consequent that is a function of the consumed facts; that of a step
+    # creating a channel is a template over the channel's term
+    con = produced if callable(produced) else tuple(produced)
+    return Inst(Rule.ground(name, tuple(consumed), con, evars, hints), ())
 
 
 class SillSystem:
@@ -399,7 +405,9 @@ class SillSystem:
     ``_quoted`` each unquoted term's quote with its body's encoding, both
     keyed by the interned ``Wrap``, which hashes by address; ``store``
     holds the steps derived for each proc fact that listens on no carrier,
-    and so its facts; ``observations`` holds each observation
+    and so their facts, or, for a step that creates a channel, the
+    template of its consequent (``Rule.ground``), which each firing fills
+    in with its own fresh name; ``observations`` holds each observation
     ``obs.observe_config`` made on the system, with the interface it was
     made under, keyed by (state, observed channels, fuel, depth, seed).
     The state is a ``Multiset`` of interned facts, which hashes by their
@@ -469,12 +477,14 @@ class SillSystem:
             return [_ground(tag, [fact, mf], [Fact("msg", (
                 to if at == 0 else mf.args[0], _rename(mf.args[1], {frm.name: to})))])
                 for mf, info in msgs.get(frm.name, ()) if info.polarity == pol]
-        # a cut or a send creates one channel, named after its first one
-        nc, fresh = Var(_EVAR), {"evars": (_EVAR,), "hints": ((_EVAR, (args[0].name, "prime")),)}
+        # a cut or a send creates one channel, named after its first one;
+        # fire fills its term into the step's consequent
+        fresh = {"evars": (_EVAR,), "hints": ((_EVAR, (args[0].name, "prime")),)}
         if tag == "cut":
-            env = {args[0].name: nc}
-            return [_ground("cut", [fact], [Fact("proc", (nc, _rename(args[2], env))),
-                                            Fact("proc", (key, _rename(args[3], env)))], **fresh)]
+            x, p, q = args[0].name, args[2], args[3]
+            return [_ground("cut", [fact], lambda nc: (Fact("proc", (nc, _rename(p, {x: nc}))),
+                                                       Fact("proc", (key, _rename(q, {x: nc})))),
+                            **fresh)]
         if tag == "unquote":
             q, used = self.quoted(args[1]), args[2:]
             if q is None or len(q[0].used) != len(used):
@@ -502,10 +512,14 @@ class SillSystem:
                 if v is DIVERGED:
                     return []
                 head[pay] = Wrap(v)
-            msg = ((a, App(tag, (*head, App(fwd, (nc, a))))) if provider
-                   else (nc, App(tag, (*head, App(fwd, (a, nc))))))
-            cont = Fact("proc", (nc if provider else key, _rename(args[-1], {chan: nc})))
-            return [_ground(name, [fact], [Fact("msg", msg), cont], **fresh)]
+            head, p = tuple(head), args[-1]
+
+            def con(nc: Term) -> tuple[Fact, ...]:
+                msg = ((a, App(tag, (*head, App(fwd, (nc, a))))) if provider
+                       else (nc, App(tag, (*head, App(fwd, (a, nc))))))
+                return Fact("msg", msg), Fact("proc", (nc if provider else key,
+                                                       _rename(p, {chan: nc})))
+            return [_ground(name, [fact], con, **fresh)]
         # a receive continues on the message's continuation channel, with
         # what it received in place of its binder
         want = ast.NEGATIVE if provider else ast.POSITIVE

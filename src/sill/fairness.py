@@ -102,8 +102,10 @@ class Verdict:
 
 def _ant_facts(key: tuple) -> Iterator[Fact]:
     """The antecedent facts of an instantiation, read off its equivalence
-    key: ``rules._equiv_key`` puts the ground persistent antecedent first
-    and the ground ephemeral one, as (fact, multiplicity) pairs, second."""
+    key: in both of its forms (a validated rule's, with the consequent's
+    variants, and a ``Rule.ground`` rule's, with None for them)
+    ``rules._equiv_key`` puts the ground persistent antecedent first and
+    the ground ephemeral one, as (fact, multiplicity) pairs, second."""
     ant_p, ant_e, _ = key
     yield from ant_p
     for f, _ in ant_e:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .multiset import Fact, Multiset, fact_consts, fact_to_str, fact_vars
 from .terms import (App, Const, Term, Var, match_term, rename_consts, subst_term, term_consts,
@@ -78,7 +78,8 @@ class Rule:
     restricted and each fact tuple holds facts of its own persistence.
     ``Rule.ground`` builds a ground rule without the validation, for a
     caller that builds it correct by construction; the result equals the
-    validated rule of the same fields."""
+    validated rule of the same fields, but is keyed by what it consumes
+    (``_equiv_key``)."""
 
     name: str
     uvars: tuple[str, ...]
@@ -97,6 +98,9 @@ class Rule:
     # instantiation with a theta, so a rule without universal variables
     # (every Rule.ground one among them) records none
     _con_pats = {}
+    # what Rule.ground was given as the consequent, a template or the
+    # facts; None for a validated rule
+    _template = None
 
     def __post_init__(self):
         uset, eset = set(self.uvars), set(self.evars)
@@ -151,17 +155,30 @@ class Rule:
                 raise ValueError(f"rule {self.name}: fresh hint for unknown variable {v}")
 
     @classmethod
-    def ground(cls, name: str, eph_ant: tuple[Fact, ...], eph_con: tuple[Fact, ...],
+    def ground(cls, name: str, eph_ant: tuple[Fact, ...],
+               eph_con: Union[tuple[Fact, ...], Callable[..., tuple[Fact, ...]]],
                evars: tuple[str, ...] = (),
                fresh_hints: tuple[tuple[str, tuple[str, str]], ...] = ()) -> "Rule":
         """The ground rule ``eph_ant -o exists evars. eph_con``, unvalidated:
         the caller guarantees ephemeral facts, a ground antecedent, the
-        consequent's variables among evars and hints only for evars."""
+        consequent's variables among evars and hints only for evars.
+
+        The caller also promises that the consequent is determined by the
+        antecedent, up to the fresh names, so the rule is keyed by what it
+        consumes.  A consequent with existentials may be given as a
+        template: a function from the terms of evars, in order, to the
+        consequent facts, naming each of them.  ``fire`` then builds it
+        once, over the fresh constants (``Inst.consequent``), and
+        ``eph_con`` is built from it over the variables on first read."""
         rule = object.__new__(cls)
-        con_evars = tuple(v for v in evars if any(v in f.vars for f in eph_con))
+        if callable(eph_con):
+            con_evars = evars
+        else:
+            con_evars = tuple(v for v in evars if any(v in f.vars for f in eph_con))
+            rule.__dict__["eph_con"] = eph_con
         # the dataclass is frozen: write past its __setattr__
         rule.__dict__.update(name=name, uvars=(), pers_ant=(), eph_ant=eph_ant, evars=evars,
-                             pers_con=(), eph_con=eph_con, fresh_hints=fresh_hints, cost=1,
+                             pers_con=(), fresh_hints=fresh_hints, cost=1, _template=eph_con,
                              _con_evars=con_evars,
                              _own_variant=con_evars == KEY_VARS[:len(con_evars)])
         return rule
@@ -178,6 +195,23 @@ class Rule:
         fa = f"forall {', '.join(self.uvars)}. " if self.uvars else ""
         ex = f"exists {', '.join(self.evars)}. " if self.evars else ""
         return f"rule {self.name}: {fa}{lhs} -o {ex}{rhs}"
+
+
+class _TemplateCon:
+    """``Rule.eph_con`` of a template rule (``Rule.ground``), built from
+    the template over the variables on first read and kept on the rule.
+    A non-data descriptor: a rule's own eph_con shadows it, and no other
+    attribute read runs Python code, as each would under ``__getattr__``."""
+
+    def __get__(self, rule: Optional[Rule], owner: type = Rule):
+        if rule is None:
+            return self
+        con = rule.__dict__["eph_con"] = rule._template(*[Var(v) for v in rule.evars])
+        return con
+
+
+# set after the dataclass is made, which would take it for a default
+Rule.eph_con = _TemplateCon()
 
 
 # the fact tuples of a rule
@@ -283,9 +317,16 @@ class Inst:
         return self.pers_ant_g() <= state.pers and self.eph_ant_g().leq(state)
 
     def consequent(self, xi: Mapping[str, Term]) -> tuple[frozenset[Fact], Multiset]:
-        if not self.rule._con_evars:
+        """The ground consequent, persistent and ephemeral parts, with xi's
+        terms for the existential variables.  A template (``Rule.ground``)
+        is filled in with them, built once and walked by nothing else."""
+        rule = self.rule
+        if not rule._con_evars:
             # no fresh name occurs in it, so xi changes nothing
             return self._kept("_con", self._con_at)
+        if callable(rule._template):
+            eph = rule._template(*[xi[v] for v in rule.evars])
+            return _NO_FACTS, Multiset._make(_tally(eph), frozenset())
         th = self.theta_map()
         th.update(xi)
         return self._con_at(th)
@@ -306,14 +347,27 @@ class Inst:
 
     def rename(self, rho: Mapping[str, str]) -> "Inst":
         """The instantiation with the constants that consts() gives renamed
-        by rho; itself when rho moves none of them."""
+        by rho; itself when rho moves none of them.  A ``Rule.ground``
+        rule stays one, keyed by what it consumes: its antecedent, its
+        consequent or template, and the fresh-name hints it read off them
+        are renamed, so it is the rule its caller builds from the renamed
+        facts."""
         if self.consts().isdisjoint(rho):
             return self
-        if self.rule.uvars:
-            return Inst(self.rule, tuple((v, rename_consts(t, rho)) for v, t in self.theta))
-        return Inst(replace(self.rule, **{
-            part: tuple(f.rename(rho) for f in getattr(self.rule, part))
-            for part in _FACT_PARTS}), ())
+        rule = self.rule
+        if rule.uvars:
+            return Inst(rule, tuple((v, rename_consts(t, rho)) for v, t in self.theta))
+        if rule._template is None:
+            return Inst(replace(rule, **{part: tuple(f.rename(rho) for f in getattr(rule, part))
+                                         for part in _FACT_PARTS}), ())
+        con = rule._template
+        if callable(con):
+            con = _renamed_template(con, rho)
+        else:
+            con = tuple(f.rename(rho) for f in con)
+        hints = tuple((v, (rho.get(h, h), style)) for v, (h, style) in rule.fresh_hints)
+        return Inst(Rule.ground(rule.name, tuple(f.rename(rho) for f in rule.eph_ant), con,
+                                rule.evars, hints), ())
 
     def to_str(self) -> str:
         args = ", ".join(f"{v} := {term_to_str(t)}" for v, t in self.theta)
@@ -321,6 +375,13 @@ class Inst:
 
 
 _NO_FACTS: frozenset[Fact] = frozenset()
+
+
+def _renamed_template(template: Callable[..., tuple[Fact, ...]],
+                      rho: Mapping[str, str]) -> Callable[..., tuple[Fact, ...]]:
+    """The template whose consequent is template's renamed by rho, for
+    terms that rho leaves as they are: the variables, or fresh names."""
+    return lambda *terms: tuple(f.rename(rho) for f in template(*terms))
 
 
 def _ground_set(facts: tuple[Fact, ...], th: Mapping[str, Term]) -> frozenset[Fact]:
@@ -509,8 +570,8 @@ class FactIndex:
 
 # The placeholders of the equivalence key, by position: the variables its
 # variants put for a rule's existential variables.  The process layer names
-# the one fresh channel of its steps after the first, so its steps are keyed
-# by their own facts.
+# the one fresh channel of its steps after the first, so the validated rule
+# of a step's fields is keyed by its own facts.
 KEY_VARS = ("nc",) + tuple(f"\x00{i}" for i in range(1, 10))
 _KEY_TERMS = tuple(Var(v) for v in KEY_VARS)
 
@@ -547,14 +608,23 @@ def _equiv_key(inst: Inst) -> tuple:
     instantiation (``Inst.matched``), which ``fire`` and the trace then
     read too; a consequent without existential variables is then its one
     variant.  Without them the key grounds what it needs and keeps
-    nothing, so a derived step that never fires keeps no grounding.  The
-    identity assignment comes first.  For a ground rule (empty theta) whose
-    existentials already bear their placeholders' names, it moves nothing:
-    that variant is the rule's own consequent and is not grounded again.
-    Every step of the process layer is such a rule with at most one
-    existential, so its key grounds nothing.
+    nothing.  The identity assignment comes first.  For a validated ground
+    rule (empty theta) whose existentials already bear their placeholders'
+    names, it moves nothing: that variant is the rule's own consequent and
+    is not grounded again.
+
+    A ``Rule.ground`` rule has the other key form: its caller promises
+    that the consequent is determined by the antecedent, up to the fresh
+    names, so equivalent instantiations are those that consume the same
+    facts, and the key is ``(ground persistent antecedent, ephemeral
+    antecedent multiplicities, None)``.  Every step of the process layer
+    is such a rule: it is a function of the proc fact and message it
+    consumes.  Both forms begin with the ground antecedent, the set and
+    the (fact, multiplicity) pairs, which the fairness layer reads.
     """
     rule = inst.rule
+    if rule._template is not None:
+        return (inst.pers_ant_g(), frozenset(inst.eph_ant_g().eph_items()), None)
     evars = rule._con_evars
     parts = inst._matched
     if parts is not None:

@@ -3,30 +3,82 @@
 ``reference_check_fairness`` is the checker as it was before the lasso
 analysis was shared between verdicts: every verdict builds its own
 analysis and enumerates each loop state in full with ``Mrs.applicable``.
-Its verdicts and witnesses are the ones ``check_fairness`` must give.
+Its verdicts and witnesses are the ones ``check_fairness`` must give.  It
+renames a ground step (every SILL step is one) through its facts, keys
+instantiations by the definition of equivalence (``definitional_key``),
+not by the engine's key, and takes the images of transient loop steps as
+applied in the loop's later rounds.
 
 ``definitional_fair`` applies the definitions literally to a finite
 unrolling of the lasso.  It knows nothing of orbits: it replays the loop
 round after round with its constants renamed as the loop's recurrence
 renaming dictates and fresh names generated anew, enumerates every state
 with ``Mrs.applicable``, tests instantiations with ``Inst.applicable``,
-and reads "infinitely often" as "in each of the last windows" and
-"almost always" as "at every position of the last windows", a window
-being one period (the lcm of the renaming's cycle lengths) of rounds.
+keys them with ``definitional_key``, and reads "infinitely often" as "in
+each of the last windows" and "almost always" as "at every position of
+the last windows", a window being one period (the lcm of the renaming's
+cycle lengths) of rounds.
 """
 
 import dataclasses
+import itertools
 import math
 from typing import Iterable, Optional
 
 from helpers import active
 
 from sill.fairness import InvalidLasso, LassoTrace, Verdict
-from sill.msr import Trace
+from sill.msr import Rule, Trace
 from sill.msr.canon import find_renaming
 from sill.msr.multiset import Fact, fact_consts, fact_key, fact_to_str
-from sill.msr.rules import Inst, _equiv_key
-from sill.msr.terms import rename_consts, term_consts, term_to_str
+from sill.msr.rules import Inst
+from sill.msr.terms import Const, rename_consts, term_consts, term_to_str
+
+FACT_PARTS = ("pers_ant", "eph_ant", "pers_con", "eph_con")
+
+
+def validated(inst: Inst) -> Inst:
+    """inst over the validated rule of its rule's fields: a ground rule
+    (no universal variables, as every SILL step) is built again from its
+    facts, its consequent read over variables."""
+    r = inst.rule
+    if r.uvars:
+        return inst
+    return Inst(Rule(r.name, r.uvars, r.pers_ant, r.eph_ant, r.evars, r.pers_con, r.eph_con,
+                     r.fresh_hints, r.cost), ())
+
+
+def definitional_key(inst: Inst) -> tuple:
+    """Instantiation equivalence by its definition: two instantiations are
+    equivalent when they consume the same facts and produce the same facts
+    up to renaming their fresh constants, the persistent consequent taken
+    with the persistent antecedent.  The key is the ground antecedent and
+    the set of consequents under every assignment of distinct placeholder
+    constants to the existential variables, read off the rule's facts
+    (``validated``)."""
+    inst = validated(inst)
+    ant_p = inst.pers_ant_g()
+    evars = inst.rule.evars
+    variants = set()
+    for perm in itertools.permutations(range(len(evars))):
+        pers, eph = inst.consequent({v: Const(f"\x00{i}") for v, i in zip(evars, perm)})
+        variants.add((pers | ant_p, frozenset(eph.eph_items())))
+    return ant_p, frozenset(inst.eph_ant_g().eph_items()), frozenset(variants)
+
+
+def renamed_ground(rule: Rule, rho: dict[str, str]) -> Rule:
+    """A ground rule (every SILL step is one) with the names in its facts,
+    and the fresh-name hints read off them, renamed by rho."""
+    hints = tuple((v, (rho.get(h, h), style)) for v, (h, style) in rule.fresh_hints)
+    return dataclasses.replace(rule, fresh_hints=hints, **{
+        part: tuple(f.rename(rho) for f in getattr(rule, part)) for part in FACT_PARTS})
+
+
+def inst_order(inst: Inst) -> tuple:
+    """The order of instantiation witnesses: theta, the rule's name, and
+    for a step without theta the facts it consumes."""
+    consumed = [] if inst.theta else sorted(fact_key(f) for f in inst.rule.eph_ant)
+    return inst.theta_key(), inst.rule.name, consumed
 
 
 # -- the checker with one analysis per verdict ----------------------------------------
@@ -70,21 +122,40 @@ class _ReferenceAnalysis:
 
     def shift_inst(self, inst: Inst, m: int) -> Inst:
         rho_m = {}
-        for _, t in inst.theta:
-            for c in term_consts(t):
-                if not self.rigid(c):
-                    cur = c
-                    for _ in range(m):
-                        cur = self.rho[cur]
-                    rho_m[c] = cur
+        for c in self.inst_consts(inst):
+            if not self.rigid(c):
+                cur = c
+                for _ in range(m):
+                    cur = self.rho[cur]
+                rho_m[c] = cur
         if not rho_m:
             return inst
-        return Inst(inst.rule, tuple((v, rename_consts(t, rho_m)) for v, t in inst.theta))
+        rule = inst.rule
+        if rule.uvars:
+            return Inst(rule, tuple((v, rename_consts(t, rho_m)) for v, t in inst.theta))
+        return Inst(renamed_ground(rule, rho_m), ())
 
     def inst_consts(self, inst: Inst) -> set[str]:
         out: set[str] = set()
+        if not inst.rule.uvars:
+            for part in FACT_PARTS:
+                for f in getattr(inst.rule, part):
+                    out |= fact_consts(f)
         for _, t in inst.theta:
             out |= term_consts(t)
+        return out
+
+    def later_images(self, inst: Inst) -> list[Inst]:
+        """What the loop's later rounds apply of a loop step, as far as it
+        names constants of the recorded trace: its images under rho^m,
+        m >= 1, while its generated constants lie in rho's domain."""
+        names = {c for c in self.inst_consts(inst) if not self.rigid(c)}
+        out = []
+        for m in range(1, len(self.rho) + 2):
+            if not names <= self.rho.keys():
+                break
+            out.append(self.shift_inst(inst, m))
+            names = {self.rho[c] for c in names}
         return out
 
     def inst_orbit(self, inst: Inst) -> list[Inst]:
@@ -122,19 +193,18 @@ class _ReferenceAnalysis:
                 if self.is_recurrent(self.inst_consts(self.trace.steps[j].inst))]
 
     def inst_applied_io_equiv(self, inst: Inst) -> bool:
+        """Whether a later round applies an instantiation equivalent to
+        inst: the orbit of a recurrent loop step, or an image of a
+        transient one."""
         if self._applied_keys is None:
             self._applied_keys = {
-                _equiv_key(o) for step in self._loop_steps_cyclic() for o in self.inst_orbit(step)
-            }
-        return _equiv_key(inst) in self._applied_keys
+                definitional_key(o) for j in self.loop_positions()
+                for o in self.later_images(self.trace.steps[j].inst)}
+        return definitional_key(inst) in self._applied_keys
 
     def inst_applied_io_equal(self, inst: Inst) -> bool:
-        for step in self._loop_steps_cyclic():
-            if step.rule.name != inst.rule.name:
-                continue
-            if any(o.theta == inst.theta for o in self.inst_orbit(step)):
-                return True
-        return False
+        return any(o == inst for step in self._loop_steps_cyclic()
+                   for o in self.inst_orbit(step))
 
     def fact_enabled_at(self, f: Fact, j: int) -> bool:
         if j not in self._enabled_facts:
@@ -183,17 +253,19 @@ def _inst_witness(inst: Inst) -> dict:
 
 
 def _candidate_insts(an: _ReferenceAnalysis) -> list[Inst]:
+    """One instantiation per orbit of equivalence classes applicable at a
+    loop state, its least member, in witness order."""
     seen: set = set()
     out: list[Inst] = []
     for j in an.loop_positions():
         for inst in an.applicable_at(j):
             orbit = an.inst_orbit(inst) if an.is_recurrent(an.inst_consts(inst)) else [inst]
-            key = min((i.rule.name, i.theta_key()) for i in orbit)
+            key = frozenset(definitional_key(i) for i in orbit)
             if key in seen:
                 continue
             seen.add(key)
-            out.append(min(orbit, key=lambda i: (i.theta_key(), i.rule.name)))
-    out.sort(key=lambda i: (i.theta_key(), i.rule.name))
+            out.append(min(orbit, key=inst_order))
+    out.sort(key=inst_order)
     return out
 
 
@@ -202,10 +274,10 @@ def reference_check_fairness(lt: LassoTrace, variety: str, strength: str) -> Ver
         return Verdict(variety, strength, True)
     an = _ReferenceAnalysis(lt)
     if strength == "uber":
-        last = {_equiv_key(step.inst): s for s, step in enumerate(an.trace.steps)}
+        last = {definitional_key(step.inst): s for s, step in enumerate(an.trace.steps)}
         for i in range(an.L):
             for inst in an.applicable_at(i):
-                if last.get(_equiv_key(inst), -1) >= i or an.inst_applied_io_equiv(inst):
+                if last.get(definitional_key(inst), -1) >= i or an.inst_applied_io_equiv(inst):
                     continue
                 w = _inst_witness(inst)
                 w.update({"kind": "obligation", "state_index": i})
@@ -229,9 +301,9 @@ def reference_check_fairness(lt: LassoTrace, variety: str, strength: str) -> Ver
         for inst in _candidate_insts(an):
             if strength == "weak":
                 if an.inst_applicable_aa(inst) and not an.inst_applied_io_equiv(inst):
-                    witnesses.append(((inst.theta_key(), inst.rule.name), _inst_witness(inst)))
+                    witnesses.append((inst_order(inst), _inst_witness(inst)))
             elif an.inst_applicable_io(inst) and not an.inst_applied_io_equal(inst):
-                witnesses.append(((inst.theta_key(), inst.rule.name), _inst_witness(inst)))
+                witnesses.append((inst_order(inst), _inst_witness(inst)))
     if witnesses:
         witnesses.sort(key=lambda w: w[0])
         return Verdict(variety, strength, False, witnesses[0][1])
@@ -249,7 +321,8 @@ class Unrolled:
     constants go where the previous round took their images under the
     recurrence renaming, and names born inside the loop go to the names
     born in their place this round.  A step's theta is renamed, or, for a
-    ground rule (no universal variables), the facts of the rule itself.
+    ground rule (no universal variables), the facts of the rule itself
+    (``renamed_ground``).
     """
 
     def __init__(self, lt: LassoTrace, rounds: int):
@@ -271,11 +344,7 @@ class Unrolled:
                     theta = {v: rename_consts(t, cur) for v, t in s.inst.theta}
                     step = self.tr.extend(Inst.make(rule, theta))
                 else:
-                    # a ground rule (every SILL step is one) holds its names
-                    # in its facts
-                    facts = {part: tuple(f.rename(cur) for f in getattr(rule, part))
-                             for part in ("pers_ant", "eph_ant", "pers_con", "eph_con")}
-                    step = self.tr.extend(Inst.make(dataclasses.replace(rule, **facts), {}))
+                    step = self.tr.extend(Inst.make(renamed_ground(rule, cur), {}))
                 for v, name in s.xi:
                     cur[name] = step.xi_map()[v]
             m = {c: cur[rho[c]] for c in rho}
@@ -316,10 +385,10 @@ def definitional_report(lt: LassoTrace) -> dict[tuple[str, str], bool]:
     states = tr.states
     positions = [j for w in windows for j in w]
     app = {j: mrs.applicable(states[j]) for j in range(len(tr.steps))}
-    step_keys = [_equiv_key(s.inst) for s in tr.steps]
+    step_keys = [definitional_key(s.inst) for s in tr.steps]
     enabled = {j: {g for i in app[j] for g in active(i).support()} for j in positions}
 
-    uber = all(_equiv_key(inst) in step_keys[i:]
+    uber = all(definitional_key(inst) in step_keys[i:]
                for i in range(len(tr.steps) - lookahead) for inst in app[i])
     out = {(v, "uber"): uber for v in ("rule", "fact", "inst")}
     for strength in ("weak", "strong"):
@@ -341,7 +410,7 @@ def definitional_report(lt: LassoTrace) -> dict[tuple[str, str], bool]:
             and not applied_io(lambda j: active(tr.steps[j].inst).count(f) > 0)
             for f in set().union(*enabled.values()))
         if strength == "weak":
-            used = lambda inst: lambda j: step_keys[j] == _equiv_key(inst)
+            used = lambda inst: lambda j: step_keys[j] == definitional_key(inst)
         else:
             used = lambda inst: lambda j: tr.steps[j].inst == inst
         out["inst", strength] = not any(

@@ -4,7 +4,10 @@ its successors again.
 
 At every state of every run below, both give the same enabled steps, in
 the same order: rule name, consumed and produced facts, existentials,
-fresh-name hints and equivalence key.  Full fair runs take the same steps
+fresh-name hints and equivalence class by the definition
+(``fairness_oracles.definitional_key``); the keys the engine gives all the
+enabled steps of a state split them into exactly those classes.  Full
+fair runs take the same steps
 with the same fresh names, and the channels those steps create get the
 same types.  The inputs are the corpus under several seeds, the wide
 benchmark configuration, an endless sender, divergent spins and
@@ -16,15 +19,16 @@ import sys
 from pathlib import Path
 
 import dynamics_oracle as ref
+from fairness_oracles import definitional_key
 from test_check_oracle import _well_typed
+from test_equiv_key import classes
 from test_dynamics import corpus
 from test_obs import CONAT, omega_proc
 
-from sill.dynamics import SillSystem, _birth_type, config_state, initial_config, run
+from sill.dynamics import SillSystem, _birth_type, _StepIndex, config_state, initial_config, run
 from sill.equiv import divergent
 from sill.lang import check_module, parse
 from sill.lang.ast import One, Plus, Up
-from sill.msr.rules import _equiv_key
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import wide_source  # noqa: E402
@@ -34,7 +38,7 @@ SEEDS = (None, 0, 1, 2, 7)
 
 def _inst(i):
     r = i.rule
-    return r.name, r.eph_ant, r.eph_con, r.evars, r.fresh_hints, _equiv_key(i)
+    return r.name, r.eph_ant, r.eph_con, r.evars, r.fresh_hints, definitional_key(i)
 
 
 def assert_same_runs(state, iface, fuel, seeds=SEEDS, check=False):
@@ -56,6 +60,10 @@ def assert_same_runs(state, iface, fuel, seeds=SEEDS, check=False):
         for st in new.states:
             assert [_inst(i) for i in SillSystem().applicable(st)] == \
                 [_inst(i) for i in ref.OracleSystem().applicable(st)]
+            index = _StepIndex(SillSystem(), st)
+            enabled = index.steps(index.procs)
+            assert classes([k for k, _ in enabled]) == \
+                classes([definitional_key(i) for _, i in enabled])
         traces.append(new)
     return traces
 

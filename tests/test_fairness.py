@@ -557,6 +557,19 @@ def _spawning_lasso_without_spin():
     return LassoTrace(tr, 2)
 
 
+def test_the_reference_checker_applies_the_definitions_to_sill_lassos():
+    # the reference keys SILL steps by their facts, not by rule name and
+    # theta, and counts the images of transient loop steps as applied
+    lassos = ([lt for _, lt in _two_spin_lassos()]
+              + [_spawning_lasso(), _spawning_lasso_without_spin()])
+    for lt in lassos:
+        fresh = lambda: LassoTrace(lt.trace, lt.loop_start)  # noqa: E731
+        want = {key: reference_check_fairness(fresh(), *key)
+                for key in ((v, s) for v in VARIETIES for s in STRENGTHS)}
+        assert {key: v.fair for key, v in want.items()} == definitional_report(lt)
+        assert want == fairness_report(fresh())
+
+
 def test_a_loop_that_moves_names_is_fair_in_every_sense():
     # the loop closes under {x'0: x'1}: one_r on x'1, applicable at the
     # last state, is applied on x'1 in the next round

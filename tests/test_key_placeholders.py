@@ -1,10 +1,11 @@
 """Equivalence keys over placeholder variables, against the old key.
 
 ``_equiv_key`` puts the variables ``KEY_VARS`` for a rule's existentials
-and keys a ground rule whose existentials already bear those names by its
-own facts.  It must split instantiations into the classes that
-``helpers.old_equiv_key`` (constant placeholders, every permutation
-grounded) gives.  The pools: SILL steps of the wide benchmark
+and keys a validated ground rule whose existentials already bear those
+names by its own facts; a SILL step, a ``Rule.ground`` rule, it keys by
+the facts the step consumes.  It must split instantiations into the
+classes that ``helpers.old_equiv_key`` (constant placeholders, every
+permutation grounded) gives.  The pools: SILL steps of the wide benchmark
 configuration and of an endless sender, and random MRS systems whose
 rules have two or three existentials, among them an existential named
 ``nc`` (the first placeholder's name) in any position, a universal named
@@ -56,9 +57,10 @@ def test_sill_steps_are_keyed_by_their_own_facts():
         for inst in pool:
             rule = inst.rule
             assert rule._own_variant and rule.evars in ((), (_EVAR,))
-            # the one variant is the rule's own consequent
-            (variant,) = _equiv_key(inst)[2]
-            assert variant[1] == frozenset((f, rule.eph_con.count(f)) for f in rule.eph_con)
+            # what the step consumes, with multiplicities, and no consequent
+            ant_p, ant_e, con = _equiv_key(inst)
+            assert ant_p == frozenset() and con is None
+            assert ant_e == frozenset((f, rule.eph_ant.count(f)) for f in rule.eph_ant)
 
 
 # -- random MRS pools --------------------------------------------------------------------

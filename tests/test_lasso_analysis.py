@@ -40,10 +40,6 @@ def ring_lasso(nodes: int, seed: int) -> LassoTrace:
 
 
 def test_verdicts_in_any_order_match_the_reference(lasso1, lasso2, lasso3):
-    # The reference keys candidates by rule name and theta, which every
-    # step of a SillSystem shares, and misses the transient images of loop
-    # steps: on the SILL lassos the definitions decide fairness instead,
-    # and the witnesses are those of each verdict asked alone.
     mrs_lassos = _random_lassos(7, 250) + _fixed_lassos(lasso1, lasso2, lasso3)
     sill_lassos = ([lt for _, lt in _two_spin_lassos()]
                    + [_spawning_lasso(), _spawning_lasso_without_spin()])
@@ -51,9 +47,8 @@ def test_verdicts_in_any_order_match_the_reference(lasso1, lasso2, lasso3):
     for n, lt in enumerate(mrs_lassos + sill_lassos):
         fresh = lambda: LassoTrace(lt.trace, lt.loop_start)  # noqa: E731
         want = {key: check_fairness(fresh(), *key) for key in VERDICTS}
-        if n < len(mrs_lassos):
-            assert want == {key: reference_check_fairness(fresh(), *key) for key in VERDICTS}, n
-        else:
+        assert want == {key: reference_check_fairness(fresh(), *key) for key in VERDICTS}, n
+        if n >= len(mrs_lassos):
             assert {key: v.fair for key, v in want.items()} == definitional_report(lt), n
         # each verdict alone first, then the others
         for first in VERDICTS:
