@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .dynamics import SillSystem, msg_info, run
 from .lang import ast
@@ -120,28 +120,61 @@ def check_comm(t: CommTree, a: ast.SessionType) -> None:
 # -- observation -------------------------------------------------------------------
 
 
-def _message_index(tr: Trace) -> dict:
-    """First message per carrier over the whole run.
+class _Messages:
+    """First message per carrier over a run, read only as far as asked.
 
     A message some state held is in the initial state or was produced by a
     step, so ``tr.facts()`` meets every message in the order the run did,
     and no intermediate state is rebuilt.  Only msg facts are read, each by
-    ``msg_info``, which reads its shape off the term without decoding.  The
-    index is kept in ``tr.memo`` with the step count it describes, so the
-    observations of one trace build it once, and again only after the
-    trace has grown.
+    ``msg_info``, which reads its shape off the term without decoding.  A
+    lookup reads on until it meets the carrier's first message, so an
+    observation cut at depth n reads the run up to the n-th message of its
+    walk, not the whole run; a carrier without a message reads it to the
+    end.  Later messages never displace an indexed one, so a partial index
+    agrees with the whole.
     """
-    steps, out = tr.memo.get(_message_index, (None, None))
-    if steps != len(tr.steps):
-        out = {}
+
+    def __init__(self, tr: Trace):
+        self.index: dict[str, ast.MsgInfo] = {}
+        self._unread = self._read(tr)
+
+    def _read(self, tr: Trace) -> Iterator[str]:
+        """Index the messages in run order, yielding each new carrier."""
+        index = self.index
         for f in tr.facts():
             if f.pred != "msg":
                 continue
             info = msg_info(f)
-            if info is not None and info.carrier not in out:
-                out[info.carrier] = info
-        tr.memo[_message_index] = (len(tr.steps), out)
+            if info is not None and info.carrier not in index:
+                index[info.carrier] = info
+                yield info.carrier
+
+    def get(self, carrier: str) -> Optional[ast.MsgInfo]:
+        info = self.index.get(carrier)
+        if info is None and any(c == carrier for c in self._unread):
+            info = self.index[carrier]
+        return info
+
+    def all(self) -> dict[str, ast.MsgInfo]:
+        for _ in self._unread:
+            pass
+        return self.index
+
+
+def _messages(tr: Trace) -> _Messages:
+    """The message index of tr, kept in ``tr.memo`` with the step count it
+    describes, so the observations of one trace share it, and it starts
+    again only after the trace has grown."""
+    steps, out = tr.memo.get(_messages, (None, None))
+    if steps != len(tr.steps):
+        out = _Messages(tr)
+        tr.memo[_messages] = (len(tr.steps), out)
     return out
+
+
+def _message_index(tr: Trace) -> dict:
+    """First message per carrier over the whole run, in run order."""
+    return _messages(tr).all()
 
 
 def observe(tr: Trace, chan: str, depth: int) -> tuple[CommTree, ast.SessionType]:
@@ -149,7 +182,8 @@ def observe(tr: Trace, chan: str, depth: int) -> tuple[CommTree, ast.SessionType
 
     The trace must come from a typed run: channel types recorded at birth
     drive the walk, and the continuation type at each message is derived
-    from the type of its carrier.
+    from the type of its carrier, once per type, kind and label.  The run
+    is read only up to the messages the walk meets (``_Messages``).
     """
     try:
         types = tr.meta["channel_types"]
@@ -158,7 +192,11 @@ def observe(tr: Trace, chan: str, depth: int) -> tuple[CommTree, ast.SessionType
                         "produce it with a typed run") from None
     if chan not in types:
         raise SillError(f"unknown channel {chan}")
-    msgs = _message_index(tr)
+    msgs = _messages(tr)
+    # continuation types keyed by (kind, id of the type, label), as in
+    # dynamics._birth_type: each entry holds its type, so the id is not
+    # reused while the walk runs, and a recursive type is unfolded once
+    memo: dict = {}
 
     def walk(c: str, a: ast.SessionType, n: int) -> CommTree:
         if n <= 0:
@@ -166,10 +204,14 @@ def observe(tr: Trace, chan: str, depth: int) -> tuple[CommTree, ast.SessionType
         info = msgs.get(c)
         if info is None:
             return BOT
-        try:
-            conts = ast.message_cont(info.kind, a, info.payload)
-        except SillTypeError as ex:
-            raise SillError(f"channel {c}: {ex}") from None
+        key = (info.kind, id(a), info.payload if info.kind == "label" else None)
+        entry = memo.get(key)
+        if entry is None:
+            try:
+                entry = memo[key] = (a, ast.message_cont(info.kind, a, info.payload))
+            except SillTypeError as ex:
+                raise SillError(f"channel {c}: {ex}") from None
+        conts = entry[1]
         if info.kind == "chan":
             # the payload is a channel, observed in turn
             return CommTree("chan", None, (walk(info.payload, conts[0], n - 1),

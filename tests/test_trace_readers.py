@@ -16,10 +16,11 @@ from test_scheduler import RING
 from sill.dynamics import SillSystem, classify_fact, config_state, initial_config, run
 from sill.equiv import _fc_state, barb, weak_barb
 from sill.fairness import fair_execute
+from sill.lang import ast
 from sill.msr import Multiset, Trace, parse_system
 from sill.msr.rules import NotApplicable
 from sill.msr.trace import _state_json
-from sill.obs import _message_index, observe, tree_height
+from sill.obs import _message_index, _messages, observe, tree_height
 
 SEEDS = (None, 0, 1, 2, 7)
 
@@ -111,6 +112,28 @@ def test_json_states_are_the_recorded_states():
 
 
 # -- what a run builds -----------------------------------------------------------------
+
+
+def test_observe_reads_the_run_only_as_far_as_its_depth(monkeypatch):
+    # omega's messages come one per level of its tree, in run order, so an
+    # observation cut at depth 8 indexes exactly the first 8 of the 200
+    start, iface = initial_config(omega_proc(), {}, ("o", CONAT))
+    tr, states = recorded_run(start, iface, 300)
+    tree = observe(tr, "o", 8)[0]
+    assert tree_height(tree) == 8
+    assert len(_messages(tr).index) == 8
+    # reading on from the partial index gives the whole one, and the
+    # same observation again
+    assert list(_message_index(tr).items()) == list(eager_message_index(states).items())
+    assert len(_messages(tr).index) == 200
+    assert observe(tr, "o", 8)[0] == tree
+    # every unfold message is sent at conat itself: one unfolding serves
+    # all 32 of them
+    unfolds = []
+    unfold_rec = ast.unfold_rec
+    monkeypatch.setattr(ast, "unfold_rec", lambda a: unfolds.append(a) or unfold_rec(a))
+    assert tree_height(observe(tr, "o", 64)[0]) == 64
+    assert len(unfolds) == 1
 
 
 def test_observe_and_supp_never_build_states(monkeypatch):
