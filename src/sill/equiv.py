@@ -15,6 +15,14 @@ every observation it made; so an experiment a verdict repeats (an equal
 pair's second direction, or a subject against itself) runs once.  A
 verdict reads each subject's facts and channel names once, and ``plug``
 checks only the experiment, as ``config_subject`` checked the subject.
+
+A step that applies in a state still applies beside a context's facts,
+and what a run that ends maximal shows does not depend on its schedule.
+So when a subject's run alone ends maximal, that run is a prefix of every
+composite run, and the generated experiments plug into the state it
+ended in (``Observation.end``) rather than replaying it.  Their fuel then
+counts from that state: a composite gets the subject's steps on top of
+its budget.
 """
 
 from __future__ import annotations
@@ -575,6 +583,13 @@ def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
     subjects are read once (see ``_Prepared``) and must be checked, as
     ``config_subject`` checks them.
 
+    When a subject's alone run ends maximal, the generated families
+    against it plug into the state that run ended in, and their fuel
+    counts from there, so each composite gets the subject's steps on top
+    of fuel; otherwise they plug the subject as given.  Suite contexts
+    always plug the subject as given: in internal and total mode they
+    observe hole channels whose messages the alone run may have consumed.
+
     The verdict is a dict with mode, bounded (always true), equivalent, and
     a counterexample when one was found.
     """
@@ -604,9 +619,12 @@ def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
                 }
                 return verdict
 
+    # facts the alone run left in place are not read again
+    c_tgt, d_tgt = (s if a.end is None else _Prepared(a.end, like=s)
+                    for a, s in ((alone_c, c), (alone_d, d)))
     for n in range(depth):
-        for ref, tgt, tag in ((alone_c, d, "left-right"),
-                              (alone_d, c, "right-left")):
+        for ref, tgt, tag in ((alone_c, d_tgt, "left-right"),
+                              (alone_d, c_tgt, "right-left")):
             bad = _check_family(ref, tgt, n, fuel, seed, system)
             if bad is not None:
                 bad["direction"] = tag

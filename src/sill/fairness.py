@@ -244,7 +244,9 @@ class _Analysis:
             rank.setdefault(r, i)
 
         def order(inst: Inst) -> tuple:
-            return (rank.get(inst.rule, len(rank)), inst.theta_key(),
+            # a SillSystem has no rules, and hashing a step's rule would
+            # build its template's consequent only for this lookup
+            return (rank.get(inst.rule, len(rank)) if rank else 0, inst.theta_key(),
                     [fact_key(f) for f in _consumed(inst)])
 
         state, sig = tr.initial.copy(), tr.sig0

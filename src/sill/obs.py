@@ -16,7 +16,7 @@ prefix of the (possibly infinite) full communication.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .dynamics import SillSystem, msg_info, run
@@ -226,9 +226,17 @@ def observe(tr: Trace, chan: str, depth: int) -> tuple[CommTree, ast.SessionType
 
 @dataclass(frozen=True)
 class Observation:
-    """Per-channel communication trees, with the types they were read at."""
+    """Per-channel communication trees, with the types they were read at.
+
+    end is where a run that ended maximal stopped, as a subject: its final
+    state, and its interface with each channel born during the run added
+    as internal, at its recorded type; None when the run was cut by its
+    fuel.  It is not part of the observation's value.
+    """
 
     channels: tuple[tuple[str, CommTree, ast.SessionType], ...]
+    end: Optional[tuple[Multiset, ast.Interface]] = field(
+        default=None, compare=False, repr=False)
 
     def tree(self, chan: str) -> CommTree:
         for c, t, _ in self.channels:
@@ -267,7 +275,10 @@ def observe_config(
     the same system with the same five and an interface that names the
     same channels on each side, at ``type_eq`` types, returns it without
     running again: the same trees, read at types ``type_eq`` to the ones
-    a new run would read them at.
+    a new run would read them at.  When the run ended maximal, the
+    observation's end holds the state it ended in, as a subject
+    (``Observation.end``); a hit returns the same observation, end and
+    all.
     """
     system = system or SillSystem()
     if channels is None:
@@ -278,7 +289,14 @@ def observe_config(
     if hit is not None and hit[0].differs(interface) is None:
         return hit[1]
     tr = run(system, state, interface, fuel=fuel, seed=seed)
-    out = Observation(tuple((c, *observe(tr, c, depth)) for c in key[1]))
+    end = None
+    if tr.meta["maximal"]:
+        known = interface.all_types()
+        born = tuple((c, a) for c, a in tr.meta["channel_types"].items()
+                     if c not in known)
+        end = tr.final(), ast.Interface(interface.used, interface.internal + born,
+                                        interface.provided)
+    out = Observation(tuple((c, *observe(tr, c, depth)) for c in key[1]), end)
     system.observations[key] = (interface, out)
     return out
 

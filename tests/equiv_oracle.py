@@ -7,16 +7,34 @@ checked a generated experiment on its own, and ``_observe_alone`` ran a
 subject a second time to read its interface channels.  Both are copied
 verbatim, with the ``_rename_internals`` they call; every result here is
 one that the current code must reproduce.
+
+``equiv_check`` is the verdict as it was before the generated families
+plugged into the state where a subject's maximal alone run ended: every
+family plugs the subject as given.  It is copied verbatim and is the
+reference of ``tests/test_family_end_state.py``.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from sill.dynamics import SillSystem, config_state, run, state_facts
-from sill.equiv import Y_NEG, Y_POS, Subject
+from sill.equiv import (
+    Y_NEG,
+    Y_POS,
+    Experiment,
+    ObservationSystem,
+    Subject,
+    _check_family,
+    _Prepared,
+    _require_shared,
+    empty_context,
+    run_experiment,
+)
 from sill.lang import ast
 from sill.lang.check import check_config
 from sill.lang.errors import SillError
-from sill.obs import observe
+from sill.obs import comm_eq, observe, tree_to_str
 
 
 def _rename_internals(subject: Subject, avoid: set[str]) -> tuple[list, list]:
@@ -85,3 +103,60 @@ def plug_experiment(exp_facts: tuple[ast.ConfigFact, ...], subject: Subject,
                         provided=new_prov)
     check_config(list(facts), out)
     return config_state(facts), out
+
+
+def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
+                fuel: int = 500, depth: int = 8, seed: Optional[int] = None,
+                system: Optional[SillSystem] = None) -> dict:
+    """Bounded equivalence verdict over the system's experiments plus the
+    generated families at increasing depth.
+
+    Every observation is an experiment run.  The suite starts with the
+    empty context, which observes each subject alone on all its interface
+    channels; the generated families are built from those observations.
+    All runs share one ``SillSystem``, a new one per verdict unless system
+    is given; a given system is shared and keeps growing while it lives,
+    its observations among the rest, so an experiment observed before on
+    it, in this verdict or an earlier one, is not run again.  Both
+    subjects are read once (see ``_Prepared``) and must be checked, as
+    ``config_subject`` checks them.
+
+    The verdict is a dict with mode, bounded (always true), equivalent, and
+    a counterexample when one was found.
+    """
+    _require_shared(c[1], d[1])
+    c = _Prepared(c)
+    d = _Prepared(d, c)
+    system = system or SillSystem()
+    verdict = {"mode": sys.mode, "bounded": True, "equivalent": True}
+
+    suite = [Experiment(empty_context(c[1]))] + list(sys.experiments)
+    for idx, e in enumerate(suite):
+        obs_c = run_experiment(c, e, sys.mode, fuel, depth, seed, system)
+        obs_d = run_experiment(d, e, sys.mode, fuel, depth, seed, system)
+        if idx == 0:
+            # the empty context observes each subject alone, on every
+            # interface channel, in every mode
+            alone_c, alone_d = obs_c, obs_d
+        for (name, tc, _), (_, td, _) in zip(obs_c.channels, obs_d.channels):
+            if not comm_eq(tc, td, sys.rel):
+                verdict["equivalent"] = False
+                verdict["counterexample"] = {
+                    "kind": "context",
+                    "context": e.context.name or f"#{idx}",
+                    "channel": name,
+                    "left": tree_to_str(tc),
+                    "right": tree_to_str(td),
+                }
+                return verdict
+
+    for n in range(depth):
+        for ref, tgt, tag in ((alone_c, d, "left-right"),
+                              (alone_d, c, "right-left")):
+            bad = _check_family(ref, tgt, n, fuel, seed, system)
+            if bad is not None:
+                bad["direction"] = tag
+                verdict["equivalent"] = False
+                verdict["counterexample"] = bad
+                return verdict
+    return verdict

@@ -18,9 +18,9 @@ from test_fairness import (_fixed_lassos, _random_lassos, _spawning_lasso,  # no
                            _spawning_lasso_without_spin, _two_spin_lassos, lasso1, lasso2,
                            lasso3)
 
-from sill.fairness import (STRENGTHS, VARIETIES, LassoTrace, _Analysis, check_fairness,
-                           fair_execute, fairness_report)
-from sill.msr import Trace, parse_system
+from sill.fairness import (STRENGTHS, VARIETIES, LassoTrace, _Analysis, _analysis_of,
+                           check_fairness, fair_execute, fairness_report)
+from sill.msr import Trace, parse_system, rules
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import RING_RULE, ring_nodes, ring_source  # noqa: E402
@@ -135,3 +135,24 @@ def test_a_report_builds_no_state_per_step():
     assert len(other.trace.states) == 401 and lt.trace._states is None
     assert all(v.fair for v in fairness_report(lt).values())
     assert report_peak < states_peak / 2, (report_peak, states_peak)
+
+
+def test_ordering_a_sill_lasso_builds_no_template_consequent(monkeypatch):
+    # a SillSystem has no rules to rank, so the replay's order never hashes
+    # a step's rule, which would build its template's consequent
+    lt = _spawning_lasso()
+    builds = [0]
+    build = rules._TemplateCon.__get__
+
+    def counted(self, rule, owner=rules.Rule):
+        if rule is not None:
+            builds[0] += 1
+        return build(self, rule, owner)
+
+    monkeypatch.setattr(rules._TemplateCon, "__get__", counted)
+    _analysis_of(lt)
+    assert builds[0] == 0
+    monkeypatch.undo()
+    want = definitional_report(_spawning_lasso())
+    assert {key: v.fair for key, v in fairness_report(lt).items()} == want
+    assert all(want.values())

@@ -31,6 +31,12 @@ type conat = rec a. +{z: 1, s: a}
 config big : |- c : conat = proc c { %s send c unfold; c.z; close c }
 """ % ("send c unfold; c.s; " * 8)
 
+# a client blocked on its used channel from the start: its alone run takes
+# no step and ends maximal, so the family target is its own state again
+IDLE = """
+config idle_c : d : 1 |- e : 1 = proc e { wait d; close e }
+"""
+
 
 def forgetting() -> SillSystem:
     """A system whose memo keeps no observation."""
@@ -42,7 +48,7 @@ def forgetting() -> SillSystem:
 @pytest.fixture(scope="module")
 def subjects():
     out = {}
-    for src in (SRC, SUBJECTS, INTERNAL, BIG):
+    for src in (SRC, SUBJECTS, INTERNAL, BIG, IDLE):
         mod = parse(src)
         check_module(mod)
         out.update({name: config_subject(decl) for name, decl in mod.configs.items()})
@@ -145,7 +151,9 @@ def test_a_verdict_reads_each_subject_process_once(subjects, monkeypatch):
         return fc(p, memo)
 
     monkeypatch.setattr(ast, "fc", counted)
-    for left, right in verdict_pairs(subjects) + [("big", "big")]:
+    idle = subjects["idle_c"]
+    assert observe_config(*idle).end[0] == idle[0]
+    for left, right in verdict_pairs(subjects) + [("big", "big"), ("idle_c", "idle_c")]:
         # decoded processes are kept on their facts, so these are the
         # objects the verdict reads
         procs = {id(cf.proc) for name in (left, right)
