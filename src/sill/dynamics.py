@@ -1,34 +1,31 @@
 """Process configurations as multiset rewriting.
 
-A running configuration is a multiset of ``proc`` and ``msg`` facts whose
-second argument encodes a process as a first-order term.  Rewrite rules are
-not fixed up front: each enabled step is a ground rule generated from the
-facts that enable it, so the fair scheduler and the trace machinery apply
-unchanged.  Steps read and build the encoding: one rule for every send and
-one for every receive, read off the message-kind tables of ``ast``, with
-each continuation a subterm of the fact, renamed by one walk.  A fair run
-enumerates the start state once; after a step it asks only for the steps
-that can consume a fact the step touched.  Most processes (senders, cuts,
-closes, unquotes) have steps that depend on their own fact alone; a system
-derives those once per fact and hands them to every run on it.  Only the
-steps of processes that wait for a message are derived again in each run.
-A step derives nothing twice: it is keyed by the facts it consumes, a
-message's info is read off the two levels of its term (``msg_info``), and
-each quoted body is encoded once per system and renamed per unquote.  A
-step that creates a channel holds its consequent as a template over the
-channel's term, which ``fire`` fills in once with the fresh name.  An
-unchecked run decodes no process.
+A running configuration is a multiset of ``proc`` and ``msg`` facts.  A
+process is code plus an environment, explicit substitution (Abadi,
+Cardelli, Curien and Lévy, JFP 1991) in an environment machine (Landin,
+1964): ``proc(c, code, env)``, where the code names no channel and the
+environment fills its slots (``enc_proc``).  A message is the two levels
+of its term, a send whose carrier and payload are leaves and the forward
+that ends it (``msg_info``).  Each enabled step is a ground rule generated
+from the facts that enable it, so the fair scheduler and the trace
+machinery apply unchanged.
 
-Sending is asynchronous.  A sender turns into a message fact plus a
-continuation running on a fresh channel; a receiver consumes the matching
-message and renames itself onto the message's continuation channel.  The
-fresh channel is an existential of the generated rule, which keeps traces
-replayable and permutable.
+A step reads a code and builds environments, one rule for every send and
+one for every receive, read off the message-kind tables of ``ast``.  Its
+continuation is the code of a subprocess, shared, under an environment
+built in O(free names): a cut or a send puts its fresh channel in a slot,
+a receive what it received, an unquote the channels it passes.  No step
+walks a body, and an unchecked run decodes no process.  After a step a
+fair run asks only for the steps that can consume a fact the step
+touched.  A step that creates a channel holds its consequent as a
+template over the channel's term, which ``fire`` fills in once.
 
-A checked run checks type preservation the same way: it types the initial
-state once, then after each step types only the facts the step produced
-and re-checks only the channels of the facts it consumed or produced.  A
-checked step costs what it touched, not the size of the state.
+Sending is asynchronous: a sender turns into a message plus a
+continuation on a fresh channel, and a receiver consumes the message and
+continues on its continuation channel.  A checked run types the initial
+state once, then after each step only the facts the step produced, and
+re-checks the channels of the facts it touched, read off their
+environments.
 """
 
 from __future__ import annotations
@@ -39,8 +36,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .fairness import fair_execute
 from .lang import ast
-from .lang.ast import (BRANCHES, CHAN, CHAN_BINDER, CHANS, CHILD, FUNC_BINDER,
-                       OPAQUE, TERM, fold)
+from .lang.ast import (BRANCHES, CHAN, CHAN_BINDER, CHANS, CHILD, FUNC_BINDER, LABEL, TERM,
+                       fold)
 from .lang.check import ConfigTyping, check_config
 from .lang.errors import SillError, SillTypeError
 from .msr.multiset import Fact, Multiset, fact_key
@@ -122,9 +119,9 @@ def _eval(m: ast.FuncTerm, left: list) -> ast.FuncTerm:
 
 # -- process encoding --------------------------------------------------------------
 
-# The tag of each construct's encoding.  Its arguments are the construct's
-# fields in the order of ast.PROC_ROLES, with the branches of a case and the
-# channels an unquote passes spread at the end.
+# The tag of each construct's code.  Its arguments are the construct's fields
+# in the order of ast.PROC_ROLES, with the branches of a case and the channels
+# an unquote passes spread at the end.
 _TAGS = {
     ast.FwdPos: "fwd+", ast.FwdNeg: "fwd-", ast.Cut: "cut", ast.Close: "close",
     ast.Wait: "wait", ast.SendLabel: "send_label", ast.Case: "case",
@@ -137,69 +134,96 @@ _DECODE = {tag: (cls, tuple(ast.PROC_ROLES[cls].values()))
            for cls, tag in _TAGS.items()}
 
 
-def _roles(t: App) -> Iterable[tuple[str, Term]]:
-    """(role, argument) of an encoded construct; spread ones take the last."""
-    roles = _DECODE[t.fn][1]
-    return zip(chain(roles, repeat(roles[-1])), t.args)
+def _enc(q: ast.Process, kids: Iterator[tuple], _) -> tuple[App, tuple]:
+    # q's code and free names by slot: channels, variables as 1-tuples
+    slots: dict = {}
+    args: list[Term] = []
+    binder = None
 
+    def slot(name) -> int:
+        return slots.setdefault(name, len(slots))
 
-def _enc(q: ast.Process, kids: Iterator[Term], _) -> Term:
-    args = []
+    def closure(kid: tuple) -> App:
+        code, free = kid
+        return App("@", (code, Wrap(tuple([-1 if n == binder else slot(n) for n in free]))))
+
     for f, role in ast.PROC_ROLES[type(q)].items():
         v = getattr(q, f)
-        if role is CHILD:
-            args.append(next(kids))
+        if role is CHAN or role is CHANS:
+            args.extend([Wrap(slot(c)) for c in (v if role is CHANS else (v,))])
+        elif role is CHILD:
+            args.append(closure(next(kids)))
         elif role is BRANCHES:
-            args.extend(App("branch", (Const(l), next(kids))) for l, _ in v)
-        elif role is CHANS:
-            args.extend(map(Const, v))
-        else:  # payloads and annotations are wrapped, names become constants
-            args.append(Wrap(v) if role is TERM or role is OPAQUE else Const(v))
-    return App(_TAGS[type(q)], tuple(args))
+            args.extend([App("branch", (Const(l), closure(next(kids)))) for l, _ in v])
+        elif role is TERM and (fv := ast.free_fvars(v)):
+            args.append(App("open", (Wrap(v), Wrap(tuple([(x, slot((x,))) for x in sorted(fv)])))))
+        else:  # labels are constants; binders, closed payloads, annotations wrapped
+            binder = v if role is CHAN_BINDER else (v,) if role is FUNC_BINDER else binder
+            args.append(Const(v) if role is LABEL else Wrap(v))
+    return App(_TAGS[type(q)], tuple(args)), tuple(slots)
 
 
-def enc_proc(p: ast.Process) -> Term:
-    """Encode a process as a term, one application per construct."""
-    return fold(p, ast.subprocs, _enc)
-
-
-def _name(t: Term) -> str:
-    if not isinstance(t, Const):
-        raise ValueError(f"expected a channel constant, got {t!r}")
-    return t.name
+def enc_proc(p: ast.Process) -> tuple[App, App]:
+    """A process's code and environment.  The code is a term, one
+    application per construct, that names no channel: a free channel or
+    functional variable is a slot, numbered by first occurrence; a
+    subprocess is ``@(its code, the parent's slots that fill its slots)``,
+    -1 for what the parent binds; an open payload is ``open(payload, its
+    variables' slots)``; labels are constants, as in messages, and binders
+    and the rest are wrapped.  Processes that differ only in free names
+    share one code.  The environment ``env(...)`` fills the slots with
+    channel constants and values (a free variable stands for itself)."""
+    code, free = fold(p, ast.subprocs, _enc)
+    return code, App("env", tuple([Const(n) if type(n) is str else Wrap(ast.FVar(n[0]))
+                                   for n in free]))
 
 
 def _dec_fields(node: list, _) -> list:
-    """Check the shape of the term in node, then make node the construct,
-    where its spread fields start (or None), its decoded fields with a
-    hole for each subprocess, and the holes as (index, branch label or
-    None).  Returns the subprocesses, as nodes of their own."""
-    t = node[0]
-    if not isinstance(t, App) or t.fn not in _DECODE:
-        raise ValueError(f"not a process encoding: {t!r}")
+    """Make node, a code and what fills its slots (a channel's name, a
+    value, or None for a bound variable), the construct, where its spread
+    fields start (or None), its fields with a hole per subprocess and the
+    holes as (index, branch label or None); return the subprocesses."""
+    t, names = node
     cls, roles = _DECODE[t.fn]
     n, spread = len(roles), roles[-1] is BRANCHES or roles[-1] is CHANS
     if len(t.args) < n - spread or (len(t.args) > n and not spread):
         raise ValueError(f"wrong number of arguments: {t!r}")
-    fields, holes, kids = [], [], []
-    for role, a in _roles(t):
-        if role is CHILD:
-            holes.append((len(fields), None))
-            kids.append([a])
-        elif role is BRANCHES:
-            if not (isinstance(a, App) and a.fn == "branch" and len(a.args) == 2):
-                raise ValueError(f"bad branch encoding: {a!r}")
-            holes.append((len(fields), _name(a.args[0])))
-            kids.append([a.args[1]])
-        elif role is TERM or role is OPAQUE:
-            if not isinstance(a, Wrap):
-                raise ValueError(f"expected a wrapped payload, got {a!r}")
-            a = a.payload
+    fields, holes, kids, binder = [], [], [], None
+    for role, a in zip(chain(roles, repeat(roles[-1])), t.args):
+        if role is CHILD or role is BRANCHES:
+            label = a.args[0].name if role is BRANCHES else None
+            code, m = (a.args[1] if role is BRANCHES else a).args
+            holes.append((len(fields), label))
+            kids.append([code, m.payload])
+        elif role is CHAN or role is CHANS:
+            a = names[a.payload]
+            if type(a) is not str:
+                raise ValueError(f"a channel's slot holds {a!r}")
+        elif role is TERM and type(a) is App:  # an open payload
+            m = a.args[0].payload
+            for x, i in a.args[1].payload:
+                m = m if names[i] is None else ast.subst_fvar(m, x, names[i])
+            a = m
         else:
-            a = _name(a)
+            a = a.name if role is LABEL else a.payload
+            binder = len(fields) if role is CHAN_BINDER else binder
         fields.append(a)
+    # slot -1 of a subprocess is what its parent binds: a channel binder
+    # that would capture a name the subprocesses use is renamed apart
+    b = None
+    if binder is not None:
+        b = fields[binder] = _apart(fields[binder], [k[1] for k in kids], names)
+    for kid in kids:
+        kid[1] = [b if i == -1 else names[i] for i in kid[1]]
     node[:] = cls, n - 1 if spread else None, fields, holes
     return kids
+
+
+def _apart(b: str, maps: Iterable[tuple], names: list) -> str:
+    """A channel binder b, or where a subprocess it scopes over, whose
+    slots maps give, uses b free, which b would capture, b renamed apart."""
+    used = any(i != -1 and names[i] == b for m in maps for i in m)
+    return ast.apart(b, names) if used else b
 
 
 def _dec(node: list, kids: Iterator[ast.Process], _) -> ast.Process:
@@ -211,102 +235,65 @@ def _dec(node: list, kids: Iterator[ast.Process], _) -> ast.Process:
     return cls(*fields[:spread], tuple(fields[spread:]))
 
 
-def dec_proc(t: Term) -> ast.Process:
-    """Decode a term produced by enc_proc back to a process."""
-    return fold([t], _dec_fields, _dec)
+def dec_proc(code: Term, env: Term) -> ast.Process:
+    """The process of a code and environment (``enc_proc``), decoded in one
+    walk that fills each slot; ValueError if they encode none."""
+    try:
+        names = [a.name if type(a) is Const else a.payload for a in env.args]
+        if env.fn != "env":
+            raise ValueError(f"not an environment: {env!r}")
+        return fold([code, names], _dec_fields, _dec)
+    except (AttributeError, IndexError, KeyError, TypeError) as ex:
+        raise ValueError(f"not a process code and environment: {code!r}, {env!r}") from ex
 
 
-def _rename(t: Term, rho: Mapping[str, Term],
-            val: Optional[tuple[str, ast.FuncTerm]] = None) -> Term:
-    """An encoded process with the free channel names in rho renamed, to
-    constants or to a step's variable, and the closed value v put for x
-    when val = (x, v); a binder shadows its name.  A construct whose binder
-    is in rho's range would capture: it goes to ``ast.subst_chan``, the one
-    alpha-renaming, a fold like this walk."""
-    return fold([t, {c: u for c, u in rho.items() if u is not Const(c)}, val],
-                _rename_kids, _rename_build)
-
-
-def _rename_kids(node: list, _) -> list:
-    u, r, x = node
-    kids: list = []
-    if not r and x is None:
-        return kids
-    for role, a in _roles(u):
-        if role is CHAN_BINDER and a in r.values():
-            # the node becomes its renamed encoding, which build keeps
-            q = dec_proc(u) if x is None else ast.subst_fvar(dec_proc(u), *x)
-            node[:] = enc_proc(ast.subst_chan(q, {c: w.name for c, w in r.items()})), {}, None
-            return []
-        if role is CHAN_BINDER and a.name in r:
-            r = {c: w for c, w in r.items() if c != a.name}
-        elif role is FUNC_BINDER and x is not None and a.name == x[0]:
-            x = None
-        elif role is CHILD or role is BRANCHES:
-            kids.append([a if role is CHILD else a.args[1], r, x])
-    return kids
-
-
-def _rename_build(node: list, kids: Iterator[Term], _) -> Term:
-    u, r, x = node
-    if not r and x is None:
-        return u
+def _msg_term(p: ast.Process) -> App:
+    """The two-level term of a message: a send whose channels and label are
+    constants, ending in a forward."""
     args = []
-    for role, a in _roles(u):
-        if role is CHAN or role is CHANS:
-            a = r.get(a.name, a)
-        elif role is CHILD:
-            a = next(kids)
-        elif role is BRANCHES:
-            a = App("branch", (a.args[0], next(kids)))
-        elif role is TERM and x is not None:
-            a = Wrap(ast.subst_fvar(a.payload, *x))
-        args.append(a)
-    return App(u.fn, tuple(args))
+    for f, role in ast.PROC_ROLES[type(p)].items():
+        v = getattr(p, f)
+        args.append(_msg_term(v) if role is CHILD else Wrap(v) if role is TERM else Const(v))
+    return App(_TAGS[type(p)], tuple(args))
 
 
 def proc_fact(chan: str, p: ast.Process) -> Fact:
-    return Fact("proc", (Const(chan), enc_proc(p)))
+    return Fact("proc", (Const(chan), *enc_proc(p)))
 
 
 def msg_fact(chan: str, p: ast.Process) -> Fact:
-    return Fact("msg", (Const(chan), enc_proc(p)))
+    """A message in its two-level form (see ``msg_info``); ValueError for a
+    process that is no message on chan."""
+    if ast.message_parts(chan, p) is None:
+        raise ValueError(f"msg {chan} {{{p}}} holds no message")
+    return Fact("msg", (Const(chan), _msg_term(p)))
 
 
 def classify_fact(f: Fact) -> tuple:
     """(pred, channel, process, message info or None) for a process fact,
-    decoded in full once and kept on the fact for as long as the fact
-    lives.  Checked runs and ``state_facts`` need the process; the step
-    path and the observations need only the message info, which
-    ``msg_info`` reads off the term and keeps on the fact with the process
-    still None."""
+    decoded in full (``dec_proc``, or a message rebuilt from its info) once
+    and kept on the fact while it lives.  ``msg_info`` keeps the info alone
+    there, with the process still None."""
     memo = f.memo
     if memo is not None and memo[2] is not None:
         return memo
-    if f.pred not in ("proc", "msg") or len(f.args) != 2:
-        raise ValueError(f"not a process fact: {f!r}")
-    chan, p = _name(f.args[0]), dec_proc(f.args[1])
-    if memo is not None:
-        info = memo[3]
-    else:
-        info = ast.message_parts(chan, p) if f.pred == "msg" else None
-    return f.remember((f.pred, chan, p, info))
+    if f.pred == "proc" and len(f.args) == 3:
+        return f.remember(("proc", f.args[0].name, dec_proc(*f.args[1:]), None))
+    info = msg_info(f)
+    p = ast.make_message(info.kind, info.polarity, info.carrier, info.cont, info.payload)[1]
+    return f.remember(("msg", f.args[0].name, p, info))
 
 
-def msg_info(f: Fact) -> Optional[ast.MsgInfo]:
-    """The message info of a msg fact (``ast.message_parts`` of its
-    channel and process), or None when it has no message shape.
-
-    Read off the term by ``_read_msg`` and kept on the fact, with the
-    process left undecoded.  Any other shape goes to the full decode of
-    ``classify_fact``, which raises ValueError on a term that encodes no
-    process."""
+def msg_info(f: Fact) -> ast.MsgInfo:
+    """The message info of a msg fact (``ast.message_parts`` of its channel
+    and process), read off its term and kept on the fact; ValueError for
+    any other fact."""
     memo = f.memo
     if memo is not None:
         return memo[3]
     info = _read_msg(f)
     if info is None:
-        return classify_fact(f)[3]
+        raise ValueError(f"not a message fact: {f!r}")
     return f.remember(("msg", f.args[0].name, None, info))[3]
 
 
@@ -314,22 +301,22 @@ def _read_msg(f: Fact) -> Optional[ast.MsgInfo]:
     """The message info of a msg fact of message shape, or None for any
     other fact.  A message term is two levels deep: the send, whose
     carrier and payload are leaves, and the forward that ends it."""
-    if f.pred != "msg" or len(f.args) != 2:
+    if f.pred != "msg" or len(f.args) != 2 or type(f.args[1]) is not App:
         return None
     key, t = f.args
-    shape = _MSG_SHAPES.get(t.fn) if type(t) is App else None
+    shape = _MSG_SHAPES.get(t.fn)
     if shape is None or len(t.args) != shape[0] or type(t.args[0]) is not Const:
         return None
     _, kind, pay, pos, neg = shape
     a, c = t.args[0], t.args[-1]
     if kind == "close":
         return ast.MsgInfo(ast.POSITIVE, kind, a.name, None) if key is a else None
-    if type(c) is not App or len(c.args) != 2:
+    if type(c) is not App or len(c.args) != 2 or not all(type(x) is Const for x in c.args):
         return None
     src, dst = c.args
-    if c.fn == pos and dst is a and key is a and type(src) is Const:
+    if c.fn == pos and dst is a and key is a:
         pol, cont = ast.POSITIVE, src.name
-    elif c.fn == neg and src is a and key is dst and type(dst) is Const:
+    elif c.fn == neg and src is a and key is dst:
         pol, cont = ast.NEGATIVE, dst.name
     else:
         return None
@@ -343,6 +330,15 @@ def _read_msg(f: Fact) -> Optional[ast.MsgInfo]:
             return None
         payload = payload.name
     return ast.MsgInfo(pol, kind, a.name, cont, payload)
+
+
+def fact_channels(f: Fact) -> set[str]:
+    """The channels a process fact names: its own and those free in its
+    process, read off its environment or its message info."""
+    if f.pred == "proc":
+        return {f.args[0].name, *[a.name for a in f.args[2].args if type(a) is Const]}
+    info = msg_info(f)
+    return {info.carrier, info.cont, info.payload if info.kind == "chan" else None} - {None}
 
 
 def config_state(facts: Iterable[Union[ast.ProcF, ast.MsgF]]) -> Multiset:
@@ -382,8 +378,7 @@ def initial_config(
 def _ground(name: str, consumed: list, produced: Union[list, Callable[[Term], tuple]],
             evars: tuple = (), hints: tuple = ()) -> Inst:
     # built correct: ephemeral facts, no variable but the fresh channel, and
-    # a consequent that is a function of the consumed facts; that of a step
-    # creating a channel is a template over the channel's term
+    # a consequent that is a function of the consumed facts, or a template
     con = produced if callable(produced) else tuple(produced)
     return Inst(Rule.ground(name, tuple(consumed), con, evars, hints), ())
 
@@ -398,20 +393,21 @@ class SillSystem:
     ``_StepIndex``) keeps the facts indexed and after each step hands out
     the steps that can consume a touched fact.  Functional side conditions
     are evaluated with a fixed fuel; a divergent side condition makes the
-    step silently unavailable.
+    step silently unavailable.  A step reads the code of the fact it
+    consumes and builds only environments.
 
     Four memos last for the system's lifetime, so build one per run or
     per verdict: ``_memo`` holds each evaluated term's value and
-    ``_quoted`` each unquoted term's quote with its body's encoding, both
-    keyed by the interned ``Wrap``, which hashes by address; ``store``
-    holds the steps derived for each proc fact that listens on no carrier,
-    and so their facts, or, for a step that creates a channel, the
-    template of its consequent (``Rule.ground``), which each firing fills
-    in with its own fresh name; ``observations`` holds each observation
-    ``obs.observe_config`` made on the system, with the interface it was
-    made under, keyed by (state, observed channels, fuel, depth, seed).
-    The state is a ``Multiset`` of interned facts, which hashes by their
-    addresses, and no session type is hashed.
+    ``_quoted`` each unquoted term's quote with its body's code and
+    environment, both keyed by the interned ``Wrap``, which hashes by
+    address; ``store`` holds the steps derived for each proc fact that
+    listens on no carrier, and so their facts, or, for a step that
+    creates a channel, the template of its consequent (``Rule.ground``),
+    which each firing fills in with its own fresh name; ``observations``
+    holds each observation ``obs.observe_config`` made on the system, with
+    the interface it was made under, keyed by (state, observed channels,
+    fuel, depth, seed).  The state is a ``Multiset`` of interned facts,
+    which hashes by their addresses, and no session type is hashed.
     """
 
     rules: tuple = ()
@@ -421,7 +417,7 @@ class SillSystem:
     def __init__(self, eval_fuel: int = DEFAULT_EVAL_FUEL):
         self.eval_fuel = eval_fuel
         self._memo: dict[Wrap, object] = {}
-        self._quoted: dict[Wrap, Optional[tuple[ast.Quote, Term]]] = {}
+        self._quoted: dict[Wrap, Optional[tuple[ast.Quote, App, App]]] = {}
         self.store: dict[Fact, list[Inst]] = {}
         self.observations: dict[tuple, tuple] = {}
 
@@ -441,14 +437,14 @@ class SillSystem:
             v = self._memo[w] = eval_term(w.payload, self.eval_fuel)
             return v
 
-    def quoted(self, w: Wrap) -> Optional[tuple[ast.Quote, Term]]:
-        """The quote that w evaluates to and its body's encoding, or None
-        when w evaluates to no quote."""
+    def quoted(self, w: Wrap) -> Optional[tuple[ast.Quote, App, App]]:
+        """The quote that w evaluates to and its body's code and
+        environment, or None when w evaluates to no quote."""
         try:
             return self._quoted[w]
         except KeyError:
             v = self.value(w)
-            q = self._quoted[w] = (v, enc_proc(v.body)) if isinstance(v, ast.Quote) else None
+            q = self._quoted[w] = (v, *enc_proc(v.body)) if isinstance(v, ast.Quote) else None
             return q
 
     def applicable(self, state: Multiset) -> list[Inst]:
@@ -466,35 +462,38 @@ class SillSystem:
         return _StepIndex(self, state)
 
     def _steps(self, fact: Fact, msgs: dict) -> list[Inst]:
-        key, t = fact.args
-        tag, args = t.fn, t.args
+        key, code, env = fact.args
+        tag, args, e = code.fn, code.args, env.args
         if tag == "fwd+" or tag == "fwd-":
             # a forward passes on each message of its polarity: a positive
             # one from src to dst, rekeyed there, a negative one from dst to
             # src, still keyed by its continuation
             at = _LISTENS[tag]
-            pol, frm, to = ast.POSITIVE if at == 0 else ast.NEGATIVE, args[at], args[1 - at]
+            pol, frm, to = (ast.POSITIVE if at == 0 else ast.NEGATIVE,
+                            e[args[at].payload], e[args[1 - at].payload])
             return [_ground(tag, [fact, mf], [Fact("msg", (
-                to if at == 0 else mf.args[0], _rename(mf.args[1], {frm.name: to})))])
+                to if at == 0 else mf.args[0], _rekey(mf.args[1], frm, to)))])
                 for mf, info in msgs.get(frm.name, ()) if info.polarity == pol]
-        # a cut or a send creates one channel, named after its first one;
-        # fire fills its term into the step's consequent
-        fresh = {"evars": (_EVAR,), "hints": ((_EVAR, (args[0].name, "prime")),)}
         if tag == "cut":
-            x, p, q = args[0].name, args[2], args[3]
-            return [_ground("cut", [fact], lambda nc: (Fact("proc", (nc, _rename(p, {x: nc}))),
-                                                       Fact("proc", (key, _rename(q, {x: nc})))),
-                            **fresh)]
+            # the fresh channel, named after the binder, fills its slot
+            (lc, lm), (rc, rm) = args[2].args, args[3].args
+            names = [a.name if type(a) is Const else a for a in e]
+            hint = _apart(args[0].payload, (lm.payload, rm.payload), names)
+            return [_ground("cut", [fact], lambda nc: (Fact("proc", (nc, lc, _env(lm, e, nc))),
+                                                       Fact("proc", (key, rc, _env(rm, e, nc)))),
+                            (_EVAR,), ((_EVAR, (hint, "prime")),))]
         if tag == "unquote":
-            q, used = self.quoted(args[1]), args[2:]
+            q, used = self.quoted(_closed(args[1], e)), [e[a.payload] for a in args[2:]]
             if q is None or len(q[0].used) != len(used):
                 return []
-            v, body = q
-            rho = dict(zip((v.offered[0], *(n for n, _ in v.used)), (key, *used)))
-            return [_ground("unquote", [fact], [Fact("proc", (key, _rename(body, rho)))])]
+            v, body, formals = q
+            rho = dict(zip((Const(v.offered[0]), *(Const(n) for n, _ in v.used)), (key, *used)))
+            return [_ground("unquote", [fact], [Fact("proc", (key, body, App("env", tuple(
+                [rho.get(a, a) for a in formals.args]))))])]
         kind, sends, at, pay = _COMM[tag]
-        chan = args[at].name
-        provider = chan == key.name
+        s = args[at].payload
+        a = e[s]
+        provider = a is key
         # the provider sends at the positive connective and receives at the
         # negative one, a client the other way round
         stem = _CONNECTIVES[kind][provider != sends]
@@ -502,42 +501,68 @@ class SillSystem:
             return []
         name = stem + ("_r" if provider else "_l")
         if sends and kind == "close":
-            return [_ground(name, [fact], [Fact("msg", (key, t))])]
+            return [_ground(name, [fact], [Fact("msg", (key, App("close", (a,))))])]
         if sends:
-            # the message ends in a forward to the fresh channel, on which
-            # the continuation runs
-            head, a, fwd = list(args[:-1]), args[at], _TAGS[ast._forwards(kind)[not provider]]
+            # the message ends in a forward to the fresh channel, named
+            # after the carrier, on which the continuation runs
+            fwd = _TAGS[ast._forwards(kind)[not provider]]
+            head = (a,)
             if kind == "val":
-                v = self.value(head[pay])
+                v = self.value(_closed(args[pay], e))
                 if v is DIVERGED:
                     return []
-                head[pay] = Wrap(v)
-            head, p = tuple(head), args[-1]
+                head += (Wrap(v),)
+            elif pay is not None:
+                head += (args[pay] if kind == "label" else e[args[pay].payload],)
+            cc, cm = args[-1].args
 
             def con(nc: Term) -> tuple[Fact, ...]:
                 msg = ((a, App(tag, (*head, App(fwd, (nc, a))))) if provider
                        else (nc, App(tag, (*head, App(fwd, (a, nc))))))
-                return Fact("msg", msg), Fact("proc", (nc if provider else key,
-                                                       _rename(p, {chan: nc})))
-            return [_ground(name, [fact], con, **fresh)]
-        # a receive continues on the message's continuation channel, with
-        # what it received in place of its binder
+                return Fact("msg", msg), Fact("proc", (nc if provider else key, cc,
+                                                       _env(cm, e, None, s, nc)))
+            return [_ground(name, [fact], con, (_EVAR,), ((_EVAR, (a.name, "prime")),))]
+        # a receive continues on the message's continuation channel
         want = ast.NEGATIVE if provider else ast.POSITIVE
         branches = {b.args[0].name: b.args[1] for b in args[1:]} if kind == "label" else {}
         rs = []
-        for mf, info in msgs.get(chan, ()):
+        for mf, info in msgs.get(a.name, ()):
             if info.kind != kind or info.polarity != want:
                 continue
-            q = branches.get(info.payload) if kind == "label" else args[-1]
-            if q is None:
+            clo = branches.get(info.payload) if kind == "label" else args[-1]
+            if clo is None:
                 continue
-            if kind == "chan":
-                q = _rename(q, {args[0].name: Const(info.payload)})
-            rho = {chan: Const(info.cont)} if info.cont is not None else {}
-            q = _rename(q, rho, (args[0].name, info.payload) if kind == "val" else None)
-            rs.append(_ground(name, [fact, mf],
-                              [Fact("proc", (Const(info.cont) if provider else key, q))]))
+            # a channel or a value received is the message's payload term
+            got = mf.args[1].args[1] if kind == "chan" or kind == "val" else None
+            cont = a if info.cont is None else Const(info.cont)
+            cc, cm = clo.args
+            rs.append(_ground(name, [fact, mf], [Fact("proc", (
+                cont if provider else key, cc, _env(cm, e, got, s, cont)))]))
         return rs
+
+
+def _env(m: Wrap, e: tuple, bound: Optional[Term], at: int = -2,
+         new: Optional[Term] = None) -> App:
+    """The environment of a subprocess whose slots m maps to its parent's
+    slots e: -1 takes bound, what the parent binds, and slot at takes new."""
+    return App("env", tuple([bound if i == -1 else new if i == at else e[i] for i in m.payload]))
+
+
+def _closed(t: Term, e: tuple) -> Wrap:
+    """A payload of a code, with the values of its free variables put in."""
+    if type(t) is Wrap:
+        return t
+    m = t.args[0].payload
+    for x, i in t.args[1].payload:
+        m = ast.subst_fvar(m, x, e[i].payload)
+    return Wrap(m)
+
+
+def _rekey(t: App, frm: Const, to: Const) -> App:
+    """A message term with the channel frm renamed to; a label is no channel."""
+    return App(t.fn, tuple([
+        App(b.fn, tuple([to if c is frm else c for c in b.args])) if type(b) is App else
+        to if b is frm and (i != 1 or t.fn != "send_label") else b for i, b in enumerate(t.args)]))
 
 
 # message kind -> the rule-name stems of the connectives it is sent at, the
@@ -564,17 +589,18 @@ _MSG_SHAPES = {tag: (len(ast.PROC_ROLES[ast.MSG_SEND[kind][0]]), kind, pay,
                for tag, (kind, sends, at, pay) in _COMM.items() if sends}
 
 
-def _listens_on(t: Term) -> Optional[str]:
-    """The carrier whose messages the encoded process's steps consume, if any."""
-    at = _LISTENS.get(t.fn)
-    return None if at is None else t.args[at].name
+def _listens_on(f: Fact) -> Optional[str]:
+    """The carrier whose messages the proc fact's steps consume, if any."""
+    code = f.args[1]
+    at = _LISTENS.get(code.fn)
+    return None if at is None else f.args[2].args[code.args[at].payload].name
 
 
 class _StepIndex:
     """The facts of a run's current state arranged for step generation.
 
     Messages are bucketed by carrier, with the info ``msg_info`` reads off
-    their terms, and proc facts by the carrier their encoding listens on;
+    their terms, and proc facts by the carrier their code listens on;
     no fact is decoded.  A proc fact's steps depend only on the fact and
     the bucket of that carrier, so after a step only the touched proc facts
     and the listeners on the carriers of touched messages need their steps.
@@ -602,19 +628,18 @@ class _StepIndex:
     def _add(self, f: Fact) -> None:
         if f.pred == "proc":
             self.procs[f] = None
-            carrier = self.facts[f] = _listens_on(f.args[1])
+            carrier = self.facts[f] = _listens_on(f)
             if carrier is not None:
                 self.listeners.setdefault(carrier, {})[f] = None
             return
         info = self.facts[f] = msg_info(f)
-        if info is not None:
-            # buckets keep the fact-key order the step enumeration relies
-            # on; a fact joining an empty one is compared with nothing
-            bucket = self.msgs.get(info.carrier)
-            if bucket is None:
-                self.msgs[info.carrier] = [(f, info)]
-            else:
-                insort(bucket, (f, info), key=lambda t: fact_key(t[0]))
+        # buckets keep the fact-key order the step enumeration relies on; a
+        # fact joining an empty one is compared with nothing
+        bucket = self.msgs.get(info.carrier)
+        if bucket is None:
+            self.msgs[info.carrier] = [(f, info)]
+        else:
+            insort(bucket, (f, info), key=lambda t: fact_key(t[0]))
 
     def _remove(self, f: Fact) -> None:
         entry = self.facts.pop(f)
@@ -622,7 +647,7 @@ class _StepIndex:
             del self.procs[f]
             if entry is not None:
                 del self.listeners[entry][f]
-        elif entry is not None:
+        else:
             bucket = self.msgs[entry.carrier]
             bucket.pop(next(i for i, t in enumerate(bucket) if t[0] is f))
             if not bucket:
@@ -662,7 +687,7 @@ class _StepIndex:
                 self._add(f)
             if f.pred == "proc":
                 procs[f] = None
-            elif self.facts[f] is not None:
+            else:
                 procs.update(self.listeners.get(self.facts[f].carrier, {}))
         return self.steps(procs)
 
@@ -680,13 +705,13 @@ def _birth_type(types: dict, step, conts: Optional[dict] = None) -> ast.SessionT
     value: a frozen dataclass hashes recursively, and a deep type would
     raise RecursionError.  A recursive type is then unfolded once per
     run, not once per send."""
-    t = next(f for f in step.inst.rule.eph_ant if f.pred == "proc").args[1]
+    _, t, env = next(f for f in step.inst.rule.eph_ant if f.pred == "proc").args
     if t.fn == "cut":
         if t.args[1].payload is None:
             raise PreservationViolation("cut without a type annotation")
         return t.args[1].payload
     kind, sends, at, pay = _COMM[t.fn]
-    chan = t.args[at].name
+    chan = env.args[t.args[at].payload].name
     if chan not in types:
         raise PreservationViolation(f"no recorded type for {chan}")
     if sends:
@@ -740,7 +765,7 @@ def run(
         try:
             typing = ConfigTyping(interface)
             for f, n in state.eph_items():
-                typing.add(f, config_fact(f), n)
+                typing.add(f, config_fact(f), fact_channels(f), n)
             typing.check()
         except SillError as ex:
             raise _violation(0, ex) from ex
@@ -764,7 +789,7 @@ def run(
                 for f in step.produced:
                     n = now.count(f) - typing.count(f)
                     if n > 0:
-                        typing.add(f, config_fact(f), n)
+                        typing.add(f, config_fact(f), fact_channels(f), n)
                 typing.check()
         except SillError as ex:
             raise _violation(len(tr.steps), ex) from ex

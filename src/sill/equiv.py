@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .dynamics import SillSystem, config_fact, config_state, msg_info, state_facts
+from .dynamics import SillSystem, config_fact, config_state, fact_channels, msg_info
 from .fairness import fair_execute
 from .lang import ast
 from .lang.check import check_config
@@ -71,11 +71,7 @@ ORACLE_REPLY = ast.Up(ast.Plus((("tt", ast.One()), ("ff", ast.One()))))
 
 
 def _fc_state(state: Multiset) -> set[str]:
-    out: set[str] = set()
-    for cf in state_facts(state):
-        out.add(cf.chan)
-        out |= ast.fc(cf.proc)
-    return out
+    return set().union(*map(fact_channels, state.eph_support()))
 
 
 # -- barbs -------------------------------------------------------------------------
@@ -83,11 +79,7 @@ def _fc_state(state: Multiset) -> set[str]:
 
 def _carries(facts: Iterable[Fact], a: str) -> bool:
     """Is one of facts a message whose carrier is a?"""
-    for f in facts:
-        info = msg_info(f) if f.pred == "msg" else None
-        if info is not None and info.carrier == a:
-            return True
-    return False
+    return any(f.pred == "msg" and msg_info(f).carrier == a for f in facts)
 
 
 def barb(state: Multiset, a: str, system: Optional[SillSystem] = None) -> bool:
@@ -386,11 +378,11 @@ class _Prepared(tuple):
     facts name, ``internal`` its internal channels with their types, in
     sorted order, and ``stand_ins`` one fact per provided channel p, which
     ``plug`` checks in place of p's tree: ``divergent`` at p, holding the
-    used channels the tree consumes.  The channels of a fact that like
-    holds too are like's.
+    used channels the tree consumes.  A fact's channels are read off its
+    environment (``fact_channels``).
     """
 
-    def __new__(cls, subject: Subject, like: Optional["_Prepared"] = None):
+    def __new__(cls, subject: Subject):
         if isinstance(subject, _Prepared):
             return subject
         self = super().__new__(cls, subject)
@@ -398,12 +390,7 @@ class _Prepared(tuple):
         eph = [f for f in sorted(state.eph_support(), key=fact_key)
                for _ in range(state.count(f))]
         self.facts, self.ordered = [config_fact(f) for f in eph], Multiset.of(eph)
-        # each fact's channels, read once per fact
-        self._chans = dict(like._chans) if like is not None else {}
-        for f, cf in zip(eph, self.facts):
-            if f not in self._chans:
-                self._chans[f] = ast.fc(cf.proc) | {cf.chan}
-        chans = [self._chans[f] for f in eph]
+        chans = [fact_channels(f) for f in eph]
         self.names = set().union(*chans)
         keep = {n for n, _ in iface.used} | {n for n, _ in iface.provided}
         itypes = dict(iface.internal)
@@ -594,8 +581,7 @@ def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
     a counterexample when one was found.
     """
     _require_shared(c[1], d[1])
-    c = _Prepared(c)
-    d = _Prepared(d, c)
+    c, d = _Prepared(c), _Prepared(d)
     system = system or SillSystem()
     verdict = {"mode": sys.mode, "bounded": True, "equivalent": True}
 
@@ -619,12 +605,17 @@ def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
                 }
                 return verdict
 
-    # facts the alone run left in place are not read again
-    c_tgt, d_tgt = (s if a.end is None else _Prepared(a.end, like=s)
-                    for a, s in ((alone_c, c), (alone_d, d)))
+    # each end state is prepared once, and a direction whose reference and
+    # target are the first's would repeat its experiments, so it is skipped
+    c_tgt = c if alone_c.end is None else _Prepared(alone_c.end)
+    d_tgt = (d if alone_d.end is None else
+             c_tgt if alone_d.end is alone_c.end else _Prepared(alone_d.end))
+    directions = [(alone_c, d_tgt, "left-right")]
+    if not (alone_d is alone_c and c_tgt[0] == d_tgt[0]
+            and c_tgt[1].differs(d_tgt[1]) is None):
+        directions.append((alone_d, c_tgt, "right-left"))
     for n in range(depth):
-        for ref, tgt, tag in ((alone_c, d_tgt, "left-right"),
-                              (alone_d, c_tgt, "right-left")):
+        for ref, tgt, tag in directions:
             bad = _check_family(ref, tgt, n, fuel, seed, system)
             if bad is not None:
                 bad["direction"] = tag

@@ -492,6 +492,22 @@ def subst_fvar(x: Union[FuncTerm, Process], name: str, value: FuncTerm):
     return fold(x, _subst_kids, _subst_build, (_FUNC_ROLES, FUNC_VAR, FUNC_BINDER, name, value))
 
 
+def _fv_build(x, kids, _) -> set[str]:
+    free = set().union(*kids)
+    for v, role in zip(vars(x).values(), _FUNC_ROLES[type(x)].values()):
+        if role is FUNC_BINDER:  # it scopes over the children alone
+            free.discard(v)
+        elif role is FUNC_VAR:
+            free.add(v)
+    return free
+
+
+def free_fvars(x: Union[FuncTerm, Process]) -> set[str]:
+    """Free functional variables of a term or a process, and of the terms
+    and processes inside it."""
+    return fold(x, _subst_kids, _fv_build, (_FUNC_ROLES, None, None, None, None))
+
+
 def _canon_kids(node: tuple, _) -> list:
     # a node is (a type, how many recs are above it, their variables' new
     # names); a functional type, and so each type in it, is closed
@@ -591,21 +607,25 @@ def _chan_kids(node: list, _) -> list:
             if role is CHAN or role is CHANS:
                 fields[i] = rho.get(v, v) if role is CHAN else tuple(rho.get(c, c) for c in v)
             elif role is CHAN_BINDER and v in rho.values():
-                # it would capture, so it is renamed in the children first;
-                # '%' is reserved by the fresh-name scheme, so the new name
-                # is no source identifier, and the least free index keeps
-                # renaming deterministic
-                avoid = set(rho).union(rho.values(), *(_renamed(fc(q), after) for q in subs))
-                stem, k = v.split("%")[0] or "x", 0
-                while f"{stem}%{k}" in avoid:
-                    k += 1
-                after.append({v: f"{stem}%{k}"})
-                fields[i] = f"{stem}%{k}"
+                # it would capture, so it is renamed in the children first
+                fields[i] = apart(v, set(rho).union(
+                    rho.values(), *(_renamed(fc(q), after) for q in subs)))
+                after.append({v: fields[i]})
             if role is CHAN_BINDER and fields[i] in rho:
                 inner = {c: w for c, w in rho.items() if c != fields[i]}
         after += [inner] if inner else []
     node[2] = fields
     return [[q, after, None] for q in subs] if after else []
+
+
+def apart(v: str, avoid) -> str:
+    """The name a channel binder v is renamed apart to, one avoid does not
+    hold: '%' is reserved by the fresh-name scheme, so it is no source
+    identifier, and the least free index keeps renaming deterministic."""
+    stem, k = v.split("%")[0] or "x", 0
+    while f"{stem}%{k}" in avoid:
+        k += 1
+    return f"{stem}%{k}"
 
 
 def _renamed(names: set[str], rhos: list) -> set[str]:

@@ -443,10 +443,11 @@ class ConfigTyping:
         entry = self._facts.get(key)
         return entry[2] if entry else 0
 
-    def add(self, key, f: ast.ConfigFact, n: int = 1) -> None:
+    def add(self, key, f: ast.ConfigFact, chans: set[str], n: int = 1) -> None:
+        """Add n occurrences of f, which names the channels chans."""
         entry = self._facts.get(key)
         if entry is None:
-            entry = self._facts[key] = [f, sorted(ast.fc(f.proc) - {f.chan}), 0]
+            entry = self._facts[key] = [f, sorted(chans - {f.chan}), 0]
             self._added.append(key)
         entry[2] += n
         for index, c in self._slots(entry):
@@ -522,7 +523,7 @@ def check_config(facts, claimed: ast.Interface):
     facts = tuple(facts)
     typing = ConfigTyping(claimed)
     for i, f in enumerate(facts):
-        typing.add(i, f)
+        typing.add(i, f, ast.fc(f.proc) | {f.chan})
     typing.check()
     absent = sorted(c for c, _ in claimed.internal + claimed.provided
                     if c not in typing.providers)

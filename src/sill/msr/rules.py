@@ -165,11 +165,12 @@ class Rule:
 
         The caller also promises that the consequent is determined by the
         antecedent, up to the fresh names, so the rule is keyed by what it
-        consumes.  A consequent with existentials may be given as a
-        template: a function from the terms of evars, in order, to the
-        consequent facts, naming each of them.  ``fire`` then builds it
-        once, over the fresh constants (``Inst.consequent``), and
-        ``eph_con`` is built from it over the variables on first read."""
+        consumes, and that it names no constant the antecedent does not.  A
+        consequent with existentials may be given as a template: a function
+        from the terms of evars, in order, to the consequent facts, naming
+        each of them.  ``fire`` then builds it once, over the fresh
+        constants (``Inst.consequent``), and ``eph_con`` is built from it
+        over the variables on first read; hashing does not build it."""
         rule = object.__new__(cls)
         if callable(eph_con):
             con_evars = evars
@@ -182,6 +183,22 @@ class Rule:
                              _con_evars=con_evars,
                              _own_variant=con_evars == KEY_VARS[:len(con_evars)])
         return rule
+
+    def _head(self) -> tuple:
+        return (self.name, self.uvars, self.pers_ant, self.eph_ant, self.evars, self.pers_con,
+                self.fresh_hints, self.cost)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Rule:
+            return NotImplemented
+        return self._head() == other._head() and self.eph_con == other.eph_con
+
+    def __hash__(self) -> int:
+        # kept on the rule, as the scheduler and the lasso analysis hash it often
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._head())
+        return h
 
     def hint_for(self, evar: str) -> tuple[str, str]:
         for v, h in self.fresh_hints:
@@ -339,11 +356,15 @@ class Inst:
 
     def consts(self) -> frozenset[str]:
         """The constants it names: theta's, or for a ground rule (one
-        without universal variables, as every SILL step is) its facts'."""
-        if self.rule.uvars:
+        without universal variables, as every SILL step is) its facts'.  A
+        template's consequent names none but its antecedent's and the
+        fresh ones (``Rule.ground``), so the template is not built."""
+        rule = self.rule
+        if rule.uvars:
             return frozenset().union(*[term_consts(t) for _, t in self.theta])
+        parts = _FACT_PARTS[:2] if callable(rule._template) else _FACT_PARTS
         return self._kept("_consts", lambda _: frozenset().union(
-            *[fact_consts(f) for part in _FACT_PARTS for f in getattr(self.rule, part)]))
+            *[fact_consts(f) for part in parts for f in getattr(rule, part)]))
 
     def rename(self, rho: Mapping[str, str]) -> "Inst":
         """The instantiation with the constants that consts() gives renamed

@@ -145,7 +145,7 @@ class _Messages:
             if f.pred != "msg":
                 continue
             info = msg_info(f)
-            if info is not None and info.carrier not in index:
+            if info.carrier not in index:
                 index[info.carrier] = info
                 yield info.carrier
 

@@ -2,11 +2,15 @@
 
 A reference for the differential tests in ``tests/test_dynamics_oracle.py``:
 ``SillSystem._steps`` with one branch per construct over the decoded
-process, ``_listens_on`` and ``_birth_type`` over decoded processes, the
-encoder ``enc_proc`` with its channel environment, and the enabled set
-``_StepIndex`` that fed them decoded facts.  ``OracleSystem`` runs them in
-place of the current step derivation; every step here is one that
-``sill.dynamics`` must reproduce, rule name, facts, fresh names and all.
+process, ``_listens_on`` and ``_birth_type`` over decoded processes, and the
+enabled set ``_StepIndex`` that fed them decoded facts.  Each successor is
+built as a process and encoded afresh: a message by the old encoder
+``enc_proc`` with its channel environment, which gives a message's two-level
+term, and a process by ``sill.dynamics.enc_proc``, with the step's variable
+put in its environment for the channel it creates.  ``OracleSystem`` runs
+them in place of the current step derivation; every step here is one that
+``sill.dynamics`` must reproduce, rule name, decoded facts, fresh names and
+all.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Callable, Iterable, Mapping, Optional
 
+from sill import dynamics
 from sill.dynamics import DIVERGED, PreservationViolation, SillSystem, classify_fact
 from sill.lang import ast
 from sill.lang.ast import BRANCHES, CHAN, CHAN_BINDER, CHANS, CHILD, OPAQUE, TERM
@@ -35,8 +40,17 @@ _TAGS = {
 }
 
 
+def proc_fact(key: Term, p: ast.Process, env: Optional[Mapping[str, Term]] = None) -> Fact:
+    """The proc fact of p at key, with env's terms in place of the
+    channels it names."""
+    code, e = dynamics.enc_proc(p)
+    env = env or {}
+    return Fact("proc", (key, code, App("env", tuple(
+        [env.get(a.name, a) if type(a) is Const else a for a in e.args]))))
+
+
 def enc_proc(p: ast.Process, env: Optional[Mapping[str, Term]] = None) -> Term:
-    """Encode a process as a term.
+    """Encode a process as a term, as a message is kept.
 
     Channel names go through env (defaulting to constants of the same
     name), so rule consequents can place existential variables at fresh
@@ -116,7 +130,7 @@ class OracleSystem(SillSystem):
             mfact = Fact("msg", (Const(p.chan) if mkey == p.chan else Var(_EVAR),
                                  enc_proc(mproc, {_FRESH: Var(_EVAR)})))
             ckey = Var(_EVAR) if provider else key
-            cfact = Fact("proc", (ckey, enc_proc(p.cont, {p.chan: Var(_EVAR)})))
+            cfact = proc_fact(ckey, p.cont, {p.chan: Var(_EVAR)})
             rs.append(_ground(name, [fact], [mfact, cfact], evars=(_EVAR,),
                               hints=((_EVAR, (p.chan, "prime")),)))
 
@@ -133,8 +147,7 @@ class OracleSystem(SillSystem):
                     continue
                 q = ast.subst_chan(q, {p.chan: info.cont})
                 nk = Const(info.cont) if provider else key
-                rs.append(_ground(name, [fact, mf],
-                                  [Fact("proc", (nk, enc_proc(q)))]))
+                rs.append(_ground(name, [fact, mf], [proc_fact(nk, q)]))
 
         if isinstance(p, ast.FwdPos):
             # a waiting positive message is relabeled onto the forwarder's
@@ -156,8 +169,7 @@ class OracleSystem(SillSystem):
             env = {p.chan: Var(_EVAR)}
             rs.append(_ground(
                 "cut", [fact],
-                [Fact("proc", (Var(_EVAR), enc_proc(p.left, env))),
-                 Fact("proc", (key, enc_proc(p.right, env)))],
+                [proc_fact(Var(_EVAR), p.left, env), proc_fact(key, p.right, env)],
                 evars=(_EVAR,), hints=((_EVAR, (p.chan, "prime")),)))
         elif isinstance(p, ast.Unquote):
             v = self.eval(p.term)
@@ -166,16 +178,14 @@ class OracleSystem(SillSystem):
                 for (formal, _), actual in zip(v.used, p.used):
                     rho[formal] = actual
                 body = ast.subst_chan(v.body, rho)
-                rs.append(_ground("unquote", [fact],
-                                  [Fact("proc", (key, enc_proc(body)))]))
+                rs.append(_ground("unquote", [fact], [proc_fact(key, body)]))
         elif isinstance(p, ast.Close):
             if p.chan == c:
                 rs.append(_ground("one_r", [fact], [Fact("msg", (key, enc_proc(p)))]))
         elif isinstance(p, ast.Wait):
             for mf, info, _ in msgs.get(p.chan, ()):
                 if info.kind == "close":
-                    rs.append(_ground("one_l", [fact, mf],
-                                      [Fact("proc", (key, enc_proc(p.cont)))]))
+                    rs.append(_ground("one_l", [fact, mf], [proc_fact(key, p.cont)]))
         elif isinstance(p, ast.SendLabel):
             send("plus_r" if p.chan == c else "with_l", "label", p.label)
         elif isinstance(p, ast.SendChan):

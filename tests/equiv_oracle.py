@@ -125,8 +125,7 @@ def equiv_check(c: Subject, d: Subject, sys: ObservationSystem,
     a counterexample when one was found.
     """
     _require_shared(c[1], d[1])
-    c = _Prepared(c)
-    d = _Prepared(d, c)
+    c, d = _Prepared(c), _Prepared(d)
     system = system or SillSystem()
     verdict = {"mode": sys.mode, "bounded": True, "equivalent": True}
 

@@ -6,11 +6,11 @@ reach every construct and connective.  Channel renamings range over the
 free names, the binders (so alpha-renaming happens) and names of the form
 ``stem%k`` that alpha-renaming picks; a second renaming runs on the result
 of the first, so renamed binders are renamed again, and some processes
-have such names free before the first.  The walk that renames an encoded
-process (``sill.dynamics._rename``) must give the encoding of the process
-``subst_chan`` renames, alpha-renaming included, and the encoding the old
-encoder gave under a channel environment when it renames onto a step's
-variable.  Two runtime cases capture a binder in a received continuation
+have such names free before the first.  Renaming the environment of a
+process's code (``sill.dynamics.enc_proc``) must decode to the process
+``subst_chan`` renames, up to the names of binders renamed apart, and putting a step's
+variable in the environment must ground to the encoding of the renamed
+process.  Two runtime cases capture a binder in a received continuation
 and compare the step with the one the old step derivation took.
 """
 
@@ -19,6 +19,7 @@ import dataclasses
 import ast_oracle as ref
 import dynamics_oracle
 from hypothesis import given, settings, strategies as st
+from test_dynamics_oracle import unapart
 from test_lang import _functypes, _procs, _terms, _types
 
 from sill import dynamics
@@ -42,7 +43,7 @@ from sill.lang.ast import (
     Wait,
     With,
 )
-from sill.msr.terms import Const, Var, iter_subterms
+from sill.msr.terms import App, Const, Var, Wrap, subst_term
 
 NAMES = ("a", "b", "c", "d", "x", "y", "a%0", "x%0", "y%0")
 # swaps, and renamings onto a binder together with the name alpha-renaming
@@ -85,8 +86,7 @@ def test_process_walks_match_the_reference(p, generated, rho, sigma):
     assert ast.subst_chan(once, sigma) == ref.subst_chan(once, sigma)
     assert ast.fc(once) == ref.fc(once)
     for q in (p, once):
-        assert dynamics.enc_proc(q) == ref.enc_proc(q)
-        assert dynamics.dec_proc(dynamics.enc_proc(q)) == ref.dec_proc(ref.enc_proc(q)) == q
+        assert dynamics.dec_proc(*dynamics.enc_proc(q)) == ref.dec_proc(ref.enc_proc(q)) == q
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -126,21 +126,26 @@ def test_renaming_an_encoding_encodes_the_renamed_process(p, generated, rho, nam
     # the %0 names among the images make subst_chan alpha-rename binders
     if generated:
         p = ref.subst_chan(p, {"a": "x%0", "b": "a%0", "c": "y%0"})
-    t = dynamics.enc_proc(p)
-    consts = {c: Const(d) for c, d in rho.items()}
-    assert dynamics._rename(t, consts) == dynamics.enc_proc(ast.subst_chan(p, rho))
-    # a received value is substituted in the same walk
+    code, env = dynamics.enc_proc(p)
+    renamed = [Const(rho.get(a.name, a.name)) if type(a) is Const else a for a in env.args]
+    assert unapart(dynamics.dec_proc(code, App("env", tuple(renamed)))) == \
+        unapart(ast.subst_chan(p, rho))
+    # a received value goes in the slot of its variable
+    valued = [Wrap(value) if a == Wrap(ast.FVar(name)) else a for a in renamed]
     substituted = ast.subst_chan(ast.subst_fvar(p, name, value), rho)
-    assert dynamics._rename(t, consts, (name, value)) == dynamics.enc_proc(substituted)
+    assert unapart(dynamics.dec_proc(code, App("env", tuple(valued)))) == unapart(substituted)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_procs(3), st.sampled_from(NAMES))
 def test_encoding_under_a_channel_variable_needs_no_renaming(p, chan):
-    # a derived step renames the consumed channel in its continuation to
-    # the step's variable, which no binder can capture
-    env = {chan: Var("nc")}
-    assert dynamics._rename(dynamics.enc_proc(p), env) == dynamics_oracle.enc_proc(p, env)
+    # a derived step puts its variable in the slot of the channel it
+    # creates, and the fresh name it grounds to is the process renamed;
+    # a generated name is no binder's, so nothing is renamed apart
+    code, env = dynamics.enc_proc(p)
+    with_var = App("env", tuple(Var("nc") if a is Const(chan) else a for a in env.args))
+    grounded = subst_term(with_var, {"nc": Const("n'0")})
+    assert (code, grounded) == dynamics.enc_proc(ast.subst_chan(p, {chan: "n'0"}))
 
 
 def _same_steps_capturing(facts):
@@ -149,14 +154,14 @@ def _same_steps_capturing(facts):
     state = dynamics.config_state(facts)
     new = dynamics.SillSystem().applicable(state)
     old = dynamics_oracle.OracleSystem().applicable(state)
-    assert [(i.rule.name, i.rule.eph_ant, i.rule.eph_con) for i in new] == \
-        [(i.rule.name, i.rule.eph_ant, i.rule.eph_con) for i in old]
-    received = [i for i in new if len(i.rule.eph_ant) == 2]
+    decoded = [[(i.rule.name, [dynamics.config_fact(f) for f in i.rule.eph_ant],
+                 [dynamics.config_fact(f) for f in i.rule.eph_con]) for i in insts]
+               for insts in (new, old)]
+    assert decoded[0] == decoded[1]
+    received = [con for _, ant, con in decoded[0] if len(ant) == 2]
     assert received
-    for i in received:
-        names = {s.name for f in i.rule.eph_con for s in iter_subterms(f.args[1])
-                 if type(s) is Const}
-        assert any(n.endswith("%0") for n in names), i.to_str()
+    for con in received:
+        assert any("%0 <- recv" in str(f) for f in con), con
 
 
 def test_a_received_channel_named_like_a_binder_of_the_continuation():

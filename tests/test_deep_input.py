@@ -3,7 +3,9 @@ of ``sill.lang.ast``, so each returns at depths far beyond the Python
 recursion limit, with the answer worked out here by hand.
 
 Deep syntax trees are compared level by level in a loop, or by their
-printed forms, because the dataclasses' own ``==`` recurses.
+printed forms, because the dataclasses' own ``==`` recurses.  A deep
+process runs and its fact sorts beside a twin's: the two share one
+interned code, and their order keys differ only in their environments.
 """
 
 import pytest
@@ -13,8 +15,11 @@ from sill.lang.ast import (
     FApp, Arrow, Close, Cut, FVar, One, Plus, ProcType, Rec, SendLabel, SendVal,
     TVar, Wait, With,
 )
+from sill.dynamics import SillSystem, initial_config, proc_fact, run, state_facts
 from sill.lang.check import IllFormed, check_functype, check_proc, check_type
-from sill.lang.parser import parse_proc
+from sill.lang.parser import parse_proc, parse_type
+from sill.msr.multiset import Fact, fact_key
+from sill.msr.terms import App, Const
 
 DEEP = 5000
 CHAIN = 3000  # FApp and Arrow chains
@@ -169,3 +174,29 @@ def test_a_rec_chain_reads_its_polarity_once(monkeypatch):
     calls[0] = 0
     assert check_type(_recs(DEEP // 2, "x", One())) == "positive"
     assert calls[0] == DEEP // 2
+
+
+def test_a_deep_process_sorts_beside_its_twin():
+    # 5000 levels, a label after each unfold, then a wait on d; the twin
+    # waits on e.  It parses, checks, takes its step and prints, and the
+    # facts of the two share one interned code, whose order key is one
+    # object: comparing the facts' keys meets it and decides on their
+    # environments, which nest one level
+    conat = parse_type("rec a. +{s: a, z: 1}")
+    src = "send c unfold; c.s; " * (DEEP // 2 - 1) + "send c unfold; c.z; wait {}; close c"
+    p, twin = parse_proc(src.format("d")), parse_proc(src.format("e"))
+    check_proc(p, ("c", conat), {"d": One()})
+    state, iface = initial_config(p, {"d": One()}, ("c", conat))
+    tr = run(SillSystem(), state, iface, fuel=1, check=True)
+    assert [s.inst.rule.name for s in tr.steps] == ["rec_pos_r"]
+    printed = [str(f) for f in state_facts(tr.final())]
+    assert printed[0] == "msg c {send c unfold; fwd+ c'0 -> c}"
+    assert printed[1].startswith("proc c'0 {c'0.s; send c'0 unfold; ")
+    assert printed[1].endswith("c'0.z; wait d; close c'0}")
+    f, g = proc_fact("c", p), proc_fact("c", twin)
+    assert f.args[1] is g.args[1]
+    assert sorted([g, f], key=fact_key) == [f, g]
+    # the continuation the step produced, beside its twin's
+    [cont] = [h for h in tr.final().eph_support() if h.pred == "proc"]
+    other = Fact("proc", (*cont.args[:2], App("env", (Const("c'0"), Const("e")))))
+    assert sorted([other, cont], key=fact_key) == [cont, other]

@@ -64,14 +64,15 @@ from sill.lang.ast import (
     Wait,
     With,
     message_parts,
+    fc,
     subst_chan,
     type_eq,
 )
-from sill.lang.ast import proc_to_str
+from sill.lang.ast import BRANCHES, LABEL, PROC_ROLES, fold, proc_to_str, subprocs
 from sill.lang.check import check_config, check_proc
 from sill.lang.parser import parse
 from sill.msr.multiset import Multiset
-from sill.msr.terms import term_to_str
+from sill.msr.terms import App, Const, Wrap, term_consts, term_to_str
 from sill.msr.trace import union_equivalent
 
 CONAT = Rec("a", Plus((("z", One()), ("s", TVar("a")))))
@@ -126,35 +127,75 @@ def test_roundtrip_examples():
         Unquote("c", UNIT_Q, ("u", "v")),
         SendVal("c", UNIT_Q, FwdPos("d", "c")),
         RecvVal("x", "c", SendVal("d", FVar("x"), Close("d"))),
+        # a free functional variable stands for itself
+        SendVal("c", FVar("x"), Close("c")),
     ]
     for p in ps:
-        assert dec_proc(enc_proc(p)) == p
+        assert dec_proc(*enc_proc(p)) == p
 
 
 @settings(max_examples=120, deadline=None)
 @given(_procs(3))
 def test_roundtrip_random(p):
-    assert dec_proc(enc_proc(p)) == p
+    assert dec_proc(*enc_proc(p)) == p
+
+
+@settings(max_examples=120, deadline=None)
+@given(_procs(3))
+def test_bodies_that_differ_only_in_free_channels_share_one_code(p):
+    # the free channels are slots, filled by the environment alone; the
+    # new names hold a mark no binder does, so nothing is renamed apart
+    rho = {c: f"{c}'{i}" for i, c in enumerate(sorted(fc(p)))}
+    q = subst_chan(p, rho)
+    (code, env), (code_q, env_q) = enc_proc(p), enc_proc(q)
+    assert code_q is code
+    assert [a.name for a in env_q.args if type(a) is Const] == \
+        [rho[a.name] for a in env.args if type(a) is Const]
+    # the only constants a code names are its labels
+    assert term_consts(code) == labels(p)
+
+
+def labels(p):
+    """The labels a process sends or cases on."""
+    out = set()
+
+    def kids(q, _):
+        for f, role in PROC_ROLES[type(q)].items():
+            v = getattr(q, f)
+            out.update([v] if role is LABEL else [l for l, _ in v] if role is BRANCHES else [])
+        return subprocs(q)
+
+    fold(p, kids, lambda *_: None)
+    return out
 
 
 def test_dec_rejects_garbage():
-    from sill.msr.terms import App, Const, Wrap
-
+    code, env = enc_proc(Wait("a", Close("b")))
+    for bad_env in (Const("x"), App("nonsense", (Const("a"), Const("b"))),
+                    App("env", (Const("a"),)), App("env", (Const("a"), Wrap(UNIT_Q)))):
+        with pytest.raises(ValueError):
+            dec_proc(code, bad_env)
     with pytest.raises(ValueError):
-        dec_proc(Const("x"))
+        dec_proc(Const("x"), env)
     with pytest.raises(ValueError):
-        dec_proc(App("nonsense", (Const("x"),)))
+        dec_proc(App("nonsense", (Wrap(0),)), env)
     # too few arguments, and too many
-    a, b, val = Const("a"), Const("b"), Wrap(UNIT_Q)
+    a, b, val = Wrap(0), Wrap(1), Wrap(UNIT_Q)
+    close = App("@", (App("close", (a,)), Wrap((0,))))
     for short in (App("wait", (a,)), App("send_val", (a, val)),
-                  App("cut", (a, Wrap(One()), enc_proc(Close("a")))),
+                  App("cut", (Wrap("a"), Wrap(One()), close)),
                   App("unquote", (a,)), App("case", ())):
         with pytest.raises(ValueError):
-            dec_proc(short)
-    for long in (App("close", (a, b)), App("fwd+", (a, b, b)),
-                 App("wait", (a, enc_proc(Close("b")), b))):
+            dec_proc(short, env)
+    for long in (App("close", (a, b)), App("fwd+", (a, b, b)), App("wait", (a, close, b))):
         with pytest.raises(ValueError):
-            dec_proc(long)
+            dec_proc(long, env)
+    # a slot out of range, a subprocess without its slots, and the slot of
+    # a binder under a construct that binds nothing
+    for bad in (App("close", (Wrap(2),)), App("wait", (a, App("close", (a,)))),
+                App("wait", (a, App("@", (App("close", (a,)), Wrap((-1,))))))):
+        with pytest.raises(ValueError):
+            dec_proc(bad, env)
     from sill.msr.multiset import Fact
 
     with pytest.raises(ValueError):
@@ -254,10 +295,14 @@ def test_a_5000_deep_process_steps_and_prints():
     assert names(tr) == ["plus_r"]
     data = json.loads(json.dumps(tr.to_json(include_states=True)))
     [first] = data["states"][0]["ephemeral"]
-    assert first == "proc(c, " + "send_label(c, l, " * 5000 + "close(c)" + ")" * 5001
+    # each level is its code, slot 0 the channel, and its subprocess's
+    # code with the slot that fills the subprocess's one slot
+    assert first == ("proc(c, " + "send_label(<0>, l, @(" * 5000 + "close(<0>)"
+                     + ", <(0,)>))" * 5000 + ", env(c))")
     msg, rest = data["states"][1]["ephemeral"]
     assert msg == "msg(c, send_label(c, l, fwd+(c'0, c)))"
-    assert rest.startswith("proc(c'0, send_label(c'0, l, ")
+    assert rest.startswith("proc(c'0, send_label(<0>, l, ")
+    assert rest.endswith(", env(c'0))")
     assert rest.count("send_label(") == 4999
 
 
@@ -270,7 +315,7 @@ def test_printers_match_the_recursive_ones_on_the_corpus():
             for a in f.args:
                 assert term_to_str(a) == terms_oracle.term_to_str(a), name
             if f.pred == "proc":
-                q = dec_proc(f.args[1])
+                q = dec_proc(*f.args[1:])
                 assert proc_to_str(q) == ast_oracle.proc_to_str(q), name
 
 
@@ -321,13 +366,17 @@ def test_unquote_substitutes_actuals():
 
 
 def test_unquote_renames_a_capturing_binder_apart():
-    # the body binds c, the channel it is unquoted onto: the renamed
-    # encoding keeps ast.subst_chan's alpha-renaming
+    # the body binds c, the channel it is unquoted onto: the decoded
+    # process keeps ast.subst_chan's alpha-renaming
     q = Quote(("z", One()), Cut("c", One(), Close("c"), Wait("c", Close("z"))))
     state, iface = initial_config(Unquote("c", q), {}, ("c", One()))
     tr = run(SillSystem(), state, iface, fuel=10, check=True)
     assert names(tr)[0] == "unquote" and tr.meta["maximal"]
-    assert tr.steps[0].produced == (proc_fact("c", subst_chan(q.body, {"z": "c"})),)
+    [produced] = tr.steps[0].produced
+    # the step shares the body's code: the binder is renamed apart as the
+    # fact decodes
+    assert produced.args[1] is enc_proc(q.body)[0]
+    assert dynamics.config_fact(produced) == ProcF("c", subst_chan(q.body, {"z": "c"}))
     assert subst_chan(q.body, {"z": "c"}) == Cut(
         "c%0", One(), Close("c%0"), Wait("c%0", Close("c")))
     assert final_facts(tr) == [MsgF("c", Close("c"))]

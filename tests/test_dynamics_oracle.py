@@ -1,14 +1,16 @@
-"""Differential tests: SILL steps derived on the term encoding against the
-reference in ``dynamics_oracle``, which decoded each process and encoded
-its successors again.
+"""Differential tests: SILL steps derived on codes and environments
+against the reference in ``dynamics_oracle``, which decoded each process
+and encoded its successors again.
 
 At every state of every run below, both give the same enabled steps, in
 the same order: rule name, consumed and produced facts, existentials,
 fresh-name hints and equivalence class by the definition
-(``fairness_oracles.definitional_key``); the keys the engine gives all the
-enabled steps of a state split them into exactly those classes.  Full
-fair runs take the same steps
-with the same fresh names, and the channels those steps create get the
+(``fairness_oracles.definitional_key``), the facts compared as the
+configuration facts they decode to (``config_fact``), a binder renamed apart
+and a hint that names one by its stem (``unapart``); the keys the
+engine gives all the enabled steps of a state split them into exactly
+those classes.  Full fair runs take the same steps with the same fresh names and
+the same scheduler counters, and the channels those steps create get the
 same types.  The inputs are the corpus under several seeds, the wide
 benchmark configuration, an endless sender, divergent spins and
 type-directed well-typed processes.
@@ -25,10 +27,14 @@ from test_equiv_key import classes
 from test_dynamics import corpus
 from test_obs import CONAT, omega_proc
 
-from sill.dynamics import SillSystem, _birth_type, _StepIndex, config_state, initial_config, run
+from sill.dynamics import (_DECODE, SillSystem, _birth_type, _StepIndex, config_fact,
+                           config_state, enc_proc, initial_config, run)
 from sill.equiv import divergent
 from sill.lang import check_module, parse
-from sill.lang.ast import One, Plus, Up
+from sill.lang.ast import CHAN_BINDER, One, Plus, Up
+from sill.msr.multiset import Fact
+from sill.msr.rules import _ground_fact
+from sill.msr.terms import App, Const, Wrap
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import wide_source  # noqa: E402
@@ -36,9 +42,53 @@ from workloads import wide_source  # noqa: E402
 SEEDS = (None, 0, 1, 2, 7)
 
 
+# the constant a step's consequent is decoded with in place of its variable
+_PLACED = {"nc": Const("%nc")}
+
+
+def decoded(x):
+    """x with each fact in it, ground or over the step's variable, decoded
+    to its configuration fact, with binders renamed apart named by their
+    stem (``unapart``)."""
+    if isinstance(x, Fact):
+        cf = config_fact(_ground_fact(x, _PLACED))
+        return type(cf).__name__, cf.chan, unapart(cf.proc)
+    if isinstance(x, (tuple, frozenset)):
+        return type(x)(map(decoded, x))
+    return x
+
+
+def unapart(p):
+    """The code and environment of p, each channel binder a renaming gave
+    apart (``stem%k``, ``ast.apart``) named by its stem again: the
+    reference renames a binder apart wherever a renaming maps some channel
+    onto its name (``ast.subst_chan``), a code and environment only where
+    it would capture a channel its scope uses.  Every other name is kept,
+    and a code's bound occurrences are slots, so they follow their binder."""
+    code, env = enc_proc(p)
+    return _unapart_binders(code), env
+
+
+def _stem(name):
+    # '%' is reserved for renaming apart: no source identifier holds it
+    return name.split("%")[0]
+
+
+def _unapart_binders(t):
+    # a channel binder is the first field of its construct
+    if type(t) is not App:
+        return t
+    binds = t.fn in _DECODE and _DECODE[t.fn][1][0] is CHAN_BINDER
+    return App(t.fn, tuple(Wrap(_stem(a.payload)) if binds and i == 0 else _unapart_binders(a)
+                           for i, a in enumerate(t.args)))
+
+
 def _inst(i):
+    # a cut's hint is its binder as decoded, so it is named by its stem too
     r = i.rule
-    return r.name, r.eph_ant, r.eph_con, r.evars, r.fresh_hints, definitional_key(i)
+    hints = tuple((v, (_stem(h), style)) for v, (h, style) in r.fresh_hints)
+    return (r.name, decoded(r.eph_ant), decoded(r.eph_con), r.evars, hints,
+            decoded(definitional_key(i)))
 
 
 def assert_same_runs(state, iface, fuel, seeds=SEEDS, check=False):
@@ -49,8 +99,8 @@ def assert_same_runs(state, iface, fuel, seeds=SEEDS, check=False):
     for seed in seeds:
         new = run(SillSystem(), state, iface, fuel=fuel, seed=seed, check=check)
         old = run(ref.OracleSystem(), state, iface, fuel=fuel, seed=seed, check=check)
-        assert [(_inst(s.inst), s.xi, s.produced) for s in new.steps] == \
-            [(_inst(s.inst), s.xi, s.produced) for s in old.steps]
+        assert [(_inst(s.inst), s.xi, decoded(s.produced)) for s in new.steps] == \
+            [(_inst(s.inst), s.xi, decoded(s.produced)) for s in old.steps]
         assert new.meta["maximal"] == old.meta["maximal"]
         assert new.meta["sched"] == old.meta["sched"]
         types = new.meta["channel_types"]

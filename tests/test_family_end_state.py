@@ -106,6 +106,10 @@ def test_a_subject_whose_alone_run_is_not_maximal_plugs_as_before(sources, monke
             new = plugged(monkeypatch, equiv_check, *args, **kwargs)
             old = plugged(monkeypatch, ref.equiv_check, *args, **kwargs)
             assert new[1], (fuel, seed)
+            if c is d:
+                # the second direction would repeat the first's composites
+                # at each depth, and is skipped
+                old = old[0], [x for i, x in enumerate(old[1]) if x not in old[1][:i]]
             assert new == old, (fuel, seed)
     # the same pair at full fuel plugs into the end states instead
     args = (four, four_cut, make_system("external"))

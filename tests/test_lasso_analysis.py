@@ -14,13 +14,18 @@ import tracemalloc
 from pathlib import Path
 
 from fairness_oracles import definitional_report, reference_check_fairness
+from test_dynamics import corpus
+from test_dynamics_oracle import SEEDS
+from test_obs import CONAT, omega_proc
 from test_fairness import (_fixed_lassos, _random_lassos, _spawning_lasso,  # noqa: F401
                            _spawning_lasso_without_spin, _two_spin_lassos, lasso1, lasso2,
                            lasso3)
 
 from sill.fairness import (STRENGTHS, VARIETIES, LassoTrace, _Analysis, _analysis_of,
                            check_fairness, fair_execute, fairness_report)
+from sill.dynamics import SillSystem, config_state, initial_config, run
 from sill.msr import Trace, parse_system, rules
+from sill.msr.terms import Const
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import RING_RULE, ring_nodes, ring_source  # noqa: E402
@@ -156,3 +161,44 @@ def test_ordering_a_sill_lasso_builds_no_template_consequent(monkeypatch):
     want = definitional_report(_spawning_lasso())
     assert {key: v.fair for key, v in fairness_report(lt).items()} == want
     assert all(want.values())
+
+
+def _fresh_channel_steps():
+    """The steps that create a channel in runs of the corpus under several
+    seeds, of an endless sender and of the spawning lasso."""
+    runs = [run(SillSystem(), config_state(facts), iface, fuel=200, seed=seed)
+            for _, facts, iface in corpus() for seed in SEEDS]
+    runs.append(run(SillSystem(), *initial_config(omega_proc(), {}, ("o", CONAT)), fuel=300))
+    runs.append(_spawning_lasso().trace)
+    return [s for tr in runs for s in tr.steps if s.xi]
+
+
+def test_a_filled_consequent_names_only_what_its_step_consumes_and_creates():
+    # what lets Inst.consts read a template step's constants off the
+    # facts it consumes, without building the template
+    steps = _fresh_channel_steps()
+    assert len(steps) > 250 and {s.inst.rule.name for s in steps} >= {"cut", "plus_r"}
+    for s in steps:
+        rule, xi = s.inst.rule, s.xi_map()
+        pers, eph = s.inst.consequent({v: Const(n) for v, n in xi.items()})
+        named = set().union(*[f.consts() for f in (*pers, *eph.eph_support())])
+        consumed = set().union(*[f.consts() for f in rule.eph_ant])
+        assert named <= consumed | set(xi.values()), s.inst.to_str()
+        assert s.inst.consts() == consumed
+
+
+def test_a_report_on_a_spawning_lasso_builds_no_template_consequent(monkeypatch):
+    lt = _spawning_lasso()
+    builds = [0]
+    build = rules._TemplateCon.__get__
+
+    def counted(self, rule, owner=rules.Rule):
+        if rule is not None:
+            builds[0] += 1
+        return build(self, rule, owner)
+
+    monkeypatch.setattr(rules._TemplateCon, "__get__", counted)
+    report = {key: v.fair for key, v in fairness_report(lt).items()}
+    assert builds[0] == 0
+    monkeypatch.undo()
+    assert report == definitional_report(_spawning_lasso())

@@ -1,24 +1,25 @@
-"""Message info read off the term, against the full decode.
+"""Message info read off the term, against a full decode.
 
-``dynamics.msg_info`` reads a message's ``MsgInfo`` off the two levels of
-its term (the send and the forward that ends it), and only a shape that is
-not a message's goes to the decode.  For every msg fact of the dynamics
-corpus under several seeds, of the wide benchmark configuration and of an
-endless sender, the term reading gives what ``ast.message_parts`` gives on
-the decoded process.  Hand-built wrong shapes give None as the decode
-does, and a term that encodes no process still raises ``ValueError``.
+A message is kept as the two levels of its term (the send and the forward
+that ends it), and ``dynamics.msg_info`` reads its ``MsgInfo`` off them.
+For every msg fact of the dynamics corpus under several seeds, of the wide
+benchmark configuration and of an endless sender, the term reading gives
+what ``ast.message_parts`` gives on the process the reference decoder
+``ast_oracle.dec_proc`` reads off the term.  Hand-built wrong shapes read
+as no message: as terms they encode no fact and raise ``ValueError``, and
+``msg_fact`` refuses the processes they spell, which are no messages.
 """
 
 import sys
 from pathlib import Path
 
+import ast_oracle
 import pytest
 from test_dynamics import corpus
 from test_obs import CONAT, omega_proc
 
 from sill import dynamics
-from sill.dynamics import (SillSystem, _read_msg, config_state, dec_proc, initial_config,
-                           msg_info, run)
+from sill.dynamics import SillSystem, _read_msg, config_state, initial_config, msg_info, run
 from sill.lang import ast, check_module, parse
 from sill.lang.ast import FApp, FVar, Lam
 from sill.msr.multiset import Fact
@@ -33,8 +34,8 @@ IDENTITY = Lam("x", ast.ProcType(("z", ast.One())), FVar("x"))
 
 
 def decoded(f):
-    """The message info of f by the full decode."""
-    return ast.message_parts(f.args[0].name, dec_proc(f.args[1]))
+    """The message info of f by the reference decoder's full decode."""
+    return ast.message_parts(f.args[0].name, ast_oracle.dec_proc(f.args[1]))
 
 
 def assert_read_like_decoded(tr):
@@ -119,7 +120,10 @@ A, D, E = Const("wa"), Const("wd"), Const("we")
 def test_wrong_shapes_read_as_no_message(f):
     assert decoded(f) is None
     assert _read_msg(f) is None
-    assert msg_info(f) is None
+    with pytest.raises(ValueError):
+        msg_info(f)
+    with pytest.raises(ValueError):
+        dynamics.msg_fact(f.args[0].name, ast_oracle.dec_proc(f.args[1]))
 
 
 @pytest.mark.parametrize("f", [
@@ -145,4 +149,4 @@ def test_a_read_message_decodes_in_full_on_demand():
     assert f.memo[2] is None
     assert dynamics.classify_fact(f) == (
         "msg", "wm", ast.SendLabel("wm", "l", ast.FwdPos("wn", "wm")), info)
-    assert dynamics.config_fact(f) == ast.MsgF("wm", dec_proc(f.args[1]))
+    assert dynamics.config_fact(f) == ast.MsgF("wm", ast_oracle.dec_proc(f.args[1]))

@@ -61,6 +61,7 @@ from sill.lang.errors import (
     SillTypeError,
 )
 from sill.msr.multiset import Fact
+from sill.msr.terms import App, Const
 
 CONAT = Rec("a", Plus((("z", One()), ("s", TVar("a")))))
 TWO = Plus((("s", One()), ("z", One())))
@@ -255,7 +256,7 @@ class Faulty(SillSystem):
 def generate_as(q):
     """Generate the steps a fact would take if it held q instead."""
     def steps(system, fact, c, p, msgs):
-        stand_in = Fact("proc", (fact.args[0], enc_proc(q)))
+        stand_in = Fact("proc", (fact.args[0], *enc_proc(q)))
         return [_ground(r.name, [fact if g is stand_in else g for g in r.eph_ant],
                         r.eph_con, r.evars, r.fresh_hints)
                 for r in (i.rule for i in SillSystem._steps(system, stand_in, msgs))]
@@ -356,6 +357,25 @@ def test_cycle():
     assert_fault_caught(on("xd", Close("xd"), knot), facts, iface)
     with pytest.raises(PreservationViolation, match="cycle"):
         run(Faulty(on("xd", Close("xd"), knot)), config_state(facts), iface, check=True)
+
+
+def test_a_wrong_channel_in_a_produced_environment():
+    # once xa has closed, xk's continuation names xb where it named xc: a
+    # wait on xb, whose type is no 1, which typing the produced fact from
+    # its code and environment must still reject
+    facts = [A, ProcF("xb", SendLabel("xb", "z", Close("xb"))), ProcF("xc", Close("xc")),
+             ProcF("xk", Wait("xa", Wait("xc", Close("xk"))))]
+    iface = Interface((), (("xa", ONE), ("xc", ONE)), (("xb", TWO), ("xk", ONE)))
+    xb, xc = Const("xb"), Const("xc")
+
+    def swapped(system, fact, c, p, msgs):
+        return [_ground(r.name, list(r.eph_ant), [Fact(f.pred, (*f.args[:2], App("env", tuple(
+            xb if a is xc else a for a in f.args[2].args)))) for f in r.eph_con])
+            for r in (i.rule for i in SillSystem._steps(system, fact, msgs))]
+
+    assert_fault_caught(on("xk", facts[3].proc, swapped), facts, iface)
+    with pytest.raises(PreservationViolation, match="fact providing xk"):
+        run(Faulty(on("xk", facts[3].proc, swapped)), config_state(facts), iface, check=True)
 
 
 def test_used_channel_faults():

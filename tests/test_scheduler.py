@@ -404,7 +404,7 @@ def assert_store_current(system):
     with the steps a new system derives for it."""
     fresh = SillSystem()
     for f, insts in system.store.items():
-        assert f.pred == "proc" and _listens_on(f.args[1]) is None, f
+        assert f.pred == "proc" and _listens_on(f) is None, f
         assert insts == fresh._steps(f, {}), f
 
 

@@ -115,7 +115,9 @@ def test_the_composites_of_generated_experiments_settle_and_agree(connective, mo
     monkeypatch.setattr(equiv, "plug_experiment", recording)
     for subject in connective.values():
         equiv_check(subject, subject, make_system("external"), fuel=FUEL, depth=4)
-    assert len(plugged) > 200
+    # a subject against itself plugs each composite once: the second
+    # direction would repeat the first's, and is skipped
+    assert len(plugged) > 120
     for k, (state, iface) in enumerate(plugged):
         runs = seeded_runs(state, iface, FUEL)
         # each experiment ends in a spin, so its run is never maximal

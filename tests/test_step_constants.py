@@ -5,8 +5,9 @@ Every step ``SillSystem._steps`` derives builds its ground rule with
 constructor gives, apart from the template it keeps: a step that creates
 a channel has its consequent as a function of the channel's term, built
 once, when the step fires.  A run of an endless sender builds no order key
-(``fact_key``) in ``dynamics``, validates no rule and grounds no
-consequent with ``subst_term``, while consumed messages are still
+(``fact_key``) in ``dynamics``, validates no rule, grounds no consequent
+with ``subst_term`` and, after its first round, walks no process body
+(``ast.fold``), while consumed messages are still
 enumerated in order-key order where a carrier queues two or more.  A weak
 barb on a message already present decodes no process.
 """
@@ -100,10 +101,13 @@ def test_an_endless_sender_builds_no_order_key_and_validates_no_rule(monkeypatch
 
 def test_an_endless_sender_builds_each_consequent_once(monkeypatch):
     # a send's consequent is a template that fire fills in with the fresh
-    # channel: it is built once, by one _rename, and no subst_term walk
-    # grounds it again (building it over a variable first, then grounding
-    # it, made about 2.7 subst_term calls per step)
-    calls = {"subst_term": 0, "_rename": 0, "derived": 0}
+    # channel: it is built once, and no subst_term walk grounds it again
+    # (building it over a variable first, then grounding it, made about
+    # 2.7 subst_term calls per step); it shares its continuation's code and
+    # builds only an environment, so once the first round has encoded the
+    # quoted body and evaluated its term, for the system, no step folds
+    # over the syntax
+    calls = {"subst_term": 0, "fold": 0, "derived": 0}
 
     def counted(module, name):
         f = getattr(module, name)
@@ -123,14 +127,16 @@ def test_an_endless_sender_builds_each_consequent_once(monkeypatch):
 
     counted(rules, "subst_term")
     counted(terms, "subst_term")
-    counted(dynamics, "_rename")
+    counted(ast, "fold")
+    counted(dynamics, "fold")
     monkeypatch.setattr(SillSystem, "_steps", derive)
     state, iface = initial_config(omega_proc(), {}, ("o", CONAT))
-    tr = run(SillSystem(), state, iface, fuel=300)
+    folds = []
+    tr = run(SillSystem(), state, iface, fuel=300, observer=lambda _: folds.append(calls["fold"]))
     monkeypatch.undo()
     assert len(tr.steps) == 300 and calls["derived"] >= 300
     assert calls["subst_term"] == 0
-    assert calls["_rename"] <= calls["derived"]
+    assert folds[2] > 0 and folds[-1] == folds[2]
 
 
 def test_queued_messages_are_consumed_in_order_key_order():
