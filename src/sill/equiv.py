@@ -36,7 +36,7 @@ from .lang import ast
 from .lang.check import check_config
 from .lang.errors import InterfaceMismatch, SillError
 from .msr.multiset import Fact, Multiset, fact_key
-from .msr.rules import Signature, apply_inst
+from .msr.rules import Signature, fire
 from .obs import (
     BOT,
     CommTree,
@@ -88,7 +88,8 @@ def barb(state: Multiset, a: str, system: Optional[SillSystem] = None) -> bool:
     Holds exactly when the state, or one of its single-step successors,
     contains a message whose carrier is a.  A message on a names a, so
     the free channels, which need every process decoded, are computed
-    only when the state holds none.
+    only when the state holds none; a successor then holds one exactly
+    when its step produced one, so no successor is built.
     """
     if _carries(state.eph_support(), a):
         return True
@@ -96,8 +97,12 @@ def barb(state: Multiset, a: str, system: Optional[SillSystem] = None) -> bool:
         raise UnknownChannel(a)
     sys = system or SillSystem()
     sig = Signature(frozenset(state.consts()) | sys.signature().declared, 0)
-    return any(_carries(apply_inst(state, inst, sig)[0].eph_support(), a)
-               for inst in sys.applicable(state))
+    for inst in sys.applicable(state):
+        produced: list[Fact] = []
+        fire(state, inst, sig, produced=produced)
+        if _carries(produced, a):
+            return True
+    return False
 
 
 def weak_barb(

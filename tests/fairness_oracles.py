@@ -18,6 +18,11 @@ keys them with ``definitional_key``, and reads "infinitely often" as "in
 each of the last windows" and "almost always" as "at every position of
 the last windows", a window being one period (the lcm of the renaming's
 cycle lengths) of rounds.
+
+Both find a lasso's recurrence renaming with ``find_renaming`` from
+``canon_oracle``, the renaming search as it was before it shared one
+engine with ``canonical_form``, so the differential tests also compare
+the renaming the checker under test finds.
 """
 
 import dataclasses
@@ -25,11 +30,11 @@ import itertools
 import math
 from typing import Iterable, Optional
 
+from canon_oracle import find_renaming
 from helpers import active
 
 from sill.fairness import InvalidLasso, LassoTrace, Verdict
 from sill.msr import Rule, Trace
-from sill.msr.canon import find_renaming
 from sill.msr.multiset import Fact, fact_consts, fact_key, fact_to_str
 from sill.msr.rules import Inst
 from sill.msr.terms import Const, rename_consts, term_consts, term_to_str

@@ -2,7 +2,7 @@
 
 import random
 
-from sill.msr import Const, Fact, Multiset, canonical_form, find_renaming
+from sill.msr import App, Const, Fact, Multiset, canonical_form, find_renaming
 from sill.msr.canon import ms_key
 
 from helpers import random_mrs
@@ -71,6 +71,27 @@ def test_find_renaming_respects_structure():
 
 def test_find_renaming_none_when_sizes_differ():
     assert find_renaming(Multiset.of([F("p", "a#1")]), Multiset.of([F("p", "a")])) is None
+
+
+def test_a_5000_deep_term_around_a_generated_name():
+    deep = Const("g#0")
+    for _ in range(5000):
+        deep = App("s", (deep,))
+    m = Multiset.of([Fact("p", (deep,)), F("q", "g#0", "g#1")])
+    other = m.rename({"g#0": "h#1", "g#1": "h#0"})
+    form, rho = canonical_form(m)
+    assert m.rename(rho) == form
+    assert canonical_form(other)[0] == form
+    assert find_renaming(m, other) == {"g#0": "h#1", "g#1": "h#0"}
+    assert find_renaming(m, m.rename({"g#0": "g#1", "g#1": "g#0"})) == {"g#0": "g#1", "g#1": "g#0"}
+
+
+def test_1500_names_each_under_its_own_predicate():
+    m = Multiset.of([F(f"p{i}", f"g#{i}") for i in range(1500)])
+    shift = {f"g#{i}": f"g#{(i + 1) % 1500}" for i in range(1500)}
+    assert find_renaming(m, m) == {f"g#{i}": f"g#{i}" for i in range(1500)}
+    assert find_renaming(m, m.rename(shift)) == shift
+    assert find_renaming(m, m.rename(shift).msum(Multiset.of([F("p0", "g#1")]))) is None
 
 
 def test_ms_key_total_order_consistent():
