@@ -48,8 +48,9 @@ from .msr.trace import Trace
 DEFAULT_EVAL_FUEL = 10_000
 
 # the one existential of a step, the fresh channel it creates: named after
-# the first placeholder of the equivalence key, so the validated rule of a
-# step's fields is its own key variant
+# the first placeholder of the equivalence key, so the identity variant in
+# the key of the validated rule of a step's fields is that rule's own
+# consequent
 _EVAR = KEY_VARS[0]
 
 
@@ -396,18 +397,16 @@ class SillSystem:
     step silently unavailable.  A step reads the code of the fact it
     consumes and builds only environments.
 
-    Four memos last for the system's lifetime, so build one per run or
-    per verdict: ``_memo`` holds each evaluated term's value and
+    Three memos of values last for the system's lifetime, so build one
+    per run or per verdict: ``_memo`` holds each evaluated term's value and
     ``_quoted`` each unquoted term's quote with its body's code and
     environment, both keyed by the interned ``Wrap``, which hashes by
-    address; ``store`` holds the steps derived for each proc fact that
-    listens on no carrier, and so their facts, or, for a step that
-    creates a channel, the template of its consequent (``Rule.ground``),
-    which each firing fills in with its own fresh name; ``observations``
-    holds each observation ``obs.observe_config`` made on the system, with
-    the interface it was made under, keyed by (state, observed channels,
-    fuel, depth, seed).  The state is a ``Multiset`` of interned facts,
-    which hashes by their addresses, and no session type is hashed.
+    address; ``observations`` holds each observation
+    ``obs.observe_config`` made on the system, with the interface it was
+    made under, keyed by (state, observed channels, fuel, depth, seed).
+    The state is a ``Multiset`` of interned facts, which hashes by their
+    addresses, and no session type is hashed.  No step is kept: a run
+    derives the steps it asks for.
     """
 
     rules: tuple = ()
@@ -418,7 +417,6 @@ class SillSystem:
         self.eval_fuel = eval_fuel
         self._memo: dict[Wrap, object] = {}
         self._quoted: dict[Wrap, Optional[tuple[ast.Quote, App, App]]] = {}
-        self.store: dict[Fact, list[Inst]] = {}
         self.observations: dict[tuple, tuple] = {}
 
     def signature(self) -> Signature:
@@ -472,7 +470,7 @@ class SillSystem:
             pol, frm, to = (ast.POSITIVE if at == 0 else ast.NEGATIVE,
                             e[args[at].payload], e[args[1 - at].payload])
             return [_ground(tag, [fact, mf], [Fact("msg", (
-                to if at == 0 else mf.args[0], _rekey(mf.args[1], frm, to)))])
+                to if at == 0 else mf.args[0], _rekey(mf.args[1], {frm: to})))])
                 for mf, info in msgs.get(frm.name, ()) if info.polarity == pol]
         if tag == "cut":
             # the fresh channel, named after the binder, fills its slot
@@ -558,11 +556,22 @@ def _closed(t: Term, e: tuple) -> Wrap:
     return Wrap(m)
 
 
-def _rekey(t: App, frm: Const, to: Const) -> App:
-    """A message term with the channel frm renamed to; a label is no channel."""
+def _rekey(t: App, rho: Mapping[Const, Const]) -> App:
+    """A message term with its channels renamed by rho; a label is no channel."""
     return App(t.fn, tuple([
-        App(b.fn, tuple([to if c is frm else c for c in b.args])) if type(b) is App else
-        to if b is frm and (i != 1 or t.fn != "send_label") else b for i, b in enumerate(t.args)]))
+        App(b.fn, tuple([rho.get(c, c) for c in b.args])) if type(b) is App else
+        b if i == 1 and t.fn == "send_label" else rho.get(b, b) for i, b in enumerate(t.args)]))
+
+
+def rename_channels(f: Fact, rho: Mapping[Const, Const]) -> Fact:
+    """A proc or msg fact with its channels renamed by rho: a proc fact's
+    key and environment, as a code names no channel, or a message's key
+    and term."""
+    key = rho.get(f.args[0], f.args[0])
+    if f.pred == "proc":
+        _, code, env = f.args
+        return Fact("proc", (key, code, App("env", tuple([rho.get(a, a) for a in env.args]))))
+    return Fact("msg", (key, _rekey(f.args[1], rho)))
 
 
 # message kind -> the rule-name stems of the connectives it is sent at, the
@@ -603,14 +612,11 @@ class _StepIndex:
     their terms, and proc facts by the carrier their code listens on;
     no fact is decoded.  A proc fact's steps depend only on the fact and
     the bucket of that carrier, so after a step only the touched proc facts
-    and the listeners on the carriers of touched messages need their steps.
-    The steps of a proc fact that listens on no carrier come from the
-    system's ``store`` (a per-fact memory in the manner of Rete), derived
-    when a run on the system first asks; each run keys them anew.
-    ``derived`` and ``reused`` count the steps handed out each way.
-    Order keys (``fact_key``) are built only to order two or more facts:
-    the proc facts of one ``steps`` call, or a message joining a carrier's
-    non-empty bucket.
+    and the listeners on the carriers of touched messages need their steps,
+    each derived when asked for (``SillSystem._steps``).  Order keys
+    (``fact_key``) are built only to order two or more facts: the proc
+    facts of one ``steps`` call, or a message joining a carrier's non-empty
+    bucket.
     """
 
     def __init__(self, system: SillSystem, state: Multiset):
@@ -621,7 +627,6 @@ class _StepIndex:
         self.procs: dict[Fact, None] = {}
         self.msgs: dict[str, list] = {}
         self.listeners: dict[str, dict[Fact, None]] = {}
-        self.derived = self.reused = 0
         for f in state.eph_support():
             self._add(f)
 
@@ -656,21 +661,10 @@ class _StepIndex:
     def steps(self, procs: Iterable[Fact]) -> list[tuple[tuple, Inst]]:
         """The steps of the given proc facts with their equivalence keys,
         in enumeration order."""
-        out: list[tuple[tuple, Inst]] = []
         procs = list(procs)
         if len(procs) > 1:
             procs.sort(key=fact_key)
-        for f in procs:
-            insts = self.system.store.get(f)
-            if insts is None:
-                insts = self.system._steps(f, self.msgs)
-                self.derived += len(insts)
-                if self.facts[f] is None:
-                    self.system.store[f] = insts
-            else:
-                self.reused += len(insts)
-            out.extend([(_equiv_key(i), i) for i in insts])
-        return out
+        return [(_equiv_key(i), i) for f in procs for i in self.system._steps(f, self.msgs)]
 
     def delta(self, state: Multiset, gone: Iterable[Fact],
               touched: Iterable[Fact]) -> list[tuple[tuple, Inst]]:

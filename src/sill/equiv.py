@@ -30,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .dynamics import SillSystem, config_fact, config_state, fact_channels, msg_info
+from .dynamics import SillSystem, config_state, fact_channels, msg_info, rename_channels
 from .fairness import fair_execute
 from .lang import ast
 from .lang.check import check_config
 from .lang.errors import InterfaceMismatch, SillError
 from .msr.multiset import Fact, Multiset, fact_key
 from .msr.rules import Signature, fire
+from .msr.terms import Const
 from .obs import (
     BOT,
     CommTree,
@@ -112,18 +113,30 @@ def weak_barb(
     seed: Optional[int] = None,
     system: Optional[SillSystem] = None,
 ) -> bool:
-    """Does some state within a fair run of length <= fuel satisfy the barb?
+    """Does some state within a fair run of length <= fuel satisfy the barb?"""
+    return _weak_barbs(state, fuel, seed, system)(a)
 
-    A message on a names a, so, as in ``barb``, the free channels are
-    computed only when the state holds none."""
-    if _carries(state.eph_support(), a):
-        return True
-    if a not in _fc_state(state):
-        raise UnknownChannel(a)
-    sys = system or SillSystem()
-    tr = fair_execute(sys, state, budget=fuel, seed=seed)
-    # every message some state of the run held is among the run's facts
-    return _carries(tr.facts(), a) or barb(tr.final(), a, sys)
+
+def _weak_barbs(state: Multiset, fuel: int, seed: Optional[int],
+                system: Optional[SillSystem] = None) -> Callable[[str], bool]:
+    """``weak_barb`` of state, for each channel it is asked: a reader of
+    one fair run, started the first time a channel's barb is not already
+    in the state, since the run does not depend on the channel.  A message
+    on a names a, so, as in ``barb``, the free channels are computed only
+    when the state holds none."""
+    sys, tr = system or SillSystem(), None
+
+    def weak(a: str) -> bool:
+        nonlocal tr
+        if _carries(state.eph_support(), a):
+            return True
+        if a not in _fc_state(state):
+            raise UnknownChannel(a)
+        if tr is None:
+            tr = fair_execute(sys, state, budget=fuel, seed=seed)
+        # every message some state of the run held is among the run's facts
+        return _carries(tr.facts(), a) or barb(tr.final(), a, sys)
+    return weak
 
 
 def barbed_sim(
@@ -133,15 +146,13 @@ def barbed_sim(
     seed: Optional[int] = None,
 ) -> bool:
     """Per channel of the shared interface, a weak barb of c implies one of
-    d; each subject's runs share one system."""
+    d; each subject runs at most once (``_weak_barbs``)."""
     cs, ci = c
     ds, di = d
     _require_shared(ci, di)
-    c_sys, d_sys = SillSystem(), SillSystem()
-    for x in sorted([n for n, _ in ci.used] + [n for n, _ in ci.provided]):
-        if weak_barb(cs, x, fuel, seed, c_sys) and not weak_barb(ds, x, fuel, seed, d_sys):
-            return False
-    return True
+    c_barb, d_barb = _weak_barbs(cs, fuel, seed), _weak_barbs(ds, fuel, seed)
+    return not any(c_barb(x) and not d_barb(x)
+                   for x in sorted([n for n, _ in ci.used] + [n for n, _ in ci.provided]))
 
 
 # -- prelude processes -------------------------------------------------------------
@@ -378,13 +389,12 @@ class _Prepared(tuple):
     """A subject, still the pair (state, interface), with what plugging
     reads off it, read once.
 
-    ``facts`` are its facts decoded in ``state_facts`` order and
-    ``ordered`` the same facts encoded; ``names`` holds every channel its
-    facts name, ``internal`` its internal channels with their types, in
-    sorted order, and ``stand_ins`` one fact per provided channel p, which
-    ``plug`` checks in place of p's tree: ``divergent`` at p, holding the
-    used channels the tree consumes.  A fact's channels are read off its
-    environment (``fact_channels``).
+    ``ordered`` holds its facts in ``state_facts`` order, ``names`` every
+    channel its facts name, ``internal`` its internal channels with their
+    types, in sorted order, and ``stand_ins`` one fact per provided channel
+    p, which ``plug`` checks in place of p's tree: ``divergent`` at p,
+    holding the used channels the tree consumes.  A fact's channels are
+    read off its environment (``fact_channels``), and no fact is decoded.
     """
 
     def __new__(cls, subject: Subject):
@@ -394,7 +404,7 @@ class _Prepared(tuple):
         state, iface = subject
         eph = [f for f in sorted(state.eph_support(), key=fact_key)
                for _ in range(state.count(f))]
-        self.facts, self.ordered = [config_fact(f) for f in eph], Multiset.of(eph)
+        self.ordered = Multiset.of(eph)
         chans = [fact_channels(f) for f in eph]
         self.names = set().union(*chans)
         keep = {n for n, _ in iface.used} | {n for n, _ in iface.provided}
@@ -406,7 +416,7 @@ class _Prepared(tuple):
         self.internal = [(n, itypes[n]) for n in internal]
         self._taken = self.names | keep
         # each provided channel's tree, followed down to the used channels
-        provider = {cf.chan: c for cf, c in zip(self.facts, chans)}
+        provider = {f.args[0].name: c for f, c in zip(eph, chans)}
         used = dict(iface.used)
         self.stand_ins = ()
         for p, a in iface.provided:
@@ -444,9 +454,8 @@ def plug(context: ConfigContext, subject: Subject) -> Subject:
     replaced by its stand-in (see ``_Prepared``), which meets the context
     on the same channels, so a fault the whole composite would show, a
     cycle through the hole among them, still raises.  The composite holds
-    the context's facts, then the subject's in ``state_facts`` order; when
-    no internal channel needs renaming, these are the subject's encoded
-    facts as they are.
+    the context's facts, then the subject's in ``state_facts`` order, each
+    with its channels renamed (``rename_channels``): no process is decoded.
     """
     subject = _Prepared(subject)
     _require_shared(context.hole, subject[1])
@@ -476,11 +485,9 @@ def plug(context: ConfigContext, subject: Subject) -> Subject:
     internal += [(rho.get(n, n), t) for n, t in subject.internal]
     iface = ast.Interface(used=outer.used, internal=tuple(internal),
                           provided=outer.provided)
-    if not rho:
-        return config_state(context.facts).msum(subject.ordered), iface
-    renamed = [type(cf)(rho.get(cf.chan, cf.chan), ast.subst_chan(cf.proc, rho))
-               for cf in subject.facts]
-    return config_state(tuple(context.facts) + tuple(renamed)), iface
+    rename = {Const(n): Const(m) for n, m in rho.items()}
+    renamed = Multiset({rename_channels(f, rename): n for f, n in subject.ordered.eph_items()})
+    return config_state(context.facts).msum(renamed), iface
 
 
 def run_experiment(subject: Subject, experiment: Experiment,

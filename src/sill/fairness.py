@@ -550,11 +550,10 @@ def fair_execute(
 
     meta["sched"] counts the full enumerations, the candidates the enabled
     set proposed, the fresh instantiations that joined the queue after a
-    step, the steps that changed nothing (``unchanged_steps``), those of
-    them recorded again from ``app.idle`` (``idle_replays``), and of the
-    candidates, the steps the enabled set derived (``steps_derived``) and
-    those it took from the store of a ``SillSystem`` (``steps_reused``),
-    which an earlier run on the same system may have filled.
+    step, the steps that changed nothing (``unchanged_steps``) and those
+    of them recorded again from ``app.idle`` (``idle_replays``).  The enabled
+    set derives every candidate it proposes, so ``delta_candidates`` is
+    also the number of steps derived after the start.
     """
     tr = Trace(mrs, start)
     rng = random.Random(seed) if seed is not None else None
@@ -598,8 +597,6 @@ def fair_execute(
             app.admit(k, c)
         sched["fresh_admitted"] += len(fresh)
     sched["delta_candidates"] = app.proposed
-    sched["steps_derived"] = app.enabled.derived
-    sched["steps_reused"] = app.enabled.reused
     tr.meta["maximal"] = not queue
     tr.meta["sched"] = sched
     if record_queue_depths:

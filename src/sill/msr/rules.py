@@ -146,10 +146,6 @@ class Rule:
                 first.setdefault(f, i)
             object.__setattr__(self, "_con_pats", {
                 f: first[f] for f in self.pers_con + self.eph_con if f in first})
-        # a ground rule whose existentials have their placeholders' names
-        # is its own key variant under the identity permutation
-        object.__setattr__(self, "_own_variant",
-                           not self.uvars and con_evars == KEY_VARS[:len(con_evars)])
         for v, _ in self.fresh_hints:
             if v not in eset:
                 raise ValueError(f"rule {self.name}: fresh hint for unknown variable {v}")
@@ -170,7 +166,10 @@ class Rule:
         from the terms of evars, in order, to the consequent facts, naming
         each of them.  ``fire`` then builds it once, over the fresh
         constants (``Inst.consequent``), and ``eph_con`` is built from it
-        over the variables on first read; hashing does not build it."""
+        over the variables on first read.  Neither hashing nor equality
+        builds it: two template rules with equal heads (name, antecedent,
+        existentials and hints) consume the same facts, so by the promise
+        above they are equal, whatever their templates."""
         rule = object.__new__(cls)
         if callable(eph_con):
             con_evars = evars
@@ -180,8 +179,7 @@ class Rule:
         # the dataclass is frozen: write past its __setattr__
         rule.__dict__.update(name=name, uvars=(), pers_ant=(), eph_ant=eph_ant, evars=evars,
                              pers_con=(), fresh_hints=fresh_hints, cost=1, _template=eph_con,
-                             _con_evars=con_evars,
-                             _own_variant=con_evars == KEY_VARS[:len(con_evars)])
+                             _con_evars=con_evars)
         return rule
 
     def _head(self) -> tuple:
@@ -189,9 +187,13 @@ class Rule:
                 self.fresh_hints, self.cost)
 
     def __eq__(self, other) -> bool:
+        """Equal fields; two template rules (``Rule.ground``) need only
+        equal heads, and every other pair compares consequents."""
         if type(other) is not Rule:
             return NotImplemented
-        return self._head() == other._head() and self.eph_con == other.eph_con
+        return self._head() == other._head() and (
+            callable(self._template) and callable(other._template)
+            or self.eph_con == other.eph_con)
 
     def __hash__(self) -> int:
         # kept on the rule, as the scheduler and the lasso analysis hash it often
@@ -287,14 +289,13 @@ class Inst:
     def _kept(self, name: str, build: Callable[[dict[str, Term]], object]):
         """The ground part name, built by build(theta) or read where it is
         kept.  A ground instantiation (empty theta) keeps what it builds
-        for its lifetime: every SILL step is one, a step grounds its
-        antecedent several times, and the step store reuses it.  One with
-        a theta keeps only the parts the matcher built with it
-        (``matched``): the key, ``fire`` and the trace's rewrite read that
-        one grounding, and ``Trace.extend`` drops it once the step is
-        recorded (``release``), so the parts live while the instantiation
-        is a candidate and no recorded step keeps them.  Others build
-        afresh: a long run records thousands of steps, and keeping their
+        for its lifetime: every SILL step is one, and a step grounds its
+        antecedent several times.  One with a theta keeps only the parts
+        the matcher built with it (``matched``): the key, ``fire`` and the
+        trace's rewrite read that one grounding, and ``Trace.extend`` drops
+        it once the step is recorded (``release``), so the parts live while
+        the instantiation is a candidate and no recorded step keeps them.
+        Others build afresh: a long run records thousands of steps, and keeping their
         parts would cost more memory than the grounding saves."""
         if self.theta:
             matched = self._matched
@@ -474,13 +475,9 @@ class FactIndex:
     recorded, so they live as long as the candidate's queue entry.
     """
 
-    # candidates matched and keyed by delta; none is ever reused
-    reused = 0
-
     def __init__(self, state: Multiset, rules: Sequence[Rule] = ()):
         self.state = state
         self.rules = tuple(rules)
-        self.derived = 0
         self._by_pred: dict[tuple, dict[Fact, None]] = {}
         self._by_first: dict[tuple, dict[Fact, None]] = {}
         for f in itertools.chain(state.pers, state.eph_support()):
@@ -582,9 +579,7 @@ class FactIndex:
             key = (f.pred, len(f.args), f.persistent)
             if f not in self._by_pred.get(key, ()):
                 self._add(f)
-        out = [(_equiv_key(i), i) for rule in self.rules for i in self.insts(rule, touched)]
-        self.derived += len(out)
-        return out
+        return [(_equiv_key(i), i) for rule in self.rules for i in self.insts(rule, touched)]
 
 
 # -- instantiation equivalence ------------------------------------------------
@@ -629,10 +624,7 @@ def _equiv_key(inst: Inst) -> tuple:
     instantiation (``Inst.matched``), which ``fire`` and the trace then
     read too; a consequent without existential variables is then its one
     variant.  Without them the key grounds what it needs and keeps
-    nothing.  The identity assignment comes first.  For a validated ground
-    rule (empty theta) whose existentials already bear their placeholders'
-    names, it moves nothing: that variant is the rule's own consequent and
-    is not grounded again.
+    nothing.  The identity assignment comes first.
 
     A ``Rule.ground`` rule has the other key form: its caller promises
     that the consequent is determined by the antecedent, up to the fresh
@@ -658,13 +650,8 @@ def _equiv_key(inst: Inst) -> tuple:
     if parts is None:
         ant_p = frozenset(_ground_fact(f, th) for f in rule.pers_ant)
         ant_e = frozenset(_tally(_ground_fact(f, th) for f in rule.eph_ant).items())
-    perms = itertools.permutations(_KEY_TERMS[:len(evars)])
     variants = []
-    if rule._own_variant:
-        next(perms)
-        variants.append((frozenset(rule.pers_con) | ant_p,
-                         frozenset(_tally(rule.eph_con).items())))
-    for perm in perms:
+    for perm in itertools.permutations(_KEY_TERMS[:len(evars)]):
         thx = dict(th)
         thx.update(zip(evars, perm))
         pers = frozenset(_ground_fact(f, thx) for f in rule.pers_con) | ant_p

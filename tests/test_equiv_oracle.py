@@ -5,17 +5,25 @@ The subjects are the numerals of ``test_equiv.SRC``, the one-per-
 connective configurations of ``test_equiv.SUBJECTS`` and numerals with
 internal channels.  Every generated experiment built from a subject's
 observation is plugged into each subject with the same interface, the way
-``equiv_check`` plugs it.
+``equiv_check`` plugs it.  A context that names a subject's internal
+channels, some of them named like the labels of its messages, plugs the
+subject with those channels renamed as the reference renames them.
 """
+
+from collections import Counter
 
 import equiv_oracle as ref
 import pytest
+from test_dynamics_oracle import decoded
 from test_equiv import FUEL, MODES, SRC, SUBJECTS
 
 from sill import equiv
-from sill.equiv import Experiment, empty_context, run_experiment
+from sill.dynamics import SillSystem, config_state, fact_channels, run, state_facts
+from sill.equiv import (ConfigContext, Experiment, empty_context, equiv_check, make_system,
+                        run_experiment)
 from sill.lang import ast, check_module, parse
 from sill.lang.errors import InterfaceMismatch
+from sill.obs import BOT, observe_config
 
 # numerals whose configurations already hold internal channels
 INTERNAL = """
@@ -82,3 +90,51 @@ def test_generated_experiments_plug_as_before(subjects):
                             assert new[1] == old[1], (key, seed, chan, n)
                             plugged += 1
     assert plugged > 1000
+
+
+# internal channels named like the labels of their own messages
+LABEL_NAMED = """
+type conat = rec a. +{z: 1, s: a}
+proc zero : |- c : conat = send c unfold; c.z; close c
+proc succ : n : conat |- c : conat = send c unfold; c.s; fwd+ n -> c
+config two_zs : |- c : conat internal z : conat, s : conat =
+  proc z zero(), proc s succ(z), proc c succ(s)
+"""
+
+
+def test_plug_renames_the_internal_channels_a_context_names():
+    mod = parse(LABEL_NAMED)
+    check_module(mod)
+    start, iface = equiv.config_subject(mod.configs["two_zs"])
+    conat = dict(iface.provided)["c"]
+    hole = ast.Interface(provided=iface.provided)
+    for fuel, seed in ((0, None), (4, 1), (8, 1), (8, 2)):
+        # the subject at its start, and part way, holding messages on
+        # internal channels, some born in the run
+        tr = run(SillSystem(), start, iface, fuel=fuel, seed=seed)
+        state, types = tr.final(), tr.meta["channel_types"]
+        internal = sorted(set().union(*map(fact_channels, state.eph_support())) - {"c"})
+        subject = (state, ast.Interface(internal=tuple((n, types[n]) for n in internal),
+                                        provided=iface.provided))
+        # a chain of forwards out of c through a channel named like each of them
+        chain = ["c", *internal]
+        facts = tuple(ast.ProcF(b, ast.FwdPos(a, b)) for a, b in zip(chain, chain[1:]))
+        out_chan = chain[-1]
+        ctx = ConfigContext(facts, hole, ast.Interface(
+            internal=tuple((n, conat) for n in chain[1:-1]), provided=((out_chan, conat),)))
+        plugged, out = equiv.plug(ctx, subject)
+        renamed, pairs = ref._rename_internals(subject, set(internal))
+        assert [m for m, _ in pairs] == [f"{n}%0" for n in internal]
+        assert Counter(map(decoded, state_facts(plugged))) == \
+            Counter(map(decoded, facts + tuple(renamed))), (fuel, seed)
+        assert sorted(out.internal, key=str) == \
+            sorted([("c", conat), *ctx.outer.internal, *pairs], key=str)
+        # the composite shows what the reference's shows, and the verdicts
+        # against the subject at its start do not change
+        got = observe_config(plugged, out, (out_chan,), FUEL, DEPTH, seed)
+        want = observe_config(config_state(facts + tuple(renamed)), out, (out_chan,),
+                              FUEL, DEPTH, seed)
+        assert got.tree(out_chan) == want.tree(out_chan) != BOT
+        suite = make_system("external", [Experiment(ctx)])
+        assert equiv_check(subject, (start, iface), suite, FUEL, DEPTH, seed) == \
+            {"mode": "external", "bounded": True, "equivalent": True}

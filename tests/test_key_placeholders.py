@@ -56,7 +56,7 @@ def test_sill_steps_are_keyed_by_their_own_facts():
         assert_same_classes(pool, "sill")
         for inst in pool:
             rule = inst.rule
-            assert rule._own_variant and rule.evars in ((), (_EVAR,))
+            assert rule.evars in ((), (_EVAR,))
             # what the step consumes, with multiplicities, and no consequent
             ant_p, ant_e, con = _equiv_key(inst)
             assert ant_p == frozenset() and con is None
@@ -113,7 +113,7 @@ def random_system(rng):
 
 def test_random_pools_with_several_existentials_agree():
     rng = random.Random(2104_01065)
-    merged = named_nc = universal_nc = own = 0
+    merged = named_nc = universal_nc = 0
     for n in range(150):
         mrs = random_system(rng)
         tr = fair_execute(mrs, mrs.initial, budget=4, seed=n)
@@ -123,10 +123,9 @@ def test_random_pools_with_several_existentials_agree():
         merged += len(pool) - len(classes([_equiv_key(i) for i in pool]))
         named_nc += sum("nc" in i.rule.evars[1:] for i in pool)
         universal_nc += sum("nc" in i.rule.uvars for i in pool)
-        own += sum(i.rule._own_variant for i in pool)
     # the copies put equivalent instantiations together, and every case
     # the placeholders' names could meet occurs
-    assert merged > 300 and named_nc > 50 and universal_nc > 50 and own > 10
+    assert merged > 300 and named_nc > 50 and universal_nc > 50
 
 
 def test_a_rule_named_like_the_placeholders_keys_like_any_other():
@@ -137,19 +136,19 @@ def test_a_rule_named_like_the_placeholders_keys_like_any_other():
     def key(uvars, ant, evars, con):
         rule = Rule("t", uvars, (), ant, evars, (), con)
         (inst,) = FactIndex(state).insts(rule)
-        return _equiv_key(inst), old_equiv_key(inst), rule._own_variant
+        return _equiv_key(inst), old_equiv_key(inst)
 
     P0, P1 = (Var(v) for v in KEY_VARS[:2])
     ground = (q(Const("a")),)
-    base, old, own = key((), ground, ("n", "m"), (r(N, M), q(N)))
+    base, old = key((), ground, ("n", "m"), (r(N, M), q(N)))
     # the same consequent over the placeholders' own names, in either order,
-    # is the same class; with them in order the rule is its own variant
-    assert key((), ground, ("nc", KEY_VARS[1]), (r(P0, P1), q(P0))) == (base, old, True)
-    assert key((), ground, (KEY_VARS[1], "nc"), (r(P1, P0), q(P1))) == (base, old, False)
-    assert key((), ground, ("m", "nc"), (r(P0, M), q(P0))) == (base, old, False)
+    # is the same class
+    assert key((), ground, ("nc", KEY_VARS[1]), (r(P0, P1), q(P0))) == (base, old)
+    assert key((), ground, (KEY_VARS[1], "nc"), (r(P1, P0), q(P1))) == (base, old)
+    assert key((), ground, ("m", "nc"), (r(P0, M), q(P0))) == (base, old)
     # a universal named nc is ground before the placeholders go in
     universal = key(("nc",), (q(Var("nc")),), ("n", "m"), (r(N, M), q(N)))
-    assert universal[:2] == (base, old)
+    assert universal == (base, old)
     assert key(("nc",), (q(Var("nc")),), ("n", "m"), (r(N, Var("nc")), q(N)))[0] != base
     # a swapped consequent is another class under every naming
     for evars in permutations(("n", "m")):

@@ -19,7 +19,6 @@ from test_dynamics import corpus
 from test_equiv import FUEL, MODES, SRC, SUBJECTS
 from test_equiv_oracle import INTERNAL
 from test_scheduler import SEEDS
-from test_shared_system import _Forgetful
 
 from sill import equiv, obs
 from sill.dynamics import SillSystem, config_state, state_facts
@@ -42,6 +41,13 @@ config big : |- c : conat = proc c { %s send c unfold; c.z; close c }
 IDLE = """
 config idle_c : d : 1 |- e : 1 = proc e { wait d; close e }
 """
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
 
 
 def forgetting() -> SillSystem:

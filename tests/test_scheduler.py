@@ -15,8 +15,7 @@ from helpers import active, old_equiv_key, random_mrs
 from test_dynamics import corpus
 
 from sill import fairness
-from sill.dynamics import (SillSystem, _listens_on, classify_fact, config_state,
-                           initial_config, proc_fact, run)
+from sill.dynamics import SillSystem, classify_fact, config_state, initial_config, proc_fact, run
 from sill.equiv import divergent
 from sill.fairness import fair_execute
 from sill.lang.ast import (
@@ -374,11 +373,10 @@ def test_omega_enumerates_once():
     tr = run(SillSystem(), state, iface, fuel=300)
     assert tr.meta["sched"] == {"full_enumerations": 1, "delta_candidates": 300,
                                 "fresh_admitted": 300, "unchanged_steps": 0,
-                                "idle_replays": 0, "steps_derived": 300,
-                                "steps_reused": 0}
+                                "idle_replays": 0}
 
 
-# -- the step store ----------------------------------------------------------------
+# -- the keys the enabled set hands out -----------------------------------------------
 
 
 class Keeping(SillSystem):
@@ -399,15 +397,6 @@ class Keeping(SillSystem):
         return index
 
 
-def assert_store_current(system):
-    """The store holds only proc facts that listen on no carrier, each
-    with the steps a new system derives for it."""
-    fresh = SillSystem()
-    for f, insts in system.store.items():
-        assert f.pred == "proc" and _listens_on(f) is None, f
-        assert insts == fresh._steps(f, {}), f
-
-
 def test_divergent_spin_derives_once():
     state, iface = initial_config(divergent("r", One()), {}, ("r", One()))
     tr = run(Keeping(), state, iface, fuel=200)
@@ -420,23 +409,16 @@ def test_divergent_spin_derives_once():
     assert sched["unchanged_steps"] == 200
     assert sched["idle_replays"] == 199
     assert len({id(s) for s in tr.steps}) == 1
-    assert sched["delta_candidates"] == sched["steps_derived"] == sched["steps_reused"] == 0
+    assert sched["delta_candidates"] == 0
     assert len({id(st) for st in tr.states}) == 1
 
 
-def test_store_holds_fresh_derivations():
+def test_enabled_set_keys_match_fresh_keys():
     conat = Rec("a", Plus((("z", One()), ("s", TVar("a")))))
     w = Fix("w", Quote(("c", conat),
                        SendUnfold("c", SendLabel("c", "s", Unquote("c", FVar("w"))))))
     state, iface = initial_config(Unquote("o", w), {}, ("o", conat))
-    system = Keeping()
-    run(system, state, iface, fuel=300)
-    assert system.store
-    assert_store_current(system)
+    assert len(run(Keeping(), state, iface, fuel=300).steps) == 300
     for _, facts, corpus_iface in corpus():
         for seed in SEEDS:
-            system = Keeping()
-            tr = run(system, config_state(facts), corpus_iface, fuel=200, seed=seed)
-            assert_store_current(system)
-            sched = tr.meta["sched"]
-            assert sched["steps_derived"] + sched["steps_reused"] == sched["delta_candidates"]
+            run(Keeping(), config_state(facts), corpus_iface, fuel=200, seed=seed)

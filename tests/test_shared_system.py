@@ -1,10 +1,11 @@
-"""Runs that share one ``SillSystem`` against runs on systems of their own.
+"""Runs that share one ``SillSystem`` against runs on systems of their own,
+and ``barbed_sim``, which runs each subject once, against the loop that
+asked ``weak_barb`` once per channel.
 
-A system keeps the steps it derived for each proc fact that listens on no
-carrier (``SillSystem.store``), and every later run on it takes them from
-there.  Sharing must change nothing a run records: the same steps in the
-same order, with the same consumed and produced facts and fresh names, and
-the same verdicts with the same counterexample text.
+A system keeps values only: evaluated terms, quotes and observations.
+Sharing must change nothing a run records: the same steps in the same
+order, with the same consumed and produced facts and fresh names, and the
+same verdicts with the same counterexample text.
 """
 
 import pytest
@@ -13,22 +14,14 @@ from test_equiv import FUEL, MODES, SUBJECTS
 from test_scheduler import SEEDS
 
 from sill import equiv
-from sill.dynamics import SillSystem, config_state, run
-from sill.equiv import barbed_sim, config_subject, equiv_check, make_system, weak_barb
-from sill.lang import check_module, parse
-
-
-class _Forgetful(dict):
-    """A store that keeps nothing, so every run derives every step again."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def forgetful() -> SillSystem:
-    system = SillSystem()
-    system.store = _Forgetful()
-    return system
+from sill.dynamics import SillSystem, config_state, proc_fact, run
+from sill.equiv import (UnknownChannel, _carries, _fc_state, _require_shared, barb,
+                        barbed_sim, config_subject, divergent, equiv_check, make_system,
+                        weak_barb)
+from sill.fairness import fair_execute
+from sill.lang import ast, check_module, parse
+from sill.lang.errors import InterfaceMismatch
+from sill.msr import Multiset
 
 
 def steps_of(tr) -> list:
@@ -48,7 +41,6 @@ def test_runs_on_a_shared_system_take_the_same_steps():
                 assert steps_of(tr) == steps_of(alone), (name, seed)
                 assert tr.final() == alone.final(), (name, seed)
                 assert tr.meta["channel_types"] == alone.meta["channel_types"], (name, seed)
-            assert second.meta["sched"]["steps_reused"] > 0, (name, seed)
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +51,8 @@ def by_connective():
 
 
 def test_verdicts_on_a_shared_system_are_the_default_ones(by_connective):
-    # one system shared by every verdict below, so it carries what earlier
-    # verdicts derived into later ones
+    # one system shared by every verdict below, so it carries the values
+    # and observations of earlier verdicts into later ones
     shared = SillSystem()
     for name, subject in by_connective.items():
         if name.endswith("_changed"):
@@ -72,28 +64,91 @@ def test_verdicts_on_a_shared_system_are_the_default_ones(by_connective):
                 kwargs = {"fuel": FUEL, "depth": 6, "seed": seed}
                 default = equiv_check(*args, **kwargs)
                 assert equiv_check(*args, system=shared, **kwargs) == default, (name, mode)
-                assert equiv_check(*args, system=forgetful(), **kwargs) == default, (name, mode)
-    # a later run on the shared system takes steps the verdicts derived
-    assert any(run(shared, *subject, fuel=FUEL).meta["sched"]["steps_reused"]
-               for subject in by_connective.values())
 
 
-def test_barbed_sim_shares_one_system_per_subject(by_connective, monkeypatch):
-    calls: dict[int, list] = {}
-    barb = equiv.weak_barb
+def test_barbed_sim_runs_each_subject_once(by_connective, monkeypatch):
+    runs: dict[int, int] = {}
 
-    def recording(state, a, fuel, seed, system):
-        calls.setdefault(id(state), []).append(system)
-        got = barb(state, a, fuel, seed, system)
-        assert got == barb(state, a, fuel, seed), a
-        return got
+    def counted(mrs, state, *args, **kwargs):
+        runs[id(state)] = runs.get(id(state), 0) + 1
+        return fair_execute(mrs, state, *args, **kwargs)
 
-    monkeypatch.setattr(equiv, "weak_barb", recording)
+    monkeypatch.setattr(equiv, "fair_execute", counted)
     c, d = by_connective["with_c"], by_connective["with_c_changed"]
     for left, right in ((c, d), (d, c)):
-        calls.clear()
+        runs.clear()
         assert barbed_sim(left, right)
-        # the left subject is asked on d and on e, the right one on d only
-        assert sorted(map(len, calls.values())) == [1, 2]
-        for systems in calls.values():
-            assert all(s is systems[0] for s in systems)
+        # the left subject is asked on d and on e, the right one on d only,
+        # and neither holds a message at the start
+        assert runs == {id(left[0]): 1, id(right[0]): 1}
+    for state, iface in by_connective.values():
+        # the right subject is an equal state in another object
+        twin = state.msum(Multiset())
+        runs.clear()
+        assert barbed_sim((state, iface), (twin, iface))
+        assert set(runs) <= {id(state), id(twin)} and set(runs.values()) <= {1}
+
+
+def per_channel_weak_barb(state, a, fuel, seed, system=None):
+    """``weak_barb`` as it was: one run per call."""
+    if _carries(state.eph_support(), a):
+        return True
+    if a not in _fc_state(state):
+        raise UnknownChannel(a)
+    sys = system or SillSystem()
+    tr = fair_execute(sys, state, budget=fuel, seed=seed)
+    return _carries(tr.facts(), a) or barb(tr.final(), a, sys)
+
+
+def per_channel_barbed_sim(c, d, fuel, seed):
+    """``barbed_sim`` as it was: ``weak_barb`` once per channel, each
+    subject's runs on one system."""
+    cs, ci = c
+    ds, di = d
+    _require_shared(ci, di)
+    c_sys, d_sys = SillSystem(), SillSystem()
+    for x in sorted([n for n, _ in ci.used] + [n for n, _ in ci.provided]):
+        if (per_channel_weak_barb(cs, x, fuel, seed, c_sys)
+                and not per_channel_weak_barb(ds, x, fuel, seed, d_sys)):
+            return False
+    return True
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (UnknownChannel, InterfaceMismatch) as ex:
+        return type(ex)
+
+
+def with_channel(subject, name):
+    """The subject whose interface also uses name, which its state does not
+    name."""
+    state, iface = subject
+    used = iface.used + ((name, ast.One()),)
+    return state, ast.Interface(used=used, internal=iface.internal, provided=iface.provided)
+
+
+def test_barbed_sim_answers_as_the_per_channel_loop(by_connective):
+    subjects = dict(by_connective)
+    # a silent twin of each subject, which barbs on nothing
+    for name, (_, iface) in by_connective.items():
+        (p, a), = iface.provided
+        subjects[f"{name}_silent"] = (Multiset.of([proc_fact(p, divergent(p, a, iface.used))]),
+                                      iface)
+    seen = set()
+    for extra in (None, "aa", "zz"):
+        pool = {name: s if extra is None else with_channel(s, extra)
+                for name, s in subjects.items()}
+        for seed in (None, 1):
+            for left in pool.values():
+                for right in pool.values():
+                    got = outcome(barbed_sim, left, right, FUEL, seed)
+                    assert got == outcome(per_channel_barbed_sim, left, right, FUEL, seed)
+                    seen.add(got)
+            for state, iface in pool.values():
+                for a in sorted({n for n, _ in iface.used + iface.provided} | {"aa", "zz"}):
+                    got = outcome(weak_barb, state, a, FUEL, seed)
+                    assert got == outcome(per_channel_weak_barb, state, a, FUEL, seed)
+                    seen.add(got)
+    assert seen == {True, False, UnknownChannel, InterfaceMismatch}

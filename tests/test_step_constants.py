@@ -9,7 +9,9 @@ once, when the step fires.  A run of an endless sender builds no order key
 with ``subst_term`` and, after its first round, walks no process body
 (``ast.fold``), while consumed messages are still
 enumerated in order-key order where a carrier queues two or more.  A weak
-barb on a message already present decodes no process.
+barb on a message already present decodes no process.  Two template steps
+derived apart are equal when their heads are, and compare, hash and key
+alike without building either template.
 """
 
 import itertools
@@ -26,7 +28,7 @@ from sill.dynamics import SillSystem, _StepIndex, config_state, initial_config, 
 from sill.lang import ast, check_module, parse
 from sill.msr.multiset import Multiset, fact_key
 from sill.msr import rules, terms
-from sill.msr.rules import Rule
+from sill.msr.rules import Rule, _equiv_key
 from sill.msr.terms import Var
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -67,7 +69,7 @@ def test_ground_rules_equal_their_validated_rules(monkeypatch):
         r = inst.rule
         checked = Rule(r.name, r.uvars, r.pers_ant, r.eph_ant, r.evars, r.pers_con,
                        r.eph_con, r.fresh_hints, r.cost)
-        # the fields, _con_evars and _own_variant; besides, the rule keeps
+        # the fields and _con_evars; besides, the rule keeps
         # what it was given as its consequent, a template exactly when the
         # step creates a channel
         own = dict(vars(r))
@@ -76,6 +78,49 @@ def test_ground_rules_equal_their_validated_rules(monkeypatch):
         assert r._con_evars == checked._con_evars
         assert callable(template) == bool(r.evars)
         assert (template(*map(Var, r.evars)) if r.evars else template) == r.eph_con
+
+
+def test_template_steps_are_equal_by_their_heads(monkeypatch):
+    # two systems derive the cut and send steps of each state apart; the
+    # steps compare, hash and key alike without building a template
+    builds = [0]
+    build = rules._TemplateCon.__get__
+
+    def counted(self, rule, owner=Rule):
+        if rule is not None:
+            builds[0] += 1
+        return build(self, rule, owner)
+
+    monkeypatch.setattr(rules._TemplateCon, "__get__", counted)
+    steps = []
+    for _, facts, iface in corpus():
+        for seed in SEEDS:
+            tr = run(SillSystem(), config_state(facts), iface, fuel=200, seed=seed)
+            for st in tr.states:
+                a, b = (_StepIndex(SillSystem(), st) for _ in range(2))
+                for (_, i), (_, j) in zip(a.steps(a.procs), b.steps(b.procs)):
+                    if callable(i.rule._template):
+                        assert i.rule is not j.rule and i == j and i.rule == j.rule
+                        assert hash(i.rule) == hash(j.rule) and _equiv_key(i) == _equiv_key(j)
+                        steps.append(i)
+    assert len(steps) > 50 and {i.rule.name for i in steps} >= {"cut", "tensor_r", "with_l"}
+    # the same rule name on another consumed fact is another step: one
+    # the run derived, or the step with its constants renamed, whose
+    # images under one renaming are equal
+    distinct = list({i.rule: i for i in steps}.values())
+    unequal = 0
+    for name, group in itertools.groupby(sorted(distinct, key=lambda i: i.rule.name),
+                                         key=lambda i: i.rule.name):
+        for i, j in itertools.combinations(list(group), 2):
+            assert i.rule != j.rule and i != j, name
+            unequal += 1
+    for i in distinct:
+        rho = {c: f"{c}!" for c in i.consts()}
+        moved = i.rename(rho)
+        assert moved.rule.name == i.rule.name and moved.rule != i.rule
+        assert moved == i.rename(rho) and moved.rule is not i.rename(rho).rule
+    assert unequal >= 5 and len(distinct) >= 10
+    assert builds[0] == 0
 
 
 def test_an_endless_sender_builds_no_order_key_and_validates_no_rule(monkeypatch):
