@@ -96,14 +96,18 @@ def barb(state: Multiset, a: str, system: Optional[SillSystem] = None) -> bool:
         return True
     if a not in _fc_state(state):
         raise UnknownChannel(a)
-    sys = system or SillSystem()
-    sig = Signature(frozenset(state.consts()) | sys.signature().declared, 0)
-    for inst in sys.applicable(state):
+    return a in _step_carriers(state, system or SillSystem())
+
+
+def _step_carriers(state: Multiset, system: SillSystem) -> set[str]:
+    """The carriers of the messages the single steps of state produce."""
+    sig = Signature(frozenset(state.consts()) | system.signature().declared, 0)
+    out: set[str] = set()
+    for inst in system.applicable(state):
         produced: list[Fact] = []
         fire(state, inst, sig, produced=produced)
-        if _carries(produced, a):
-            return True
-    return False
+        out.update(msg_info(f).carrier for f in produced if f.pred == "msg")
+    return out
 
 
 def weak_barb(
@@ -123,19 +127,24 @@ def _weak_barbs(state: Multiset, fuel: int, seed: Optional[int],
     one fair run, started the first time a channel's barb is not already
     in the state, since the run does not depend on the channel.  A message
     on a names a, so, as in ``barb``, the free channels are computed only
-    when the state holds none."""
-    sys, tr = system or SillSystem(), None
+    when the state holds none.  The run's answer is one set of carriers:
+    those of the messages among its facts, which hold every message some
+    state of it held, and, when it stopped at its fuel, those the steps of
+    its final state produce; a maximal run's final state has no steps."""
+    sys, carriers = system or SillSystem(), None
 
     def weak(a: str) -> bool:
-        nonlocal tr
+        nonlocal carriers
         if _carries(state.eph_support(), a):
             return True
         if a not in _fc_state(state):
             raise UnknownChannel(a)
-        if tr is None:
+        if carriers is None:
             tr = fair_execute(sys, state, budget=fuel, seed=seed)
-        # every message some state of the run held is among the run's facts
-        return _carries(tr.facts(), a) or barb(tr.final(), a, sys)
+            carriers = {msg_info(f).carrier for f in tr.facts() if f.pred == "msg"}
+            if not tr.meta["maximal"]:
+                carriers |= _step_carriers(tr.final(), sys)
+        return a in carriers
     return weak
 
 

@@ -25,9 +25,10 @@ kept with the ``LassoTrace``.  It describes the trace at the step count it
 was built for: every later verdict on the same lasso reads it, and a
 verdict on a trace extended in the meantime builds a fresh one.  The
 analysis and the fair scheduler keep the applicable instantiations of the
-current state in one structure (``_Applicable``), enumerated in full at
-the start and advanced by each step's delta.  The analysis is built by
-one in-place replay of the recorded steps, which holds one state and
+current state in one structure (``_Applicable``), which takes the start's
+from the run's one index of its state and advances them by one update,
+shared by the scheduler and the replay.  The analysis is built by one
+in-place replay of the recorded steps, which holds one state and
 never reads ``Trace.states``; it keeps each position's instantiations
 with their equivalence keys, which also carry their antecedent facts.
 What the verdicts read is collected once, on first use: what is
@@ -49,7 +50,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .msr.canon import find_renaming
 from .msr.multiset import Fact, Multiset, fact_key, fact_to_str
@@ -117,39 +118,35 @@ class _Applicable:
     equivalence class, kept under their equivalence keys in admission
     order, and advanced step by step through the system's enabled set.
 
-    Only the start state is enumerated in full.  A step lowers the counts
-    of the facts it consumed only, so only the live instantiations that
-    consume one of those can stop being applicable; each is re-checked by
-    comparing the counts its key records with the successor state's.
-    Persistent facts never leave a state.  An instantiation that is
-    applicable after a step but was not before must have an antecedent
-    fact the step touched, and the enabled set (``mrs.enabled(start)``)
-    proposes exactly the applicable instantiations with a touched
-    antecedent fact, in enumeration order, each with its key.  So a step
-    costs what it touched, not the size of the state, and the live set is
-    the one a full re-enumeration after every step would give.  Equivalent
-    instantiations consume the same facts, so a class is applicable at a
-    state as a whole; the second part of its key holds those facts with
-    their multiplicities.  ``proposed`` counts the candidates proposed.
+    The run indexes its state once, in the enabled set
+    (``mrs.enabled(start)``), which proposes, in enumeration order and
+    with their keys, the applicable instantiations with an antecedent fact
+    among the facts it is given.  Each one has such a fact in the start or
+    has no antecedent, so proposing for every fact of the start enumerates
+    it.  ``after``, the one update, which the scheduler and the lasso
+    replay share, follows a step that changed the state: only the live
+    instantiations that consume a fact the step consumed can stop being
+    applicable, each re-checked against the counts its key records, and
+    an instantiation applicable after the step but not live has an
+    antecedent fact the step touched.  So a step costs what it touched,
+    not the size of the state, and the live set is the one a full
+    re-enumeration would give.  Equivalent instantiations consume the same
+    facts, the second part of their key, so a class is applicable as a
+    whole.  ``proposed`` counts the candidates proposed after the start.
     ``idle`` holds the ``Step`` of each live class whose last application
     was idle: valid while the class is live, and checked for applicability
     when recorded again (``Trace.repeat``); ``drop`` removes it with it.
     """
 
-    def __init__(self, mrs: Mrs, start: Multiset, insts: Iterable[Inst]):
+    def __init__(self, mrs: Mrs, start: Multiset, rng: Optional[random.Random] = None):
         self.live: dict[tuple, Inst] = {}
         self.idle: dict[tuple, Step] = {}
         # ephemeral fact -> keys of the live instantiations that consume it
         self.needs: dict[Fact, dict[tuple, None]] = {}
-        self.proposed = 0
-        for inst in insts:
-            self.admit(_equiv_key(inst), inst)
+        self.rng = rng
         self.enabled = mrs.enabled(start)
-
-    def admit(self, key: tuple, inst: Inst) -> None:
-        self.live[key] = inst
-        for f, _ in key[1]:
-            self.needs.setdefault(f, {})[key] = None
+        self._admit(self.enabled.delta(start, (), [*start.pers, *start.eph_support()]))
+        self.proposed = 0
 
     def drop(self, key: tuple) -> None:
         del self.live[key]
@@ -160,24 +157,38 @@ class _Applicable:
             if not keys:
                 del self.needs[f]
 
-    def advance(self, state: Multiset, consumed: Iterable[Fact],
-                touched: Iterable[Fact]) -> list[tuple[tuple, Inst]]:
-        """Move to state, the successor of a step that consumed the
-        distinct facts consumed and touched the facts touched: drop what
-        the step disabled and return the proposed candidates that are not
-        live, one per key, in enumeration order."""
+    def after(self, key: tuple, step: Step, state: Multiset) -> list[tuple[tuple, Inst]]:
+        """Move to state, which step, an application of the live class key,
+        made by changing the state before: drop that class and those the
+        step disabled, propose from the facts it touched (produced, consumed
+        and still present, or required), and return what ``_admit`` admits."""
+        self.drop(key)
+        consumed = [f for f, _ in key[1]]
         for f in consumed:
-            for key in [k for k in self.needs.get(f, ())
-                        if any(state.count(g) < m for g, m in k[1])]:
-                self.drop(key)
-        candidates = self.enabled.delta(state, [f for f in consumed if not state.count(f)],
-                                        touched)
+            for k in [k for k in self.needs.get(f, ())
+                      if any(state.count(g) < m for g, m in k[1])]:
+                self.drop(k)
+        kept = [f for f in consumed if state.count(f)]
+        touched = list(dict.fromkeys([*step.produced, *kept, *key[0]]))
+        candidates = self.enabled.delta(state, [f for f in consumed if f not in kept], touched)
         self.proposed += len(candidates)
+        return self._admit(candidates)
+
+    def _admit(self, candidates: list[tuple[tuple, Inst]]) -> list[tuple[tuple, Inst]]:
+        """Admit the candidates that are not live, one per key, in
+        enumeration order or shuffled under the rng; return them."""
         fresh: dict[tuple, Inst] = {}
         for key, inst in candidates:
             if key not in self.live:
                 fresh.setdefault(key, inst)
-        return list(fresh.items())
+        out = list(fresh.items())
+        if self.rng is not None:
+            self.rng.shuffle(out)
+        for key, inst in out:
+            self.live[key] = inst
+            for f, _ in key[1]:
+                self.needs.setdefault(f, {})[key] = None
+        return out
 
 
 class _Analysis:
@@ -212,12 +223,13 @@ class _Analysis:
     recurrent or not: a loop step whose next-round image acts on a name
     born in this round is transient, yet that image is applied.
 
-    The applied instantiation stays live while its consumed facts remain,
-    so only the facts a step produced can bring a class in.  Each position
-    keeps one representative per applicable class under its key, in rule
-    order, then theta, then, for a ground step, the facts it consumes: for
-    an ``Mrs`` the list ``mrs.applicable`` gives.  (The generated rules of
-    a ``SillSystem`` have no rule order.)
+    The replay's ``_Applicable`` takes the start's classes from the one
+    index of the replayed state, and each recorded step that changed the
+    state advances it by the scheduler's own update (``_Applicable.after``).
+    Each position keeps one representative per applicable class under its
+    key, in rule order, then theta, then, for a ground step, the facts it
+    consumes: for an ``Mrs`` the list ``mrs.applicable`` gives.  (The
+    generated rules of a ``SillSystem`` have no rule order.)
     """
 
     def __init__(self, lt: LassoTrace):
@@ -250,7 +262,7 @@ class _Analysis:
                     [fact_key(f) for f in _consumed(inst)])
 
         state, sig = tr.initial.copy(), tr.sig0
-        app = _Applicable(self.mrs, state, self.mrs.applicable(state))
+        app = _Applicable(self.mrs, state)
         # each live class's place in the order, taken when it is admitted
         orders = {key: order(inst) for key, inst in app.live.items()}
         out = []
@@ -266,13 +278,12 @@ class _Analysis:
             if j == self.L - 1:
                 break
             sig, _, con = fire(state, step.inst, sig, step.xi_map())
-            # the step's key holds its ephemeral antecedent, already grounded
-            eph_ant = self.step_keys[j][1]
             if con is not None:
-                state.rewrite_in_place(Multiset._make(dict(eph_ant), frozenset()), con)
-            for key, inst in app.advance(state, [f for f, _ in eph_ant], step.produced):
-                app.admit(key, inst)
-                orders[key] = order(inst)
+                applied = self.step_keys[j]
+                # the step's key holds its ephemeral antecedent, already grounded
+                state.rewrite_in_place(Multiset._make(dict(applied[1]), frozenset()), con)
+                for key, inst in app.after(applied, step, state):
+                    orders[key] = order(inst)
         # no representative is fired, so none keeps the matcher's grounding
         for keyed in out:
             for inst in keyed.values():
@@ -527,15 +538,15 @@ def fair_execute(
 
     The queue is the run's ``_Applicable``: exactly the applicable
     instantiations, oldest first, one per instantiation-equivalence class.
-    After each step the survivors keep their order and the newly applicable
-    ones join at the back (shuffled when a seed is given, otherwise in
-    enumeration order).  Anything applicable is therefore applied within
-    queue-length steps, which makes every completed run über fair, and a
-    run that empties its queue is a maximal execution.  The applied
-    instantiation leaves the queue after a step that changed the state.
-    The step touched the facts it produced and the antecedent facts still
-    present, and through those the enabled set proposes it again if it is
-    still applicable.
+    The start's come from the run's one index of its state, the enabled
+    set.  After a step that changed the state, the update the lasso replay
+    shares (``_Applicable.after``) drops the applied instantiation and the
+    disabled ones; the survivors keep their order and the newly applicable
+    ones, the applied one again if it still applies, join at the back
+    (shuffled when a seed is given, otherwise in enumeration order).
+    Anything applicable is therefore applied within queue-length steps,
+    which makes every completed run über fair, and a run that empties its
+    queue is a maximal execution.
 
     The queue and the enabled set read the trace's live state, which no
     step copies.  A step that changes nothing (``Step.changed``), such as
@@ -548,19 +559,16 @@ def fair_execute(
     ``Trace.repeat``: the steps and states of a fresh application, its
     applicability checked, nothing applied.
 
-    meta["sched"] counts the full enumerations, the candidates the enabled
-    set proposed, the fresh instantiations that joined the queue after a
-    step, the steps that changed nothing (``unchanged_steps``) and those
-    of them recorded again from ``app.idle`` (``idle_replays``).  The enabled
-    set derives every candidate it proposes, so ``delta_candidates`` is
-    also the number of steps derived after the start.
+    meta["sched"] counts the full enumerations (the start's, one), the
+    candidates the enabled set proposed, the fresh instantiations that
+    joined the queue after a step, the steps that changed nothing
+    (``unchanged_steps``) and those of them recorded again from
+    ``app.idle`` (``idle_replays``).  The enabled set derives every
+    candidate it proposes, so ``delta_candidates`` is also the number of
+    steps derived after the start.
     """
     tr = Trace(mrs, start)
-    rng = random.Random(seed) if seed is not None else None
-    initial = list(mrs.applicable(start))
-    if rng is not None:
-        rng.shuffle(initial)
-    app = _Applicable(mrs, tr.live, initial)
+    app = _Applicable(mrs, tr.live, random.Random(seed) if seed is not None else None)
     queue = app.live
     sched = {"full_enumerations": 1, "delta_candidates": 0, "fresh_admitted": 0,
              "unchanged_steps": 0, "idle_replays": 0}
@@ -585,17 +593,7 @@ def fair_execute(
             queue[first] = queue.pop(first)
             sched["unchanged_steps"] += 1
             continue
-        app.drop(first)
-        state = tr.live
-        consumed = [f for f, _ in first[1]]
-        touched = list(dict.fromkeys(
-            [*step.produced, *(f for f in consumed if state.count(f)), *first[0]]))
-        fresh = app.advance(state, consumed, touched)
-        if rng is not None:
-            rng.shuffle(fresh)
-        for k, c in fresh:
-            app.admit(k, c)
-        sched["fresh_admitted"] += len(fresh)
+        sched["fresh_admitted"] += len(app.after(first, step, tr.live))
     sched["delta_candidates"] = app.proposed
     tr.meta["maximal"] = not queue
     tr.meta["sched"] = sched

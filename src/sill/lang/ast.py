@@ -23,7 +23,7 @@ labelled children (``BRANCHES``); a free channel (``CHAN``), a tuple of them
 in a session type (``FUNC_TYPE``); a ``LABEL``; or an ``OPAQUE``
 annotation.  Each node's printed text is stated once too, in ``_TEXT``.
 
-Renaming, substitution, free names, canonical types and their equality,
+Renaming, substitution, free names, type equality up to binder names,
 printing, and the term encoding that ``sill.dynamics`` runs processes on
 are one traversal, ``fold``, each an expand/build pair read off these
 tables.  The fold keeps its work on an explicit stack, so input of any
@@ -517,32 +517,6 @@ def _canon_kids(node: tuple, _) -> list:
     return [(t, 0, _CLOSED) if type(t) in _FUNC_TYPES else (t, depth, env) for t in _parts(a)]
 
 
-def _canon_build(node: tuple, kids, _):
-    a, depth, env = node
-    if type(a) is ProcType:  # its channel names are binders, made positional
-        return ProcType(("%o", next(kids)),
-                        tuple((f"%u{i}", next(kids)) for i in range(len(a.used))))
-    if type(a) is Arrow:
-        return _remade(a, [next(kids), next(kids)])
-    return _remade(a, [next(kids) if r is CHILD or r is FUNC_TYPE else
-                       _branches(v, kids) if r is BRANCHES else
-                       env.get(v, v) if r is TYPE_VAR else
-                       f"%{depth}" if r is TYPE_BINDER else v
-                       for v, r in zip(vars(a).values(), TYPE_ROLES[type(a)].values())])
-
-
-def canon_type(a: SessionType, depth: int = 0, env: Optional[dict] = None) -> SessionType:
-    """Rename recursion binders to positional names so that equality of
-    canonical forms is alpha-equivalence."""
-    return fold((a, depth, env or _CLOSED), _canon_kids, _canon_build)
-
-
-def canon_functype(t: FuncType) -> FuncType:
-    if type(t) not in _FUNC_TYPES:
-        raise TypeError(f"not a functional type: {t!r}")
-    return fold((t, 0, _CLOSED), _canon_kids, _canon_build)
-
-
 def _alpha_kids(pair: tuple, _) -> list:
     (a, _, ea), (b, _, eb) = pair
     if a is b and ea is eb:
@@ -551,10 +525,10 @@ def _alpha_kids(pair: tuple, _) -> list:
 
 
 def _alpha_build(pair: tuple, kids, _) -> bool:
-    # two nodes of canon's walk have equal canonical forms when they are one
-    # object under one environment, or have one connective, the same labels,
-    # canonical variable name or number of used channels, and parts with
-    # equal canonical forms
+    # two nodes of _canon_kids' walk have equal canonical forms when they
+    # are one object under one environment, or have one connective, the
+    # same labels, canonical variable name or number of used channels, and
+    # parts with equal canonical forms
     (a, _, ea), (b, _, eb) = pair
     return a is b and ea is eb or type(a) is type(b) and (
         a.labels() == b.labels() if isinstance(a, _Branching) else
@@ -919,8 +893,7 @@ def _listed(head: str, sep: str, mid: str, pairs, tail: str = "}") -> list:
 
 # A node's text, stated per construct of every layer: a list of strings and,
 # in their places, the nodes printed inside it, in field order.  One emitter
-# prints them all; canonical forms and their equality read a type's parts
-# off it.
+# prints them all; type equality reads a type's parts off it.
 _TEXT = {
     One: lambda a: ["1"],
     Plus: lambda a: _listed("+{", ", ", ": ", a.branches),

@@ -6,7 +6,9 @@ A reference for the differential tests in ``tests/test_ast_oracle.py``:
 ``term_to_str`` and ``proc_to_str``, from ``sill.lang.ast``, and
 ``enc_proc``/``dec_proc`` from ``sill.dynamics``, each with one hand-written
 case per construct.  Every result here is one that the walks on the fold
-must reproduce.
+must reproduce.  ``canon_type`` and its ``canon_functype`` build the
+canonical forms whose equality ``ast.type_eq`` decides without building
+them; ``sill.lang.ast`` has no builder of them any more.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from sill.lang.ast import (
     Up,
     Wait,
     With,
-    canon_functype,
 )
 from sill.msr.terms import App, Const, Term, Wrap
 
@@ -117,6 +118,19 @@ def canon_type(a: SessionType, depth: int = 0, env: Optional[dict] = None) -> Se
         inner[a.var] = fresh
         return Rec(fresh, canon_type(a.body, depth + 1, inner))
     return a
+
+
+def canon_functype(t: FuncType) -> FuncType:
+    if isinstance(t, Arrow):
+        return Arrow(canon_functype(t.arg), canon_functype(t.res))
+    if isinstance(t, ProcType):
+        # channel names in a process type are binders; canonical names are
+        # positional
+        return ProcType(
+            ("%o", canon_type(t.offered[1])),
+            tuple((f"%u{i}", canon_type(a)) for i, (_, a) in enumerate(t.used)),
+        )
+    raise TypeError(f"not a functional type: {t!r}")
 
 
 def subst_fvar(m: FuncTerm, name: str, value: FuncTerm) -> FuncTerm:

@@ -59,10 +59,6 @@ def _spine(x, field):
 
 def test_canonical_forms_of_alpha_variants_agree():
     a, b = _recs(DEEP // 2, "x", One()), _recs(DEEP // 2, "y", One())
-    printed = ast.type_to_str(ast.canon_type(a))
-    assert printed == ast.type_to_str(ast.canon_type(b))
-    assert printed.startswith("rec %0. +{l: rec %1. +{l: ")
-    assert printed.endswith(", r: %1}, r: %0}")
     assert ast.type_eq(a, b)
     assert not ast.type_eq(a, _recs(DEEP // 2, "y", With(())))
 
@@ -103,7 +99,6 @@ def test_printed_forms_have_the_expected_length_and_end():
         t = Arrow(unit, t)
     printed = ast.functype_to_str(t)
     assert printed == "{c:1 <-} -> " * CHAIN + "{c:1 <-}"
-    assert ast.functype_to_str(ast.canon_functype(t)) == printed.replace("c:", "%o:")
     assert ast.proc_to_str(_sends(DEEP, Close("c"))) == "c.l; " * DEEP + "close c"
 
 

@@ -89,6 +89,43 @@ def test_barbed_sim_runs_each_subject_once(by_connective, monkeypatch):
         assert set(runs) <= {id(state), id(twin)} and set(runs.values()) <= {1}
 
 
+def test_a_reader_enumerates_its_final_state_at_most_once(by_connective, monkeypatch):
+    # a run's steps come from its enabled set, so SillSystem.applicable
+    # counts the final states the readers enumerated
+    runs, enumerated = [], []
+    applicable = SillSystem.applicable
+
+    def kept(*args, **kwargs):
+        runs.append(fair_execute(*args, **kwargs))
+        return runs[-1]
+
+    def counted(system, state):
+        enumerated.append(state)
+        return applicable(system, state)
+
+    monkeypatch.setattr(equiv, "fair_execute", kept)
+    monkeypatch.setattr(SillSystem, "applicable", counted)
+    subjects = dict(by_connective)
+    for name, (_, iface) in by_connective.items():
+        (p, a), = iface.provided
+        subjects[f"{name}_silent"] = (Multiset.of([proc_fact(p, divergent(p, a, iface.used))]),
+                                      iface)
+    seen = set()
+    for name, (state, iface) in subjects.items():
+        for seed in (None, 1):
+            runs.clear()
+            enumerated.clear()
+            reader = equiv._weak_barbs(state, FUEL, seed)
+            for a in sorted(n for n, _ in iface.used + iface.provided):
+                reader(a)
+            assert len(runs) <= 1, name
+            if runs:
+                maximal = runs[0].meta["maximal"]
+                assert enumerated == ([] if maximal else [runs[0].final()]), (name, seed)
+                seen.add(maximal)
+    assert seen == {True, False}
+
+
 def per_channel_weak_barb(state, a, fuel, seed, system=None):
     """``weak_barb`` as it was: one run per call."""
     if _carries(state.eph_support(), a):
