@@ -222,9 +222,16 @@ def _dec_fields(node: list, _) -> list:
 
 def _apart(b: str, maps: Iterable[tuple], names: list) -> str:
     """A channel binder b, or where a subprocess it scopes over, whose
-    slots maps give, uses b free, which b would capture, b renamed apart."""
-    used = any(i != -1 and names[i] == b for m in maps for i in m)
-    return ast.apart(b, names) if used else b
+    slots maps give, uses b free, which b would capture, b renamed apart:
+    to the least ``stem%k`` that names holds not.  '%' is a reserved fresh
+    mark, so the name is no source identifier, and the least index keeps
+    renaming deterministic."""
+    if not any(i != -1 and names[i] == b for m in maps for i in m):
+        return b
+    stem, k = b.split("%")[0] or "x", 0
+    while f"{stem}%{k}" in names:
+        k += 1
+    return f"{stem}%{k}"
 
 
 def _dec(node: list, kids: Iterator[ast.Process], _) -> ast.Process:
@@ -405,8 +412,10 @@ class SillSystem:
     ``obs.observe_config`` made on the system, with the interface it was
     made under, keyed by (state, observed channels, fuel, depth, seed).
     The state is a ``Multiset`` of interned facts, which hashes by their
-    addresses, and no session type is hashed.  No step is kept: a run
-    derives the steps it asks for.
+    addresses, and no session type is hashed: a recursive type keeps its
+    one unfolding on its node (``ast.unfold_rec``), so no run memoises
+    continuation types.  No step is kept: a run derives the steps it asks
+    for.
     """
 
     rules: tuple = ()
@@ -689,16 +698,10 @@ class _StepIndex:
 # -- typed runs --------------------------------------------------------------------
 
 
-def _birth_type(types: dict, step, conts: Optional[dict] = None) -> ast.SessionType:
+def _birth_type(types: dict, step) -> ast.SessionType:
     """Type of the channel a step created, read off the consumed fact: a
-    cut's annotation, or the last continuation type of a send's carrier.
-
-    conts is a run's memo of continuation types, keyed by (kind, id of
-    the carrier's type, label); each entry holds that type, so its id is
-    not reused while the memo lives.  A session type is never hashed by
-    value: a frozen dataclass hashes recursively, and a deep type would
-    raise RecursionError.  A recursive type is then unfolded once per
-    run, not once per send."""
+    cut's annotation, or the last continuation type of a send's carrier
+    (``ast.message_cont``; a recursive type keeps its one unfolding)."""
     _, t, env = next(f for f in step.inst.rule.eph_ant if f.pred == "proc").args
     if t.fn == "cut":
         if t.args[1].payload is None:
@@ -712,17 +715,12 @@ def _birth_type(types: dict, step, conts: Optional[dict] = None) -> ast.SessionT
         a = types[chan]
         # a label is the one payload a continuation's type depends on
         label = t.args[pay].name if kind == "label" else None
-        key = (kind, id(a), label)
-        if conts is None:
-            conts = {}
-        entry = conts.get(key)
-        if entry is None:
-            try:
-                entry = conts[key] = (a, ast.message_cont(kind, a, label))
-            except SillTypeError as ex:
-                raise PreservationViolation(f"channel {chan}: {ex}") from ex
-        if entry[1]:
-            return entry[1][-1]
+        try:
+            conts = ast.message_cont(kind, a, label)
+        except SillTypeError as ex:
+            raise PreservationViolation(f"channel {chan}: {ex}") from ex
+        if conts:
+            return conts[-1]
     raise PreservationViolation(f"rule {step.inst.rule.name} created an "
                                 f"unexpected fresh channel")
 
@@ -766,7 +764,6 @@ def run(
         types = typing.types
     else:
         types = dict(interface.all_types())
-    conts: dict = {}
 
     def watch(tr: Trace) -> None:
         step = tr.steps[-1]
@@ -775,7 +772,7 @@ def run(
                 name = step.xi_map()[_EVAR]
                 if name in types:
                     raise PreservationViolation(f"fresh channel {name} is already typed")
-                types[name] = _birth_type(types, step, conts)
+                types[name] = _birth_type(types, step)
             if typing is not None and step.changed:
                 now = tr.live
                 for f, n in step.inst.eph_ant_g().eph_items():

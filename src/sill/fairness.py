@@ -559,8 +559,8 @@ def fair_execute(
     ``Trace.repeat``: the steps and states of a fresh application, its
     applicability checked, nothing applied.
 
-    meta["sched"] counts the full enumerations (the start's, one), the
-    candidates the enabled set proposed, the fresh instantiations that
+    meta["sched"] counts the candidates the enabled set proposed after the
+    start (the start is enumerated once), the fresh instantiations that
     joined the queue after a step, the steps that changed nothing
     (``unchanged_steps``) and those of them recorded again from
     ``app.idle`` (``idle_replays``).  The enabled set derives every
@@ -570,8 +570,8 @@ def fair_execute(
     tr = Trace(mrs, start)
     app = _Applicable(mrs, tr.live, random.Random(seed) if seed is not None else None)
     queue = app.live
-    sched = {"full_enumerations": 1, "delta_candidates": 0, "fresh_admitted": 0,
-             "unchanged_steps": 0, "idle_replays": 0}
+    sched = {"delta_candidates": 0, "fresh_admitted": 0, "unchanged_steps": 0,
+             "idle_replays": 0}
     depths: list[int] = []
     while queue and len(tr.steps) < budget:
         if record_queue_depths:

@@ -23,11 +23,12 @@ labelled children (``BRANCHES``); a free channel (``CHAN``), a tuple of them
 in a session type (``FUNC_TYPE``); a ``LABEL``; or an ``OPAQUE``
 annotation.  Each node's printed text is stated once too, in ``_TEXT``.
 
-Renaming, substitution, free names, type equality up to binder names,
-printing, and the term encoding that ``sill.dynamics`` runs processes on
-are one traversal, ``fold``, each an expand/build pair read off these
-tables.  The fold keeps its work on an explicit stack, so input of any
-depth walks without Python recursion.
+Substitution, free names, type equality up to binder names, printing,
+and the term encoding that ``sill.dynamics`` runs processes on are one
+traversal, ``fold``, each an expand/build pair read off these tables.  The
+fold keeps its work on an explicit stack, so input of any depth walks
+without Python recursion.  Channels are renamed in that encoding alone: a
+renamed environment decodes to the renamed process (``dynamics.dec_proc``).
 """
 
 from __future__ import annotations
@@ -171,10 +172,15 @@ def polarity(a: SessionType, xi: Optional[Mapping[str, str]] = None) -> str:
 
 
 def unfold_rec(a: Rec) -> SessionType:
-    """One unfolding: the recursive type substituted for its own variable."""
+    """One unfolding: the recursive type substituted for its own variable,
+    once per node.  It is kept in the node's ``__dict__`` after its fields,
+    so equality, hashing, printing and the field walks never see it."""
     if not isinstance(a, Rec):
         raise TypeError(f"cannot unfold {type_to_str(a)}")
-    return subst_tvar(a.body, a.var, a)
+    unfolded = a.__dict__.get("_unfolded")
+    if unfolded is None:
+        unfolded = a.__dict__["_unfolded"] = subst_tvar(a.body, a.var, a)
+    return unfolded
 
 
 def type_eq(a: SessionType, b: SessionType) -> bool:
@@ -566,60 +572,6 @@ def fc(p: Process, memo: Optional[dict] = None) -> set[str]:
     shared, not to be changed."""
     memo = {} if memo is None else memo
     return memo[id(p)] if id(p) in memo else fold(p, _fc_kids, _fc_build, memo)
-
-
-def _chan_kids(node: list, _) -> list:
-    """node is [p, the renamings to apply to p in turn, None]: None becomes
-    p's fields with its own names renamed, and p's subprocesses are
-    returned with the renamings they get in turn."""
-    p, rhos, _ = node
-    subs, fields, after = subprocs(p), list(vars(p).values()), []
-    for rho in rhos:
-        inner = rho
-        for i, role in enumerate(PROC_ROLES[type(p)].values()):
-            v = fields[i]
-            if role is CHAN or role is CHANS:
-                fields[i] = rho.get(v, v) if role is CHAN else tuple(rho.get(c, c) for c in v)
-            elif role is CHAN_BINDER and v in rho.values():
-                # it would capture, so it is renamed in the children first
-                fields[i] = apart(v, set(rho).union(
-                    rho.values(), *(_renamed(fc(q), after) for q in subs)))
-                after.append({v: fields[i]})
-            if role is CHAN_BINDER and fields[i] in rho:
-                inner = {c: w for c, w in rho.items() if c != fields[i]}
-        after += [inner] if inner else []
-    node[2] = fields
-    return [[q, after, None] for q in subs] if after else []
-
-
-def apart(v: str, avoid) -> str:
-    """The name a channel binder v is renamed apart to, one avoid does not
-    hold: '%' is reserved by the fresh-name scheme, so it is no source
-    identifier, and the least free index keeps renaming deterministic."""
-    stem, k = v.split("%")[0] or "x", 0
-    while f"{stem}%{k}" in avoid:
-        k += 1
-    return f"{stem}%{k}"
-
-
-def _renamed(names: set[str], rhos: list) -> set[str]:
-    for rho in rhos:
-        names = {rho.get(c, c) for c in names}
-    return names
-
-
-def _chan_build(node: list, kids, _) -> Process:
-    # a subprocess that no renaming reaches is kept as it is
-    p, _, fields = node
-    return _remade(p, [next(kids, v) if r is CHILD else _branches(v, kids) if r is BRANCHES else v
-                       for v, r in zip(fields, PROC_ROLES[type(p)].values())])
-
-
-def subst_chan(p: Process, rho: Mapping[str, str]) -> Process:
-    """Rename free channel names.  Bound channels are alpha-renamed when they
-    would capture.  Functional subterms never contain free channels, so the
-    descent stops at them."""
-    return fold([p, [{k: v for k, v in rho.items() if k != v}], None], _chan_kids, _chan_build)
 
 
 # -- configuration facts ---------------------------------------------------------

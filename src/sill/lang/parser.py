@@ -8,8 +8,13 @@ A file is a sequence of declarations:
     config N : GAMMA |- DELTA internal I = FACT, FACT, ...
 
 Names refer to earlier declarations and are expanded during parsing, so the
-resulting syntax trees are self-contained.  Printing a parsed module and
-parsing it again yields the same trees; source positions are not compared.
+resulting syntax trees are self-contained.  An instantiation ``p(a, b)``
+renames the channels of p's body the way a running process is renamed: in
+the environment of its code (``dynamics.dec_proc``).  Printing a parsed
+module and parsing it again yields the same trees; source positions are not
+compared.  The one exception is an instantiation that would capture: its
+binder is renamed apart to ``stem%k``, and '%' is a reserved fresh mark
+(``rules.FRESH_MARKS``), so the printed text does not parse.
 """
 
 from __future__ import annotations
@@ -432,10 +437,16 @@ class _Parser:
         if len(args) != len(decl.used):
             self.fail(f"process {name!r} takes {len(decl.used)} channels, "
                       f"got {len(args)}")
-        rho = {decl.offered[0]: offered}
+        # dynamics imports lang, so lang imports it only when it runs
+        from ..dynamics import dec_proc, proc_fact, rename_channels
+        from ..msr.terms import Const
+
+        rho = {Const(decl.offered[0]): Const(offered)}
         for (formal, _), actual in zip(decl.used, args):
-            rho[formal] = actual
-        return ast.subst_chan(decl.body, rho)
+            rho[Const(formal)] = Const(actual)
+        # the body's code under its environment renamed, decoded: a binder
+        # is renamed apart exactly where it would capture
+        return dec_proc(*rename_channels(proc_fact(offered, decl.body), rho).args[1:])
 
     # -- declarations
 

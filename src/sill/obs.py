@@ -182,8 +182,9 @@ def observe(tr: Trace, chan: str, depth: int) -> tuple[CommTree, ast.SessionType
 
     The trace must come from a typed run: channel types recorded at birth
     drive the walk, and the continuation type at each message is derived
-    from the type of its carrier, once per type, kind and label.  The run
-    is read only up to the messages the walk meets (``_Messages``).
+    from the type of its carrier (``ast.message_cont``; a recursive type
+    keeps its one unfolding).  The run is read only up to the messages the
+    walk meets (``_Messages``).
     """
     try:
         types = tr.meta["channel_types"]
@@ -193,10 +194,6 @@ def observe(tr: Trace, chan: str, depth: int) -> tuple[CommTree, ast.SessionType
     if chan not in types:
         raise SillError(f"unknown channel {chan}")
     msgs = _messages(tr)
-    # continuation types keyed by (kind, id of the type, label), as in
-    # dynamics._birth_type: each entry holds its type, so the id is not
-    # reused while the walk runs, and a recursive type is unfolded once
-    memo: dict = {}
 
     def walk(c: str, a: ast.SessionType, n: int) -> CommTree:
         if n <= 0:
@@ -204,14 +201,10 @@ def observe(tr: Trace, chan: str, depth: int) -> tuple[CommTree, ast.SessionType
         info = msgs.get(c)
         if info is None:
             return BOT
-        key = (info.kind, id(a), info.payload if info.kind == "label" else None)
-        entry = memo.get(key)
-        if entry is None:
-            try:
-                entry = memo[key] = (a, ast.message_cont(info.kind, a, info.payload))
-            except SillTypeError as ex:
-                raise SillError(f"channel {c}: {ex}") from None
-        conts = entry[1]
+        try:
+            conts = ast.message_cont(info.kind, a, info.payload)
+        except SillTypeError as ex:
+            raise SillError(f"channel {c}: {ex}") from None
         if info.kind == "chan":
             # the payload is a channel, observed in turn
             return CommTree("chan", None, (walk(info.payload, conts[0], n - 1),

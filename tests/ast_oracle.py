@@ -8,7 +8,10 @@ A reference for the differential tests in ``tests/test_ast_oracle.py``:
 case per construct.  Every result here is one that the walks on the fold
 must reproduce.  ``canon_type`` and its ``canon_functype`` build the
 canonical forms whose equality ``ast.type_eq`` decides without building
-them; ``sill.lang.ast`` has no builder of them any more.
+them; ``sill.lang.ast`` has no builder of them any more.  Nor has it a
+channel renaming: ``subst_chan`` is the one the tests and the other
+oracles apply, and the runtime renames a process's environment instead
+(``dynamics.dec_proc`` renames a binder apart only where it would capture).
 """
 
 from __future__ import annotations

@@ -18,6 +18,8 @@ from __future__ import annotations
 from bisect import insort
 from typing import Callable, Iterable, Mapping, Optional
 
+from ast_oracle import subst_chan
+
 from sill import dynamics
 from sill.dynamics import DIVERGED, PreservationViolation, SillSystem, classify_fact
 from sill.lang import ast
@@ -145,7 +147,7 @@ class OracleSystem(SillSystem):
                 q = make_cont(info)
                 if q is None:
                     continue
-                q = ast.subst_chan(q, {p.chan: info.cont})
+                q = subst_chan(q, {p.chan: info.cont})
                 nk = Const(info.cont) if provider else key
                 rs.append(_ground(name, [fact, mf], [proc_fact(nk, q)]))
 
@@ -154,7 +156,7 @@ class OracleSystem(SillSystem):
             # own channel; the forwarder disappears
             for mf, info, m in msgs.get(p.src, ()):
                 if info.polarity == ast.POSITIVE:
-                    new = ast.subst_chan(m, {p.src: p.dst})
+                    new = subst_chan(m, {p.src: p.dst})
                     rs.append(_ground("fwd+", [fact, mf],
                                       [Fact("msg", (Const(p.dst), enc_proc(new)))]))
         elif isinstance(p, ast.FwdNeg):
@@ -162,7 +164,7 @@ class OracleSystem(SillSystem):
             # the forwarder is redirected to its source channel
             for mf, info, m in msgs.get(p.dst, ()):
                 if info.polarity == ast.NEGATIVE:
-                    new = ast.subst_chan(m, {p.dst: p.src})
+                    new = subst_chan(m, {p.dst: p.src})
                     rs.append(_ground("fwd-", [fact, mf],
                                       [Fact("msg", (mf.args[0], enc_proc(new)))]))
         elif isinstance(p, ast.Cut):
@@ -177,7 +179,7 @@ class OracleSystem(SillSystem):
                 rho = {v.offered[0]: c}
                 for (formal, _), actual in zip(v.used, p.used):
                     rho[formal] = actual
-                body = ast.subst_chan(v.body, rho)
+                body = subst_chan(v.body, rho)
                 rs.append(_ground("unquote", [fact], [proc_fact(key, body)]))
         elif isinstance(p, ast.Close):
             if p.chan == c:
@@ -207,7 +209,7 @@ class OracleSystem(SillSystem):
             recv("with_r", "plus_l", "label", pick)
         elif isinstance(p, ast.RecvChan):
             recv("lolli_r", "tensor_l", "chan",
-                 lambda info: ast.subst_chan(p.cont, {p.var: info.payload}))
+                 lambda info: subst_chan(p.cont, {p.var: info.payload}))
         elif isinstance(p, ast.RecvShift):
             recv("up_r", "down_l", "shift", lambda info: p.cont)
         elif isinstance(p, ast.RecvUnfold):

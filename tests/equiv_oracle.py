@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ast_oracle import subst_chan
+
 from sill.dynamics import SillSystem, config_state, run, state_facts
 from sill.equiv import (
     Y_NEG,
@@ -55,7 +57,7 @@ def _rename_internals(subject: Subject, avoid: set[str]) -> tuple[list, list]:
             k += 1
         rho[name] = f"{name}%{k}"
         taken.add(rho[name])
-    out = [type(cf)(rho.get(cf.chan, cf.chan), ast.subst_chan(cf.proc, rho))
+    out = [type(cf)(rho.get(cf.chan, cf.chan), subst_chan(cf.proc, rho))
            for cf in facts]
     itypes = dict(iface.internal)
     pairs = [(rho[n], itypes[n]) for n in internal if n in itypes]

@@ -17,7 +17,7 @@ from sill.lang.ast import (
 )
 from sill.dynamics import SillSystem, initial_config, proc_fact, run, state_facts
 from sill.lang.check import IllFormed, check_functype, check_proc, check_type
-from sill.lang.parser import parse_proc, parse_type
+from sill.lang.parser import parse, parse_proc, parse_type
 from sill.msr.multiset import Fact, fact_key
 from sill.msr.terms import App, Const
 
@@ -71,12 +71,15 @@ def test_unfolding_changes_only_the_innermost_node():
     assert before[-1] == TVar("x") and after[-1] is a
 
 
-def test_renaming_channels_changes_only_the_innermost_node():
-    p = ast.subst_chan(_sends(DEEP, Close("d")), {"d": "e"})
-    nodes = _spine(p, "cont")
-    assert len(nodes) == DEEP + 1
-    assert all(type(q) is SendLabel and (q.chan, q.label) == ("c", "l") for q in nodes[:-1])
-    assert nodes[-1] == Close("e")
+def test_instantiating_a_deep_body_renames_only_the_innermost_node():
+    # the body's one used channel d is passed e; c is offered on c again
+    m = parse("type t = rec x. +{l: x}\n"
+              f"proc p : d:1 |- c:t = {'c.l; ' * DEEP}wait d; close c\n"
+              "proc q : e:1 |- f:t = c : t <- p(e); fwd+ c -> f\n")
+    nodes = _spine(m.procs["q"].body.left, "cont")
+    assert len(nodes) == DEEP + 2
+    assert all(type(q) is SendLabel and (q.chan, q.label) == ("c", "l") for q in nodes[:-2])
+    assert nodes[-2:] == [Wait("e", Close("c")), Close("c")]
 
 
 def test_substituting_a_value_changes_only_the_innermost_term():

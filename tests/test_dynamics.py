@@ -65,7 +65,6 @@ from sill.lang.ast import (
     With,
     message_parts,
     fc,
-    subst_chan,
     type_eq,
 )
 from sill.lang.ast import BRANCHES, LABEL, PROC_ROLES, fold, proc_to_str, subprocs
@@ -146,7 +145,7 @@ def test_bodies_that_differ_only_in_free_channels_share_one_code(p):
     # the free channels are slots, filled by the environment alone; the
     # new names hold a mark no binder does, so nothing is renamed apart
     rho = {c: f"{c}'{i}" for i, c in enumerate(sorted(fc(p)))}
-    q = subst_chan(p, rho)
+    q = ast_oracle.subst_chan(p, rho)
     (code, env), (code_q, env_q) = enc_proc(p), enc_proc(q)
     assert code_q is code
     assert [a.name for a in env_q.args if type(a) is Const] == \
@@ -367,7 +366,7 @@ def test_unquote_substitutes_actuals():
 
 def test_unquote_renames_a_capturing_binder_apart():
     # the body binds c, the channel it is unquoted onto: the decoded
-    # process keeps ast.subst_chan's alpha-renaming
+    # process is the reference renaming's, its binder alpha-renamed
     q = Quote(("z", One()), Cut("c", One(), Close("c"), Wait("c", Close("z"))))
     state, iface = initial_config(Unquote("c", q), {}, ("c", One()))
     tr = run(SillSystem(), state, iface, fuel=10, check=True)
@@ -376,8 +375,8 @@ def test_unquote_renames_a_capturing_binder_apart():
     # the step shares the body's code: the binder is renamed apart as the
     # fact decodes
     assert produced.args[1] is enc_proc(q.body)[0]
-    assert dynamics.config_fact(produced) == ProcF("c", subst_chan(q.body, {"z": "c"}))
-    assert subst_chan(q.body, {"z": "c"}) == Cut(
+    assert dynamics.config_fact(produced) == ProcF("c", ast_oracle.subst_chan(q.body, {"z": "c"}))
+    assert ast_oracle.subst_chan(q.body, {"z": "c"}) == Cut(
         "c%0", One(), Close("c%0"), Wait("c%0", Close("c")))
     assert final_facts(tr) == [MsgF("c", Close("c"))]
 

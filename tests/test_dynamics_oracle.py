@@ -60,11 +60,12 @@ def decoded(x):
 
 def unapart(p):
     """The code and environment of p, each channel binder a renaming gave
-    apart (``stem%k``, ``ast.apart``) named by its stem again: the
+    apart (``stem%k``, ``dynamics._apart``) named by its stem again: the
     reference renames a binder apart wherever a renaming maps some channel
-    onto its name (``ast.subst_chan``), a code and environment only where
-    it would capture a channel its scope uses.  Every other name is kept,
-    and a code's bound occurrences are slots, so they follow their binder."""
+    onto its name (``ast_oracle.subst_chan``), a code and environment only
+    where it would capture a channel its scope uses.  Every other name is
+    kept, and a code's bound occurrences are slots, so they follow their
+    binder."""
     code, env = enc_proc(p)
     return _unapart_binders(code), env
 

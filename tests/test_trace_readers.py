@@ -115,9 +115,17 @@ def test_json_states_are_the_recorded_states():
 
 
 def test_observe_reads_the_run_only_as_far_as_its_depth(monkeypatch):
+    # every unfold message is sent at one conat node, born with the run:
+    # its one unfolding serves the run's 100 births at it and the
+    # observations' 32 unfolds, and no other node is unfolded twice
+    substs = []
+    subst_tvar = ast.subst_tvar
+    monkeypatch.setattr(ast, "subst_tvar",
+                        lambda a, name, repl: substs.append(repl) or subst_tvar(a, name, repl))
+    conat = ast.Rec(CONAT.var, CONAT.body)
     # omega's messages come one per level of its tree, in run order, so an
     # observation cut at depth 8 indexes exactly the first 8 of the 200
-    start, iface = initial_config(omega_proc(), {}, ("o", CONAT))
+    start, iface = initial_config(omega_proc(), {}, ("o", conat))
     tr, states = recorded_run(start, iface, 300)
     tree = observe(tr, "o", 8)[0]
     assert tree_height(tree) == 8
@@ -127,13 +135,18 @@ def test_observe_reads_the_run_only_as_far_as_its_depth(monkeypatch):
     assert list(_message_index(tr).items()) == list(eager_message_index(states).items())
     assert len(_messages(tr).index) == 200
     assert observe(tr, "o", 8)[0] == tree
-    # every unfold message is sent at conat itself: one unfolding serves
-    # all 32 of them
-    unfolds = []
-    unfold_rec = ast.unfold_rec
-    monkeypatch.setattr(ast, "unfold_rec", lambda a: unfolds.append(a) or unfold_rec(a))
     assert tree_height(observe(tr, "o", 64)[0]) == 64
-    assert len(unfolds) == 1
+    unfolded = [r for r in substs if type(r) is ast.Rec]
+    assert [r for r in unfolded if r is conat] == [conat]
+    assert len({id(r) for r in unfolded}) == len(unfolded)
+
+
+def test_a_rec_node_keeps_its_one_unfolding_out_of_its_value():
+    a = ast.Rec("b", ast.Plus((("s", ast.TVar("b")), ("z", ast.One()))))
+    twin = ast.Rec("b", ast.Plus((("s", ast.TVar("b")), ("z", ast.One()))))
+    assert ast.unfold_rec(a) is ast.unfold_rec(a)
+    assert a == twin and hash(a) == hash(twin) and repr(a) == repr(twin)
+    assert ast.subst_tvar(ast.Tensor(ast.TVar("v"), a), "v", ast.One()).right is a
 
 
 def test_observe_and_supp_never_build_states(monkeypatch):
