@@ -25,7 +25,10 @@ continuation on a fresh channel, and a receiver consumes the message and
 continues on its continuation channel.  A checked run types the initial
 state once, then after each step only the facts the step produced, and
 re-checks the channels of the facts it touched, read off their
-environments.
+environments.  It types a fact by its code: whether a process types is
+decided by its code and the types in its slots, so a fact whose code
+typed before under the same slot types is neither decoded nor checked
+again (``_RunTyping``).
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def enc_proc(p: ast.Process) -> tuple[App, App]:
                                    for n in free]))
 
 
-def _dec_fields(node: list, _) -> list:
+def _dec_fields(node: list, apart: Callable) -> list:
     """Make node, a code and what fills its slots (a channel's name, a
     value, or None for a bound variable), the construct, where its spread
     fields start (or None), its fields with a hole per subprocess and the
@@ -213,7 +216,7 @@ def _dec_fields(node: list, _) -> list:
     # that would capture a name the subprocesses use is renamed apart
     b = None
     if binder is not None:
-        b = fields[binder] = _apart(fields[binder], [k[1] for k in kids], names)
+        b = fields[binder] = apart(fields[binder], [k[1] for k in kids], names)
     for kid in kids:
         kid[1] = [b if i == -1 else names[i] for i in kid[1]]
     node[:] = cls, n - 1 if spread else None, fields, holes
@@ -226,12 +229,18 @@ def _apart(b: str, maps: Iterable[tuple], names: list) -> str:
     to the least ``stem%k`` that names holds not.  '%' is a reserved fresh
     mark, so the name is no source identifier, and the least index keeps
     renaming deterministic."""
-    if not any(i != -1 and names[i] == b for m in maps for i in m):
+    if not captures(b, maps, names):
         return b
     stem, k = b.split("%")[0] or "x", 0
     while f"{stem}%{k}" in names:
         k += 1
     return f"{stem}%{k}"
+
+
+def captures(b: str, maps: Iterable[tuple], names: list) -> bool:
+    """Whether the binder b would capture a name that names fills a slot
+    of its subprocesses with (maps, -1 for what b binds)."""
+    return any(i != -1 and names[i] == b for m in maps for i in m)
 
 
 def _dec(node: list, kids: Iterator[ast.Process], _) -> ast.Process:
@@ -243,14 +252,16 @@ def _dec(node: list, kids: Iterator[ast.Process], _) -> ast.Process:
     return cls(*fields[:spread], tuple(fields[spread:]))
 
 
-def dec_proc(code: Term, env: Term) -> ast.Process:
+def dec_proc(code: Term, env: Term, apart: Callable = _apart) -> ast.Process:
     """The process of a code and environment (``enc_proc``), decoded in one
-    walk that fills each slot; ValueError if they encode none."""
+    walk that fills each slot; ValueError if they encode none.  Each
+    channel binder is named apart(binder, its subprocesses' slot maps,
+    the names in the slots)."""
     try:
         names = [a.name if type(a) is Const else a.payload for a in env.args]
         if env.fn != "env":
             raise ValueError(f"not an environment: {env!r}")
-        return fold([code, names], _dec_fields, _dec)
+        return fold([code, names], _dec_fields, _dec, apart)
     except (AttributeError, IndexError, KeyError, TypeError) as ex:
         raise ValueError(f"not a process code and environment: {code!r}, {env!r}") from ex
 
@@ -725,6 +736,132 @@ def _birth_type(types: dict, step) -> ast.SessionType:
                                 f"unexpected fresh channel")
 
 
+class _RunTyping(ConfigTyping):
+    """The typing of a checked run's state, whose facts are typed by code.
+
+    Whether a proc fact types is decided by its key: its code, its
+    channel's type and, per slot, whether the slot holds that channel and
+    at which type, or the value it holds.  Two facts with one key decode
+    to one process up to an injective renaming of free channels that no
+    binder meets, and typing respects such a renaming.  So a fact has a
+    key only when its channels are distinct and typed, and none is a
+    binder name of a code the run has read: a code never captures its own
+    names, so decoding then renames no binder apart (``_apart``).  A
+    message's key is its kind, polarity, label or value, which of its
+    channels coincide, and their types.
+
+    A fact whose key passed a check, or waits on the coming one behind a
+    fact typed in full, is added without being decoded; any other is
+    decoded and typed in full (``_type_fact``), so a fault keeps its
+    message.  Types enter keys by number: each type object is numbered
+    once, from its construct, its printed text and its parts' numbers,
+    so equal numbers mean ``type_eq`` types, no type is hashed, and the
+    numbered objects are held, so no id is reused.
+    """
+
+    def __init__(self, interface: ast.Interface):
+        super().__init__(interface)
+        self.passed: set[tuple] = set()
+        self._pending: set[tuple] = set()
+        self._numbers: dict[int, int] = {}
+        self._shapes: dict[tuple, int] = {}
+        self._held: list = []
+        self._codes: set[App] = set()
+        self._bound: set[str] = set()
+        self.by_code = self.in_full = 0
+
+    def put(self, f: Fact, n: int) -> None:
+        """Add n occurrences of the proc or msg fact f."""
+        fact = None
+        if not self.count(f):  # else it typed when it came
+            key = self._key(f)
+            if key is not None and (key in self.passed or key in self._pending):
+                self.by_code += 1
+            else:
+                self.in_full += 1
+                fact = config_fact(f)
+                if key is not None:
+                    self._pending.add(key)
+        self.add(f, f.args[0].name, fact_channels(f), n, fact)
+
+    def check(self) -> None:
+        super().check()
+        self.passed |= self._pending
+        self._pending.clear()
+
+    def _key(self, f: Fact) -> Optional[tuple]:
+        types, number, c = self.types, self._number, f.args[0]
+        if c.name not in types:
+            return None
+        if f.pred == "msg":
+            info = msg_info(f)
+            names = (c.name, info.carrier, info.cont, info.payload if info.kind == "chan" else None)
+            if any(n is not None and n not in types for n in names):
+                return None
+            return ("msg", info.kind, info.polarity,
+                    f.args[1].args[1] if info.kind == "label" or info.kind == "val" else None,
+                    *[None if n is None else (names.index(n), number(types[n])) for n in names])
+        _, code, env = f.args
+        if not self._read(code) or c.name in self._bound:
+            return None
+        out, seen = [code, number(types[c.name])], set()
+        for a in env.args:
+            if type(a) is not Const:
+                out.append(a)  # a value, interned
+                continue
+            t = types.get(a.name)
+            if t is None or a in seen or a.name in self._bound:
+                return None
+            seen.add(a)
+            out.append(None if a is c else number(t))
+        return tuple(out)
+
+    def _read(self, code: App) -> bool:
+        """Add the channel binders of code and the codes in it to the
+        run's, each code read once; False for a term that is no code."""
+        if code in self._codes:
+            return True
+        todo = [code]
+        try:
+            while todo:
+                t = todo.pop()
+                if t in self._codes:
+                    continue
+                roles = _DECODE[t.fn][1]
+                for role, a in zip(chain(roles, repeat(roles[-1])), t.args):
+                    if role is CHAN_BINDER:
+                        self._bound.add(a.payload)
+                    elif role is CHILD or role is BRANCHES:
+                        todo.append((a.args[1] if role is BRANCHES else a).args[0])
+                self._codes.add(t)
+        except (AttributeError, IndexError, KeyError, TypeError):
+            return False
+        return True
+
+    def _number(self, a) -> int:
+        """The number of the type a, its parts numbered first."""
+        numbers = self._numbers
+        n = numbers.get(id(a))
+        if n is not None:
+            return n
+        todo = [a]
+        while todo:
+            x = todo[-1]
+            if id(x) in numbers:
+                todo.pop()
+                continue
+            text = ast._TEXT[type(x)](x)
+            waiting = [y for y in text if type(y) is not str and id(y) not in numbers]
+            if waiting:
+                todo.extend(waiting)
+                continue
+            todo.pop()
+            shape = (type(x), *[y if type(y) is str else numbers[id(y)] for y in text])
+            numbers[id(x)] = self._shapes.setdefault(shape, len(self._shapes))
+            self._held.append(x)
+        return numbers[id(a)]
+
+
 def _violation(idx: int, ex: SillError) -> PreservationViolation:
     """A typing failure reported as a preservation violation at step idx."""
     return PreservationViolation(f"step {idx}: {ex}", idx)
@@ -747,17 +884,22 @@ def run(
     meta["channel_types"].  With check=True the run checks type
     preservation: the initial state must type against the interface, and
     after each step the consumed facts leave a ``ConfigTyping`` of the
-    state and the produced ones join it, so a checked step re-types only
+    state and the produced ones join it, so a checked step re-checks only
     the facts and channels it touched, and a step that changed nothing
-    re-types nothing.  The first failure raises
-    PreservationViolation with its step index (0 for the initial state).
+    re-checks nothing.  A fact joins by its key, its code with the types
+    in its slots (``_RunTyping``): one whose key passed an earlier check
+    is not decoded, any other is decoded and typed in full.  Typing
+    preserves itself rule by rule, so most produced facts take the
+    lookup; meta["sched"] counts ``typed_by_code`` and
+    ``typed_in_full``.  The first failure raises PreservationViolation
+    with its step index (0 for the initial state).
     """
-    typing: Optional[ConfigTyping] = None
+    typing: Optional[_RunTyping] = None
     if check:
         try:
-            typing = ConfigTyping(interface)
+            typing = _RunTyping(interface)
             for f, n in state.eph_items():
-                typing.add(f, config_fact(f), fact_channels(f), n)
+                typing.put(f, n)
             typing.check()
         except SillError as ex:
             raise _violation(0, ex) from ex
@@ -780,7 +922,7 @@ def run(
                 for f in step.produced:
                     n = now.count(f) - typing.count(f)
                     if n > 0:
-                        typing.add(f, config_fact(f), fact_channels(f), n)
+                        typing.put(f, n)
                 typing.check()
         except SillError as ex:
             raise _violation(len(tr.steps), ex) from ex
@@ -788,6 +930,8 @@ def run(
             observer(tr)
 
     tr = fair_execute(system, state, budget=fuel, seed=seed, observer=watch)
+    if typing is not None:
+        tr.meta["sched"].update(typed_by_code=typing.by_code, typed_in_full=typing.in_full)
     tr.meta["channel_types"] = types
     tr.meta["interface"] = interface
     return tr

@@ -414,7 +414,8 @@ class ConfigTyping:
 
     ``add`` and ``remove`` change the facts, under a caller's key that
     tells occurrences of the same fact apart from different facts;
-    ``check`` then types the added facts, applies the channel rule to the
+    ``check`` then types the added facts the caller handed over (it may
+    vouch for a fact's typing instead), applies the channel rule to the
     channels of the facts added or removed since the last check, and walks
     up the consumer chain from each added fact, since only an added fact
     can close a cycle.  So a check costs what changed, not the size of the
@@ -434,7 +435,8 @@ class ConfigTyping:
         # channel -> keys of its providers and consumers, one per occurrence
         self.providers: dict[str, list] = {}
         self.consumers: dict[str, list] = {}
-        # key -> [fact, the channels it consumes, multiplicity]
+        # key -> [its channel, the channels it consumes, multiplicity, the
+        # fact while it waits to be typed, or None]
         self._facts: dict = {}
         self._added: list = []
         self._touched: set[str] = set(self.used)
@@ -443,11 +445,15 @@ class ConfigTyping:
         entry = self._facts.get(key)
         return entry[2] if entry else 0
 
-    def add(self, key, f: ast.ConfigFact, chans: set[str], n: int = 1) -> None:
-        """Add n occurrences of f, which names the channels chans."""
+    def add(self, key, chan: str, chans: set[str], n: int = 1,
+            fact: Optional[ast.ConfigFact] = None) -> None:
+        """Add n occurrences of a fact that provides chan and names the
+        channels chans.  A new fact is typed at the next check when the
+        caller gives it as fact; without it, the caller vouches that it
+        types at the channel types."""
         entry = self._facts.get(key)
         if entry is None:
-            entry = self._facts[key] = [f, sorted(chans - {f.chan}), 0]
+            entry = self._facts[key] = [chan, sorted(chans - {chan}), 0, fact]
             self._added.append(key)
         entry[2] += n
         for index, c in self._slots(entry):
@@ -467,8 +473,8 @@ class ConfigTyping:
 
     def _slots(self, entry: list) -> list:
         """Where a fact sits in the indexes; marks those channels touched."""
-        f, uses, _ = entry
-        slots = [(self.providers, f.chan)] + [(self.consumers, c) for c in uses]
+        chan, uses = entry[0], entry[1]
+        slots = [(self.providers, chan)] + [(self.consumers, c) for c in uses]
         self._touched.update(c for _, c in slots)
         return slots
 
@@ -483,8 +489,10 @@ class ConfigTyping:
                 raise CyclicSharing(f"channel {c} is consumed by two facts")
         added = [k for k in added if k in self._facts]
         for k in added:
-            f, uses, _ = self._facts[k]
-            _type_fact(f, uses, self.types)
+            entry = self._facts[k]
+            if entry[3] is not None:
+                _type_fact(entry[3], entry[1], self.types)
+                entry[3] = None
         for c in touched:
             provided, consumed = c in self.providers, c in self.consumers
             if c in self.used:
@@ -502,13 +510,13 @@ class ConfigTyping:
         done: set[str] = set()
         for k in added:
             path: dict[str, None] = {}
-            c: Optional[str] = self._facts[k][0].chan
+            c: Optional[str] = self._facts[k][0]
             while c is not None and c not in done:
                 if c in path:
                     raise CyclicSharing(f"facts around channel {c} form a cycle")
                 path[c] = None
                 nxt = self.consumers.get(c)
-                c = self._facts[nxt[0]][0].chan if nxt else None
+                c = self._facts[nxt[0]][0] if nxt else None
             done.update(path)
 
 
@@ -523,7 +531,7 @@ def check_config(facts, claimed: ast.Interface):
     facts = tuple(facts)
     typing = ConfigTyping(claimed)
     for i, f in enumerate(facts):
-        typing.add(i, f, ast.fc(f.proc) | {f.chan})
+        typing.add(i, f.chan, ast.fc(f.proc) | {f.chan}, fact=f)
     typing.check()
     absent = sorted(c for c, _ in claimed.internal + claimed.provided
                     if c not in typing.providers)

@@ -12,9 +12,10 @@ resulting syntax trees are self-contained.  An instantiation ``p(a, b)``
 renames the channels of p's body the way a running process is renamed: in
 the environment of its code (``dynamics.dec_proc``).  Printing a parsed
 module and parsing it again yields the same trees; source positions are not
-compared.  The one exception is an instantiation that would capture: its
-binder is renamed apart to ``stem%k``, and '%' is a reserved fresh mark
-(``rules.FRESH_MARKS``), so the printed text does not parse.
+compared, and neither are the names of bound channels: an instantiation
+that would capture renames its binder apart to ``stem%k``, and '%' is a
+reserved fresh mark (``rules.FRESH_MARKS``), so the printer names such a
+binder by the least stem + number free in its scope.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ _PUNCT1 = set("(){}[]<>,;:.=|+&*\\^")
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
 _DIGITS = set("0123456789")
+
+
+# type operators, and how tightly each construct that waits for an operand
+# binds it: a prefix at once, * before -o
+_TYPE_OPS = {"*": ast.Tensor, "-o": ast.Lolli}
+_TYPE_PREC = {ast.Down: 2, ast.Up: 2, ast.AndVal: 2, ast.ImpVal: 2, ast.Tensor: 1, ast.Lolli: 0}
 
 
 @dataclass(frozen=True)
@@ -159,76 +166,85 @@ class _Parser:
     # -- session types
 
     def type_expr(self, bound: frozenset) -> ast.SessionType:
-        left = self.type_tensor(bound)
-        if self.eat("-o"):
-            return ast.Lolli(left, self.type_expr(bound))
-        return left
-
-    def type_tensor(self, bound: frozenset) -> ast.SessionType:
-        left = self.type_unary(bound)
-        if self.eat("*"):
-            return ast.Tensor(left, self.type_tensor(bound))
-        return left
-
-    def type_unary(self, bound: frozenset) -> ast.SessionType:
-        if self.eat("down"):
-            return ast.Down(self.type_unary(bound))
-        if self.eat("up"):
-            return ast.Up(self.type_unary(bound))
-        if self.at("rec"):
-            self.take()
-            v = self.ident("a type variable")
-            self.expect(".")
-            return ast.Rec(v, self.type_expr(bound | {v}))
-        if self.at("["):
-            self.take()
-            ft = self.functype()
-            self.expect("]")
-            if self.eat("^"):
-                return ast.AndVal(ft, self.type_unary(bound))
-            self.expect("=>")
-            return ast.ImpVal(ft, self.type_unary(bound))
-        return self.type_atom(bound)
-
-    def type_atom(self, bound: frozenset) -> ast.SessionType:
-        t = self.peek()
-        if t.kind == "num":
-            if t.text != "1":
-                self.fail(f"expected a type, found {t.text!r}")
-            self.take()
-            return ast.One()
-        if self.at("+"):
-            self.take()
-            return ast.Plus(self.branch_types(bound))
-        if self.at("&"):
-            self.take()
-            return ast.With(self.branch_types(bound))
-        if self.at("("):
-            self.take()
-            inner = self.type_expr(bound)
-            self.expect(")")
-            return inner
-        if t.kind == "ident":
-            name = self.take().text
-            if name in bound:
-                return ast.TVar(name)
-            if name in self.tdecls:
-                return self.tdecls[name]
-            return ast.TVar(name)
-        self.fail(f"expected a type, found {t.text!r}")
-
-    def branch_types(self, bound: frozenset) -> tuple:
-        self.expect("{")
-        branches = []
-        if not self.at("}"):
+        # An operand is prefixes (down, up, a value type, rec) before an
+        # atom; operands are joined by * and -o, right-associative, -o
+        # binding loosest.  Whatever waits for a type inside it waits on a
+        # stack: a prefix or the left side of an operator for the operand
+        # after it, a rec for its body, a bracket or a branch for the type
+        # it holds.  So deep nesting costs no Python stack.
+        waiting: list = []
+        while True:
+            t = self.take()
+            word = t.text if t.kind in ("punct", "kw") else None
+            if word == "down" or word == "up":
+                waiting.append((ast.Down if word == "down" else ast.Up,))
+                continue
+            if word == "rec":
+                v = self.ident("a type variable")
+                self.expect(".")
+                waiting.append((ast.Rec, v, bound))
+                bound = bound | {v}
+                continue
+            if word == "[":
+                ft = self.functype()
+                self.expect("]")
+                if self.eat("^"):
+                    waiting.append((ast.AndVal, ft))
+                else:
+                    self.expect("=>")
+                    waiting.append((ast.ImpVal, ft))
+                continue
+            if word == "(":
+                waiting.append(("(",))
+                continue
+            if word == "+" or word == "&":
+                cls = ast.Plus if word == "+" else ast.With
+                self.expect("{")
+                if not self.eat("}"):
+                    waiting.append((cls, [], self.branch_label()))
+                    continue
+                a = cls(())
+            elif t.kind == "num" and t.text == "1":
+                a = ast.One()
+            elif t.kind == "ident":
+                a = self.tdecls[t.text] if t.text in self.tdecls and t.text not in bound \
+                    else ast.TVar(t.text)
+            else:
+                self.fail(f"expected a type, found {t.text!r}", t)
             while True:
-                lab = self.label()
-                self.expect(":")
-                branches.append((lab, self.type_expr(bound)))
-                if not self.eat(","):
+                # the operand is whole: what binds tighter than the
+                # operator after it takes it
+                nxt = self.peek()
+                op = _TYPE_OPS.get(nxt.text) if nxt.kind == "punct" else None
+                prec = -1 if op is None else _TYPE_PREC[op]
+                while waiting and _TYPE_PREC.get(waiting[-1][0], -1) > prec:
+                    cls, *parts = waiting.pop()
+                    a = cls(*parts, a)
+                if op is not None:
+                    self.take()
+                    waiting.append((op, a))
                     break
-        self.expect("}")
-        return tuple(branches)
+                # a whole type: the innermost rec, bracket or branch takes it
+                if not waiting:
+                    return a
+                top = waiting.pop()
+                if top[0] is ast.Rec:
+                    a, bound = ast.Rec(top[1], a), top[2]
+                elif top[0] == "(":
+                    self.expect(")")
+                else:
+                    cls, branches, label = top
+                    branches.append((label, a))
+                    if self.eat(","):
+                        waiting.append((cls, branches, self.branch_label()))
+                        break
+                    self.expect("}")
+                    a = cls(tuple(branches))
+
+    def branch_label(self) -> str:
+        lab = self.label()
+        self.expect(":")
+        return lab
 
     # -- functional types
 
@@ -626,18 +642,51 @@ def _pairs_to_str(pairs) -> str:
     return ", ".join(f"{c}:{ast.type_to_str(t)}" for c, t in pairs)
 
 
+def _source_apart(b: str, maps, names: list) -> str:
+    """How the printer names a channel binder.  One holding the fresh mark
+    '%' (an instantiation that would have captured renamed it apart), or
+    one that would capture once a binder around it is renamed, becomes the
+    least stem + number free in its scope: one that names, the channels
+    free where it binds, holds not."""
+    from ..dynamics import captures
+
+    if "%" not in b and not captures(b, maps, names):
+        return b
+    stem, k = b.split("%")[0] or "x", 0
+    while f"{stem}{k}" in names:
+        k += 1
+    return f"{stem}{k}"
+
+
+def _printable(x):
+    """A process or a term, its processes and those quoted in it decoded
+    again with every channel binder a source identifier (``_source_apart``),
+    so that its printed text parses."""
+    # dynamics imports lang, so lang imports it only when it runs
+    from ..dynamics import dec_proc, enc_proc
+
+    def build(y, kids, ctx):
+        y = ast._subst_build(y, kids, ctx)
+        if isinstance(y, ast.Quote):
+            return ast.Quote(y.offered, dec_proc(*enc_proc(y.body), _source_apart), y.used)
+        return y
+
+    y = ast.fold(x, ast._subst_kids, build, (ast._FUNC_ROLES, None, None, None, None))
+    return y if type(y) not in ast.PROC_ROLES else dec_proc(*enc_proc(y), _source_apart)
+
+
 def decl_to_str(d: ast.Decl) -> str:
     if isinstance(d, ast.TypeDecl):
         return f"type {d.name} = {ast.type_to_str(d.body)}"
     if isinstance(d, ast.TermDecl):
         return (f"term {d.name} : {ast.functype_to_str(d.ann)} = "
-                f"{ast.term_to_str(d.body)}")
+                f"{ast.term_to_str(_printable(d.body))}")
     if isinstance(d, ast.ProcDecl):
         c, a = d.offered
         left = _pairs_to_str(d.used)
         ctx = f"{left} |-" if left else "|-"
         return (f"proc {d.name} : {ctx} {c}:{ast.type_to_str(a)} = "
-                f"{ast.proc_to_str(d.body)}")
+                f"{ast.proc_to_str(_printable(d.body))}")
     if isinstance(d, ast.ConfigDecl):
         iface = d.interface
         left = _pairs_to_str(iface.used)
@@ -645,7 +694,7 @@ def decl_to_str(d: ast.Decl) -> str:
         head = f"config {d.name} : {ctx} {_pairs_to_str(iface.provided)}"
         if iface.internal:
             head += f" internal {_pairs_to_str(iface.internal)}"
-        items = [str(f) for f in d.facts]
+        items = [str(type(f)(f.chan, _printable(f.proc))) for f in d.facts]
         if d.hole is not None:
             items.append(f"hole : {_pairs_to_str(d.hole.used)} |- "
                          f"{_pairs_to_str(d.hole.provided)}")

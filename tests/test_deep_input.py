@@ -133,6 +133,25 @@ def test_a_long_sequence_parses_into_its_chain():
     assert all(type(q) is SendLabel for q in nodes[:-1])
 
 
+def test_a_deep_type_parses_checks_and_prints():
+    text = "+{l: " * DEEP + "1" + "}" * DEEP
+    a = parse_type(text)
+    nodes = _spine(a, "l")
+    assert len(nodes) == DEEP + 1 and nodes[-1] == One()
+    assert all(type(b) is Plus and b.labels() == ("l",) for b in nodes[:-1])
+    assert check_type(a) == ast.POSITIVE
+    assert ast.type_to_str(a) == text
+    # every prefix, rec and a bracket nest as deep, and -o and * chain
+    b = x = parse_type("down up rec t. [{o:1 <-}] => 1 -o (" * DEEP + "1 * " * DEEP + "1"
+                       + ")" * DEEP)
+    for _ in range(DEEP):
+        x = x.body.body.body
+        assert type(x) is ast.Lolli and type(x.left) is ast.ImpVal and x.left.body == One()
+        x = x.right
+    assert len(_spine(x, "right")) == DEEP + 1
+    assert ast.type_to_str(parse_type(ast.type_to_str(b))) == ast.type_to_str(b)
+
+
 def test_nested_cuts_walk_each_subprocess_once(monkeypatch):
     n = 2000
     p = Close("c")

@@ -75,13 +75,13 @@ def _stem(name):
     return name.split("%")[0]
 
 
-def _unapart_binders(t):
+def _unapart_binders(t, name=_stem):
     # a channel binder is the first field of its construct
     if type(t) is not App:
         return t
     binds = t.fn in _DECODE and _DECODE[t.fn][1][0] is CHAN_BINDER
-    return App(t.fn, tuple(Wrap(_stem(a.payload)) if binds and i == 0 else _unapart_binders(a)
-                           for i, a in enumerate(t.args)))
+    return App(t.fn, tuple(Wrap(name(a.payload)) if binds and i == 0
+                           else _unapart_binders(a, name) for i, a in enumerate(t.args)))
 
 
 def _inst(i):

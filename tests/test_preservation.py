@@ -10,8 +10,11 @@ fail at the same step index.
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_check_oracle import CHANS, _well_typed
 from test_dynamics import corpus
+from test_instantiation import _binders
 from test_scheduler import SEEDS, replicated_corpus
 
 import sill.dynamics as dynamics
@@ -23,8 +26,10 @@ from sill.dynamics import (
     _birth_type,
     _ground,
     classify_fact,
+    config_fact,
     config_state,
     enc_proc,
+    fact_channels,
     initial_config,
     msg_fact,
     proc_fact,
@@ -144,6 +149,12 @@ def old_check_state(st, types, gamma, delta, idx):
 def old_first_failure(system, state, iface, seed, fuel) -> Optional[int]:
     """The first step index at which the oracle rejects the unchecked run's
     state, or None."""
+    failure = old_failure(system, state, iface, seed, fuel)
+    return None if failure is None else failure.step
+
+
+def old_failure(system, state, iface, seed, fuel) -> Optional[PreservationViolation]:
+    """The oracle's first rejection of the unchecked run's states, or None."""
     types = dict(iface.all_types())
     gamma = {n for n, _ in iface.used}
     delta = {n for n, _ in iface.provided}
@@ -160,8 +171,9 @@ def old_first_failure(system, state, iface, seed, fuel) -> Optional[int]:
     try:
         old_check_state(state, types, gamma, delta, 0)
         run(system, state, iface, fuel=fuel, seed=seed, observer=watch)
-    except PreservationViolation:
-        return at[0]
+    except PreservationViolation as ex:
+        ex.step = at[0]
+        return ex
     return None
 
 
@@ -429,6 +441,91 @@ def test_checked_spin_types_its_process_once(monkeypatch):
     tr = run(SillSystem(), state, iface, fuel=200, check=True)
     assert len(tr.steps) == 200
     assert len(typed) == 1
+
+
+# -- typing by code ------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_passed_key_passes_full_typing(rng):
+    # one code under many environments, their names drawn among the code's
+    # own binders, so that decoding renames binders apart, and among names
+    # that renaming apart picks; each fact is typed in full and keyed
+    p, (c, a), used = _well_typed(rng)
+    code, env = enc_proc(p)
+    free = [c, *[x.name for x in env.args if x.name != c]]
+    had = {c: a, **used}
+    pool = sorted(set(CHANS) | _binders(p) | {"x%0", "n0", "n1"})
+    typing = dynamics._RunTyping(Interface())
+    passed = set()
+    for i in range(12):
+        rho = {n: n if i == 0 else rng.choice(pool) for n in free}
+        typing.types.clear()
+        typing.types.update({rho[n]: had[n] for n in free})
+        f = Fact("proc", (Const(rho[c]), code, App("env", tuple(
+            Const(rho[x.name]) for x in env.args))))
+        key = typing._key(f)
+        try:
+            check_mod._type_fact(config_fact(f), fact_channels(f) - {rho[c]}, typing.types)
+            ok = True
+        except SillError:
+            ok = False
+        assert ok or key not in passed, (p, rho)
+        if ok and key is not None:
+            passed.add(key)
+
+
+def test_a_swapped_environment_fails_under_a_warm_memo(monkeypatch):
+    # choice_round's client in the fourth of four copies: its label step
+    # continues on a code the three copies before it have typed, under an
+    # environment whose two slots are swapped
+    facts, iface = replicated_corpus(4)
+    cli = next(f for f in facts if f.chan == "e_2_3")
+
+    def swap(facts):
+        return tuple(Fact("proc", (*f.args[:2], App("env", f.args[2].args[::-1])))
+                     if f.pred == "proc" else f for f in facts)
+
+    def swapped(system, fact, c, p, msgs):
+        return [_ground(r.name, list(r.eph_ant), lambda nc, r=r: swap(r._template(nc)),
+                        r.evars, r.fresh_hints)
+                for r in (i.rule for i in SillSystem._steps(system, fact, msgs))]
+
+    put, added = dynamics._RunTyping.put, []
+
+    def logged(self, f, n):
+        added.append(f)
+        put(self, f, n)
+
+    monkeypatch.setattr(dynamics._RunTyping, "put", logged)
+    want = old_failure(Faulty(on("e_2_3", cli.proc, swapped)), config_state(facts), iface,
+                       None, 400)
+    with pytest.raises(PreservationViolation) as ex:
+        run(Faulty(on("e_2_3", cli.proc, swapped)), config_state(facts), iface, fuel=400,
+            check=True)
+    assert want is not None and ex.value.step == want.step > 0
+    assert str(ex.value) == str(want)
+    # the last fact added is the swapped one, and the copies before it (and
+    # the shift and rec rounds, whose clients end in the same code) added
+    # its code unswapped
+    last = added[-1]
+    assert last.args[0].name == last.args[2].args[0].name == "e_2_3"
+    assert sum(f.args[1] is last.args[1] for f in added[:-1]) >= 3
+
+
+def test_typed_in_full_does_not_grow_with_copies():
+    for seed in (1, 2):
+        counts = []
+        for copies in (1, 4):
+            facts, iface = replicated_corpus(copies)
+            tr = run(SillSystem(), config_state(facts), iface, fuel=4000, seed=seed, check=True)
+            sched = tr.meta["sched"]
+            # every fact a copy adds is typed one way or the other
+            assert sched["typed_by_code"] + sched["typed_in_full"] == 90 * copies
+            counts.append(sched["typed_in_full"])
+        assert counts[0] == counts[1], (seed, counts)
+    assert "typed_in_full" not in run(SillSystem(), config_state(facts), iface).meta["sched"]
 
 
 # -- fresh names ---------------------------------------------------------------------
