@@ -892,7 +892,10 @@ def run(
     preserves itself rule by rule, so most produced facts take the
     lookup; meta["sched"] counts ``typed_by_code`` and
     ``typed_in_full``.  The first failure raises PreservationViolation
-    with its step index (0 for the initial state).
+    with its step index (0 for the initial state).  meta["maximal"] and
+    meta["loop"] are the scheduler's (``fairness.fair_execute``): a run
+    whose processes all step to themselves has closed its loop, and
+    meta["loop"] gives where its last rotation starts and its period.
     """
     typing: Optional[_RunTyping] = None
     if check:

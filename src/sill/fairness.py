@@ -42,7 +42,10 @@ computed once for all three.  The scheduler also keeps the
 step of each live class whose last application was idle (it left the
 state as it was and bound no fresh name): such a step stays valid while
 its class is live, so it is recorded again, its applicability still
-checked, instead of applied anew.
+checked, instead of applied anew.  Once every live class is idle, no
+step can change the state again, so the queue only rotates: the run's
+loop has closed, and the scheduler records the rest of its fuel from one
+cycle of those steps, each checked once, in O(1) per step.
 """
 
 from __future__ import annotations
@@ -544,9 +547,11 @@ def fair_execute(
     disabled ones; the survivors keep their order and the newly applicable
     ones, the applied one again if it still applies, join at the back
     (shuffled when a seed is given, otherwise in enumeration order).
-    Anything applicable is therefore applied within queue-length steps,
-    which makes every completed run über fair, and a run that empties its
-    queue is a maximal execution.
+    Anything that stays applicable is therefore applied within
+    queue-length steps, and a run that empties its queue is a maximal
+    execution.  A run is über fair when no step disables another class;
+    where steps conflict, a class disabled before its turn is never
+    applied.
 
     The queue and the enabled set read the trace's live state, which no
     step copies.  A step that changes nothing (``Step.changed``), such as
@@ -558,6 +563,20 @@ def fair_execute(
     its class is live, and the class's next turns record it again through
     ``Trace.repeat``: the steps and states of a fresh application, its
     applicability checked, nothing applied.
+
+    The run's loop closes when every live class is idle, which
+    ``len(app.idle) == len(queue)`` tests in O(1) after each step that
+    changed nothing.  The test is exact: an idle step leaves the state as
+    it is, so from then on no step changes the state, the queue is never
+    updated, and it only rotates.  The scheduler hands one cycle, the
+    idle step of each live class in queue order, to ``Trace.rotate``,
+    which records the rest of the fuel from it round-robin: the steps,
+    states and observer calls of the rotating queue, each step's
+    applicability checked on the first round, and later rounds O(1) per
+    step.  The counters and queue depths of those steps are added at
+    once.  meta["loop"] is then {"start": the index of the first step the
+    rotation records, "period": the number of live classes}; it is None
+    for a run that ended maximal or ran out of fuel while still changing.
 
     meta["sched"] counts the candidates the enabled set proposed after the
     start (the start is enumerated once), the fresh instantiations that
@@ -573,6 +592,7 @@ def fair_execute(
     sched = {"delta_candidates": 0, "fresh_admitted": 0, "unchanged_steps": 0,
              "idle_replays": 0}
     depths: list[int] = []
+    loop = None
     while queue and len(tr.steps) < budget:
         if record_queue_depths:
             depths.append(len(queue))
@@ -592,10 +612,22 @@ def fair_execute(
                 app.idle[first] = step
             queue[first] = queue.pop(first)
             sched["unchanged_steps"] += 1
+            if len(app.idle) == len(queue):
+                # every live class is idle: no step changes the state
+                # again, so the queue only rotates, one cycle of steps
+                loop = {"start": len(tr.steps), "period": len(queue)}
+                rest = budget - len(tr.steps)
+                tr.rotate([app.idle[key] for key in queue], budget, observer)
+                sched["unchanged_steps"] += rest
+                sched["idle_replays"] += rest
+                if record_queue_depths:
+                    depths += [len(queue)] * rest
+                break
             continue
         sched["fresh_admitted"] += len(app.after(first, step, tr.live))
     sched["delta_candidates"] = app.proposed
     tr.meta["maximal"] = not queue
+    tr.meta["loop"] = loop
     tr.meta["sched"] = sched
     if record_queue_depths:
         tr.meta["queue_depths"] = depths

@@ -344,19 +344,45 @@ class _Parser:
 
     def proc(self, bound: frozenset) -> ast.Process:
         # each prefix (x.l; and every form a process follows) waits on a
-        # stack for that process: a long sequence costs no Python stack
-        prefixes = []
-        while isinstance(p := self.proc_step(bound), tuple):
-            cls, fields, bound = p
-            prefixes.append((cls, fields))
-            self.expect(";")
-        for cls, fields in reversed(prefixes):
-            p = cls(*fields, p)
-        return p
+        # stack for that process, and so does a case for the branch it is
+        # reading: a long sequence or deep nesting costs no Python stack
+        waiting = []
+        while True:
+            p = self.proc_step(bound)
+            if isinstance(p, tuple):
+                cls, fields, bound = p
+                waiting.append((cls, fields))
+                if cls is not ast.Case:
+                    self.expect(";")
+                continue
+            # a whole process: the prefixes before it take it, and the
+            # innermost case takes it as a branch
+            while waiting:
+                cls, fields = waiting.pop()
+                if cls is not ast.Case:
+                    p = cls(*fields, p)
+                    continue
+                chan, branches, label, bound = fields
+                branches.append((label, p))
+                if self.eat("|"):
+                    waiting.append((ast.Case, (chan, branches, self.case_label(), bound)))
+                    break
+                self.expect("}")
+                p = ast.Case(chan, tuple(branches))
+            else:
+                return p
+
+    def case_label(self) -> str:
+        lab = self.label()
+        self.expect("=>")
+        return lab
 
     def proc_step(self, bound: frozenset):
         """A process, or a prefix as (its construct, its fields before the
-        process that follows, the names bound in that process)."""
+        process that follows, the names bound in that process); a case
+        with branches is a prefix whose fields are its channel, the
+        branches read so far, the label of the one that follows, and the
+        names bound in each branch."""
         t = self.peek()
         if t.text in ("fwd+", "fwd-"):
             self.take()
@@ -371,16 +397,9 @@ class _Parser:
         if self.eat("case"):
             a = self.ident("a channel")
             self.expect("{")
-            branches = []
-            if not self.at("}"):
-                while True:
-                    lab = self.label()
-                    self.expect("=>")
-                    branches.append((lab, self.proc(bound)))
-                    if not self.eat("|"):
-                        break
-            self.expect("}")
-            return ast.Case(a, tuple(branches))
+            if self.eat("}"):
+                return ast.Case(a, ())
+            return ast.Case, (a, [], self.case_label(), bound), bound
         if self.eat("send"):
             a = self.ident("a channel")
             if self.eat("<"):

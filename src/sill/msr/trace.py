@@ -16,7 +16,7 @@ reason.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .canon import find_renaming
 from .multiset import Fact, Multiset, fact_key, fact_to_str
@@ -121,7 +121,8 @@ class Trace:
         """Record again an idle step of this trace, as applying it again
         would, without ``fire`` or a new ``Step``.  Its applicability is
         checked in O(consumed), raising ``NotApplicable``; a step that is
-        not idle raises ``ValueError``."""
+        not idle raises ``ValueError``.  ``rotate`` records a whole cycle
+        of idle steps, each checked here once."""
         if not step.idle:
             raise ValueError(f"{step.to_str()} is not idle")
         if not step.inst.applicable(self.live):
@@ -129,6 +130,27 @@ class Trace:
         self.steps.append(step)
         if self._states is not None:
             self._states.append(self._states[-1])
+
+    def rotate(self, cycle: Sequence[Step], budget: int,
+               observer: Optional[Callable[["Trace"], None]] = None) -> None:
+        """Record the idle steps of cycle again, round-robin from its
+        first, until the trace holds budget steps, calling observer after
+        each, as ``repeat`` would one by one.  An idle step leaves the
+        state as it is, so no step of the cycle changes what the others
+        apply to: the first round goes through ``repeat``, which checks
+        each step's applicability (raising ``NotApplicable`` before
+        anything unchecked is recorded), and every later round only
+        appends, in O(1) per step."""
+        steps, n = self.steps, len(cycle)
+        for i in range(budget - len(steps)):
+            if i < n:
+                self.repeat(cycle[i])
+            else:
+                steps.append(cycle[i % n])
+                if self._states is not None:
+                    self._states.append(self._states[-1])
+            if observer is not None:
+                observer(self)
 
     @property
     def states(self) -> list[Multiset]:

@@ -12,7 +12,7 @@ import pytest
 
 from sill.lang import ast
 from sill.lang.ast import (
-    FApp, Arrow, Close, Cut, FVar, One, Plus, ProcType, Rec, SendLabel, SendVal,
+    FApp, Arrow, Case, Close, Cut, FVar, One, Plus, ProcType, Rec, SendLabel, SendVal,
     TVar, Wait, With,
 )
 from sill.dynamics import SillSystem, initial_config, proc_fact, run, state_facts
@@ -131,6 +131,19 @@ def test_a_long_sequence_parses_into_its_chain():
     nodes = _spine(p, "cont")
     assert len(nodes) == CHAIN + 1 and nodes[-1] == Close("c")
     assert all(type(q) is SendLabel for q in nodes[:-1])
+
+
+def test_a_deep_case_parses_checks_and_prints():
+    # each branch waits on the parser's stack, beside a second branch that
+    # closes at once; the type nests as deep
+    text = "case c {l => " * DEEP + "close c" + " | r => close c}" * DEEP
+    p = parse_proc(text)
+    nodes = _spine(p, "l")
+    assert len(nodes) == DEEP + 1 and nodes[-1] == Close("c")
+    assert all(type(q) is Case and q.labels() == ("l", "r") and q.branch("r") == Close("c")
+               for q in nodes[:-1])
+    check_proc(p, ("c", parse_type("&{l: " * DEEP + "1" + ", r: 1}" * DEEP)), {})
+    assert ast.proc_to_str(p) == text
 
 
 def test_a_deep_type_parses_checks_and_prints():
