@@ -27,8 +27,8 @@ state once, then after each step only the facts the step produced, and
 re-checks the channels of the facts it touched, read off their
 environments.  It types a fact by its code: whether a process types is
 decided by its code and the types in its slots, so a fact whose code
-typed before under the same slot types is neither decoded nor checked
-again (``_RunTyping``).
+typed before under the same slot types, interned objects compared by
+identity, is neither decoded nor checked again (``_RunTyping``).
 """
 
 from __future__ import annotations
@@ -423,8 +423,8 @@ class SillSystem:
     ``obs.observe_config`` made on the system, with the interface it was
     made under, keyed by (state, observed channels, fuel, depth, seed).
     The state is a ``Multiset`` of interned facts, which hashes by their
-    addresses, and no session type is hashed: a recursive type keeps its
-    one unfolding on its node (``ast.unfold_rec``), so no run memoises
+    addresses, and a session type is interned too: a recursive type keeps
+    its one unfolding on its node (``ast.unfold_rec``), so no run memoises
     continuation types.  No step is kept: a run derives the steps it asks
     for.
     """
@@ -753,19 +753,13 @@ class _RunTyping(ConfigTyping):
     A fact whose key passed a check, or waits on the coming one behind a
     fact typed in full, is added without being decoded; any other is
     decoded and typed in full (``_type_fact``), so a fault keeps its
-    message.  Types enter keys by number: each type object is numbered
-    once, from its construct, its printed text and its parts' numbers,
-    so equal numbers mean ``type_eq`` types, no type is hashed, and the
-    numbered objects are held, so no id is reused.
+    message.  Types enter keys as themselves, interned objects.
     """
 
     def __init__(self, interface: ast.Interface):
         super().__init__(interface)
         self.passed: set[tuple] = set()
         self._pending: set[tuple] = set()
-        self._numbers: dict[int, int] = {}
-        self._shapes: dict[tuple, int] = {}
-        self._held: list = []
         self._codes: set[App] = set()
         self._bound: set[str] = set()
         self.by_code = self.in_full = 0
@@ -790,7 +784,7 @@ class _RunTyping(ConfigTyping):
         self._pending.clear()
 
     def _key(self, f: Fact) -> Optional[tuple]:
-        types, number, c = self.types, self._number, f.args[0]
+        types, c = self.types, f.args[0]
         if c.name not in types:
             return None
         if f.pred == "msg":
@@ -800,11 +794,11 @@ class _RunTyping(ConfigTyping):
                 return None
             return ("msg", info.kind, info.polarity,
                     f.args[1].args[1] if info.kind == "label" or info.kind == "val" else None,
-                    *[None if n is None else (names.index(n), number(types[n])) for n in names])
+                    *[None if n is None else (names.index(n), types[n]) for n in names])
         _, code, env = f.args
         if not self._read(code) or c.name in self._bound:
             return None
-        out, seen = [code, number(types[c.name])], set()
+        out, seen = [code, types[c.name]], set()
         for a in env.args:
             if type(a) is not Const:
                 out.append(a)  # a value, interned
@@ -813,7 +807,7 @@ class _RunTyping(ConfigTyping):
             if t is None or a in seen or a.name in self._bound:
                 return None
             seen.add(a)
-            out.append(None if a is c else number(t))
+            out.append(None if a is c else t)
         return tuple(out)
 
     def _read(self, code: App) -> bool:
@@ -837,29 +831,6 @@ class _RunTyping(ConfigTyping):
         except (AttributeError, IndexError, KeyError, TypeError):
             return False
         return True
-
-    def _number(self, a) -> int:
-        """The number of the type a, its parts numbered first."""
-        numbers = self._numbers
-        n = numbers.get(id(a))
-        if n is not None:
-            return n
-        todo = [a]
-        while todo:
-            x = todo[-1]
-            if id(x) in numbers:
-                todo.pop()
-                continue
-            text = ast._TEXT[type(x)](x)
-            waiting = [y for y in text if type(y) is not str and id(y) not in numbers]
-            if waiting:
-                todo.extend(waiting)
-                continue
-            todo.pop()
-            shape = (type(x), *[y if type(y) is str else numbers[id(y)] for y in text])
-            numbers[id(x)] = self._shapes.setdefault(shape, len(self._shapes))
-            self._held.append(x)
-        return numbers[id(a)]
 
 
 def _violation(idx: int, ex: SillError) -> PreservationViolation:

@@ -2,8 +2,9 @@
 
 Three layers share this module: session types, functional terms (a
 call-by-value lambda calculus whose values include quoted processes), and
-processes.  Everything is an immutable dataclass, hashable, with a
-deterministic printed form.
+processes.  Everything is immutable and hashable, with a deterministic
+printed form.  Terms and processes are frozen dataclasses; types are
+hash-consed (``_Type``), so one type as written is one object.
 
 Session types are polarized.  Positive types describe communication flowing
 from the provider to the client, negative types the reverse; polarity shifts
@@ -34,9 +35,9 @@ renamed environment decodes to the renamed process (``dynamics.dec_proc``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_
 from typing import Mapping, Optional, Union
 
+from ..msr.terms import InternRef, immutable, intern_table
 from .errors import SillTypeError, UnboundTypeVariable
 
 POSITIVE = "positive"
@@ -58,10 +59,14 @@ Process = Union[
 class _Branching:
     """Labelled branches, given as a dict or as pairs, kept sorted by label."""
 
+    __slots__ = ()
+
+    @staticmethod
+    def sort(bs) -> tuple:
+        return tuple(sorted(bs.items() if isinstance(bs, dict) else bs, key=lambda kv: kv[0]))
+
     def __post_init__(self):
-        bs = self.branches
-        items = tuple(bs.items()) if isinstance(bs, dict) else tuple(bs)
-        object.__setattr__(self, "branches", tuple(sorted(items, key=lambda kv: kv[0])))
+        object.__setattr__(self, "branches", self.sort(self.branches))
 
     def branch(self, label: str):
         for l, x in self.branches:
@@ -73,67 +78,88 @@ class _Branching:
         return tuple(l for l, _ in self.branches)
 
 
+_TYPES, _types_gone = intern_table()
+
+
+class _Type:
+    """A session type or a functional type, hash-consed like the terms of
+    ``sill.msr.terms``: its construct and fields as written, binder names
+    included, are its key, so equal types are one object, ``==`` is ``is``
+    and the hash is the address.  Alpha-variants are two objects, each
+    printing its own names.  A class states its fields once, as its slots;
+    a slot named with a leading underscore is a cache."""
+
+    __slots__ = ("__weakref__",)
+    __setattr__ = __delattr__ = immutable
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(f for f in cls.__slots__ if f[0] != "_")
+
+    def __new__(cls, *fields):
+        if issubclass(cls, _Branching):
+            fields = (_Branching.sort(fields[0]),)
+        key = (cls, *fields)
+        ref = _TYPES.get(key)
+        if ref is not None:
+            a = ref()
+            if a is not None:
+                return a
+        a = object.__new__(cls)
+        for f, v in zip(cls.__match_args__, fields, strict=True):
+            object.__setattr__(a, f, v)
+        ref = _TYPES[key] = InternRef(a, _types_gone)
+        ref.key = key
+        return a
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {syntax_to_str(self)}>"
+
+
 # -- session types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class One:
-    pass
+class One(_Type):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Plus(_Branching):
-    branches: tuple[tuple[str, SessionType], ...]
+class Plus(_Type, _Branching):
+    __slots__ = ("branches",)
 
 
-@dataclass(frozen=True)
-class With(_Branching):
-    branches: tuple[tuple[str, SessionType], ...]
+class With(_Type, _Branching):
+    __slots__ = ("branches",)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: SessionType
-    right: SessionType
+class Tensor(_Type):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Lolli:
-    left: SessionType
-    right: SessionType
+class Lolli(_Type):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Down:
-    body: SessionType
+class Down(_Type):
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
-class Up:
-    body: SessionType
+class Up(_Type):
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
-class Rec:
-    var: str
-    body: SessionType
+class Rec(_Type):
+    __slots__ = ("var", "body", "_unfolded")
 
 
-@dataclass(frozen=True)
-class TVar:
-    name: str
+class TVar(_Type):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class AndVal:
-    vtype: FuncType
-    body: SessionType
+class AndVal(_Type):
+    __slots__ = ("vtype", "body")
 
 
-@dataclass(frozen=True)
-class ImpVal:
-    vtype: FuncType
-    body: SessionType
+class ImpVal(_Type):
+    __slots__ = ("vtype", "body")
 
 
 # connective -> (its polarity, {session-type field: the polarity it must
@@ -173,38 +199,35 @@ def polarity(a: SessionType, xi: Optional[Mapping[str, str]] = None) -> str:
 
 def unfold_rec(a: Rec) -> SessionType:
     """One unfolding: the recursive type substituted for its own variable,
-    once per node.  It is kept in the node's ``__dict__`` after its fields,
-    so equality, hashing, printing and the field walks never see it."""
+    once per type, since a type is one object.  It is kept in the node's
+    cache slot, which is no field, so the key and the walks never see it."""
     if not isinstance(a, Rec):
         raise TypeError(f"cannot unfold {type_to_str(a)}")
-    unfolded = a.__dict__.get("_unfolded")
+    unfolded = getattr(a, "_unfolded", None)
     if unfolded is None:
-        unfolded = a.__dict__["_unfolded"] = subst_tvar(a.body, a.var, a)
+        object.__setattr__(a, "_unfolded", unfolded := subst_tvar(a.body, a.var, a))
     return unfolded
 
 
 def type_eq(a: SessionType, b: SessionType) -> bool:
     """Whether two session types, or two functional types, have equal
-    canonical forms, found without building them."""
+    canonical forms, found without building them.  One object is one type
+    as written; two objects may still differ only in binder names."""
     return a is b or fold(((a, 0, _CLOSED), (b, 0, _CLOSED)), _alpha_kids, _alpha_build)
 
 
 # -- functional types ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Arrow:
-    arg: FuncType
-    res: FuncType
+class Arrow(_Type):
+    __slots__ = ("arg", "res")
 
 
-@dataclass(frozen=True)
-class ProcType:
-    offered: tuple[str, SessionType]
-    used: tuple[tuple[str, SessionType], ...] = ()
+class ProcType(_Type):
+    __slots__ = ("offered", "used")
 
-
-functype_eq = type_eq
+    def __new__(cls, offered: tuple[str, SessionType], used: tuple = ()) -> "ProcType":
+        return _Type.__new__(cls, offered, used)
 
 
 # -- functional terms ----------------------------------------------------------
@@ -456,11 +479,6 @@ def _branches(bs: tuple, kids) -> tuple:
     return bs if all([new is old for (_, new), (_, old) in zip(out, bs)]) else out
 
 
-def _remade(x, fields: list):
-    """x's construct with fields; x itself if they are its own."""
-    return x if all(map(is_, fields, vars(x).values())) else type(x)(*fields)
-
-
 def _subst_kids(x, ctx) -> list:
     table, _, binder, name, _ = ctx
     kids = []
@@ -478,13 +496,16 @@ def _subst_kids(x, ctx) -> list:
 def _subst_build(x, kids, ctx):
     # value is closed, so nothing can capture it
     table, var, binder, name, value = ctx
-    out = []
-    for v, role in zip(vars(x).values(), table[type(x)].values()):
+    out, same = [], True
+    for f, role in table[type(x)].items():
+        v = getattr(x, f)
         if (role is var or role is binder) and v == name:
             return value if role is var else x
-        out.append(_branches(v, kids) if role is BRANCHES else
-                   next(kids) if role is CHILD or role is TERM or role is QUOTED else v)
-    return _remade(x, out)
+        new = (_branches(v, kids) if role is BRANCHES else
+               next(kids) if role is CHILD or role is TERM or role is QUOTED else v)
+        same = same and new is v
+        out.append(new)
+    return x if same else type(x)(*out)
 
 
 def subst_tvar(a: SessionType, name: str, repl: SessionType) -> SessionType:

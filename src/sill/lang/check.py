@@ -65,7 +65,7 @@ def _formation(a, xi):
     # depth-first, left-to-right walk.  waiting holds, per type whose part
     # is being checked, the type's polarity, its remaining parts, and the
     # part's wanted polarity and name (None for a rec's body).  Messages
-    # name the connective, not the type, whose repr recurses.
+    # name the connective, not the type.
     waiting = []
     pol, parts = _form_head(a, xi)
     while True:
@@ -199,7 +199,7 @@ def _annot_type(m):
 def _against(m, env, t):
     if isinstance(m, ast.Lam) and isinstance(t, ast.Arrow):
         check_functype(m.ann)
-        if not ast.functype_eq(m.ann, t.arg):
+        if not ast.type_eq(m.ann, t.arg):
             raise SillTypeError(
                 f"lambda annotation {m.ann} does not match expected {t.arg}")
         inner = dict(env)
@@ -212,7 +212,7 @@ def _against(m, env, t):
         _against(m.body, inner, t)
         return
     got = _synth(m, env)
-    if not ast.functype_eq(got, t):
+    if not ast.type_eq(got, t):
         raise SillTypeError(f"expected {t}, found {got}")
 
 

@@ -45,6 +45,7 @@ _DIGITS = set("0123456789")
 # binds it: a prefix at once, * before -o
 _TYPE_OPS = {"*": ast.Tensor, "-o": ast.Lolli}
 _TYPE_PREC = {ast.Down: 2, ast.Up: 2, ast.AndVal: 2, ast.ImpVal: 2, ast.Tensor: 1, ast.Lolli: 0}
+_CUT_BODY = object()  # a cut while its body in braces is read
 
 
 @dataclass(frozen=True)
@@ -344,21 +345,27 @@ class _Parser:
 
     def proc(self, bound: frozenset) -> ast.Process:
         # each prefix (x.l; and every form a process follows) waits on a
-        # stack for that process, and so does a case for the branch it is
-        # reading: a long sequence or deep nesting costs no Python stack
+        # stack for that process, and so do a case for the branch it is
+        # reading and a cut for its body: deep nesting costs no Python stack
         waiting = []
         while True:
             p = self.proc_step(bound)
             if isinstance(p, tuple):
                 cls, fields, bound = p
                 waiting.append((cls, fields))
-                if cls is not ast.Case:
+                if cls is not ast.Case and cls is not _CUT_BODY:
                     self.expect(";")
                 continue
             # a whole process: the prefixes before it take it, and the
-            # innermost case takes it as a branch
+            # innermost case or cut takes it as a branch or as its body
             while waiting:
                 cls, fields = waiting.pop()
+                if cls is _CUT_BODY:
+                    chan, ann, bound = fields
+                    self.expect("}")
+                    self.expect(";")
+                    waiting.append((ast.Cut, (chan, ann, p)))
+                    break
                 if cls is not ast.Case:
                     p = cls(*fields, p)
                     continue
@@ -382,7 +389,8 @@ class _Parser:
         process that follows, the names bound in that process); a case
         with branches is a prefix whose fields are its channel, the
         branches read so far, the label of the one that follows, and the
-        names bound in each branch."""
+        names bound in each branch; so is a cut whose body is in braces,
+        as ``_CUT_BODY`` with its channel, annotation and bound names."""
         t = self.peek()
         if t.text in ("fwd+", "fwd-"):
             self.take()
@@ -434,7 +442,9 @@ class _Parser:
         if self.eat(":"):
             ann = self.type_expr(frozenset())
             self.expect("<-")
-            return ast.Cut, (name, ann, self.cut_left(name, bound)), bound
+            if self.eat("{"):
+                return _CUT_BODY, (name, ann, bound), bound
+            return ast.Cut, (name, ann, self.instance(name)), bound
         if self.eat("<-"):
             if self.eat("recv"):
                 return ast.RecvChan, (name, self.ident("a channel")), bound
@@ -449,11 +459,8 @@ class _Parser:
             self.fail("expected recv or [term] after <-")
         self.fail(f"cannot parse a process starting at {name!r}", t)
 
-    def cut_left(self, chan: str, bound: frozenset) -> ast.Process:
-        if self.eat("{"):
-            body = self.proc(bound)
-            self.expect("}")
-            return body
+    def instance(self, chan: str) -> ast.Process:
+        """A named process applied to channels, offering chan."""
         name = self.ident("a process name")
         args = []
         self.expect("(")

@@ -207,7 +207,7 @@ def _annot_type(m):
 def _against(m, env, t):
     if isinstance(m, ast.Lam) and isinstance(t, ast.Arrow):
         check_functype(m.ann)
-        if not ast.functype_eq(m.ann, t.arg):
+        if not ast.type_eq(m.ann, t.arg):
             raise SillTypeError(
                 f"lambda annotation {m.ann} does not match expected {t.arg}")
         inner = dict(env)
@@ -220,7 +220,7 @@ def _against(m, env, t):
         _against(m.body, inner, t)
         return
     got = _synth(m, env)
-    if not ast.functype_eq(got, t):
+    if not ast.type_eq(got, t):
         raise SillTypeError(f"expected {t}, found {got}")
 
 

@@ -1,10 +1,11 @@
-"""The process parser as it was when a case read its branches by
-recursion, kept verbatim as a test oracle.
+"""The process parser as it was when a case read its branches and a cut
+its body in braces by recursion, kept verbatim as a test oracle.
 
-``OldProcParser`` is ``sill.lang.parser._Parser`` with the parent's
-``proc`` and ``proc_step``: a prefix waits on a list, and each case
-branch is read by a nested call of ``proc``.  Everything else (tokens,
-types, terms, cut bodies) is the current parser's.
+``OldProcParser`` is ``sill.lang.parser._Parser`` with the old ``proc``,
+``proc_step`` and ``cut_left``: a prefix waits on a list, and each case
+branch and each cut body is read by a nested call of ``proc``.
+Everything else (tokens, types, terms, named instances) is the current
+parser's.
 """
 
 from __future__ import annotations
@@ -102,3 +103,18 @@ class OldProcParser(_Parser):
             self.fail("expected recv or [term] after <-")
         self.fail(f"cannot parse a process starting at {name!r}", t)
 
+    def cut_left(self, chan: str, bound: frozenset) -> ast.Process:
+        if self.eat("{"):
+            body = self.proc(bound)
+            self.expect("}")
+            return body
+        name = self.ident("a process name")
+        args = []
+        self.expect("(")
+        if not self.at(")"):
+            while True:
+                args.append(self.ident("a channel"))
+                if not self.eat(","):
+                    break
+        self.expect(")")
+        return self.instantiate(name, chan, args)

@@ -45,6 +45,7 @@ from sill.lang.ast import (
     Wait,
     With,
 )
+from sill.lang.parser import parse_type
 from sill.msr.terms import App, Const, Var, Wrap, subst_term
 
 NAMES = ("a", "b", "c", "d", "x", "y", "a%0", "x%0", "y%0")
@@ -73,7 +74,11 @@ def test_role_tables_give_every_field_of_every_construct_in_order():
     for table, n in ((ast.TYPE_ROLES, 11), (ast.TERM_ROLES, 5), (ast.PROC_ROLES, 16)):
         assert len(table) == n
         for cls, roles in table.items():
-            assert tuple(roles) == tuple(f.name for f in dataclasses.fields(cls))
+            # a type is an interned class, a term or a process a dataclass
+            fields = (cls.__match_args__ if table is ast.TYPE_ROLES else
+                      tuple(f.name for f in dataclasses.fields(cls)))
+            assert tuple(roles) == fields
+    assert not any(map(dataclasses.is_dataclass, (*ast.TYPE_ROLES, ast.Arrow, ast.ProcType)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -106,6 +111,36 @@ def test_type_walks_match_the_reference(a, b, name, repl, depth):
     assert ast.unfold_rec(rec) == ref.subst_tvar(a, name, rec)
     # z occurs nowhere in a, so renaming the binder to it is alpha-equivalence
     assert ast.type_eq(rec, ast.Rec("z", ast.subst_tvar(a, name, TVar("z"))))
+
+
+_TYPE_CLASSES = (*ast.TYPE_ROLES, ast.Arrow, ast.ProcType)
+
+
+def _built_again(x):
+    """x built anew from its fields, its parts first, in new tuples (the
+    generated types are shallow, so this recursion is too)."""
+    if type(x) is tuple:
+        return tuple(_built_again(y) for y in x)
+    if type(x) in _TYPE_CLASSES:
+        return type(x)(*[_built_again(getattr(x, f)) for f in x.__match_args__])
+    return x
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_types(3), _types(3), _arrows, _tvars)
+def test_a_type_is_one_object_and_prints_as_written(a, b, t, name):
+    # a type built again, from its fields or from its text, is the object
+    # itself, so equality is identity
+    for x in (a, b, t):
+        assert _built_again(x) is x
+    assert parse_type(ast.type_to_str(a)) is a
+    assert (a == b) == (a is b) == (ast.type_to_str(a) == ast.type_to_str(b))
+    # an alpha-variant is another object, and each prints its own names
+    rec, alpha = ast.Rec(name, a), ast.Rec("z", ast.subst_tvar(a, name, TVar("z")))
+    assert ast.type_eq(rec, alpha) and rec is not alpha and rec != alpha
+    for x in (a, b, rec, alpha):
+        assert ast.type_to_str(x) == ref.type_to_str(x)
+    assert ast.functype_to_str(t) == ref.functype_to_str(t)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

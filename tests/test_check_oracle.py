@@ -331,7 +331,7 @@ class _Builder:
     def term(self, ft, env, fuel):
         """A closed term of functional type ft."""
         rng = self.rng
-        fits = [v for v in sorted(env) if ast.functype_eq(env[v], ft)]
+        fits = [v for v in sorted(env) if ast.type_eq(env[v], ft)]
         if fits and rng.random() < 0.5:
             return FVar(rng.choice(fits))
         if isinstance(ft, Arrow):

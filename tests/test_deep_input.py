@@ -2,10 +2,11 @@
 of ``sill.lang.ast``, so each returns at depths far beyond the Python
 recursion limit, with the answer worked out here by hand.
 
-Deep syntax trees are compared level by level in a loop, or by their
-printed forms, because the dataclasses' own ``==`` recurses.  A deep
-process runs and its fact sorts beside a twin's: the two share one
-interned code, and their order keys differ only in their environments.
+Deep processes and terms are compared level by level in a loop, or by
+their printed forms, because the dataclasses' own ``==`` recurses; a type
+is interned, so a deep one is its twin.  A deep process runs and its fact
+sorts beside a twin's: the two share one interned code, and their order
+keys differ only in their environments.
 """
 
 import pytest
@@ -144,6 +145,34 @@ def test_a_deep_case_parses_checks_and_prints():
                for q in nodes[:-1])
     check_proc(p, ("c", parse_type("&{l: " * DEEP + "1" + ", r: 1}" * DEEP)), {})
     assert ast.proc_to_str(p) == text
+
+
+def test_nested_cut_bodies_parse_and_print_back():
+    # each body waits on the parser's stack until its closing brace
+    text = "y: 1 <- {" * DEEP + "close y" + "}; close c" * DEEP
+    p = parse_proc(text)
+    nodes = _spine(p, "left")
+    assert len(nodes) == DEEP + 1 and nodes[-1] == Close("y")
+    assert all(type(q) is Cut and q.ann is One() and q.right == Close("c") for q in nodes[:-1])
+    assert ast.proc_to_str(p) == text
+    assert ast.proc_to_str(parse_proc(ast.proc_to_str(p))) == text
+
+
+def test_a_cut_annotated_with_a_deep_type_encodes_and_steps():
+    # the annotation is interned: hashing, comparing and showing it, and
+    # wrapping it in the encoding, recurse nowhere
+    t, twin = _plus(DEEP, One()), _plus(DEEP, One())
+    assert twin is t and t == twin and hash(t) == hash(twin)
+    assert repr(t) == "<Plus " + ast.type_to_str(t) + ">"
+    p = Cut("x", t, Close("x"), Close("c"))
+    assert p == Cut("x", twin, Close("x"), Close("c")) and hash(p) == hash(p)
+    f = proc_fact("c", p)
+    assert f.args[1].args[1].payload is t
+    state, iface = initial_config(p, {}, ("c", One()))
+    tr = run(SillSystem(), state, iface, fuel=1)
+    assert [s.inst.rule.name for s in tr.steps] == ["cut"]
+    [fresh] = set(tr.meta["channel_types"]) - {"c"}
+    assert tr.meta["channel_types"][fresh] is t
 
 
 def test_a_deep_type_parses_checks_and_prints():

@@ -15,7 +15,7 @@ from sill.lang import (
     polarity, proc_to_str, type_eq, type_to_str, unfold_rec,
 )
 from sill.lang import ast
-from sill.lang.ast import functype_eq, make_message
+from sill.lang.ast import make_message
 
 CONAT = Rec("a", Plus((("z", One()), ("s", TVar("a")))))
 BITS = Rec("b", Plus((("b0", TVar("b")), ("b1", TVar("b")))))
@@ -98,7 +98,7 @@ def test_fix_needs_annotations_to_synthesize():
                       expected=Arrow(pt, pt)) == Arrow(pt, pt)
     # and a quote body gives fix a type by itself
     omega = Fix("w", Quote(("c", One()), Unquote("c", FVar("w"))))
-    assert functype_eq(check_term(omega), pt)
+    assert type_eq(check_term(omega), pt)
 
 
 def test_term_errors():

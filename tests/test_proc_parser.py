@@ -12,6 +12,7 @@ import random
 
 from parser_oracle import OldProcParser
 
+from sill.lang.ast import FVar, Lam, One, ProcType
 from sill.lang.errors import ParseError
 from sill.lang.parser import _Parser, tokenize
 
@@ -86,3 +87,18 @@ def test_process_texts_parse_as_before():
         else:
             parsed += 1
     assert parsed > 1000 and failed > 1000, (parsed, failed)
+
+
+def test_a_cut_body_binds_its_variables_only_inside():
+    # f names a declared term, and a body that receives into f binds it
+    # there alone: the process after the cut reads the declaration
+    declared = Lam("v", ProcType(("x", One())), FVar("v"))
+    for text in ("y : 1 <- {[f] <- recv d; send y [f]; close y}; send c [f]; close c",
+                 "y : 1 <- {case d {l => [f] <- recv e; close y}}; send c [f]; close c"):
+        trees = []
+        for cls in (OldProcParser, _Parser):
+            p = cls(text)
+            p.termdecls["f"] = declared
+            trees.append(p.proc(frozenset()))
+        assert trees[0] == trees[1], text
+        assert trees[1].right.term is declared

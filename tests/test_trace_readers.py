@@ -122,7 +122,10 @@ def test_observe_reads_the_run_only_as_far_as_its_depth(monkeypatch):
     subst_tvar = ast.subst_tvar
     monkeypatch.setattr(ast, "subst_tvar",
                         lambda a, name, repl: substs.append(repl) or subst_tvar(a, name, repl))
-    conat = ast.Rec(CONAT.var, CONAT.body)
+    # conat under a binder name no other object holds, so the node is new
+    # and not yet unfolded: the shared CONAT is one object, unfolded before
+    conat = ast.Rec("fresh", ast.Plus((("s", ast.TVar("fresh")), ("z", ast.One()))))
+    assert ast.type_eq(conat, CONAT) and conat is not CONAT
     # omega's messages come one per level of its tree, in run order, so an
     # observation cut at depth 8 indexes exactly the first 8 of the 200
     start, iface = initial_config(omega_proc(), {}, ("o", conat))
@@ -141,11 +144,19 @@ def test_observe_reads_the_run_only_as_far_as_its_depth(monkeypatch):
     assert len({id(r) for r in unfolded}) == len(unfolded)
 
 
-def test_a_rec_node_keeps_its_one_unfolding_out_of_its_value():
-    a = ast.Rec("b", ast.Plus((("s", ast.TVar("b")), ("z", ast.One()))))
-    twin = ast.Rec("b", ast.Plus((("s", ast.TVar("b")), ("z", ast.One()))))
-    assert ast.unfold_rec(a) is ast.unfold_rec(a)
-    assert a == twin and hash(a) == hash(twin) and repr(a) == repr(twin)
+def test_a_rec_node_keeps_its_one_unfolding_out_of_its_value(monkeypatch):
+    # a twin is the node itself, so the node's one unfolding, computed once,
+    # serves both; it is held in no field, so the node keeps its text
+    substs = []
+    subst_tvar = ast.subst_tvar
+    monkeypatch.setattr(ast, "subst_tvar",
+                        lambda a, name, repl: substs.append(repl) or subst_tvar(a, name, repl))
+    a = ast.Rec("once", ast.Plus((("s", ast.TVar("once")), ("z", ast.One()))))
+    twin = ast.Rec("once", ast.Plus({"z": ast.One(), "s": ast.TVar("once")}))
+    assert twin is a and a == twin and hash(a) == hash(twin)
+    assert ast.unfold_rec(a) is ast.unfold_rec(twin) is ast.unfold_rec(a)
+    assert substs == [a]
+    assert a.__match_args__ == ("var", "body") and str(a) == "rec once. +{s: once, z: 1}"
     assert ast.subst_tvar(ast.Tensor(ast.TVar("v"), a), "v", ast.One()).right is a
 
 
