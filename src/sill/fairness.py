@@ -21,13 +21,14 @@ that anything ever applicable is eventually applied up to instantiation
 equivalence.
 
 A lasso has one analysis (``_Analysis``), built by its first verdict and
-kept with the ``LassoTrace``.  It describes the trace at the step count it
-was built for: every later verdict on the same lasso reads it, and a
-verdict on a trace extended in the meantime builds a fresh one.  The
-analysis and the fair scheduler keep the applicable instantiations of the
-current state in one structure (``_Applicable``), which takes the start's
-from the run's one index of its state and advances them by one update,
-shared by the scheduler and the replay.  The analysis is built by one
+kept in its trace's ``memo`` under its loop start.  It describes the
+trace at the step count it was built for: every later verdict on the same
+lasso reads it, and a verdict on a trace extended in the meantime builds
+a fresh one.  The analysis and the fair scheduler keep the applicable
+instantiations of the current state in one structure (``_Applicable``),
+which takes the start's from the run's one index of its state and
+advances them by one update, shared by the scheduler and the replay.
+The analysis is built by one
 in-place replay of the recorded steps, which holds one state and
 never reads ``Trace.states``; it keeps each position's instantiations
 with their equivalence keys, which also carry their antecedent facts.
@@ -38,20 +39,19 @@ predicates the weak and strong verdicts test.  So the first verdict of
 a variety walks the orbits, and every other verdict of that variety
 filters precomputed flags in O(candidates) and formats its witness.  The
 über verdict reads no variety's candidates: it is one obligation,
-computed once for all three.  The scheduler also keeps the
-step of each live class whose last application was idle (it left the
-state as it was and bound no fresh name): such a step stays valid while
-its class is live, so it is recorded again, its applicability still
-checked, instead of applied anew.  Once every live class is idle, no
-step can change the state again, so the queue only rotates: the run's
-loop has closed, and the scheduler records the rest of its fuel from one
-cycle of those steps, each checked once, in O(1) per step.
+computed once for all three.  The scheduler records every step it
+takes from its queue by ``Trace.extend`` and counts the idle steps in a
+row (steps that left the state as it was and bound no fresh name).  Once
+that count reaches the queue's length, every live class has just taken
+an idle step, no step can change the state again, and the queue only
+rotates: the run's loop has closed, and the scheduler records the rest
+of its fuel from that cycle of steps, checked once, in O(1) per step.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional
 
@@ -77,9 +77,6 @@ class LassoTrace:
 
     trace: Trace
     loop_start: Optional[int] = None
-    # the lasso's analysis, built by the first verdict (see _analysis_of)
-    _analysis: Optional["_Analysis"] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.loop_start is not None and not (
@@ -136,14 +133,10 @@ class _Applicable:
     re-enumeration would give.  Equivalent instantiations consume the same
     facts, the second part of their key, so a class is applicable as a
     whole.  ``proposed`` counts the candidates proposed after the start.
-    ``idle`` holds the ``Step`` of each live class whose last application
-    was idle: valid while the class is live, and checked for applicability
-    when recorded again (``Trace.repeat``); ``drop`` removes it with it.
     """
 
     def __init__(self, mrs: Mrs, start: Multiset, rng: Optional[random.Random] = None):
         self.live: dict[tuple, Inst] = {}
-        self.idle: dict[tuple, Step] = {}
         # ephemeral fact -> keys of the live instantiations that consume it
         self.needs: dict[Fact, dict[tuple, None]] = {}
         self.rng = rng
@@ -153,7 +146,6 @@ class _Applicable:
 
     def drop(self, key: tuple) -> None:
         del self.live[key]
-        self.idle.pop(key, None)
         for f, _ in key[1]:
             keys = self.needs[f]
             del keys[key]
@@ -441,12 +433,13 @@ class _Analysis:
 
 
 def _analysis_of(lt: LassoTrace) -> _Analysis:
-    """The lasso's analysis, built on first use and again once the trace
-    has grown past the step count it describes."""
-    an = lt._analysis
+    """The lasso's analysis, kept in its trace's ``memo`` under its loop
+    start with the step count it describes (``_Analysis.L``): built on
+    first use and again once the trace has grown."""
+    memo, key = lt.trace.memo, (_Analysis, lt.loop_start)
+    an = memo.get(key)
     if an is None or an.L != len(lt.trace.steps):
-        an = _Analysis(lt)
-        object.__setattr__(lt, "_analysis", an)
+        an = memo[key] = _Analysis(lt)
     return an
 
 
@@ -554,76 +547,66 @@ def fair_execute(
     applied.
 
     The queue and the enabled set read the trace's live state, which no
-    step copies.  A step that changes nothing (``Step.changed``), such as
-    a process stepping to itself, leaves every queued instantiation
-    applicable and makes none so, so the applied one alone goes to the
-    back, and the step costs O(1): the enabled set is not asked.  A
-    one-element shuffle draws no random number, so seeded runs keep their
-    order.  An idle step (``Step.idle``) stays valid in ``app.idle`` while
-    its class is live, and the class's next turns record it again through
-    ``Trace.repeat``: the steps and states of a fresh application, its
-    applicability checked, nothing applied.
+    step copies, and every step the queue hands out is recorded by
+    ``Trace.extend``.  A step that changes nothing (``Step.changed``),
+    such as a process stepping to itself, leaves every queued
+    instantiation applicable and makes none so, so the applied one alone
+    goes to the back, and the enabled set is not asked.  A one-element
+    shuffle draws no random number, so seeded runs keep their order.
 
-    The run's loop closes when every live class is idle, which
-    ``len(app.idle) == len(queue)`` tests in O(1) after each step that
-    changed nothing.  The test is exact: an idle step leaves the state as
-    it is, so from then on no step changes the state, the queue is never
-    updated, and it only rotates.  The scheduler hands one cycle, the
-    idle step of each live class in queue order, to ``Trace.rotate``,
-    which records the rest of the fuel from it round-robin: the steps,
-    states and observer calls of the rotating queue, each step's
-    applicability checked on the first round, and later rounds O(1) per
-    step.  The counters and queue depths of those steps are added at
-    once.  meta["loop"] is then {"start": the index of the first step the
+    ``quiet`` counts the idle steps (``Step.idle``) in a row, and any
+    other step resets it.  The run's loop closes when ``quiet`` equals the
+    queue's length: an idle step leaves the state as it is, so during
+    those steps the queue has only rotated, they are one idle step of
+    each live class in queue order, and no step changes the state again.
+    The scheduler hands that cycle to ``Trace.rotate``, which checks it
+    once and records the rest of the fuel from it round-robin, O(1) per
+    step: the steps and observer calls of the rotating queue.  The
+    counters and queue depths of those steps are added at once.
+    meta["loop"] is then {"start": the index of the first step the
     rotation records, "period": the number of live classes}; it is None
-    for a run that ended maximal or ran out of fuel while still changing.
+    for a run that ended maximal or ran out of fuel before the loop
+    closed.
 
     meta["sched"] counts the candidates the enabled set proposed after the
     start (the start is enumerated once), the fresh instantiations that
-    joined the queue after a step, the steps that changed nothing
-    (``unchanged_steps``) and those of them recorded again from
-    ``app.idle`` (``idle_replays``).  The enabled set derives every
-    candidate it proposes, so ``delta_candidates`` is also the number of
-    steps derived after the start.
+    joined the queue after a step, and the steps that changed nothing
+    (``unchanged_steps``).  The enabled set derives every candidate it
+    proposes, so ``delta_candidates`` is also the number of steps derived
+    after the start.
     """
     tr = Trace(mrs, start)
     app = _Applicable(mrs, tr.live, random.Random(seed) if seed is not None else None)
     queue = app.live
-    sched = {"delta_candidates": 0, "fresh_admitted": 0, "unchanged_steps": 0,
-             "idle_replays": 0}
+    sched = {"delta_candidates": 0, "fresh_admitted": 0, "unchanged_steps": 0}
     depths: list[int] = []
     loop = None
+    quiet = 0
     while queue and len(tr.steps) < budget:
         if record_queue_depths:
             depths.append(len(queue))
         first = next(iter(queue))
-        step = app.idle.get(first)
-        if step is None:
-            step = tr.extend(queue[first])
-        else:
-            tr.repeat(step)
-            sched["idle_replays"] += 1
+        step = tr.extend(queue[first])
         if observer is not None:
             observer(tr)
         if not step.changed:
             # nothing changed: everything queued stays applicable and
             # nothing new became so; the step goes to the back
-            if step.idle:
-                app.idle[first] = step
             queue[first] = queue.pop(first)
             sched["unchanged_steps"] += 1
-            if len(app.idle) == len(queue):
-                # every live class is idle: no step changes the state
-                # again, so the queue only rotates, one cycle of steps
-                loop = {"start": len(tr.steps), "period": len(queue)}
+            quiet = quiet + 1 if step.idle else 0
+            if quiet == len(queue):
+                # every live class has just taken an idle step: no step
+                # changes the state again, so the queue only rotates
+                loop = {"start": len(tr.steps), "period": quiet}
                 rest = budget - len(tr.steps)
-                tr.rotate([app.idle[key] for key in queue], budget, observer)
+                tr.rotate(tr.steps[-quiet:], budget, observer)
                 sched["unchanged_steps"] += rest
-                sched["idle_replays"] += rest
                 if record_queue_depths:
                     depths += [len(queue)] * rest
                 break
             continue
+        quiet = 0
         sched["fresh_admitted"] += len(app.after(first, step, tr.live))
     sched["delta_candidates"] = app.proposed
     tr.meta["maximal"] = not queue

@@ -7,10 +7,12 @@ ephemeral antecedent (consumed) and its produced facts, so a trace costs
 O(steps), not O(steps x state).  The current state (``Trace.live``) is
 updated in place, so a step costs what it consumed and produced, not the
 size of the state; ``final()`` hands out a snapshot of it, which no later
-step changes.  Readers that only need the facts a run ever held walk
-``Trace.facts``; the intermediate states are rebuilt by replay the first
-time ``Trace.states`` is read.  Serialization can omit them for the same
-reason.
+step changes.  Every step is recorded by ``extend``, which applies it;
+``rotate`` only appends a checked cycle of idle steps again.  Readers that
+only need the facts a run ever held walk ``Trace.facts``; the intermediate
+states are rebuilt by replay when ``Trace.states`` is read, and kept in
+``Trace.memo`` until the next step.  Serialization can omit them for the
+same reason.
 """
 
 from __future__ import annotations
@@ -32,16 +34,20 @@ class Step:
     The step consumed ``inst.eph_ant_g()`` and produced ``produced``: the
     distinct facts of the instantiated consequent, persistent ones first.
     ``xi`` records the fresh names, so the step replays exactly.  A step
-    that ``changed`` nothing left the state as it was; an ``idle`` one
-    also bound no fresh name, and leaves the state as it is wherever it
-    applies later in its trace: persistent facts stay.
+    that ``changed`` nothing left the state as it was.
     """
 
     inst: Inst
     xi: tuple[tuple[str, str], ...]
     produced: tuple[Fact, ...] = field(compare=False, repr=False)
     changed: bool = field(default=True, compare=False, repr=False)
-    idle: bool = field(default=False, compare=False, repr=False)
+
+    @property
+    def idle(self) -> bool:
+        """The step changed nothing and bound no fresh name, so it leaves
+        the state as it is wherever it applies later in its trace:
+        persistent facts stay."""
+        return not self.changed and not self.xi
 
     def xi_map(self) -> dict[str, str]:
         return dict(self.xi)
@@ -89,7 +95,6 @@ class Trace:
         self.live = initial.copy()
         # final()'s snapshot of live, None once a step changed live
         self._final: Optional[Multiset] = initial
-        self._states: Optional[list[Multiset]] = None
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -110,45 +115,27 @@ class Trace:
             self._final = None
         # the step keeps its rule and theta, not the matcher's grounding
         inst.release()
-        step = Step(inst, tuple(names.items()), tuple(produced),
-                    changed=con is not None, idle=con is None and not names)
+        step = Step(inst, tuple(names.items()), tuple(produced), changed=con is not None)
         self.steps.append(step)
-        if self._states is not None:
-            self._states.append(self._states[-1] if con is None else self.final())
         return step
-
-    def repeat(self, step: Step) -> None:
-        """Record again an idle step of this trace, as applying it again
-        would, without ``fire`` or a new ``Step``.  Its applicability is
-        checked in O(consumed), raising ``NotApplicable``; a step that is
-        not idle raises ``ValueError``.  ``rotate`` records a whole cycle
-        of idle steps, each checked here once."""
-        if not step.idle:
-            raise ValueError(f"{step.to_str()} is not idle")
-        if not step.inst.applicable(self.live):
-            raise NotApplicable(step.inst.to_str())
-        self.steps.append(step)
-        if self._states is not None:
-            self._states.append(self._states[-1])
 
     def rotate(self, cycle: Sequence[Step], budget: int,
                observer: Optional[Callable[["Trace"], None]] = None) -> None:
         """Record the idle steps of cycle again, round-robin from its
         first, until the trace holds budget steps, calling observer after
-        each, as ``repeat`` would one by one.  An idle step leaves the
-        state as it is, so no step of the cycle changes what the others
-        apply to: the first round goes through ``repeat``, which checks
-        each step's applicability (raising ``NotApplicable`` before
-        anything unchecked is recorded), and every later round only
-        appends, in O(1) per step."""
+        each.  The cycle is checked once, before anything is recorded: a
+        step that is not idle raises ``ValueError``, one that does not
+        apply to the current state ``NotApplicable``.  An idle step leaves
+        the state as it is, so no step of the cycle changes what the others
+        apply to, and recording them only appends, in O(1) per step."""
+        for step in cycle:
+            if not step.idle:
+                raise ValueError(f"{step.to_str()} is not idle")
+            if not step.inst.applicable(self.live):
+                raise NotApplicable(step.inst.to_str())
         steps, n = self.steps, len(cycle)
         for i in range(budget - len(steps)):
-            if i < n:
-                self.repeat(cycle[i])
-            else:
-                steps.append(cycle[i % n])
-                if self._states is not None:
-                    self._states.append(self._states[-1])
+            steps.append(cycle[i % n])
             if observer is not None:
                 observer(self)
 
@@ -157,26 +144,27 @@ class Trace:
         """The initial state and the state after each step, in order, as
         snapshots that later steps leave as they are.
 
-        Nothing keeps these while the trace is recorded.  The first read
-        replays the recorded steps from the initial state with their
-        recorded fresh names, which costs one rule application and one
-        copy of the state per changing step, and keeps the list; later
-        reads return that list, and each later step appends to it, a new
-        snapshot after a step that changed the state.  The last entry is
-        ``final()`` itself.  Treat the list as read-only.  The library
-        reads it only to serialize a trace with its states: the lasso
-        analysis replays the steps in place on one state instead, and the
-        other readers walk ``facts``.
+        Nothing keeps these while the trace is recorded.  A read replays
+        the recorded steps from the initial state with their recorded
+        fresh names, which costs one rule application and one copy of the
+        state per changing step, and keeps the list in ``memo`` with the
+        step count it describes: later reads return that list until the
+        trace grows, and the first read after that replays again.  The
+        last entry is ``final()`` itself.  Treat the list as read-only.
+        The library reads it only to serialize a trace with its states:
+        the lasso analysis replays the steps in place on one state
+        instead, and the other readers walk ``facts``.
         """
-        if self._states is None:
+        count, states = self.memo.get("states", (None, None))
+        if count != len(self.steps):
             states, sig = [self.initial], self.sig0
             for step in self.steps[:-1]:
                 st, sig, _ = apply_inst(states[-1], step.inst, sig, step.xi_map())
                 states.append(st)
             if self.steps:
                 states.append(self.final())
-            self._states = states
-        return self._states
+            self.memo["states"] = (len(self.steps), states)
+        return states
 
     def facts(self) -> Iterator[Fact]:
         """Every ephemeral fact some state of the trace held, as the states'
@@ -230,6 +218,9 @@ class Trace:
         initial = Multiset.of(eph, pers)
         declared = frozenset(data.get("declared", [])) | mrs.declared | initial.consts()
         tr = Trace(mrs, initial, Signature(declared, 0))
+        # a recorded fresh name is generated, and neither declared, in the
+        # initial state nor bound before
+        taken = set(declared)
         for i, sd in enumerate(data["steps"]):
             try:
                 rule = mrs.rule(sd["rule"])
@@ -244,6 +235,9 @@ class Trace:
             for v in rule.evars:
                 if v not in xi:
                     raise Invalid(i, f"xi missing variable {v!r}")
+                if not is_generated_name(xi[v]) or xi[v] in taken:
+                    raise Invalid(i, f"{v} := {xi[v]} is not a fresh name")
+                taken.add(xi[v])
             inst = Inst.make(rule, theta)
             try:
                 tr.extend(inst, xi)

@@ -3,9 +3,11 @@
 This is ``sill.fairness.fair_execute`` as it was before a run whose live
 classes are all idle recorded the rest of its fuel from one cycle
 (``Trace.rotate``): every step, rotated or not, goes through the queue,
-an idle replay through ``Trace.repeat`` and its applicability check.  It
-shares the run's index (``fairness._Applicable``) with the scheduler, so
-the two differ only in the loop below.
+an idle replay through ``repeat`` and its applicability check.  It
+shares the run's index (``fairness._Applicable``) with the scheduler,
+extended by the table of idle steps the scheduler kept then
+(``_IdleApplicable``), so the two differ only in the loop below and in
+that table.
 """
 
 from __future__ import annotations
@@ -15,8 +17,35 @@ from typing import Callable, Optional
 
 from sill.fairness import _Applicable
 from sill.msr.multiset import Multiset
-from sill.msr.rules import Mrs
-from sill.msr.trace import Trace
+from sill.msr.rules import Mrs, NotApplicable
+from sill.msr.trace import Step, Trace
+
+
+class _IdleApplicable(_Applicable):
+    """``_Applicable`` with ``idle``, the ``Step`` of each live class
+    whose last application was idle: valid while the class is live, and
+    checked for applicability when recorded again (``repeat``); ``drop``
+    removes it with it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.idle: dict[tuple, Step] = {}
+
+    def drop(self, key: tuple) -> None:
+        super().drop(key)
+        self.idle.pop(key, None)
+
+
+def repeat(tr: Trace, step: Step) -> None:
+    """Record again an idle step of tr, as applying it again would,
+    without ``fire`` or a new ``Step``.  Its applicability is checked in
+    O(consumed), raising ``NotApplicable``; a step that is not idle
+    raises ``ValueError``."""
+    if not step.idle:
+        raise ValueError(f"{step.to_str()} is not idle")
+    if not step.inst.applicable(tr.live):
+        raise NotApplicable(step.inst.to_str())
+    tr.steps.append(step)
 
 
 def fair_execute(
@@ -49,7 +78,7 @@ def fair_execute(
     one-element shuffle draws no random number, so seeded runs keep their
     order.  An idle step (``Step.idle``) stays valid in ``app.idle`` while
     its class is live, and the class's next turns record it again through
-    ``Trace.repeat``: the steps and states of a fresh application, its
+    ``repeat``: the steps and states of a fresh application, its
     applicability checked, nothing applied.
 
     meta["sched"] counts the candidates the enabled set proposed after the
@@ -61,7 +90,7 @@ def fair_execute(
     steps derived after the start.
     """
     tr = Trace(mrs, start)
-    app = _Applicable(mrs, tr.live, random.Random(seed) if seed is not None else None)
+    app = _IdleApplicable(mrs, tr.live, random.Random(seed) if seed is not None else None)
     queue = app.live
     sched = {"delta_candidates": 0, "fresh_admitted": 0, "unchanged_steps": 0,
              "idle_replays": 0}
@@ -74,7 +103,7 @@ def fair_execute(
         if step is None:
             step = tr.extend(queue[first])
         else:
-            tr.repeat(step)
+            repeat(tr, step)
             sched["idle_replays"] += 1
         if observer is not None:
             observer(tr)

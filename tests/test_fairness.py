@@ -437,7 +437,7 @@ def _assert_matches_reference(lt):
     fresh = LassoTrace(lt.trace, lt.loop_start)
     for (variety, strength), v in report.items():
         assert v == reference_check_fairness(fresh, variety, strength), (variety, strength)
-    an = lt._analysis
+    an = _analysis_of(lt)
     for j in range(len(lt.trace.steps)):
         assert list(an.keyed[j].values()) == lt.trace.mrs.applicable(lt.trace.states[j]), j
 
@@ -478,13 +478,14 @@ def test_ring_with_stay_pins_all_nine_verdicts():
 def test_extended_trace_gets_a_fresh_analysis():
     lt = _ring_lasso(["n0", "n1", "n2"])
     before = fairness_report(lt)
-    first = lt._analysis
-    assert before == fairness_report(lt) and lt._analysis is first
+    first = _analysis_of(lt)
+    assert before == fairness_report(lt) and _analysis_of(lt) is first
     # a second round of the same loop: the lasso grows and stays valid
     for s in list(lt.trace.steps):
         lt.trace.extend(s.inst, s.xi_map())
     after = fairness_report(lt)
-    assert lt._analysis is not first and lt._analysis.L == 6
+    an = _analysis_of(lt)
+    assert an is not first and an.L == 6
     assert after == fairness_report(LassoTrace(lt.trace, 0))
 
 
@@ -499,7 +500,7 @@ def test_report_is_the_nine_verdicts(lasso1, lasso2):
 def test_lasso_without_loop_builds_no_analysis():
     lt = LassoTrace(build_trace(parse_system(SEP1), [("a", {"x": "c"})]))
     assert all(v.fair for v in fairness_report(lt).values())
-    assert lt._analysis is None
+    assert not lt.trace.memo
 
 
 def test_invalid_lasso_raises_on_every_verdict():
@@ -510,7 +511,7 @@ def test_invalid_lasso_raises_on_every_verdict():
     for variety, strength in [("rule", "weak"), ("inst", "uber")]:
         with pytest.raises(InvalidLasso):
             check_fairness(lt, variety, strength)
-    assert lt._analysis is None
+    assert not lt.trace.memo
 
 
 def _two_spin_lassos():

@@ -108,18 +108,18 @@ def test_the_first_verdict_of_a_variety_walks_its_orbits(monkeypatch):
         walked = [key for key, _, walks in report if walks]
         assert set(walked) <= {("rule", "uber"), ("fact", "weak"), ("inst", "weak")}, walked
         assert ("fact", "weak") in walked and ("inst", "weak") in walked
-        assert lt.trace._states is None
+        assert "states" not in lt.trace.memo
         # the report on the same lasso reads what the first one computed
         again = walks_per_verdict(monkeypatch, lt, VERDICTS)
         assert [(key, v) for key, v, _ in again] == [(key, v) for key, v, _ in report]
         assert all(walks == 0 for _, _, walks in again)
-        assert lt.trace._states is None
+        assert "states" not in lt.trace.memo
         # strong first: then weak walks nothing
         lt = make()
         for variety in VARIETIES:
             report = walks_per_verdict(monkeypatch, lt, [(variety, "strong"), (variety, "weak")])
             assert report[1][2] == 0, variety
-        assert lt.trace._states is None
+        assert "states" not in lt.trace.memo
 
 
 def test_a_report_builds_no_state_per_step():
@@ -137,7 +137,7 @@ def test_a_report_builds_no_state_per_step():
 
     report_peak = peak(lambda: fairness_report(lt))
     states_peak = peak(lambda: other.trace.states)
-    assert len(other.trace.states) == 401 and lt.trace._states is None
+    assert len(other.trace.states) == 401 and "states" not in lt.trace.memo
     assert all(v.fair for v in fairness_report(lt).values())
     assert report_peak < states_peak / 2, (report_peak, states_peak)
 

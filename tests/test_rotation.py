@@ -8,12 +8,15 @@ from one cycle (``Trace.rotate``) and reports the loop in
 (``scheduler_oracle.fair_execute``), which takes every step through the
 queue.  On the corpus beside spins, on random systems with a self-loop
 rule and on every run an equivalence verdict of the equiv benchmark
-makes, both give the same steps (the same objects where the oracle
-recorded one object again), the same counters and queue depths, and the
-same step count and state at every observer call; the states read from
-the observer mid-run and after the run agree too.  Each run that closed
-its loop certifies itself: its last round holds every class applicable at
-its final state once, and the lasso it ends in is fair in all nine senses.
+makes, both give the same steps, the same counters and queue depths, and
+the same step count and state at every observer call; the states read
+from the observer mid-run and after the run agree too.  A run closes its
+loop after one cycle of idle steps in a row, each rotated step is the
+object of the step a period before, and the loop starts where the
+oracle's idle table first covered every live class, or less than a
+period later.  Each run that closed its loop certifies itself: its last
+round holds every class applicable at its final state once, and the
+lasso it ends in is fair in all nine senses.
 """
 
 import random
@@ -40,8 +43,7 @@ from workloads import Equiv, equiv_source  # noqa: E402
 
 class Watch:
     """An observer that keeps the step count and the state at each call,
-    and reads ``tr.states`` at call read_at (counted from 1), after which
-    the trace keeps its states as it goes."""
+    and reads ``tr.states`` at call read_at (counted from 1)."""
 
     def __init__(self, read_at=None):
         self.read_at, self.calls, self.read = read_at, [], None
@@ -52,30 +54,81 @@ class Watch:
             self.read = list(tr.states)
 
 
-def same_objects(tr):
-    """For each step, the index of the first step that is the same object."""
-    first = {}
-    return [first.setdefault(id(s), i) for i, s in enumerate(tr.steps)]
+class IdleTables(scheduler_oracle._IdleApplicable):
+    """The oracle's index, the last one made kept in ``last``."""
+
+    last = None
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        IdleTables.last = self
+
+
+@pytest.fixture(autouse=True)
+def idle_tables(monkeypatch):
+    monkeypatch.setattr(scheduler_oracle, "_IdleApplicable", IdleTables)
+
+
+class OracleWatch(Watch):
+    """A Watch of the oracle's run that also finds its first all-idle
+    point (``all_idle``): the first step count, after a step that changed
+    nothing, at which the oracle's idle table holds a step of every live
+    class."""
+
+    all_idle = None
+
+    def __call__(self, tr):
+        super().__call__(tr)
+        # the oracle takes in a step after its observer call
+        self.see(tr, len(tr.steps) - 1)
+
+    def see(self, tr, taken):
+        """Note the point after taken steps, which the oracle has taken in."""
+        app = IdleTables.last
+        if (self.all_idle is None and taken and not tr.steps[taken - 1].changed
+                and app.idle and len(app.idle) == len(app.live)):
+            self.all_idle = taken
+
+
+def assert_closes(got, all_idle, label):
+    """A run that closed its loop did so after one cycle of idle steps in
+    a row, and no sooner; every rotated step is the step a period before
+    it; and the loop starts at the oracle's first all-idle point or less
+    than a period later."""
+    loop = got.meta["loop"]
+    if loop is None:
+        return
+    start, period = loop["start"], loop["period"]
+    steps = got.steps
+    assert all(s.idle for s in steps[start - period:start]), label
+    assert start == period or not steps[start - period - 1].idle, label
+    assert all(steps[i] is steps[i - period] for i in range(start, len(steps))), label
+    assert all_idle is not None and all_idle <= start < all_idle + period, (label, all_idle)
 
 
 def assert_same_run(want, got, watched, label):
     """got, the scheduler's trace, is want, the oracle's, step for step;
-    watched holds their observers, in that order."""
+    watched holds their observers, in that order: an ``OracleWatch``, then
+    a ``Watch``."""
     assert steps_of(got) == steps_of(want), label
-    assert same_objects(got) == same_objects(want), label
-    for key in ("maximal", "sched", "queue_depths"):
+    sched = {k: n for k, n in want.meta["sched"].items() if k != "idle_replays"}
+    assert got.meta["sched"] == sched, label
+    for key in ("maximal", "queue_depths"):
         assert got.meta.get(key) == want.meta.get(key), (label, key)
     w0, w1 = watched
     assert w1.calls == w0.calls, label
     assert w1.read == w0.read, label
     assert got.states == want.states, label
     assert got.states[-1] is got.final(), label
+    w0.see(want, len(want.steps))
+    assert_closes(got, w0.all_idle, label)
 
 
 def both_runs(system, start, budget, seed, read_at, depths=False):
     runs = []
-    for execute in (scheduler_oracle.fair_execute, fair_execute):
-        watch = Watch(read_at)
+    for execute, watching in ((scheduler_oracle.fair_execute, OracleWatch),
+                              (fair_execute, Watch)):
+        watch = watching(read_at)
         runs.append((execute(system, start, budget=budget, seed=seed, observer=watch,
                              record_queue_depths=depths), watch))
     (want, w0), (got, w1) = runs
@@ -164,9 +217,10 @@ def test_every_run_of_the_equiv_benchmark_runs_like_the_oracle(monkeypatch):
     def twice(*args, **kwargs):
         # the oracle's run, then the scheduler's, which the verdict reads
         out = []
-        for execute in (scheduler_oracle.fair_execute, fairness.fair_execute):
+        for execute, watching in ((scheduler_oracle.fair_execute, OracleWatch),
+                                  (fairness.fair_execute, Watch)):
             monkeypatch.setattr(dynamics, "fair_execute", execute)
-            watch = Watch(read_at=1 if len(runs) % 2 else None)
+            watch = watching(read_at=1 if len(runs) % 2 else None)
             out.append((real(*args, observer=watch, **kwargs), watch))
         (want, w0), (got, w1) = out
         assert_same_run(want, got, (w0, w1), len(runs))
@@ -203,16 +257,13 @@ def test_rotate_checks_each_step_on_its_first_round():
     tr.rotate(stay, 7)
     assert len(tr.steps) == 7
     take = tr.extend(Inst.make(mrs.rule("take"), {"x": Const("a")}))
+    # the cycle is checked before anything is recorded: take is not idle,
+    # and stay on a no longer applies
     with pytest.raises(ValueError):
-        tr.rotate([take], 10)
-    # stay on a no longer applies: the first round records stay on b and
-    # raises before any step is recorded unchecked
+        tr.rotate([stay[1], take], 10)
     with pytest.raises(NotApplicable):
         tr.rotate(stay[::-1], 20)
-    assert tr.steps[-2:] == [take, stay[1]] and len(tr.steps) == 9
-    with pytest.raises(NotApplicable):
-        tr.repeat(stay[0])
-    assert len(tr.steps) == 9
+    assert tr.steps[-1] is take and len(tr.steps) == 8
 
 
 # -- what meta["loop"] tells apart ---------------------------------------------------

@@ -10,12 +10,10 @@ since the FIFO order is part of the fairness argument.
 
 import random
 
-import pytest
 from ast_oracle import subst_chan
 from helpers import active, old_equiv_key, random_mrs
 from test_dynamics import corpus
 
-from sill import fairness
 from sill.dynamics import SillSystem, classify_fact, config_state, initial_config, proc_fact, run
 from sill.equiv import divergent
 from sill.fairness import fair_execute
@@ -37,7 +35,7 @@ from sill.lang.ast import (
     fc,
 )
 from sill.lang.check import check_config
-from sill.msr import Const, Fact, Multiset, NotApplicable, Rule, Trace, Var, parse_system
+from sill.msr import Const, Fact, Multiset, Rule, Trace, Var, parse_system
 from sill.msr.multiset import fact_key
 from sill.msr.rules import Inst, Mrs, _equiv_key, _match_fact
 
@@ -224,8 +222,8 @@ def test_corpus_beside_a_spin_matches_rescan():
             system = SillSystem()
             tr = assert_same_run(system, beside_spins(*spins), sill_rescan(system), 400,
                                  seed, (spins, seed))
-            sched = tr.meta["sched"]
-            assert 0 < sched["idle_replays"] < sched["unchanged_steps"] < len(tr.steps)
+            rotated = len(tr.steps) - tr.meta["loop"]["start"]
+            assert 0 < rotated < tr.meta["sched"]["unchanged_steps"] < len(tr.steps)
 
 
 def test_duplicated_proc_facts_match_rescan():
@@ -295,58 +293,6 @@ def test_unchanged_steps_are_the_steps_that_change_nothing():
     assert seen
 
 
-def test_idle_steps_stay_live_and_are_checked_when_recorded_again(monkeypatch):
-    tables = []
-
-    class Watched(fairness._Applicable):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.idle_dropped = 0
-            tables.append(self)
-
-        def drop(self, key):
-            self.idle_dropped += key in self.idle
-            super().drop(key)
-
-    def check(tr, at):
-        # every idle step is its live class's and applies to the state the
-        # tables describe; reading tr.states keeps them as the run goes
-        app, state = tables[-1], tr.states[at]
-        assert app.idle.keys() <= app.live.keys()
-        for key, step in app.idle.items():
-            assert step.idle and step.inst is app.live[key]
-            assert step.inst.applicable(state)
-
-    monkeypatch.setattr(fairness, "_Applicable", Watched)
-    runs = [(SillSystem(), beside_spins("spin", "spin2"), 400, seed) for seed in SEEDS]
-    runs += [(mrs, mrs.initial, 12, seed) for _, mrs, seed in random_runs()]
-    replays = 0
-    for system, start, budget, seed in runs:
-        # the observer runs before the scheduler takes in the step
-        tr = fair_execute(system, start, budget=budget, seed=seed,
-                          observer=lambda tr: check(tr, -2))
-        check(tr, -1)
-        assert tr.states[-1] is tr.final() and len(tr.states) == len(tr.steps) + 1
-        replays += tr.meta["sched"]["idle_replays"]
-    assert replays and sum(app.idle_dropped for app in tables)
-
-    mrs = parse_system("""
-        rule stay: forall x. q(x) -o q(x)
-        rule take: forall x. q(x), t -o r(x)
-        init: q(a), t
-        """)
-    tr = Trace(mrs, mrs.initial)
-    stay = tr.extend(Inst.make(mrs.rule("stay"), {"x": Const("a")}))
-    tr.repeat(stay)
-    assert tr.steps == [stay, stay] and tr.final() is mrs.initial
-    take = tr.extend(Inst.make(mrs.rule("take"), {"x": Const("a")}))
-    with pytest.raises(ValueError):
-        tr.repeat(take)
-    with pytest.raises(NotApplicable):
-        tr.repeat(stay)
-    assert len(tr.steps) == 3
-
-
 RING = """
 rule pass: forall x, y. tok(x), next(x, y) -o tok(y), next(x, y)
 rule stay: forall x. tok(x) -o tok(x)
@@ -372,7 +318,7 @@ def test_omega_enumerates_once():
     state, iface = initial_config(Unquote("o", w), {}, ("o", conat))
     tr = run(SillSystem(), state, iface, fuel=300)
     assert tr.meta["sched"] == {"delta_candidates": 300, "fresh_admitted": 300,
-                                "unchanged_steps": 0, "idle_replays": 0}
+                                "unchanged_steps": 0}
 
 
 # -- the keys the enabled set hands out -----------------------------------------------
@@ -406,7 +352,7 @@ def test_divergent_spin_derives_once():
     # step after the first records the first one again
     sched = tr.meta["sched"]
     assert sched["unchanged_steps"] == 200
-    assert sched["idle_replays"] == 199
+    assert len(tr.steps) - tr.meta["loop"]["start"] == 199
     assert len({id(s) for s in tr.steps}) == 1
     assert sched["delta_candidates"] == 0
     assert len({id(st) for st in tr.states}) == 1

@@ -62,6 +62,28 @@ def test_replay_requires_system():
     Trace.from_json(data, mrs)  # explicit system works
 
 
+MK = """
+rule mk: forall x. p(x) -o exists n. q(x, n)
+init: p(a), p(b)
+"""
+
+
+def test_replay_rejects_a_fresh_name_that_is_not_fresh():
+    mrs = parse_system(MK)
+    data = run_to_end(mrs).to_json()
+    back, _ = Trace.from_json(data)
+    assert back.to_json() == data
+    # the second step's name is the first step's, an initial constant,
+    # one without a fresh mark, or a declared one
+    data["declared"].append("k#7")
+    for name in (data["steps"][0]["xi"]["n"], "a", "plain", "k#7"):
+        tampered = json.loads(json.dumps(data))
+        tampered["steps"][1]["xi"]["n"] = name
+        with pytest.raises(Invalid) as e:
+            Trace.from_json(tampered)
+        assert e.value.index == 1, name
+
+
 SPAWN = """
 rule spawn: forall x. seed(x) -o exists n. link(x, n), !born(n), seed(n)
 init: seed(a)
@@ -77,11 +99,13 @@ def test_states_replay_once_then_follow_extend():
     for n in range(5):
         if n == 3:
             states = tr.states
-            assert states == eager and states[-1] is tr.final()
+            assert states == eager and states[-1] is tr.final() and tr.states is states
         tr.extend(match_all(mrs.rules, tr.final())[0])
         eager.append(tr.final())
-    assert tr.states is states
-    assert states == eager and states[-1] is tr.final()
+    # the list read before is kept as it was; the trace has grown, so the
+    # next read replays again
+    assert states == eager[:4] and tr.states is not states
+    assert tr.states == eager and tr.states[-1] is tr.final() and tr.states is tr.states
     eph = {f for st in eager for f in st.eph_support()}
     assert tr.supp() == Multiset.of(eph, tr.final().pers)
     assert tr.to_json(include_states=True)["states"][2] == {
